@@ -1,12 +1,14 @@
 """AES-128 encryption structured like the near-memory DPU kernel.
 
-The block path works byte-wise on a column-major state and replaces all
+The round functions work on a column-major state and replace all
 finite-field arithmetic in MixColumns with 256-entry lookup tables (times-2
 and times-3), mirroring how the kernel avoids multiplies on hardware that
-only has cheap bitwise ops and adds. The buffer path fuses the same byte
-tables into four 32-bit tables and runs all blocks through numpy at once;
-blocks are encrypted independently, which is what makes the work
-partitionable across DPUs in the first place.
+only has cheap bitwise ops and adds. aes128_encrypt_buffer fuses those byte
+tables with the S-box into four 32-bit tables and runs all blocks through
+numpy at once; aes128_encrypt_block is the one-block case of it. Blocks are
+encrypted independently, which is what makes the work partitionable across
+DPUs in the first place. The byte-wise form of the rounds is replayed
+op by op in costs.py.
 
 Keys, blocks and buffers are plain ``bytes``; hex formatting at the edges
 is lowercase without separators.
@@ -104,29 +106,11 @@ def key_expansion(key: bytes) -> bytes:
     return bytes(ks)
 
 
-def aes128_encrypt_block(block: bytes, ks: bytes, tables: GfLookupTables | None = None) -> bytes:
-    """Encrypt a single 16-byte block using the lookup-table round functions."""
+def aes128_encrypt_block(block: bytes, ks: bytes) -> bytes:
+    """Encrypt a single 16-byte block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be {BLOCK_BYTES} bytes, got {len(block)}")
-    if len(ks) != EXPANDED_KEY_BYTES:
-        raise ValueError(f"expanded key must be {EXPANDED_KEY_BYTES} bytes, got {len(ks)}")
-    if tables is None:
-        tables = build_gf_tables()
-    sbox, mul2, mul3 = tables.sbox, tables.mul2, tables.mul3
-
-    s = bytearray(b ^ k for b, k in zip(block, ks[0:16]))
-    for rnd in range(1, 10):
-        rk = ks[16 * rnd : 16 * rnd + 16]
-        # SubBytes and ShiftRows fused through the flat permutation
-        t = bytes(sbox[s[p]] for p in _SHIFT_ROWS)
-        for c in range(4):
-            a, b, cc, d = t[4 * c : 4 * c + 4]
-            s[4 * c + 0] = mul2[a] ^ mul3[b] ^ cc ^ d ^ rk[4 * c + 0]
-            s[4 * c + 1] = a ^ mul2[b] ^ mul3[cc] ^ d ^ rk[4 * c + 1]
-            s[4 * c + 2] = a ^ b ^ mul2[cc] ^ mul3[d] ^ rk[4 * c + 2]
-            s[4 * c + 3] = mul3[a] ^ b ^ cc ^ mul2[d] ^ rk[4 * c + 3]
-    rk = ks[160:176]
-    return bytes(sbox[s[p]] ^ rk[i] for i, p in enumerate(_SHIFT_ROWS))
+    return aes128_encrypt_buffer(block, ks)
 
 
 @lru_cache(maxsize=1)
@@ -154,8 +138,7 @@ def _fused_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.
 def aes128_encrypt_buffer(buffer: bytes, ks: bytes) -> bytes:
     """Encrypt every 16-byte block of a buffer independently.
 
-    Equivalent to concatenating aes128_encrypt_block over the blocks; the
-    whole buffer is pushed through the fused-table path in one pass.
+    The whole buffer is pushed through the fused-table path in one pass.
     """
     if len(ks) != EXPANDED_KEY_BYTES:
         raise ValueError(f"expanded key must be {EXPANDED_KEY_BYTES} bytes, got {len(ks)}")

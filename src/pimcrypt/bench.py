@@ -21,7 +21,7 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,30 +96,32 @@ class ExperimentSpec:
 
     @classmethod
     def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":
+        if section is not None and not isinstance(section, dict):
+            raise ProfileError(f"experiment {experiment} must be a JSON object")
         entry = dict(section or {})
         entry.setdefault("sweep", _default_sweep(experiment))
-        strategies = tuple(
-            Strategy.parse(s) for s in entry.pop("strategies", ["sync"])
-        )
-        known = {
-            "algorithm", "buffer_bytes", "message_bytes", "message_count",
-            "sweep", "tasklets", "repetitions", "seed",
-        }
-        unknown = set(entry) - known
+        try:
+            strategies = tuple(Strategy.parse(s) for s in entry.pop("strategies", ["sync"]))
+        except ValueError as exc:
+            raise ProfileError(str(exc)) from None
+        types = {f.name: f.type for f in fields(cls) if f.name != "experiment"}
+        unknown = set(entry) - set(types)
         if unknown:
             raise ProfileError(f"unknown experiment fields: {sorted(unknown)}")
-        entry["sweep"] = tuple(int(v) for v in entry["sweep"])
+        if not isinstance(entry["sweep"], (list, tuple)):
+            raise ProfileError("sweep must be a list of integers")
+        entry["sweep"] = tuple(
+            mc.parse_number("experiment", "sweep", v, integer=True) for v in entry["sweep"]
+        )
+        for name, ftype in types.items():
+            if ftype == "int" and name in entry:
+                entry[name] = mc.parse_number("experiment", name, entry[name], integer=True)
         return cls(experiment=experiment, strategies=strategies, **entry).validate()
 
 
 def _default_sweep(experiment: str) -> list[int]:
-    if experiment == "tasklet_scaling":
-        return list(range(1, 25))
-    if experiment == "strong_scaling":
-        return [1, 2, 4, 8, 16, 32, 64]
-    if experiment == "weak_scaling":
-        return [1, 4, 16, 64]
-    return list(range(1, 41))
+    """The experiment's sweep in the bundled config (empty if it has none)."""
+    return mc.bundled_default_config().experiments.get(experiment, {}).get("sweep", [])
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,11 @@ def _workload_for(spec: ExperimentSpec, scale: int) -> AesWorkload | ShaWorkload
 
 
 def _row_from_plan(
-    sweep_value: int, strategy: Strategy, plan: JobPlan, speedup: float | None = None
+    sweep_value: int,
+    strategy: Strategy,
+    plan: JobPlan,
+    speedup: float | None = None,
+    baseline_s: float | None = None,
 ) -> ExperimentRow:
     return ExperimentRow(
         sweep_value=sweep_value,
@@ -162,6 +168,7 @@ def _row_from_plan(
         from_dpu_s=plan.phase_times.dpu_to_cpu,
         prepare_s=plan.phase_times.prepare,
         total_s=plan.makespan,
+        baseline_s=baseline_s,
         speedup=speedup,
         bytes_to_dpu=plan.payload_bytes_to_dpu,
         bytes_from_dpu=plan.payload_bytes_from_dpu,
@@ -279,20 +286,7 @@ def run_rank_scaling(
                 if baseline_rate is not None
                 else None
             )
-            rows.append(
-                ExperimentRow(
-                    sweep_value=n_ranks,
-                    strategy=strategy,
-                    kernel_s=plan.phase_times.kernel,
-                    to_dpu_s=plan.phase_times.cpu_to_dpu,
-                    from_dpu_s=plan.phase_times.dpu_to_cpu,
-                    prepare_s=plan.phase_times.prepare,
-                    total_s=plan.makespan,
-                    baseline_s=baseline_s,
-                    bytes_to_dpu=plan.payload_bytes_to_dpu,
-                    bytes_from_dpu=plan.payload_bytes_from_dpu,
-                )
-            )
+            rows.append(_row_from_plan(n_ranks, strategy, plan, baseline_s=baseline_s))
     meta = _metadata(spec)
     meta["strategies"] = ",".join(s.value for s in spec.strategies)
     if baseline_rate is not None:

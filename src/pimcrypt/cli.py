@@ -14,7 +14,7 @@ import sys
 from . import bench as bh
 from . import machine as mc
 from .errors import AlignmentError, CapacityError, PimcryptError, ProfileError
-from .orchestrator import DEFAULT_MRAM_RESERVE_BYTES, Strategy, run_job
+from .orchestrator import MRAM_RESERVE_BYTES, Strategy, run_job
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -22,10 +22,8 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 
-def _load_machine(profile_path: str | None) -> mc.MachineProfile:
-    if profile_path is None:
-        return mc.bundled_default_config().machine
-    return mc.load_config(profile_path).machine
+def _load_config(path: str | None) -> mc.Config:
+    return mc.bundled_default_config() if path is None else mc.load_config(path)
 
 
 def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,7 +76,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        profile = _load_machine(args.profile)
+        profile = _load_config(args.profile).machine
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -149,7 +147,7 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
 
 def cmd_hash(args: argparse.Namespace) -> int:
     try:
-        profile = _load_machine(args.profile)
+        profile = _load_config(args.profile).machine
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -197,23 +195,28 @@ def cmd_hash(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        if args.config is not None:
-            config = mc.load_config(args.config)
-        else:
-            config = mc.bundled_default_config()
+        config = _load_config(args.config)
+    except ProfileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
         spec = bh.ExperimentSpec.from_config(
             args.experiment, config.experiments.get(args.experiment)
         )
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
-    result = bh.run_experiment(
-        spec, config.machine, include_baseline=not args.no_baseline
-    )
+    try:
+        result = bh.run_experiment(
+            spec, config.machine, include_baseline=not args.no_baseline
+        )
+    except (CapacityError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     out_path = os.path.join(args.out_dir, f"{args.experiment}.csv")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -237,14 +240,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    problems = config.machine.violations()
-    if DEFAULT_MRAM_RESERVE_BYTES >= config.machine.mram_bytes:
+    machine = config.machine
+    problems = []
+    if MRAM_RESERVE_BYTES >= machine.mram_bytes:
         problems.append("MRAM smaller than the per-DPU runtime reserve")
     for name, cost in config.kernel_costs.items():
-        if cost.wram_cache_bytes * config.machine.max_tasklets > config.machine.wram_bytes:
-            problems.append(
-                f"{name}: per-tasklet caches at max_tasklets exceed WRAM"
-            )
+        try:
+            cost.validate(machine, machine.max_tasklets)
+        except (CapacityError, ProfileError) as exc:
+            problems.append(f"{name}: {exc}")
     if problems:
         for p in problems:
             print(f"violation: {p}")

@@ -1,34 +1,34 @@
 """Operation-count instrumentation for the crypto kernels.
 
 The timing model needs an instructions-per-unit constant for each kernel.
-Rather than inventing one, the functions here replay the exact kernel
-algorithms while counting every basic operation a 32-bit in-order core
-would execute: table lookups, xors, adds, shifts/rotates (charged per
-shift), bitwise and/or/not, and byte moves. Register renaming and loop
-control are not charged. Both instrumented kernels return their result so
-tests can pin them bit-for-bit to the production paths; the counts are
-data-independent because neither kernel branches on data.
+Rather than inventing one, the functions here replay the kernel algorithms
+in the byte-wise and word-wise form a DPU runs, counting every basic
+operation a 32-bit in-order core would execute: table lookups, xors, adds,
+shifts/rotates (charged per shift), bitwise and/or/not, and byte moves.
+Register renaming and loop control are not charged. Both instrumented
+kernels return their result so tests can pin them bit-for-bit to the
+production paths; the counts are data-independent because neither kernel
+branches on data.
 
 The resulting constants are frozen into the bundled default config;
-measure_kernel_costs() re-derives them so a test can catch drift.
+aes_instructions_per_block() and sha256_instructions_per_block() re-derive
+them, and tests/test_costs.py::test_measured_constants_are_frozen_in_default_config
+compares the two so drift is caught.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .aes import _SHIFT_ROWS, GfLookupTables, build_gf_tables
+from .aes import _SHIFT_ROWS, build_gf_tables
 from .sha256 import INIT_STATE, ROUND_CONSTANTS, sha256_pad
 
 _MASK = 0xFFFFFFFF
 
 
-def count_aes_block_ops(
-    block: bytes, ks: bytes, tables: GfLookupTables | None = None
-) -> tuple[bytes, Counter]:
+def count_aes_block_ops(block: bytes, ks: bytes) -> tuple[bytes, Counter]:
     """Encrypt one block exactly like the production kernel, counting ops."""
-    if tables is None:
-        tables = build_gf_tables()
+    tables = build_gf_tables()
     sbox, mul2, mul3 = tables.sbox, tables.mul2, tables.mul3
     ops: Counter = Counter()
 

@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Literal
 
@@ -59,15 +60,9 @@ class MachineProfile:
             )
         if self.pipeline_saturation_tasklets > self.max_tasklets:
             bad.append("pipeline_saturation_tasklets exceeds max_tasklets")
-        for name in (
-            "dpus_per_rank", "num_ranks", "usable_dpus", "dpu_frequency",
-            "max_tasklets", "pipeline_saturation_tasklets", "wram_bytes",
-            "mram_bytes", "iram_bytes", "cpu_to_dpu_bandwidth_per_rank",
-            "dpu_to_cpu_bandwidth_per_rank", "host_prepare_rate",
-            "mram_fixed_cycles", "mram_cycles_per_byte", "max_mram_access_bytes",
-        ):
-            if getattr(self, name) <= 0:
-                bad.append(f"{name} must be strictly positive")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) <= 0:
+                bad.append(f"{f.name} must be strictly positive")
         return bad
 
     def validate(self) -> "MachineProfile":
@@ -82,30 +77,42 @@ class MachineProfile:
     @classmethod
     def from_json(cls, doc: dict) -> "MachineProfile":
         """Parse a profile object; unknown or missing fields are rejected."""
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(doc) - set(fields)
-        if unknown:
-            raise ProfileError(f"unknown profile fields: {sorted(unknown)}")
-        missing = set(fields) - set(doc)
-        if missing:
-            raise ProfileError(f"missing profile fields: {sorted(missing)}")
-        kwargs = {}
-        for name, f in fields.items():
-            value = doc[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ProfileError(f"profile field {name} must be a number")
-            if f.type == "int":
-                if value != int(value):
-                    raise ProfileError(f"profile field {name} must be an integer")
-                value = int(value)
-            else:
-                value = float(value)
-            kwargs[name] = value
-        return cls(**kwargs).validate()
+        return _parse_fields(cls, doc, "profile").validate()
+
+
+def parse_number(where: str, name: str, value: object, integer: bool) -> int | float:
+    """Check one numeric config value: a finite JSON number, whole if integer."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ProfileError(f"{where} field {name} must be a finite number")
+    if integer and value != int(value):
+        raise ProfileError(f"{where} field {name} must be an integer")
+    return int(value) if integer else float(value)
+
+
+def _parse_fields(cls, doc: object, where: str):
+    """Build a numeric dataclass from a JSON object holding exactly its
+    fields (plus an optional free-text "notes")."""
+    if not isinstance(doc, dict):
+        raise ProfileError(f"{where} must be a JSON object")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields) - {"notes"}
+    if unknown:
+        raise ProfileError(f"unknown {where} fields: {sorted(unknown)}")
+    missing = set(fields) - set(doc)
+    if missing:
+        raise ProfileError(f"missing {where} fields: {sorted(missing)}")
+    return cls(**{
+        name: parse_number(where, name, doc[name], ftype == "int")
+        for name, ftype in fields.items()
+    })
 
 
 def default_profile() -> MachineProfile:
-    """Profile of the reference machine: 40 ranks of 64 DPUs at 450 MHz.
+    """Profile of the reference machine: the bundled config's machine section.
 
     Topology, memory sizes and the 11-tasklet saturation point describe the
     real hardware generation being modeled. Transfer bandwidths, the host
@@ -115,23 +122,7 @@ def default_profile() -> MachineProfile:
     cost); they are chosen so the scaling-experiment shapes reproduce, and
     absolute times carry no hardware claim.
     """
-    return MachineProfile(
-        dpus_per_rank=64,
-        num_ranks=40,
-        usable_dpus=2560,
-        dpu_frequency=450e6,
-        max_tasklets=24,
-        pipeline_saturation_tasklets=11,
-        wram_bytes=64 * 1024,
-        mram_bytes=64 * 1024 * 1024,
-        iram_bytes=24 * 1024,
-        cpu_to_dpu_bandwidth_per_rank=600e6,
-        dpu_to_cpu_bandwidth_per_rank=150e6,
-        host_prepare_rate=8e9,
-        mram_fixed_cycles=128.0,
-        mram_cycles_per_byte=0.5,
-        max_mram_access_bytes=2048,
-    )
+    return bundled_default_config().machine
 
 
 @dataclass(frozen=True)
@@ -348,15 +339,6 @@ def simulate_transfer(
 # experiment sections, shared by the CLI and the benchmark harness.
 # ---------------------------------------------------------------------------
 
-_COST_KEYS = {
-    "instructions_per_unit",
-    "mram_read_bytes_per_unit",
-    "mram_write_bytes_per_unit",
-    "wram_cache_bytes",
-    "unit_bytes",
-}
-
-
 @dataclass(frozen=True)
 class Config:
     machine: MachineProfile
@@ -365,25 +347,11 @@ class Config:
     experiments: dict[str, dict]
 
 
-def _parse_kernel_costs(section: dict) -> dict[str, KernelCost]:
-    costs = {}
-    for name, entry in section.items():
-        if name == "notes":
-            continue
-        extra = set(entry) - _COST_KEYS - {"notes"}
-        if extra:
-            raise ProfileError(f"unknown kernel cost fields for {name}: {sorted(extra)}")
-        missing = _COST_KEYS - set(entry)
-        if missing:
-            raise ProfileError(f"missing kernel cost fields for {name}: {sorted(missing)}")
-        costs[name] = KernelCost(
-            instructions_per_unit=float(entry["instructions_per_unit"]),
-            mram_read_bytes_per_unit=float(entry["mram_read_bytes_per_unit"]),
-            mram_write_bytes_per_unit=float(entry["mram_write_bytes_per_unit"]),
-            wram_cache_bytes=int(entry["wram_cache_bytes"]),
-            unit_bytes=int(entry["unit_bytes"]),
-        )
-    return costs
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ProfileError(f"config section {name} must be a JSON object")
+    return section
 
 
 def parse_config(doc: dict) -> Config:
@@ -404,13 +372,17 @@ def parse_config(doc: dict) -> Config:
         raise ProfileError(f"unknown config sections: {sorted(unknown)}")
     return Config(
         machine=MachineProfile.from_json(doc["machine"]),
-        kernel_costs=_parse_kernel_costs(doc.get("kernel_costs", {})),
+        kernel_costs={
+            name: _parse_fields(KernelCost, entry, f"kernel cost {name}")
+            for name, entry in _section(doc, "kernel_costs").items()
+            if name != "notes"
+        },
         host={
-            k: float(v)
-            for k, v in doc.get("host", {}).items()
+            k: parse_number("host", k, v, integer=False)
+            for k, v in _section(doc, "host").items()
             if k != "notes"
         },
-        experiments=dict(doc.get("experiments", {})),
+        experiments=dict(_section(doc, "experiments")),
     )
 
 
@@ -423,7 +395,11 @@ def load_config(path: str) -> Config:
     return parse_config(doc)
 
 
+@lru_cache(maxsize=1)
 def bundled_default_config() -> Config:
-    """The config shipped with the package (profiles/default.json)."""
+    """The config shipped with the package (profiles/default.json).
+
+    Cached: callers share the returned object and must not mutate it.
+    """
     text = resources.files("pimcrypt").joinpath("profiles/default.json").read_text()
     return parse_config(json.loads(text))

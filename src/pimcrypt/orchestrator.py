@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from . import machine as mc
-from .aes import aes128_encrypt_buffer, key_expansion
+from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
 from .errors import AlignmentError, CapacityError
 from .sha256 import DIGEST_BYTES, padded_block_count, sha256_many
 
-EXPANDED_KEY_BYTES = 176
-DEFAULT_MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
+MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
 
 
 class Strategy(enum.Enum):
@@ -56,7 +54,7 @@ class Strategy(enum.Enum):
             "async_rank_execution": cls.ASYNC_RANK_EXECUTION,
         }
         try:
-            return aliases[name.lower()]
+            return aliases[str(name).lower()]
         except KeyError:
             raise ValueError(f"unknown strategy {name!r} (use sync, pim1 or pim2)") from None
 
@@ -194,11 +192,6 @@ class JobResult:
         return self.plan.phase_times
 
 
-@lru_cache(maxsize=1)
-def default_kernel_costs() -> dict[str, mc.KernelCost]:
-    return mc.bundled_default_config().kernel_costs
-
-
 def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) -> mc.KernelCost:
     """Spread the per-message digest write over that job's hash blocks."""
     if total_units == 0:
@@ -222,7 +215,6 @@ def plan_job(
     profile: mc.MachineProfile | None = None,
     dpus_per_rank: int | None = None,
     cost: mc.KernelCost | None = None,
-    mram_reserve_bytes: int = DEFAULT_MRAM_RESERVE_BYTES,
 ) -> JobPlan:
     """Partition a workload and price its execution under a strategy."""
     if profile is None:
@@ -247,7 +239,7 @@ def plan_job(
         in_bytes = [length for _, length in partition.slices]
         out_bytes = list(in_bytes)
         units = [length // 16 for length in in_bytes]
-        base_cost = cost or default_kernel_costs()["aes128"]
+        base_cost = cost or mc.bundled_default_config().kernel_costs["aes128"]
         job_cost = base_cost
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
     else:
@@ -259,11 +251,11 @@ def plan_job(
             sum(padded_block_count(lengths[i]) for i in ids)
             for ids in partition.message_ids
         ]
-        base_cost = cost or default_kernel_costs()["sha256"]
+        base_cost = cost or mc.bundled_default_config().kernel_costs["sha256"]
         job_cost = _sha_cost_for(base_cost, len(lengths), sum(units))
         broadcast_bytes = 0
 
-    mram_budget = profile.mram_bytes - mram_reserve_bytes
+    mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     for d in range(total_dpus):
         if in_bytes[d] + out_bytes[d] > mram_budget:
             raise CapacityError(
@@ -330,73 +322,56 @@ def plan_job(
     )
 
 
+# Strategy -> (host_waits_for_inbound, launch_barrier, serial_drain).
+# host_waits_for_inbound: the host stages the next rank only once this
+# rank's inbound transfer has finished. launch_barrier: all ranks launch
+# together after the last inbound transfer. serial_drain: outbound transfers
+# run one rank after the other once every kernel has ended; otherwise each
+# rank drains as soon as its own kernel ends.
+_SCHEDULES = {
+    Strategy.SYNC: (True, True, True),
+    Strategy.ASYNC_RANK_TRANSFER: (False, True, False),
+    Strategy.ASYNC_RANK_EXECUTION: (True, False, False),
+}
+
+
 def _build_timeline(
     strategy: Strategy, rank_phases: Sequence[RankPhases], t0: float
 ) -> mc.ExecutionTimeline:
-    events: list[mc.TimelineEvent] = []
-
-    def emit(rank: int, kind: str, time: float) -> None:
-        events.append(mc.TimelineEvent(time=time, rank=rank, kind=kind))
-
-    n = len(rank_phases)
-    if strategy is Strategy.SYNC:
-        cursor = t0
-        transfer_ends = []
-        for r, ph in enumerate(rank_phases):
-            emit(r, "prepare_start", cursor)
-            cursor += ph.prepare
-            emit(r, "prepare_end", cursor)
-            emit(r, "transfer_to_start", cursor)
-            cursor += ph.to_dpu
-            emit(r, "transfer_to_end", cursor)
-            transfer_ends.append(cursor)
-        launch = transfer_ends[-1] if transfer_ends else t0
-        kernel_ends = []
-        for r, ph in enumerate(rank_phases):
-            emit(r, "launch", launch)
-            kernel_ends.append(launch + ph.kernel)
-            emit(r, "kernel_end", kernel_ends[-1])
+    waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
+    prep_starts, prep_ends, to_ends = [], [], []
+    cursor = t0
+    for ph in rank_phases:
+        prep_starts.append(cursor)
+        cursor += ph.prepare
+        prep_ends.append(cursor)
+        to_ends.append(cursor + ph.to_dpu)
+        if waits_for_inbound:
+            cursor = to_ends[-1]
+    barrier = max(to_ends, default=t0)
+    launches = [barrier if launch_barrier else end for end in to_ends]
+    kernel_ends = [launch + ph.kernel for launch, ph in zip(launches, rank_phases)]
+    from_starts = list(kernel_ends)
+    if serial_drain:
         cursor = max(kernel_ends, default=t0)
         for r, ph in enumerate(rank_phases):
-            emit(r, "transfer_from_start", cursor)
+            from_starts[r] = cursor
             cursor += ph.from_dpu
-            emit(r, "transfer_from_end", cursor)
-    elif strategy is Strategy.ASYNC_RANK_TRANSFER:
-        prep_cursor = t0
-        transfer_ends = []
-        for r, ph in enumerate(rank_phases):
-            emit(r, "prepare_start", prep_cursor)
-            prep_cursor += ph.prepare
-            emit(r, "prepare_end", prep_cursor)
-            emit(r, "transfer_to_start", prep_cursor)
-            transfer_ends.append(prep_cursor + ph.to_dpu)
-            emit(r, "transfer_to_end", transfer_ends[-1])
-        launch = max(transfer_ends, default=t0)
-        for r, ph in enumerate(rank_phases):
-            emit(r, "launch", launch)
-            kernel_end = launch + ph.kernel
-            emit(r, "kernel_end", kernel_end)
-            emit(r, "transfer_from_start", kernel_end)
-            emit(r, "transfer_from_end", kernel_end + ph.from_dpu)
-    elif strategy is Strategy.ASYNC_RANK_EXECUTION:
-        cursor = t0
-        for r, ph in enumerate(rank_phases):
-            emit(r, "prepare_start", cursor)
-            cursor += ph.prepare
-            emit(r, "prepare_end", cursor)
-            emit(r, "transfer_to_start", cursor)
-            cursor += ph.to_dpu
-            emit(r, "transfer_to_end", cursor)
-            emit(r, "launch", cursor)
-            kernel_end = cursor + ph.kernel
-            emit(r, "kernel_end", kernel_end)
-            emit(r, "transfer_from_start", kernel_end)
-            emit(r, "transfer_from_end", kernel_end + ph.from_dpu)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled strategy {strategy}")
 
-    events.sort(key=lambda e: (e.time, e.rank, mc.EVENT_KINDS.index(e.kind)))
-    return mc.ExecutionTimeline(events=tuple(events))
+    keyed = []
+    for r, ph in enumerate(rank_phases):
+        times = (  # in EVENT_KINDS order; inbound transfer starts as staging ends
+            prep_starts[r], prep_ends[r], prep_ends[r], to_ends[r],
+            launches[r], kernel_ends[r], from_starts[r], from_starts[r] + ph.from_dpu,
+        )
+        keyed.extend((time, r, k) for k, time in enumerate(times))
+    keyed.sort()
+    return mc.ExecutionTimeline(
+        events=tuple(
+            mc.TimelineEvent(time=time, rank=r, kind=mc.EVENT_KINDS[k])
+            for time, r, k in keyed
+        )
+    )
 
 
 def run_job(
@@ -409,7 +384,6 @@ def run_job(
     profile: mc.MachineProfile | None = None,
     dpus_per_rank: int | None = None,
     cost: mc.KernelCost | None = None,
-    mram_reserve_bytes: int = DEFAULT_MRAM_RESERVE_BYTES,
 ) -> JobResult:
     """Execute a workload functionally and price it under a strategy.
 
@@ -423,7 +397,6 @@ def run_job(
         profile=profile,
         dpus_per_rank=dpus_per_rank,
         cost=cost,
-        mram_reserve_bytes=mram_reserve_bytes,
     )
     if isinstance(workload, (bytes, bytearray, memoryview)):
         if key is None:

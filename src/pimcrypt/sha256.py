@@ -2,10 +2,10 @@
 
 A message is consumed as a stream of 64-byte blocks; every block update
 depends on the running state, so one message can never be split across
-workers — parallelism only exists across messages. sha256_digest walks a
-single message block by block, sha256_many drives an arbitrary batch of
-messages through a lane-vectorized compression loop (one numpy lane per
-message, grouped by padded block count).
+workers — parallelism only exists across messages. sha256_many drives an
+arbitrary batch of messages through a lane-vectorized compression loop (one
+numpy lane per message, grouped by padded block count); sha256_digest is
+the one-message case of it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ ROUND_CONSTANTS = (
 BLOCK_BYTES = 64
 DIGEST_BYTES = 32
 
-_MASK = 0xFFFFFFFF
-
 
 def sha256_pad(message: bytes) -> bytes:
     """Append the 0x80 marker, zero fill and the 64-bit big-endian bit length."""
@@ -49,36 +47,6 @@ def sha256_pad(message: bytes) -> bytes:
 def padded_block_count(message_len: int) -> int:
     """Number of 64-byte blocks the message occupies after padding."""
     return (message_len + 8) // 64 + 1
-
-
-def _compress(state, block):
-    k = ROUND_CONSTANTS
-    w = list(int.from_bytes(block[4 * i : 4 * i + 4], "big") for i in range(16))
-    for i in range(16, 64):
-        x = w[i - 15]
-        s0 = ((x >> 7 | x << 25) ^ (x >> 18 | x << 14) ^ (x >> 3)) & _MASK
-        x = w[i - 2]
-        s1 = ((x >> 17 | x << 15) ^ (x >> 19 | x << 13) ^ (x >> 10)) & _MASK
-        w.append((w[i - 16] + s0 + w[i - 7] + s1) & _MASK)
-    a, b, c, d, e, f, g, h = state
-    for i in range(64):
-        s1 = ((e >> 6 | e << 26) ^ (e >> 11 | e << 21) ^ (e >> 25 | e << 7)) & _MASK
-        ch = (e & f) ^ (~e & g)
-        t1 = (h + s1 + ch + k[i] + w[i]) & _MASK
-        s0 = ((a >> 2 | a << 30) ^ (a >> 13 | a << 19) ^ (a >> 22 | a << 10)) & _MASK
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        t2 = (s0 + maj) & _MASK
-        h, g, f, e, d, c, b, a = g, f, e, (d + t1) & _MASK, c, b, a, (t1 + t2) & _MASK
-    return tuple((s + v) & _MASK for s, v in zip(state, (a, b, c, d, e, f, g, h)))
-
-
-def sha256_digest(message: bytes) -> bytes:
-    """Hash one message, compressing its padded 64-byte blocks in order."""
-    padded = sha256_pad(message)
-    state = INIT_STATE
-    for off in range(0, len(padded), 64):
-        state = _compress(state, padded[off : off + 64])
-    return b"".join(s.to_bytes(4, "big") for s in state)
 
 
 def _rotr(x: np.ndarray, n: int) -> np.ndarray:
@@ -119,6 +87,11 @@ def _digest_equal_length(messages: list[bytes]) -> list[bytes]:
         state = _compress_lanes(state, data[:, step, :])
     out = np.stack(state, axis=1).astype(">u4").tobytes()
     return [out[32 * i : 32 * i + 32] for i in range(n)]
+
+
+def sha256_digest(message: bytes) -> bytes:
+    """Hash one message."""
+    return sha256_many([message])[0]
 
 
 def sha256_many(messages: list[bytes]) -> list[bytes]:

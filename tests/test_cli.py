@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -236,3 +237,67 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--profile", str(path)]) == 3
+
+
+def _config(tmp_path, value, *keys):
+    """The bundled config with the field at keys set to value, as a file."""
+    doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
+    @pytest.mark.parametrize("keys,value", [
+        (("kernel_costs", "aes128", "instructions_per_unit"), "abc"),
+        (("kernel_costs", "sha256", "wram_cache_bytes"), 2048.5),
+        (("host", "peak_ops_per_second"), "x"),
+        (("host",), 5),
+    ])
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, command, keys, value):
+        cfg = _config(tmp_path, value, *keys)
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(32))
+        out = str(tmp_path / "out")
+        argv = {
+            "encrypt": ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain), "--out", out,
+                        "--profile"],
+            "hash": ["hash", "--in", str(plain), "--out", out, "--profile"],
+            "bench": ["bench", "--experiment", "weak_scaling", "--out-dir", out, "--config"],
+            "validate": ["validate", "--profile"],
+        }[command]
+        assert main(argv + [cfg]) == 3
+        captured = capsys.readouterr()
+        assert keys[-1] in captured.out + captured.err
+
+    @pytest.mark.parametrize("keys,value,argv,code,text", [
+        # ranks beyond the machine: the planner's range check, as for encrypt/hash
+        (("experiments", "rank_scaling", "sweep"), [1, 41],
+         ["bench", "--experiment", "rank_scaling", "--no-baseline"], 3, "n_ranks"),
+        # whole numbers only; 2.5 used to be truncated to 2
+        (("experiments", "weak_scaling", "sweep"), [1, 2.5],
+         ["bench", "--experiment", "weak_scaling"], 2, "integer"),
+        (("experiments", "weak_scaling"), 5,
+         ["bench", "--experiment", "weak_scaling"], 2, "weak_scaling"),
+        (("experiments", "weak_scaling", "sweep"), "1,4",
+         ["bench", "--experiment", "weak_scaling"], 2, "sweep"),
+        (("experiments", "weak_scaling", "tasklets"), "16",
+         ["bench", "--experiment", "weak_scaling"], 2, "tasklets"),
+        (("experiments", "weak_scaling", "strategies"), ["sync", 1],
+         ["bench", "--experiment", "weak_scaling"], 2, "unknown strategy"),
+        # validate rejects what the planner rejects
+        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
+         ["validate"], 3, "violation: aes128"),
+    ])
+    def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
+        cfg = _config(tmp_path, value, *keys)
+        flags = ["--profile", cfg] if argv[0] == "validate" else [
+            "--config", cfg, "--out-dir", str(tmp_path)]
+        assert main(argv + flags) == code
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err

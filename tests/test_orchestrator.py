@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from pimcrypt.orchestrator import (
     run_job,
     validate_timeline,
 )
-from pimcrypt.sha256 import sha256_digest
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 PROFILE = default_profile()
@@ -246,7 +246,7 @@ class TestFunctionalEquivalence:
     def test_sha_grid(self):
         rng = random.Random(13)
         msgs = [rng.randbytes(rng.randrange(0, 600)) for _ in range(128)]
-        expected = [sha256_digest(m) for m in msgs]
+        expected = [hashlib.sha256(m).digest() for m in msgs]
         for dpus in (1, 3, 17):
             for strategy in Strategy:
                 result = run_job(
@@ -361,6 +361,32 @@ class TestValidateTimeline:
     def test_empty_timeline_ok(self):
         assert validate_timeline(ExecutionTimeline(events=())) == []
         assert ExecutionTimeline(events=()).makespan == 0.0
+
+
+# sha256 of repr([(time, rank, kind), ...]) for a 3-rank, 5-DPU-per-rank job
+# with uneven ranks; pins every modeled timestamp bit for bit.
+_GOLDEN_TIMELINES = {
+    ("aes", "sync"): "9484a18c539bff0da2e8a81f4aaf4ebb79a055f92d7126ca9b8ef45643e31d02",
+    ("aes", "async_rank_transfer"): "db67fed715b395883ebef0cb806c60da38cfa385963899227071b742641d01e3",
+    ("aes", "async_rank_execution"): "dbe67aef1b4ac1c3ab67c4fde27b65c26beba9ab6a9b8b60cbfeb7f00aa36a1a",
+    ("sha", "sync"): "f5ee26e8410f0e1e88e730be6c645db2b2eb6ac6b8962c3eb6bc8f5b1ce2ed10",
+    ("sha", "async_rank_transfer"): "92c2e2ee1a5f5480496e3057a91b06d7fad5210dc62d3feb77f15752d2661ab1",
+    ("sha", "async_rank_execution"): "7d98812cdbf1c679e857ef90e66d39c9cd81e413aa3bdeb2a4c000e7514b757d",
+}
+
+
+@pytest.mark.parametrize("algorithm,strategy", sorted(_GOLDEN_TIMELINES))
+def test_timeline_bit_exact(algorithm, strategy):
+    workload = (
+        AesWorkload((1 << 20) + 48) if algorithm == "aes"
+        else ShaWorkload(tuple(range(0, 4000, 37)))
+    )
+    plan = plan_job(
+        workload, strategy=Strategy(strategy), n_ranks=3, dpus_per_rank=5, tasklets=16
+    )
+    text = repr([(e.time, e.rank, e.kind) for e in plan.timeline.events])
+    assert len(plan.timeline.events) == 24
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_TIMELINES[algorithm, strategy]
 
 
 class TestShaTaskletAssignment:
