@@ -1,15 +1,16 @@
 """Scaling experiments, host baseline measurement, kernel characterization.
 
-Four experiments sweep one axis each and report modeled per-phase times:
+Four experiments sweep one plan_job argument each (the _AXES table) and
+report modeled per-phase times, one row per (sweep value, strategy):
 
 * tasklet_scaling — fixed workload on a single DPU, tasklet count swept.
 * strong_scaling  — fixed total workload, DPU count swept within one rank.
 * weak_scaling    — fixed per-DPU workload, DPU count swept within one rank.
-* rank_scaling    — fixed per-rank workload, rank count swept, once per
-  orchestration strategy, optionally alongside a host software baseline.
+* rank_scaling    — fixed per-rank workload, rank count swept, optionally
+  alongside a host software baseline.
 
 All experiment times are outputs of the deterministic machine model, so a
-result is reproducible bit-for-bit from (spec, seed, profile); only
+result is reproducible bit-for-bit from (spec, config); only
 run_host_baseline touches a wall clock. Results serialize to CSV with the
 fixed column set sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,
 baseline_s.
@@ -58,6 +59,11 @@ def _checked_plan(workload, **kwargs) -> JobPlan:
     return plan
 
 
+def _check_experiment(name: str) -> None:
+    if name not in EXPERIMENT_NAMES:
+        raise ProfileError(f"unknown experiment {name!r}, valid: {', '.join(EXPERIMENT_NAMES)}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment configuration.
@@ -65,63 +71,108 @@ class ExperimentSpec:
     buffer_bytes (AES) and message_bytes/message_count (hashing) describe
     the workload at the granularity the experiment sweeps: total size for
     tasklet and strong scaling, per-DPU size for weak scaling, per-rank
-    size for rank scaling.
+    size for rank scaling. Every field comes from the config: from_config
+    overlays a user's experiment entry on the bundled one.
     """
 
     experiment: str
-    algorithm: str = "aes128"
-    buffer_bytes: int = 8 << 20
-    message_bytes: int = 32 << 10
-    message_count: int = 1024
-    sweep: tuple[int, ...] = ()
-    strategies: tuple[Strategy, ...] = (Strategy.SYNC,)
-    tasklets: int = 16
-    repetitions: int = 1
-    seed: int = 20250808
+    algorithm: str
+    buffer_bytes: int
+    message_bytes: int
+    message_count: int
+    sweep: tuple[int, ...]
+    strategies: tuple[Strategy, ...]
+    tasklets: int
+    repetitions: int
+    seed: int
 
     def validate(self) -> "ExperimentSpec":
-        if self.experiment not in EXPERIMENT_NAMES:
-            raise ProfileError(
-                f"unknown experiment {self.experiment!r}, valid: {', '.join(EXPERIMENT_NAMES)}"
-            )
+        _check_experiment(self.experiment)
         if self.algorithm not in ALGORITHMS:
             raise ProfileError(f"unknown algorithm {self.algorithm!r}, valid: {', '.join(ALGORITHMS)}")
         if not self.sweep:
             raise ProfileError("sweep must not be empty")
         if any(v <= 0 for v in self.sweep) or list(self.sweep) != sorted(self.sweep):
             raise ProfileError("sweep values must be positive and sorted")
+        if not self.strategies:
+            raise ProfileError("strategies must not be empty")
+        if self.buffer_bytes < 16 or self.buffer_bytes % 16:
+            raise ProfileError("buffer_bytes must be a positive multiple of 16")
+        if self.message_bytes < 1 or self.message_count < 1:
+            raise ProfileError("message_bytes and message_count must be at least 1")
         if self.repetitions < 1:
             raise ProfileError("repetitions must be at least 1")
+        if self.seed < 0:
+            raise ProfileError("seed must not be negative")
+        return self
+
+    def check_machine(self, machine: mc.MachineProfile) -> "ExperimentSpec":
+        """Reject a spec whose largest sweep value asks for more ranks, DPUs
+        or tasklets than the machine has."""
+        topology = _topology(self, self.sweep[-1], machine)
+        for name, value in topology.items():
+            limit = getattr(machine, _LIMITS[name])
+            if not 1 <= value <= limit:
+                raise ProfileError(f"{self.experiment}: {name} must be in 1..{limit}, got {value}")
+        if topology["n_ranks"] * topology["dpus_per_rank"] > machine.usable_dpus:
+            raise ProfileError(
+                f"{self.experiment}: {topology['n_ranks']} ranks of {topology['dpus_per_rank']}"
+                f" DPUs but only {machine.usable_dpus} usable"
+            )
         return self
 
     @classmethod
     def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":
+        _check_experiment(experiment)
         if section is not None and not isinstance(section, dict):
             raise ProfileError(f"experiment {experiment} must be a JSON object")
-        entry = dict(section or {})
-        entry.setdefault("sweep", _default_sweep(experiment))
-        try:
-            strategies = tuple(Strategy.parse(s) for s in entry.pop("strategies", ["sync"]))
-        except ValueError as exc:
-            raise ProfileError(str(exc)) from None
+        entry = {**mc.bundled_default_config().experiments[experiment], **(section or {})}
         types = {f.name: f.type for f in fields(cls) if f.name != "experiment"}
         unknown = set(entry) - set(types)
         if unknown:
             raise ProfileError(f"unknown experiment fields: {sorted(unknown)}")
-        if not isinstance(entry["sweep"], (list, tuple)):
-            raise ProfileError("sweep must be a list of integers")
+        for name in ("sweep", "strategies"):
+            if not isinstance(entry[name], (list, tuple)):
+                raise ProfileError(f"{name} must be a list")
+        try:
+            entry["strategies"] = tuple(Strategy.parse(s) for s in entry["strategies"])
+        except ValueError as exc:
+            raise ProfileError(str(exc)) from None
         entry["sweep"] = tuple(
             mc.parse_number("experiment", "sweep", v, integer=True) for v in entry["sweep"]
         )
         for name, ftype in types.items():
-            if ftype == "int" and name in entry:
+            if ftype == "int":
                 entry[name] = mc.parse_number("experiment", name, entry[name], integer=True)
-        return cls(experiment=experiment, strategies=strategies, **entry).validate()
+        return cls(experiment=experiment, **entry).validate()
 
 
-def _default_sweep(experiment: str) -> list[int]:
-    """The experiment's sweep in the bundled config (empty if it has none)."""
-    return mc.bundled_default_config().experiments.get(experiment, {}).get("sweep", [])
+# experiment -> (plan_job argument it sweeps, whether the workload grows with it)
+_AXES = {
+    "tasklet_scaling": ("tasklets", False),
+    "strong_scaling": ("dpus_per_rank", False),
+    "weak_scaling": ("dpus_per_rank", True),
+    "rank_scaling": ("n_ranks", True),
+}
+# plan_job topology argument -> the machine field bounding it
+_LIMITS = {"n_ranks": "num_ranks", "dpus_per_rank": "dpus_per_rank", "tasklets": "max_tasklets"}
+
+
+def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> dict[str, int]:
+    """plan_job's topology arguments at one sweep value: one full rank, or
+    a single DPU for tasklet scaling, with the swept argument set."""
+    axis, _ = _AXES[spec.experiment]
+    topology = {
+        "n_ranks": 1,
+        "dpus_per_rank": 1 if axis == "tasklets" else machine.dpus_per_rank,
+        "tasklets": spec.tasklets,
+    }
+    topology[axis] = value
+    return topology
+
+
+# bytes of workload the host software baseline is measured on
+BASELINE_CAP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,166 +204,83 @@ def _workload_for(spec: ExperimentSpec, scale: int) -> AesWorkload | ShaWorkload
     return ShaWorkload((spec.message_bytes,) * (spec.message_count * scale))
 
 
-def _row_from_plan(
-    sweep_value: int,
-    strategy: Strategy,
-    plan: JobPlan,
-    speedup: float | None = None,
-    baseline_s: float | None = None,
-) -> ExperimentRow:
-    return ExperimentRow(
-        sweep_value=sweep_value,
-        strategy=strategy,
-        kernel_s=plan.phase_times.kernel,
-        to_dpu_s=plan.phase_times.cpu_to_dpu,
-        from_dpu_s=plan.phase_times.dpu_to_cpu,
-        prepare_s=plan.phase_times.prepare,
-        total_s=plan.makespan,
-        baseline_s=baseline_s,
-        speedup=speedup,
-        bytes_to_dpu=plan.payload_bytes_to_dpu,
-        bytes_from_dpu=plan.payload_bytes_from_dpu,
-    )
-
-
-def run_tasklet_scaling(
-    spec: ExperimentSpec, profile: mc.MachineProfile | None = None
-) -> ExperimentResult:
-    """Fixed workload on one DPU, sweeping the tasklet count.
-
-    Rows carry the speedup normalized to the first sweep point (one
-    tasklet, under the default sweep).
-    """
-    spec.validate()
-    workload = _workload_for(spec, 1)
-    plans = [
-        _checked_plan(workload, strategy=Strategy.SYNC, n_ranks=1, dpus_per_rank=1,
-                      tasklets=t, profile=profile)
-        for t in spec.sweep
-    ]
-    base_kernel = plans[0].phase_times.kernel
-    rows = [
-        _row_from_plan(t, Strategy.SYNC, plan, speedup=base_kernel / plan.phase_times.kernel)
-        for t, plan in zip(spec.sweep, plans)
-    ]
-    return ExperimentResult(spec=spec, rows=rows, metadata=_metadata(spec))
-
-
-def run_strong_scaling(
-    spec: ExperimentSpec, profile: mc.MachineProfile | None = None
-) -> ExperimentResult:
-    """Fixed total workload, sweeping the DPU count within one rank."""
-    spec.validate()
-    workload = _workload_for(spec, 1)
-    plans = [
-        _checked_plan(workload, strategy=Strategy.SYNC, n_ranks=1, dpus_per_rank=d,
-                      tasklets=spec.tasklets, profile=profile)
-        for d in spec.sweep
-    ]
-    base_kernel = plans[0].phase_times.kernel
-    rows = [
-        _row_from_plan(d, Strategy.SYNC, plan, speedup=base_kernel / plan.phase_times.kernel)
-        for d, plan in zip(spec.sweep, plans)
-    ]
-    return ExperimentResult(spec=spec, rows=rows, metadata=_metadata(spec))
-
-
-def run_weak_scaling(
-    spec: ExperimentSpec, profile: mc.MachineProfile | None = None
-) -> ExperimentResult:
-    """Fixed per-DPU workload, sweeping the DPU count within one rank."""
-    spec.validate()
-    rows = []
-    for d in spec.sweep:
-        plan = _checked_plan(
-            _workload_for(spec, d), strategy=Strategy.SYNC, n_ranks=1,
-            dpus_per_rank=d, tasklets=spec.tasklets, profile=profile,
-        )
-        rows.append(_row_from_plan(d, Strategy.SYNC, plan))
-    return ExperimentResult(spec=spec, rows=rows, metadata=_metadata(spec))
-
-
-def run_rank_scaling(
+def run_experiment(
     spec: ExperimentSpec,
-    profile: mc.MachineProfile | None = None,
+    config: mc.Config | None = None,
     include_baseline: bool = True,
-    baseline_cap_bytes: int = 1 << 20,
 ) -> ExperimentResult:
-    """Fixed per-rank workload, sweeping ranks, once per strategy.
+    """Plan the spec's workload at every sweep value under every strategy.
 
-    Rows are ordered by rank count, with one row per strategy (in spec
-    order) at each count. The software baseline is measured once at
-    baseline_cap_bytes on this host and extrapolated linearly per byte;
-    the extrapolation is recorded in the metadata.
+    _AXES names the plan_job argument swept and _topology the others. Rows are
+    ordered by sweep value, one per strategy (in spec order) at each value,
+    and carry the kernel speedup over the first row. rank_scaling alone
+    spans several ranks, so it alone records the strategies and, unless
+    include_baseline is false, a host software baseline measured once at
+    BASELINE_CAP_BYTES and extrapolated linearly per byte.
     """
-    spec.validate()
+    if config is None:
+        config = mc.bundled_default_config()
+    spec.validate().check_machine(config.machine)
+    meta = _metadata(spec)
     baseline_rate = None
-    baseline_rate_all_cores = None
-    if include_baseline:
-        cap = baseline_cap_bytes
-        if spec.algorithm == "aes128":
-            baseline_workload: int | tuple[int, int] = cap
-            measured_bytes = cap
-        else:
-            count = max(1, cap // spec.message_bytes)
-            baseline_workload = (spec.message_bytes, count)
-            measured_bytes = spec.message_bytes * count
-        reps = max(5, spec.repetitions)
-        measured = run_host_baseline(
-            spec.algorithm, baseline_workload, threads=1, repetitions=reps,
-            seed=spec.seed,
-        )
-        baseline_rate = measured / measured_bytes  # seconds per byte
-        # the row column is the single-thread number; the all-cores rate is
-        # recorded alongside for reference
-        n_cores = os.cpu_count() or 1
-        if n_cores > 1:
-            measured_mt = run_host_baseline(
-                spec.algorithm, baseline_workload, threads=n_cores,
-                repetitions=reps, seed=spec.seed,
-            )
-            baseline_rate_all_cores = measured_mt / measured_bytes
+    if spec.experiment == "rank_scaling":
+        meta["strategies"] = ",".join(s.value for s in spec.strategies)
+        if include_baseline:
+            baseline_rate = _measure_baseline(spec, meta)
 
-    rows = []
-    for n_ranks in spec.sweep:
-        workload = _workload_for(spec, n_ranks)
+    _, scales = _AXES[spec.experiment]
+    cost = config.kernel_costs.get(spec.algorithm)
+    rows: list[ExperimentRow] = []
+    for value in spec.sweep:
+        workload = _workload_for(spec, value if scales else 1)
+        topology = _topology(spec, value, config.machine)
         for strategy in spec.strategies:
             plan = _checked_plan(
-                workload, strategy=strategy, n_ranks=n_ranks,
-                tasklets=spec.tasklets, profile=profile,
+                workload, strategy=strategy, profile=config.machine, cost=cost, **topology
             )
-            baseline_s = (
-                baseline_rate * workload.payload_bytes
-                if baseline_rate is not None
-                else None
-            )
-            rows.append(_row_from_plan(n_ranks, strategy, plan, baseline_s=baseline_s))
-    meta = _metadata(spec)
-    meta["strategies"] = ",".join(s.value for s in spec.strategies)
-    if baseline_rate is not None:
-        meta["baseline"] = (
-            f"single-thread software, measured at {baseline_cap_bytes} B, "
-            "extrapolated per byte"
-        )
-        meta["baseline_s_per_byte_1_thread"] = baseline_rate
-        if baseline_rate_all_cores is not None:
-            meta["baseline_s_per_byte_all_cores"] = baseline_rate_all_cores
+            kernel = plan.phase_times.kernel
+            rows.append(ExperimentRow(
+                sweep_value=value,
+                strategy=strategy,
+                kernel_s=kernel,
+                to_dpu_s=plan.phase_times.cpu_to_dpu,
+                from_dpu_s=plan.phase_times.dpu_to_cpu,
+                prepare_s=plan.phase_times.prepare,
+                total_s=plan.makespan,
+                baseline_s=None if baseline_rate is None else baseline_rate * workload.payload_bytes,
+                speedup=(rows[0].kernel_s if rows else kernel) / kernel,
+                bytes_to_dpu=plan.payload_bytes_to_dpu,
+                bytes_from_dpu=plan.payload_bytes_from_dpu,
+            ))
     return ExperimentResult(spec=spec, rows=rows, metadata=meta)
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    profile: mc.MachineProfile | None = None,
-    include_baseline: bool = True,
-) -> ExperimentResult:
-    runner = {
-        "tasklet_scaling": run_tasklet_scaling,
-        "strong_scaling": run_strong_scaling,
-        "weak_scaling": run_weak_scaling,
-    }
-    if spec.experiment == "rank_scaling":
-        return run_rank_scaling(spec, profile, include_baseline=include_baseline)
-    return runner[spec.experiment](spec, profile)
+def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
+    """Seconds per byte of the single-thread software kernel on this host;
+    the all-cores rate is recorded in meta alongside."""
+    if spec.algorithm == "aes128":
+        workload: int | tuple[int, int] = BASELINE_CAP_BYTES
+        measured_bytes = BASELINE_CAP_BYTES
+    else:
+        count = max(1, BASELINE_CAP_BYTES // spec.message_bytes)
+        workload = (spec.message_bytes, count)
+        measured_bytes = spec.message_bytes * count
+    reps = max(5, spec.repetitions)
+    rate = run_host_baseline(
+        spec.algorithm, workload, threads=1, repetitions=reps, seed=spec.seed,
+    ) / measured_bytes
+    meta["baseline"] = (
+        f"single-thread software, measured at {BASELINE_CAP_BYTES} B, "
+        "extrapolated per byte"
+    )
+    meta["baseline_s_per_byte_1_thread"] = rate
+    n_cores = os.cpu_count() or 1
+    if n_cores > 1:
+        meta["baseline_s_per_byte_all_cores"] = run_host_baseline(
+            spec.algorithm, workload, threads=n_cores, repetitions=reps,
+            seed=spec.seed,
+        ) / measured_bytes
+    return rate
 
 
 def _metadata(spec: ExperimentSpec) -> dict[str, object]:
@@ -435,14 +403,13 @@ def _format_value(value: float | int | None) -> str:
     return repr(float(value))
 
 
-def emit_csv(result: ExperimentResult, path: str, include_baseline: bool = True) -> None:
+def emit_csv(result: ExperimentResult, path: str) -> None:
     """Write a result as CSV: '#'-prefixed metadata, header, one row per entry."""
     lines = []
     for key, value in result.metadata.items():
         lines.append(f"# {key}={value}")
     lines.append(",".join(CSV_COLUMNS))
     for row in result.rows:
-        baseline = row.baseline_s if include_baseline else None
         lines.append(
             ",".join(
                 (
@@ -452,7 +419,7 @@ def emit_csv(result: ExperimentResult, path: str, include_baseline: bool = True)
                     _format_value(row.from_dpu_s),
                     _format_value(row.prepare_s),
                     _format_value(row.total_s),
-                    _format_value(baseline),
+                    _format_value(row.baseline_s),
                 )
             )
         )

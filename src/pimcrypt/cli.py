@@ -76,7 +76,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        profile = _load_config(args.profile).machine
+        config = _load_config(args.profile)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -109,8 +109,9 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
             strategy=Strategy.parse(args.strategy),
             n_ranks=args.ranks,
             tasklets=args.tasklets,
-            profile=profile,
+            profile=config.machine,
             dpus_per_rank=args.dpus_per_rank,
+            cost=config.kernel_costs.get("aes128"),
         )
     except (AlignmentError, CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -147,7 +148,7 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
 
 def cmd_hash(args: argparse.Namespace) -> int:
     try:
-        profile = _load_config(args.profile).machine
+        config = _load_config(args.profile)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -174,8 +175,9 @@ def cmd_hash(args: argparse.Namespace) -> int:
             strategy=Strategy.parse(args.strategy),
             n_ranks=args.ranks,
             tasklets=args.tasklets,
-            profile=profile,
+            profile=config.machine,
             dpus_per_rank=args.dpus_per_rank,
+            cost=config.kernel_costs.get("sha256"),
         )
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -211,16 +213,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        result = bh.run_experiment(
-            spec, config.machine, include_baseline=not args.no_baseline
-        )
+        result = bh.run_experiment(spec, config, include_baseline=not args.no_baseline)
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     out_path = os.path.join(args.out_dir, f"{args.experiment}.csv")
     try:
         os.makedirs(args.out_dir, exist_ok=True)
-        bh.emit_csv(result, out_path, include_baseline=not args.no_baseline)
+        bh.emit_csv(result, out_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -248,6 +248,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             cost.validate(machine, machine.max_tasklets)
         except (CapacityError, ProfileError) as exc:
+            problems.append(f"{name}: {exc}")
+    for name, entry in config.experiments.items():
+        if name == "notes":
+            continue
+        try:
+            bh.ExperimentSpec.from_config(name, entry).check_machine(machine)
+        except ProfileError as exc:
             problems.append(f"{name}: {exc}")
     if problems:
         for p in problems:

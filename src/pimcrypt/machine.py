@@ -60,6 +60,8 @@ class MachineProfile:
             )
         if self.pipeline_saturation_tasklets > self.max_tasklets:
             bad.append("pipeline_saturation_tasklets exceeds max_tasklets")
+        if self.max_mram_access_bytes % 8:
+            bad.append("max_mram_access_bytes must be a multiple of 8")
         for f in dataclasses.fields(self):
             if getattr(self, f.name) <= 0:
                 bad.append(f"{f.name} must be strictly positive")
@@ -141,8 +143,9 @@ class KernelCost:
             raise ProfileError("kernel cost instruction/unit sizes must be positive")
         if self.mram_read_bytes_per_unit < 0 or self.mram_write_bytes_per_unit < 0:
             raise ProfileError("kernel cost MRAM traffic must be non-negative")
-        if self.wram_cache_bytes <= 0:
-            raise ProfileError("wram_cache_bytes must be positive")
+        if self.wram_cache_bytes <= 0 or self.wram_cache_bytes % 8:
+            # the cache is refilled in whole 8-byte MRAM accesses
+            raise ProfileError("wram_cache_bytes must be a positive multiple of 8")
         if self.wram_cache_bytes * tasklets > profile.wram_bytes:
             raise CapacityError(
                 f"{tasklets} tasklets x {self.wram_cache_bytes} B cache "

@@ -19,11 +19,8 @@ from pimcrypt.aes import aes128_encrypt_buffer, key_expansion
 from pimcrypt.bench import (
     ExperimentSpec,
     characterize_kernel,
+    run_experiment,
     run_host_baseline,
-    run_rank_scaling,
-    run_strong_scaling,
-    run_tasklet_scaling,
-    run_weak_scaling,
 )
 from pimcrypt.machine import ExecutionTimeline, TimelineEvent, bundled_default_config
 from pimcrypt.orchestrator import (
@@ -133,7 +130,7 @@ def test_criterion_2_distributed_equivalence():
 def test_criterion_3_tasklet_scaling_shape():
     with criterion(3, "tasklet scaling shape"):
         for algorithm in ALGORITHMS:
-            result = run_tasklet_scaling(_spec("tasklet_scaling", algorithm=algorithm))
+            result = run_experiment(_spec("tasklet_scaling", algorithm=algorithm))
             rows = {row.sweep_value: row for row in result.rows}
 
             assert rows[11].speedup >= 10.0, algorithm
@@ -150,7 +147,7 @@ def test_criterion_4_strong_scaling():
         for algorithm in ALGORITHMS:
             spec = _spec("strong_scaling", algorithm=algorithm)
             assert spec.tasklets == 16
-            result = run_strong_scaling(spec)
+            result = run_experiment(spec)
             rows = {row.sweep_value: row for row in result.rows}
             assert rows[64].kernel_s == pytest.approx(rows[1].kernel_s / 64, rel=0.02), (
                 algorithm
@@ -168,7 +165,7 @@ def _r_squared_through_origin(xs, ys):
 def test_criterion_5_weak_scaling():
     with criterion(5, "weak scaling"):
         for algorithm in ALGORITHMS:
-            result = run_weak_scaling(_spec("weak_scaling", algorithm=algorithm))
+            result = run_experiment(_spec("weak_scaling", algorithm=algorithm))
             assert [row.sweep_value for row in result.rows] == [1, 4, 16, 64]
 
             kernels = [row.kernel_s for row in result.rows]
@@ -178,7 +175,7 @@ def test_criterion_5_weak_scaling():
             ys = [row.to_dpu_s for row in result.rows]
             assert _r_squared_through_origin(xs, ys) >= 0.999, algorithm
 
-        sha = run_weak_scaling(_spec("weak_scaling", algorithm="sha256"))
+        sha = run_experiment(_spec("weak_scaling", algorithm="sha256"))
         last = sha.rows[-1]
         assert last.from_dpu_s < 0.01 * last.to_dpu_s
 
@@ -195,7 +192,7 @@ def test_criterion_6_rank_scaling_and_baseline():
             )
             assert spec.buffer_bytes == 32 << 20
             assert list(spec.sweep) == list(range(1, 41))
-            result = run_rank_scaling(spec, include_baseline=False)
+            result = run_experiment(spec, include_baseline=False)
             by_key = {(r.sweep_value, r.strategy): r.total_s for r in result.rows}
 
             for ranks in spec.sweep:
@@ -240,10 +237,10 @@ def test_criterion_7_roofline_classification():
 
 def _experiment_runs():
     for algorithm in ALGORITHMS:
-        yield run_tasklet_scaling(_spec("tasklet_scaling", algorithm=algorithm))
-        yield run_strong_scaling(_spec("strong_scaling", algorithm=algorithm))
-        yield run_weak_scaling(_spec("weak_scaling", algorithm=algorithm))
-        yield run_rank_scaling(
+        yield run_experiment(_spec("tasklet_scaling", algorithm=algorithm))
+        yield run_experiment(_spec("strong_scaling", algorithm=algorithm))
+        yield run_experiment(_spec("weak_scaling", algorithm=algorithm))
+        yield run_experiment(
             _spec("rank_scaling", algorithm=algorithm, sweep=[1, 2, 8, 40]),
             include_baseline=False,
         )

@@ -4,6 +4,7 @@ import pytest
 
 from pimcrypt.bench import (
     CSV_COLUMNS,
+    EXPERIMENT_NAMES,
     ExperimentResult,
     ExperimentRow,
     ExperimentSpec,
@@ -14,10 +15,6 @@ from pimcrypt.bench import (
     read_csv,
     run_experiment,
     run_host_baseline,
-    run_rank_scaling,
-    run_strong_scaling,
-    run_tasklet_scaling,
-    run_weak_scaling,
 )
 from pimcrypt.errors import ProfileError
 from pimcrypt.machine import KernelCost, bundled_default_config
@@ -53,20 +50,27 @@ class TestSpecValidation:
         assert spec.sweep == tuple(range(1, 25))
         assert spec.algorithm == "aes128"
 
+    @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+    def test_missing_section_takes_bundled_values(self, experiment):
+        bundled = bundled_default_config().experiments[experiment]
+        assert ExperimentSpec.from_config(experiment, None) == ExperimentSpec.from_config(
+            experiment, bundled
+        )
+
 
 @pytest.fixture(scope="module", params=["aes128", "sha256"])
 def tasklet_result(request):
-    return run_tasklet_scaling(_spec("tasklet_scaling", algorithm=request.param))
+    return run_experiment(_spec("tasklet_scaling", algorithm=request.param))
 
 
 @pytest.fixture(scope="module", params=["aes128", "sha256"])
 def strong_result(request):
-    return run_strong_scaling(_spec("strong_scaling", algorithm=request.param))
+    return run_experiment(_spec("strong_scaling", algorithm=request.param))
 
 
 @pytest.fixture(scope="module", params=["aes128", "sha256"])
 def weak_result(request):
-    return run_weak_scaling(_spec("weak_scaling", algorithm=request.param))
+    return run_experiment(_spec("weak_scaling", algorithm=request.param))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +80,7 @@ def rank_result():
         sweep=[1, 2, 4, 8],
         strategies=["pim1", "pim2", "sync"],
     )
-    return run_rank_scaling(spec, include_baseline=False)
+    return run_experiment(spec, include_baseline=False)
 
 
 class TestTaskletScaling:
@@ -155,7 +159,7 @@ class TestWeakScaling:
             assert per_dpu == pytest.approx(base, rel=1e-9)
 
     def test_sha_retrieval_negligible(self):
-        result = run_weak_scaling(_spec("weak_scaling", algorithm="sha256"))
+        result = run_experiment(_spec("weak_scaling", algorithm="sha256"))
         last = result.rows[-1]
         assert last.from_dpu_s < 0.01 * last.to_dpu_s
 
@@ -182,15 +186,15 @@ class TestRankScaling:
 
     def test_baseline_column_when_enabled(self):
         spec = _spec("rank_scaling", sweep=[1, 2], strategies=["pim1"])
-        result = run_rank_scaling(spec, baseline_cap_bytes=64 << 10)
+        result = run_experiment(spec)
         assert all(row.baseline_s and row.baseline_s > 0 for row in result.rows)
         # extrapolation is linear in the payload
         assert result.rows[1].baseline_s == pytest.approx(2 * result.rows[0].baseline_s)
 
     def test_reproducible(self):
         spec = _spec("rank_scaling", sweep=[1, 2, 4], strategies=["pim1", "pim2"])
-        a = run_rank_scaling(spec, include_baseline=False)
-        b = run_rank_scaling(spec, include_baseline=False)
+        a = run_experiment(spec, include_baseline=False)
+        b = run_experiment(spec, include_baseline=False)
         assert a.rows == b.rows
 
 
@@ -281,16 +285,6 @@ class TestCsv:
             assert got["kernel_s"] == row.kernel_s
             assert got["total_s"] == row.total_s
             assert got["baseline_s"] == row.baseline_s
-
-    def test_baseline_filter_flag(self, tmp_path):
-        path = tmp_path / "out.csv"
-        emit_csv(
-            ExperimentResult(spec=_spec("weak_scaling"), rows=_dummy_rows(4)),
-            str(path),
-            include_baseline=False,
-        )
-        _, parsed = read_csv(str(path))
-        assert all(row["baseline_s"] is None for row in parsed)
 
     def test_header_exact(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pimcrypt.bench import read_csv
 from pimcrypt.cli import main
-from pimcrypt.machine import default_profile
+from pimcrypt.machine import bundled_default_config, default_profile
 from pimcrypt.sha256 import sha256_digest
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -293,6 +299,23 @@ class TestConfigErrors:
         # validate rejects what the planner rejects
         (("kernel_costs", "aes128", "instructions_per_unit"), -1,
          ["validate"], 3, "violation: aes128"),
+        (("experiments", "weak_scaling", "strategies"), [],
+         ["bench", "--experiment", "weak_scaling"], 2, "strategies"),
+        # empty workloads: a division by zero, and an all-zero CSV
+        (("experiments", "tasklet_scaling", "buffer_bytes"), 0,
+         ["bench", "--experiment", "tasklet_scaling"], 2, "buffer_bytes"),
+        (("experiments", "weak_scaling", "message_count"), -3,
+         ["bench", "--experiment", "weak_scaling"], 2, "message_count"),
+        # more of what validate rejects, as the planner does
+        (("experiments", "rank_scaling", "sweep"), [1, 41], ["validate"], 3, "n_ranks"),
+        (("experiments", "strong_scaling", "sweep"), [1, 65], ["validate"], 3, "dpus_per_rank"),
+        (("experiments", "weak_scaling", "tasklets"), 0, ["validate"], 3, "tasklets"),
+        # the config's kernel costs reach the planner
+        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
+         ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3, "instruction"),
+        # MRAM is accessed in whole 8-byte granules
+        (("kernel_costs", "aes128", "wram_cache_bytes"), 100, ["validate"], 3, "wram_cache_bytes"),
+        (("machine", "max_mram_access_bytes"), 2044, ["validate"], 3, "max_mram_access_bytes"),
     ])
     def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
         cfg = _config(tmp_path, value, *keys)
@@ -301,3 +324,80 @@ class TestConfigErrors:
         assert main(argv + flags) == code
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
+
+    def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
+        base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(4096))
+        kernels = []
+        for factor in (1, 2):
+            cfg = _config(tmp_path, base * factor, "kernel_costs", "aes128", "instructions_per_unit")
+            out = tmp_path / f"x{factor}"
+            assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
+                         "--config", cfg, "--out-dir", str(out)]) == 0
+            _, rows = read_csv(str(out / "weak_scaling.csv"))
+            assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain),
+                         "--out", str(out / "c.bin"), "--profile", cfg]) == 0
+            kernels.append(([row["kernel_s"] for row in rows], _summary(capsys)["kernel_s"]))
+        (bench1, encrypt1), (bench2, encrypt2) = kernels
+        assert all(b > a for a, b in zip(bench1, bench2))
+        assert float(encrypt2) > float(encrypt1)
+
+
+# Arbitrary JSON, with integers bounded so that no example builds a large
+# workload, plus values a field may hold, so that some examples validate.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4096, 4096)
+    | st.floats(-4096, 4096, allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_PLAUSIBLE = (
+    st.integers(1, 64) | st.integers(1, 256).map(lambda n: 16 * n)
+    | st.lists(st.integers(-4, 70), min_size=1, max_size=4).map(sorted)
+    | st.lists(st.sampled_from(["sync", "pim1", "pim2"]), max_size=3)
+    | st.sampled_from(["aes128", "sha256"])
+)
+_DELETE = object()
+_FIELDS = [("experiments", "weak_scaling", name) for name in (
+    "algorithm", "buffer_bytes", "message_bytes", "message_count", "sweep", "strategies",
+    "tasklets", "repetitions", "seed", "turbo",
+)] + [("kernel_costs", "aes128", name) for name in (
+    "instructions_per_unit", "mram_read_bytes_per_unit", "mram_write_bytes_per_unit",
+    "wram_cache_bytes", "unit_bytes",
+)]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_FIELDS), _PLAUSIBLE | _JSON | st.just(_DELETE)),
+                min_size=1, max_size=3))
+def test_mutated_config_keeps_exit_contract(mutations):
+    """validate and bench exit 0/2/3/4 for any mutated config, and bench
+    accepts every config validate accepts."""
+    doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
+    for (*path, name), value in mutations:
+        node = doc
+        for key in path:
+            node = node[key]
+        if value is _DELETE:
+            node.pop(name, None)
+        else:
+            node[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/config.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        validated = _run(["validate", "--profile", cfg])
+        benched = _run(["bench", "--experiment", "weak_scaling", "--no-baseline",
+                        "--config", cfg, "--out-dir", tmp])
+    assert validated in (0, 2, 3, 4) and benched in (0, 2, 3, 4)
+    if validated == 0:
+        assert benched == 0
