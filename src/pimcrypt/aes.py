@@ -4,11 +4,11 @@ The round functions work on a column-major state and replace all
 finite-field arithmetic in MixColumns with 256-entry lookup tables (times-2
 and times-3), mirroring how the kernel avoids multiplies on hardware that
 only has cheap bitwise ops and adds. aes128_encrypt_buffer fuses those byte
-tables with the S-box into four 32-bit tables and runs all blocks through
-numpy at once; aes128_encrypt_block is the one-block case of it. Blocks are
-encrypted independently, which is what makes the work partitionable across
-DPUs in the first place. The byte-wise form of the rounds is replayed
-op by op in costs.py.
+tables with the S-box into four 32-bit tables and runs the blocks through
+numpy in fixed-size batches; aes128_encrypt_block is the one-block case of
+it. Blocks are encrypted independently, which is what makes the work
+partitionable across DPUs in the first place. The byte-wise form of the
+rounds is replayed op by op in costs.py.
 
 Keys, blocks and buffers are plain ``bytes``; hex formatting at the edges
 is lowercase without separators.
@@ -46,6 +46,10 @@ SBOX = bytes((
 
 BLOCK_BYTES = 16
 EXPANDED_KEY_BYTES = 176
+# Blocks per numpy pass of aes128_encrypt_buffer (256 KiB). The pass's
+# working arrays then stay cache-sized, which makes a long buffer faster
+# than one whole-buffer pass and keeps its temporaries off the peak memory.
+BATCH_BLOCKS = 1 << 14
 
 # ShiftRows as a flat permutation of the column-major state:
 # byte (row r, col c) moves to (r, c - r mod 4), i.e. out[4c+r] = in[4((c+r)%4)+r].
@@ -138,7 +142,8 @@ def _fused_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.
 def aes128_encrypt_buffer(buffer: bytes, ks: bytes) -> bytes:
     """Encrypt every 16-byte block of a buffer independently.
 
-    The whole buffer is pushed through the fused-table path in one pass.
+    Blocks go through the fused-table path BATCH_BLOCKS at a time, each
+    batch written into one preallocated output.
     """
     if len(ks) != EXPANDED_KEY_BYTES:
         raise ValueError(f"expanded key must be {EXPANDED_KEY_BYTES} bytes, got {len(ks)}")
@@ -148,12 +153,22 @@ def aes128_encrypt_buffer(buffer: bytes, ks: bytes) -> bytes:
         )
     if not buffer:
         return b""
-    t0, t1, t2, t3, sbox_np = _fused_tables()
     n = len(buffer) // BLOCK_BYTES
+    blocks = np.frombuffer(buffer, dtype=np.uint8).reshape(n, 16)
+    out = np.empty((n, 16), dtype=np.uint8)
+    for lo in range(0, n, BATCH_BLOCKS):
+        _encrypt_batch(blocks[lo : lo + BATCH_BLOCKS], ks, out[lo : lo + BATCH_BLOCKS])
+    return out.tobytes()
+
+
+def _encrypt_batch(blocks: np.ndarray, ks: bytes, out: np.ndarray) -> None:
+    """Encrypt the (n, 16) uint8 rows of blocks into the rows of out."""
+    t0, t1, t2, t3, sbox_np = _fused_tables()
+    n = len(blocks)
     rk_words = np.frombuffer(ks, dtype=np.uint8).reshape(11, 16).view(np.uint32)
     rk_last = np.frombuffer(ks[160:176], dtype=np.uint8)
 
-    w = np.frombuffer(buffer, dtype=np.uint8).reshape(n, 16).view(np.uint32) ^ rk_words[0]
+    w = blocks.view(np.uint32) ^ rk_words[0]
     nxt = np.empty_like(w)
     for rnd in range(1, 10):
         sb = w.view(np.uint8).reshape(n, 16)
@@ -168,7 +183,5 @@ def aes128_encrypt_buffer(buffer: bytes, ks: bytes) -> bytes:
             )
         w, nxt = nxt, w
     sb = w.view(np.uint8).reshape(n, 16)
-    out = np.empty((n, 16), dtype=np.uint8)
     for i in range(16):
         out[:, i] = sbox_np[sb[:, _SHIFT_ROWS[i]]] ^ rk_last[i]
-    return out.tobytes()

@@ -29,6 +29,7 @@ import numpy as np
 from . import machine as mc
 from .aes import aes128_encrypt_buffer, key_expansion
 from .errors import ProfileError
+from .machine import HostProfile
 from .orchestrator import (
     AesWorkload,
     JobPlan,
@@ -228,16 +229,10 @@ def run_experiment(
         if include_baseline:
             baseline_rate = _measure_baseline(spec, meta)
 
-    _, scales = _AXES[spec.experiment]
-    cost = config.kernel_costs.get(spec.algorithm)
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
-        workload = _workload_for(spec, value if scales else 1)
-        topology = _topology(spec, value, config.machine)
         for strategy in spec.strategies:
-            plan = _checked_plan(
-                workload, strategy=strategy, profile=config.machine, cost=cost, **topology
-            )
+            plan = plan_point(spec, value, strategy, config)
             kernel = plan.phase_times.kernel
             rows.append(ExperimentRow(
                 sweep_value=value,
@@ -247,12 +242,28 @@ def run_experiment(
                 from_dpu_s=plan.phase_times.dpu_to_cpu,
                 prepare_s=plan.phase_times.prepare,
                 total_s=plan.makespan,
-                baseline_s=None if baseline_rate is None else baseline_rate * workload.payload_bytes,
+                baseline_s=(
+                    None if baseline_rate is None else baseline_rate * plan.payload_bytes_to_dpu
+                ),
                 speedup=(rows[0].kernel_s if rows else kernel) / kernel,
                 bytes_to_dpu=plan.payload_bytes_to_dpu,
                 bytes_from_dpu=plan.payload_bytes_from_dpu,
             ))
     return ExperimentResult(spec=spec, rows=rows, metadata=meta)
+
+
+def plan_point(
+    spec: ExperimentSpec, value: int, strategy: Strategy, config: mc.Config
+) -> JobPlan:
+    """The checked plan of the spec's workload at one sweep value."""
+    _, scales = _AXES[spec.experiment]
+    return _checked_plan(
+        _workload_for(spec, value if scales else 1),
+        strategy=strategy,
+        profile=config.machine,
+        cost=config.kernel_costs.get(spec.algorithm),
+        **_topology(spec, value, config.machine),
+    )
 
 
 def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
@@ -351,24 +362,8 @@ def run_host_baseline(
     return statistics.median(times)
 
 
-@dataclass(frozen=True)
-class HostProfile:
-    """Roofline parameters of the host CPU the kernels are plotted against."""
-
-    peak_ops_per_second: float
-    peak_bandwidth_bytes_per_second: float
-
-    @property
-    def ridge_point(self) -> float:
-        return self.peak_ops_per_second / self.peak_bandwidth_bytes_per_second
-
-
 def default_host_profile() -> HostProfile:
-    host = mc.bundled_default_config().host
-    return HostProfile(
-        peak_ops_per_second=host["peak_ops_per_second"],
-        peak_bandwidth_bytes_per_second=host["peak_bandwidth_bytes_per_second"],
-    )
+    return mc.bundled_default_config().host
 
 
 @dataclass(frozen=True)

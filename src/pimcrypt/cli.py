@@ -253,8 +253,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if name == "notes":
             continue
         try:
-            bh.ExperimentSpec.from_config(name, entry).check_machine(machine)
-        except ProfileError as exc:
+            spec = bh.ExperimentSpec.from_config(name, entry).check_machine(machine)
+            # Sweeps are sorted and only strong scaling's per-DPU share
+            # shrinks along its sweep, so the first value loads a DPU most.
+            bh.plan_point(spec, spec.sweep[0], spec.strategies[0], config)
+        except (PimcryptError, ValueError) as exc:
             problems.append(f"{name}: {exc}")
     if problems:
         for p in problems:
@@ -263,6 +266,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print("profile=ok")
     print(f"total_dpus={config.machine.dpus_per_rank * config.machine.num_ranks}")
     print(f"usable_dpus={config.machine.usable_dpus}")
+    bundled_costs = mc.bundled_default_config().kernel_costs
+    for name in bh.ALGORITHMS:
+        cost = config.kernel_costs.get(name, bundled_costs[name])
+        roofline = bh.characterize_kernel(name, cost, config.host)
+        print(f"{name}_operations_per_byte={roofline.operations_per_byte}")
+        print(f"{name}_classification={roofline.classification}")
     return EXIT_OK
 
 

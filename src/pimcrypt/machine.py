@@ -192,21 +192,20 @@ class ExecutionTimeline:
     def makespan(self) -> float:
         return max((e.time for e in self.events), default=0.0)
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(sorted({e.rank for e in self.events}))
-
     def rank_events(self, rank: int) -> dict[str, float]:
         return {e.kind: e.time for e in self.events if e.rank == rank}
 
     def phase_intervals(self, start_kind: str, end_kind: str) -> list[tuple[float, float]]:
-        """Per-rank (start, end) pairs for one phase, where both ends exist."""
-        spans = []
-        for rank in self.ranks:
-            ev = self.rank_events(rank)
-            if start_kind in ev and end_kind in ev:
-                spans.append((ev[start_kind], ev[end_kind]))
-        return spans
+        """Per-rank (start, end) pairs for one phase, where both ends exist,
+        in rank order; a kind repeated on a rank counts at its last event."""
+        starts: dict[int, float] = {}
+        ends: dict[int, float] = {}
+        for e in self.events:
+            if e.kind == start_kind:
+                starts[e.rank] = e.time
+            if e.kind == end_kind:
+                ends[e.rank] = e.time
+        return [(starts[r], ends[r]) for r in sorted(starts.keys() & ends.keys())]
 
 
 def busy_time(intervals: Iterable[tuple[float, float]]) -> float:
@@ -310,9 +309,16 @@ def simulate_dpu_kernel(
 def simulate_rank_kernel(
     workloads: list[DpuWorkload], cost: KernelCost, profile: MachineProfile
 ) -> float:
-    """Rank kernel time: DPUs run independently, the slowest one finishes last."""
+    """Rank kernel time: DPUs run independently, the slowest one finishes last.
+
+    A DPU's time depends only on its (total_units, tasklets), so each
+    distinct pair is priced once, at its first DPU.
+    """
+    distinct: dict[tuple[int, int], DpuWorkload] = {}
+    for w in workloads:
+        distinct.setdefault((w.total_units, w.tasklets), w)
     return max(
-        (simulate_dpu_kernel(w, cost, profile) for w in workloads), default=0.0
+        (simulate_dpu_kernel(w, cost, profile) for w in distinct.values()), default=0.0
     )
 
 
@@ -343,10 +349,31 @@ def simulate_transfer(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class HostProfile:
+    """Roofline parameters of the host CPU the kernels are plotted against."""
+
+    peak_ops_per_second: float
+    peak_bandwidth_bytes_per_second: float
+
+    @property
+    def ridge_point(self) -> float:
+        return self.peak_ops_per_second / self.peak_bandwidth_bytes_per_second
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "HostProfile":
+        """Parse a host object; unknown, missing or non-positive fields are rejected."""
+        host = _parse_fields(cls, doc, "host")
+        for f in dataclasses.fields(cls):
+            if getattr(host, f.name) <= 0:
+                raise ProfileError(f"host field {f.name} must be strictly positive")
+        return host
+
+
+@dataclass(frozen=True)
 class Config:
     machine: MachineProfile
     kernel_costs: dict[str, KernelCost]
-    host: dict[str, float]
+    host: HostProfile
     experiments: dict[str, dict]
 
 
@@ -358,7 +385,10 @@ def _section(doc: dict, name: str) -> dict:
 
 
 def parse_config(doc: dict) -> Config:
-    """Parse a config document; accepts a bare profile object as well."""
+    """Parse a config document; accepts a bare profile object as well.
+
+    A document without a host section takes the bundled host.
+    """
     if not isinstance(doc, dict):
         raise ProfileError("config document must be a JSON object")
     if "machine" not in doc:
@@ -366,7 +396,7 @@ def parse_config(doc: dict) -> Config:
         return Config(
             machine=MachineProfile.from_json(doc),
             kernel_costs={},
-            host={},
+            host=bundled_default_config().host,
             experiments={},
         )
     known = {"machine", "kernel_costs", "host", "experiments", "notes"}
@@ -380,11 +410,10 @@ def parse_config(doc: dict) -> Config:
             for name, entry in _section(doc, "kernel_costs").items()
             if name != "notes"
         },
-        host={
-            k: parse_number("host", k, v, integer=False)
-            for k, v in _section(doc, "host").items()
-            if k != "notes"
-        },
+        host=(
+            HostProfile.from_json(doc["host"]) if "host" in doc
+            else bundled_default_config().host
+        ),
         experiments=dict(_section(doc, "experiments")),
     )
 

@@ -65,20 +65,12 @@ class AesWorkload:
 
     buffer_len: int
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.buffer_len
-
 
 @dataclass(frozen=True)
 class ShaWorkload:
     """Shape of a hashing job: the length of every message, in input order."""
 
     message_lengths: tuple[int, ...]
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(self.message_lengths)
 
 
 @dataclass(frozen=True)
@@ -125,11 +117,10 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     """Assign whole messages to DPUs round-robin by index."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    ids: list[list[int]] = [[] for _ in range(n_dpus)]
-    for idx in range(len(message_lengths)):
-        ids[idx % n_dpus].append(idx)
+    n = len(message_lengths)
     return PartitionPlan(
-        alignment_unit="message", message_ids=tuple(tuple(x) for x in ids)
+        alignment_unit="message",
+        message_ids=tuple(tuple(range(d, n, n_dpus)) for d in range(n_dpus)),
     )
 
 
@@ -245,12 +236,12 @@ def plan_job(
     else:
         lengths = workload.message_lengths
         partition = partition_sha(lengths, total_dpus)
-        in_bytes = [sum(lengths[i] for i in ids) for ids in partition.message_ids]
+        # round-robin: DPU d holds messages d, d + total_dpus, ...
+        blocks = {n: padded_block_count(n) for n in set(lengths)}
+        padded = [blocks[n] for n in lengths]
+        in_bytes = [sum(lengths[d::total_dpus]) for d in range(total_dpus)]
         out_bytes = [DIGEST_BYTES * len(ids) for ids in partition.message_ids]
-        units = [
-            sum(padded_block_count(lengths[i]) for i in ids)
-            for ids in partition.message_ids
-        ]
+        units = [sum(padded[d::total_dpus]) for d in range(total_dpus)]
         base_cost = cost or mc.bundled_default_config().kernel_costs["sha256"]
         job_cost = _sha_cost_for(base_cost, len(lengths), sum(units))
         broadcast_bytes = 0
@@ -403,23 +394,15 @@ def run_job(
             raise ValueError("encryption requires a key")
         buffer = bytes(workload)
         plan = plan_job(AesWorkload(len(buffer)), **common)
-        ks = key_expansion(key)
-        out = bytearray(len(buffer))
-        for offset, length in plan.partition.slices:
-            out[offset : offset + length] = aes128_encrypt_buffer(
-                buffer[offset : offset + length], ks
-            )
-        return JobResult(output=bytes(out), plan=plan)
+        # blocks are independent, so one pass over the whole buffer gives
+        # what the DPUs' slices would
+        return JobResult(
+            output=aes128_encrypt_buffer(buffer, key_expansion(key)), plan=plan
+        )
 
     messages = [bytes(m) for m in workload]
     plan = plan_job(ShaWorkload(tuple(len(m) for m in messages)), **common)
-    # gather per-DPU message sets, hash, scatter back to input order
-    order = [i for ids in plan.partition.message_ids for i in ids]
-    digests = sha256_many([messages[i] for i in order])
-    out_digests: list[bytes] = [b""] * len(messages)
-    for i, d in zip(order, digests):
-        out_digests[i] = d
-    return JobResult(output=out_digests, plan=plan)
+    return JobResult(output=sha256_many(messages), plan=plan)
 
 
 @dataclass(frozen=True)
@@ -434,12 +417,13 @@ class TimelineViolation:
 
 def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]:
     """Check every timeline invariant; returns all violations (empty = ok)."""
+    by_rank: dict[int, list[mc.TimelineEvent]] = {}
+    for event in timeline.events:
+        by_rank.setdefault(event.rank, []).append(event)
     violations = []
-    for rank in timeline.ranks:
+    for rank in sorted(by_rank):
         seen: dict[str, float] = {}
-        for event in timeline.events:
-            if event.rank != rank:
-                continue
+        for event in by_rank[rank]:
             if event.kind not in mc.EVENT_KINDS:
                 violations.append(
                     TimelineViolation(rank, "unknown event kind", event.kind)

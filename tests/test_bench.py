@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 
 import pytest
 
 from pimcrypt.bench import (
+    ALGORITHMS,
     CSV_COLUMNS,
     EXPERIMENT_NAMES,
     ExperimentResult,
@@ -303,3 +305,27 @@ class TestRunExperiment:
         res = run_experiment(_spec("weak_scaling", sweep=[1, 4], seed=99))
         assert res.metadata["seed"] == 99
         assert "generator" in res.metadata
+
+
+# sha256 of each `bench --no-baseline` CSV of the bundled experiments (with
+# `algorithm` set); pins every modeled row of the paper's figures bit for bit.
+_PAPER_CSVS = {
+    ("aes128", "tasklet_scaling"): "cbc5e617af89fa40e454ecbbe22a9048dd95e0c8d79f0844dfbcd94816d9542b",
+    ("aes128", "strong_scaling"): "d08554acd1018fc9e5c4887a4622b20c7272d864eaf3dc711561efdd26f22592",
+    ("aes128", "weak_scaling"): "670274322498cef482c02b0865e307185aeaaf79cd7ecaad55eeee1acc3e9915",
+    ("aes128", "rank_scaling"): "77c9ca5380e67d8dce23205dea51f53cc50308323fe8dbc74834f0fb4ac549ea",
+    ("sha256", "tasklet_scaling"): "8a2636f777955f906f3617d4970496b2c109a87a09b9ab1b0f4adf0718ea9e1f",
+    ("sha256", "strong_scaling"): "c8e1e18e77ca26cde44c3f61fc354b106371f0407bd4d6d1a28077c1a3d76e7c",
+    ("sha256", "weak_scaling"): "51899da226e23e027c6f20a715be05f537059dc6d7e37e8e1af0544cc021351e",
+    ("sha256", "rank_scaling"): "6c1f6736069875d9fc556f72df01ba6f355e734fc860a8f9ee76f5cec0a0fff8",
+}
+
+
+def test_paper_csvs_bit_identical(tmp_path):
+    for algorithm in ALGORITHMS:
+        for experiment in EXPERIMENT_NAMES:
+            spec = _spec(experiment, algorithm=algorithm)
+            path = tmp_path / f"{algorithm}_{experiment}.csv"
+            emit_csv(run_experiment(spec, include_baseline=False), str(path))
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == _PAPER_CSVS[algorithm, experiment], (algorithm, experiment)

@@ -264,6 +264,7 @@ class TestConfigErrors:
         (("kernel_costs", "sha256", "wram_cache_bytes"), 2048.5),
         (("host", "peak_ops_per_second"), "x"),
         (("host",), 5),
+        (("host", "foo"), 1),
     ])
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, command, keys, value):
         cfg = _config(tmp_path, value, *keys)
@@ -316,6 +317,9 @@ class TestConfigErrors:
         # MRAM is accessed in whole 8-byte granules
         (("kernel_costs", "aes128", "wram_cache_bytes"), 100, ["validate"], 3, "wram_cache_bytes"),
         (("machine", "max_mram_access_bytes"), 2044, ["validate"], 3, "max_mram_access_bytes"),
+        # a workload beyond a DPU's MRAM, which bench rejects at its first sweep value
+        (("experiments", "weak_scaling", "buffer_bytes"), 64 << 20, ["validate"], 3,
+         "violation: weak_scaling: DPU 0 needs 134217728 B of MRAM"),
     ])
     def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
         cfg = _config(tmp_path, value, *keys)
@@ -342,6 +346,17 @@ class TestConfigErrors:
         (bench1, encrypt1), (bench2, encrypt2) = kernels
         assert all(b > a for a, b in zip(bench1, bench2))
         assert float(encrypt2) > float(encrypt1)
+
+    def test_config_host_takes_effect(self, tmp_path, capsys):
+        printed = []
+        for peak in (bundled_default_config().host.peak_ops_per_second, 1.0):
+            cfg = _config(tmp_path, peak, "host", "peak_ops_per_second")
+            assert main(["validate", "--profile", cfg]) == 0
+            printed.append(_summary(capsys))
+        bundled, tiny = printed
+        assert bundled["aes128_classification"] == "memory_bound"
+        assert tiny["aes128_classification"] == "compute_bound"
+        assert tiny["aes128_operations_per_byte"] == bundled["aes128_operations_per_byte"]
 
 
 # Arbitrary JSON, with integers bounded so that no example builds a large

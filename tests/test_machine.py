@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from pimcrypt.errors import CapacityError, MramAccessError, ProfileError
 from pimcrypt.machine import (
+    EVENT_KINDS,
     DpuWorkload,
+    ExecutionTimeline,
     KernelCost,
     MachineProfile,
+    TimelineEvent,
     bundled_default_config,
     default_profile,
     effective_ipc,
@@ -32,6 +35,7 @@ NO_MRAM_COST = KernelCost(
 )
 
 AES_COST = bundled_default_config().kernel_costs["aes128"]
+SHA_COST = bundled_default_config().kernel_costs["sha256"]
 
 
 class TestDefaultProfile:
@@ -219,18 +223,81 @@ class TestSimulateRankKernel:
     def test_empty(self):
         assert simulate_rank_kernel([], AES_COST, PROFILE) == 0.0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        units=st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=16),
-        tasklets=st.integers(min_value=1, max_value=24),
+        pairs=st.lists(
+            st.tuples(
+                # repeated unit counts, and now and then an invalid entry
+                st.sampled_from([0, 1, 7, 4096]) | st.integers(0, 5000) | st.just(-1),
+                st.integers(1, 24) | st.sampled_from([0, 25]),
+            ),
+            max_size=16,
+        ),
+        # a 4 KiB cache overflows WRAM above 16 tasklets
+        cost=st.sampled_from(
+            [AES_COST, SHA_COST, dataclasses.replace(AES_COST, wram_cache_bytes=4096)]
+        ),
     )
-    def test_equals_bruteforce_max(self, units, tasklets):
-        ws = [
-            DpuWorkload(dpu_id=i, total_units=u, tasklets=tasklets)
-            for i, u in enumerate(units)
-        ]
-        per_dpu = [simulate_dpu_kernel(w, AES_COST, PROFILE) for w in ws]
-        assert simulate_rank_kernel(ws, AES_COST, PROFILE) == max(per_dpu)
+    def test_equals_bruteforce_max(self, pairs, cost):
+        ws = [DpuWorkload(dpu_id=i, total_units=u, tasklets=t) for i, (u, t) in enumerate(pairs)]
+
+        def outcome(price):
+            try:
+                return price()
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: simulate_rank_kernel(ws, cost, PROFILE)) == outcome(
+            lambda: max((simulate_dpu_kernel(w, cost, PROFILE) for w in ws), default=0.0)
+        )
+
+
+class TestPhaseIntervals:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(st.floats(0, 10), st.integers(0, 5), st.sampled_from(EVENT_KINDS)),
+            max_size=40,
+        ),
+        start_kind=st.sampled_from(EVENT_KINDS),
+        end_kind=st.sampled_from(EVENT_KINDS),
+    )
+    def test_equals_per_rank_loop(self, events, start_kind, end_kind):
+        """One pass over the events gives what a scan per rank gave, repeated
+        kinds and a phase whose ends are one kind included."""
+        timeline = ExecutionTimeline(
+            events=tuple(TimelineEvent(time=t, rank=r, kind=k) for t, r, k in events)
+        )
+        spans = []
+        for rank in sorted({e.rank for e in timeline.events}):
+            ev = timeline.rank_events(rank)
+            if start_kind in ev and end_kind in ev:
+                spans.append((ev[start_kind], ev[end_kind]))
+        assert timeline.phase_intervals(start_kind, end_kind) == spans
+
+
+class TestHostProfile:
+    def test_section_parsed(self):
+        host = parse_config({
+            "machine": PROFILE.to_json(),
+            "host": {"peak_ops_per_second": 2e9, "peak_bandwidth_bytes_per_second": 1e9},
+        }).host
+        assert host.ridge_point == 2.0
+
+    def test_absent_section_takes_bundled_host(self):
+        bundled = bundled_default_config().host
+        assert parse_config({"machine": PROFILE.to_json()}).host == bundled
+        assert parse_config(PROFILE.to_json()).host == bundled
+
+    @pytest.mark.parametrize("host,match", [
+        ({"peak_ops_per_second": 1.0}, "missing"),
+        ({"peak_ops_per_second": 1.0, "peak_bandwidth_bytes_per_second": 1.0, "foo": 1},
+         "unknown"),
+        ({"peak_ops_per_second": 1.0, "peak_bandwidth_bytes_per_second": 0}, "positive"),
+    ])
+    def test_bad_section_rejected(self, host, match):
+        with pytest.raises(ProfileError, match=match):
+            parse_config({"machine": PROFILE.to_json(), "host": host})
 
 
 class TestSimulateTransfer:

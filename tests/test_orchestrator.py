@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pimcrypt.aes import aes128_encrypt_buffer, key_expansion
+from pimcrypt import reference
+from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError
 from pimcrypt.machine import (
     ExecutionTimeline,
@@ -25,6 +26,7 @@ from pimcrypt.orchestrator import (
     run_job,
     validate_timeline,
 )
+from pimcrypt.sha256 import padded_block_count
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 PROFILE = default_profile()
@@ -91,6 +93,25 @@ class TestPartitionSha:
         plan = partition_sha(list(range(50)), 7)
         seen = sorted(i for ids in plan.message_ids for i in ids)
         assert seen == list(range(50))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 5000), max_size=200),
+        n_dpus=st.integers(1, 64),
+    )
+    def test_equals_loop_definition(self, lengths, n_dpus):
+        """The partition, and the per-DPU sums plan_job takes over it, equal
+        the message-by-message loops they replaced."""
+        ids = [[] for _ in range(n_dpus)]
+        for idx in range(len(lengths)):
+            ids[idx % n_dpus].append(idx)
+        assert partition_sha(lengths, n_dpus).message_ids == tuple(tuple(x) for x in ids)
+
+        plan = plan_job(ShaWorkload(tuple(lengths)), n_ranks=1, dpus_per_rank=n_dpus)
+        assert [w.total_units for w in plan.workloads] == [
+            sum(padded_block_count(lengths[i]) for i in x) for x in ids
+        ]
+        assert plan.payload_bytes_to_dpu == sum(lengths)
 
 
 class TestSyncSingleRank:
@@ -253,6 +274,18 @@ class TestFunctionalEquivalence:
                     msgs, strategy=strategy, n_ranks=2, tasklets=8, dpus_per_rank=dpus
                 )
                 assert result.output == expected
+
+    @pytest.mark.parametrize(
+        "blocks", [0, 1, BATCH_BLOCKS - 1, BATCH_BLOCKS, BATCH_BLOCKS + 1]
+    )
+    def test_aes_matches_reference_across_batches(self, blocks):
+        # 61 distinct blocks repeat through the buffer; 61 does not divide
+        # BATCH_BLOCKS, so a batch written at a wrong offset changes the output
+        distinct = [_random_buffer(16, seed=i) for i in range(61)]
+        expected = [reference.encrypt_block(b, KEY) for b in distinct]
+        plain = b"".join(distinct[i % 61] for i in range(blocks))
+        result = run_job(plain, KEY, n_ranks=2, dpus_per_rank=3)
+        assert result.output == b"".join(expected[i % 61] for i in range(blocks))
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="key"):
