@@ -249,11 +249,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
             cost.validate(machine, machine.max_tasklets)
         except (CapacityError, ProfileError) as exc:
             problems.append(f"{name}: {exc}")
-    for name, entry in config.experiments.items():
+    # Every experiment bench can run, a bundled one filling a missing entry,
+    # and any other name the document gives, which from_config rejects.
+    for name in dict.fromkeys([*bh.EXPERIMENT_NAMES, *config.experiments]):
         if name == "notes":
             continue
         try:
-            spec = bh.ExperimentSpec.from_config(name, entry).check_machine(machine)
+            spec = bh.ExperimentSpec.from_config(
+                name, config.experiments.get(name)
+            ).check_machine(machine)
             # Sweeps are sorted and only strong scaling's per-DPU share
             # shrinks along its sweep, so the first value loads a DPU most.
             bh.plan_point(spec, spec.sweep[0], spec.strategies[0], config)

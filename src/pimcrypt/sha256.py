@@ -3,9 +3,15 @@
 A message is consumed as a stream of 64-byte blocks; every block update
 depends on the running state, so one message can never be split across
 workers — parallelism only exists across messages. sha256_many drives an
-arbitrary batch of messages through a lane-vectorized compression loop (one
-numpy lane per message, grouped by padded block count); sha256_digest is
-the one-message case of it.
+arbitrary batch of messages through one ragged lane-vectorized pass (one
+numpy lane per message). Lanes are sorted by padded block count, longest
+first, and compression step s runs only the prefix of lanes whose chains
+are longer than s, so the pass takes as many steps as the longest chain.
+A block's message schedule does not depend on the running state, so the
+schedules of many steps are computed ahead, SCHEDULE_BATCH_BLOCKS blocks
+at a time (the multi-buffer technique of Gueron and Krasnov, "Parallelizing
+message schedules to accelerate the computations of hash functions", 2012).
+sha256_digest is the one-message case of sha256_many.
 """
 
 from __future__ import annotations
@@ -34,6 +40,15 @@ ROUND_CONSTANTS = (
 
 BLOCK_BYTES = 64
 DIGEST_BYTES = 32
+SCHEDULE_BATCH_BLOCKS = 2048  # blocks scheduled ahead at once: ~512 KiB of W
+
+_K = np.array(ROUND_CONSTANTS, dtype=np.uint32)[:, None]
+# Shift amounts, made once as 0-d uint32 arrays. numpy converts a scalar
+# operand on every call, and on a few dozen lanes that conversion costs
+# half as much again as the shift itself. A rotation right by n is
+# (x >> n) | (x << 32 - n), so each pair below is (n, 32 - n).
+_SCHEDULE_SHIFTS = tuple(np.array(n, dtype=np.uint32) for n in (7, 25, 18, 14, 3, 17, 15, 19, 13, 10))
+_ROUND_SHIFTS = tuple(np.array(n, dtype=np.uint32) for n in (6, 26, 11, 21, 25, 7, 2, 30, 13, 19, 22, 10))
 
 
 def sha256_pad(message: bytes) -> bytes:
@@ -49,44 +64,67 @@ def padded_block_count(message_len: int) -> int:
     return (message_len + 8) // 64 + 1
 
 
-def _rotr(x: np.ndarray, n: int) -> np.ndarray:
-    return (x >> np.uint32(n)) | (x << np.uint32(32 - n))
+def _batch_blocks(
+    messages: list[bytes], lengths: np.ndarray, counts: np.ndarray, active: np.ndarray, s0: int
+) -> np.ndarray:
+    """Padded blocks s0 .. s0 + len(active) - 1 of the running lanes, as
+    (blocks, 16) words, step by step: step s0's lanes first, then s0 + 1's.
+    messages, lengths and counts list every lane, longest chain first.
+
+    Each lane's bytes are sliced from its message and zero-filled to whole
+    blocks; the 0x80 markers and bit-length trailers that fall inside the
+    batch are then written in place, all lanes at once.
+    """
+    m0 = active[0]
+    lo = BLOCK_BYTES * s0
+    lengths, counts = lengths[:m0], counts[:m0]
+    ends = np.minimum(counts, s0 + len(active))
+    his = BLOCK_BYTES * ends
+    chunks = [
+        message[lo:hi].ljust(hi - lo, b"\x00")
+        for message, hi in zip(messages, his.tolist())
+    ]
+    data = np.frombuffer(bytearray(b"".join(chunks)), dtype=np.uint8)
+    size = his - lo
+    start = np.cumsum(size) - size  # each lane's first byte in data
+    marked = (lo <= lengths) & (lengths < his)
+    data[start[marked] + lengths[marked] - lo] = 0x80
+    last = ends == counts
+    data.view(">u8")[(start[last] + size[last]) // 8 - 1] = 8 * lengths[last].astype(np.uint64)
+    words = data.view(">u4").reshape(-1, 16)
+    first = start // BLOCK_BYTES  # each lane's first row in words
+    return words[np.concatenate([first[:m] + t for t, m in enumerate(active)])]
 
 
-def _compress_lanes(state: list[np.ndarray], blocks: np.ndarray) -> list[np.ndarray]:
-    """One compression step across n lanes; blocks is (n, 16) uint32."""
-    k = ROUND_CONSTANTS
-    n = blocks.shape[0]
-    w = np.empty((64, n), dtype=np.uint32)
+def _schedule(blocks: np.ndarray) -> np.ndarray:
+    """W[t] + K[t] of every block: (64, n) from (n, 16) words."""
+    r7, l7, r18, l18, r3, r17, l17, r19, l19, r10 = _SCHEDULE_SHIFTS
+    w = np.empty((64, blocks.shape[0]), dtype=np.uint32)
     w[:16] = blocks.T
-    for i in range(16, 64):
-        x = w[i - 15]
-        s0 = _rotr(x, 7) ^ _rotr(x, 18) ^ (x >> np.uint32(3))
-        x = w[i - 2]
-        s1 = _rotr(x, 17) ^ _rotr(x, 19) ^ (x >> np.uint32(10))
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1
-    a, b, c, d, e, f, g, h = state
-    for i in range(64):
-        s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-        ch = (e & f) ^ (~e & g)
-        t1 = h + s1 + ch + np.uint32(k[i]) + w[i]
-        s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        t2 = s0 + maj
+    for t in range(16, 64):
+        x, y = w[t - 15], w[t - 2]
+        w[t] = (
+            w[t - 16]
+            + w[t - 7]
+            + ((x >> r7 | x << l7) ^ (x >> r18 | x << l18) ^ x >> r3)
+            + ((y >> r17 | y << l17) ^ (y >> r19 | y << l19) ^ y >> r10)
+        )
+    w += _K
+    return w
+
+
+def _compress(state: np.ndarray, wk: np.ndarray) -> None:
+    """One compression step, in place, of the first wk.shape[1] lanes of
+    state (8, lanes); wk holds their blocks' W[t] + K[t] as (64, lanes)."""
+    r6, l6, r11, l11, r25, l25, r2, l2, r13, l13, r22, l22 = _ROUND_SHIFTS
+    a, b, c, d, e, f, g, h = state[:, : wk.shape[1]]
+    for k in wk:
+        s1 = (e >> r6 | e << l6) ^ (e >> r11 | e << l11) ^ (e >> r25 | e << l25)
+        t1 = h + s1 + (g ^ (e & (f ^ g))) + k
+        s0 = (a >> r2 | a << l2) ^ (a >> r13 | a << l13) ^ (a >> r22 | a << l22)
+        t2 = s0 + ((a & b) | (c & (a | b)))
         h, g, f, e, d, c, b, a = g, f, e, d + t1, c, b, a, t1 + t2
-    return [s + v for s, v in zip(state, (a, b, c, d, e, f, g, h))]
-
-
-def _digest_equal_length(messages: list[bytes]) -> list[bytes]:
-    n = len(messages)
-    padded = b"".join(sha256_pad(m) for m in messages)
-    n_blocks = padded_block_count(len(messages[0]))
-    data = np.frombuffer(padded, dtype=">u4").reshape(n, n_blocks, 16).astype(np.uint32)
-    state = [np.full(n, INIT_STATE[i], dtype=np.uint32) for i in range(8)]
-    for step in range(n_blocks):
-        state = _compress_lanes(state, data[:, step, :])
-    out = np.stack(state, axis=1).astype(">u4").tobytes()
-    return [out[32 * i : 32 * i + 32] for i in range(n)]
+    state[:, : wk.shape[1]] += (a, b, c, d, e, f, g, h)
 
 
 def sha256_digest(message: bytes) -> bytes:
@@ -97,15 +135,38 @@ def sha256_digest(message: bytes) -> bytes:
 def sha256_many(messages: list[bytes]) -> list[bytes]:
     """Hash a batch of messages, output in input order.
 
-    Messages are grouped by padded block count so each group runs fully
-    lane-parallel; every message is still compressed block by block.
+    One ragged pass over all lanes, sorted by padded block count, longest
+    first: step s compresses the prefix of lanes with more than s blocks,
+    so every message is still compressed block by block, and the pass
+    takes as many steps as the longest message has blocks. Schedules are
+    computed for a batch of steps at a time, at least one whole step and
+    otherwise at most SCHEDULE_BATCH_BLOCKS blocks.
     """
-    groups: dict[int, list[int]] = {}
-    for idx, m in enumerate(messages):
-        groups.setdefault(padded_block_count(len(m)), []).append(idx)
-    out: list[bytes] = [b""] * len(messages)
-    for indices in groups.values():
-        digests = _digest_equal_length([messages[i] for i in indices])
-        for i, d in zip(indices, digests):
-            out[i] = d
-    return out
+    lengths = np.array([len(m) for m in messages], dtype=np.int64)
+    n = len(messages)
+    if not n:
+        return []
+    if lengths.max() > MAX_MESSAGE_BYTES:
+        raise ValueError("message too long for a 64-bit length field")
+    by_count = padded_block_count(lengths)
+    order = np.argsort(-by_count, kind="stable")
+    lengths, counts = lengths[order], by_count[order]
+    ordered = [messages[i] for i in order.tolist()]
+    # active[s]: the lanes with more than s blocks, a prefix of the sorted lanes
+    active = n - np.cumsum(np.bincount(counts))[: counts[0]]
+    done = np.cumsum(active)  # blocks compressed by the end of each step
+    state = np.repeat(np.array(INIT_STATE, dtype=np.uint32)[:, None], n, axis=1)
+    s0 = 0
+    while s0 < len(active):
+        limit = done[s0] - active[s0] + SCHEDULE_BATCH_BLOCKS
+        s1 = max(s0 + 1, int(np.searchsorted(done, limit, side="right")))
+        wk = _schedule(_batch_blocks(ordered, lengths, counts, active[s0:s1], s0))
+        start = 0
+        for m in active[s0:s1].tolist():
+            _compress(state, wk[:, start : start + m])
+            start += m
+        s0 = s1
+    out = np.empty((n, 8), dtype=">u4")
+    out[order] = state.T
+    raw = out.tobytes()
+    return [raw[DIGEST_BYTES * i : DIGEST_BYTES * (i + 1)] for i in range(n)]

@@ -358,6 +358,20 @@ class TestConfigErrors:
         assert tiny["aes128_classification"] == "compute_bound"
         assert tiny["aes128_operations_per_byte"] == bundled["aes128_operations_per_byte"]
 
+    def test_validate_checks_bundled_experiments(self, tmp_path, capsys):
+        """A bare profile takes every bundled experiment, and validate checks
+        each against the profile's machine, as bench does."""
+        doc = {**default_profile().to_json(), "num_ranks": 10, "usable_dpus": 640}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bench", "--experiment", "rank_scaling", "--no-baseline",
+                     "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "n_ranks must be in 1..10, got 40" in capsys.readouterr().err
+        assert main(["validate", "--profile", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("violation: rank_scaling: ")
+        assert "n_ranks must be in 1..10, got 40" in out
+
 
 # Arbitrary JSON, with integers bounded so that no example builds a large
 # workload, plus values a field may hold, so that some examples validate.
