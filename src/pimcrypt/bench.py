@@ -114,10 +114,10 @@ class ExperimentSpec:
         for name, value in topology.items():
             limit = getattr(machine, _LIMITS[name])
             if not 1 <= value <= limit:
-                raise ProfileError(f"{self.experiment}: {name} must be in 1..{limit}, got {value}")
+                raise ProfileError(f"{name} must be in 1..{limit}, got {value}")
         if topology["n_ranks"] * topology["dpus_per_rank"] > machine.usable_dpus:
             raise ProfileError(
-                f"{self.experiment}: {topology['n_ranks']} ranks of {topology['dpus_per_rank']}"
+                f"{topology['n_ranks']} ranks of {topology['dpus_per_rank']}"
                 f" DPUs but only {machine.usable_dpus} usable"
             )
         return self
@@ -362,10 +362,6 @@ def run_host_baseline(
     return statistics.median(times)
 
 
-def default_host_profile() -> HostProfile:
-    return mc.bundled_default_config().host
-
-
 @dataclass(frozen=True)
 class KernelCharacterization:
     operations_per_byte: float
@@ -380,7 +376,7 @@ def characterize_kernel(
     if algorithm not in ALGORITHMS:
         raise ProfileError(f"unknown algorithm {algorithm!r}")
     if host is None:
-        host = default_host_profile()
+        host = mc.bundled_default_config().host
     intensity = cost.instructions_per_unit / cost.unit_bytes
     ridge = host.ridge_point
     return KernelCharacterization(

@@ -158,7 +158,6 @@ class KernelCost:
 class DpuWorkload:
     """Work assigned to one DPU: how many units, spread over how many tasklets."""
 
-    dpu_id: int
     total_units: int
     tasklets: int
 
@@ -311,36 +310,30 @@ def simulate_rank_kernel(
 ) -> float:
     """Rank kernel time: DPUs run independently, the slowest one finishes last.
 
-    A DPU's time depends only on its (total_units, tasklets), so each
-    distinct pair is priced once, at its first DPU.
+    A DPU's time depends only on its (total_units, tasklets), so a caller
+    passes each distinct pair of the rank once.
     """
-    distinct: dict[tuple[int, int], DpuWorkload] = {}
-    for w in workloads:
-        distinct.setdefault((w.total_units, w.tasklets), w)
-    return max(
-        (simulate_dpu_kernel(w, cost, profile) for w in distinct.values()), default=0.0
-    )
+    return max((simulate_dpu_kernel(w, cost, profile) for w in workloads), default=0.0)
 
 
 def simulate_transfer(
-    bytes_per_dpu: list[int], direction: TransferDirection, profile: MachineProfile
+    total_bytes: int, direction: TransferDirection, profile: MachineProfile
 ) -> float:
     """Time of one batched rank transfer in the given direction.
 
     All per-DPU buffers of the rank move as a single batched operation over
-    the rank channel, so the time is the byte sum over the directional
-    bandwidth.
+    the rank channel, so the time is the rank's byte total over the
+    directional bandwidth.
     """
-    if any(b < 0 for b in bytes_per_dpu):
-        raise ValueError("per-DPU byte counts must be non-negative")
-    total = sum(bytes_per_dpu)
+    if total_bytes < 0:
+        raise ValueError("a rank's byte total must be non-negative")
     if direction == "to_dpu":
         bw = profile.cpu_to_dpu_bandwidth_per_rank
     elif direction == "from_dpu":
         bw = profile.dpu_to_cpu_bandwidth_per_rank
     else:
         raise ValueError(f"unknown transfer direction: {direction!r}")
-    return total / bw
+    return total_bytes / bw
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +415,9 @@ def load_config(path: str) -> Config:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise ProfileError("config is nested too deeply to parse") from None
+        except ValueError as exc:  # not JSON, not UTF-8, or an overlong integer
             raise ProfileError(f"config is not valid JSON: {exc}") from exc
     return parse_config(doc)
 

@@ -31,6 +31,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
 from .errors import AlignmentError, CapacityError
@@ -73,27 +75,24 @@ class ShaWorkload:
     message_lengths: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Per-DPU work assignment.
+    """Per-DPU work assignment: four int64 arrays indexed by DPU.
 
-    For AES, slices holds contiguous (offset, length) byte ranges covering
-    the buffer exactly. For hashing, message_ids holds whole-message index
-    tuples (messages are never split; their block chain is sequential).
+    units are AES blocks or padded hash blocks; items are AES blocks or
+    whole messages (messages are never split, their block chain is
+    sequential) and cap the tasklets a DPU keeps busy; in_bytes and
+    out_bytes are what the DPU receives and returns.
     """
 
-    alignment_unit: int | str  # 16 for AES blocks, "message" for hashing
-    slices: tuple[tuple[int, int], ...] | None = None
-    message_ids: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def n_dpus(self) -> int:
-        entries = self.slices if self.slices is not None else self.message_ids
-        return len(entries)
+    units: np.ndarray
+    items: np.ndarray
+    in_bytes: np.ndarray
+    out_bytes: np.ndarray
 
 
 def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
-    """Split a block-aligned buffer into per-DPU slices, linearly.
+    """Split a block-aligned buffer into contiguous per-DPU slices.
 
     Block counts differ by at most one across DPUs and the earlier DPUs take
     the extra blocks.
@@ -102,26 +101,25 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
         raise ValueError("n_dpus must be at least 1")
     if buffer_len % 16:
         raise AlignmentError(f"buffer length {buffer_len} is not a multiple of 16")
-    blocks = buffer_len // 16
-    base, rem = divmod(blocks, n_dpus)
-    slices = []
-    offset = 0
-    for d in range(n_dpus):
-        length = (base + (1 if d < rem else 0)) * 16
-        slices.append((offset, length))
-        offset += length
-    return PartitionPlan(alignment_unit=16, slices=tuple(slices))
+    base, rem = divmod(buffer_len // 16, n_dpus)
+    blocks = np.full(n_dpus, base, dtype=np.int64)
+    blocks[:rem] += 1
+    nbytes = 16 * blocks
+    return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
 
 
 def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
-    """Assign whole messages to DPUs round-robin by index."""
+    """Assign whole messages to DPUs round-robin by index: DPU d holds
+    messages d, d + n_dpus, ..."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    n = len(message_lengths)
-    return PartitionPlan(
-        alignment_unit="message",
-        message_ids=tuple(tuple(range(d, n, n_dpus)) for d in range(n_dpus)),
-    )
+    lengths = np.asarray(message_lengths, dtype=np.int64)
+    n = len(lengths)
+    # per message: blocks, 1, bytes; message i in row i // n_dpus, column i % n_dpus
+    grid = np.zeros((3, -(-n // n_dpus) * n_dpus), dtype=np.int64)
+    grid[:, :n] = padded_block_count(lengths), np.ones_like(lengths), lengths
+    units, messages, in_bytes = grid.reshape(3, -1, n_dpus).sum(axis=1)
+    return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
 
 
 class PhaseTimes(NamedTuple):
@@ -151,8 +149,6 @@ class JobPlan:
     n_ranks: int
     dpus_per_rank: int
     tasklets: int
-    partition: PartitionPlan
-    workloads: tuple[mc.DpuWorkload, ...]
     rank_phases: tuple[RankPhases, ...]
     timeline: mc.ExecutionTimeline
     makespan: float
@@ -197,6 +193,19 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     )
 
 
+def _first_of_each_pair(units: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Mask of the DPUs (rows are ranks) whose (units, active) pair no
+    earlier DPU of the same rank has."""
+    key = units * (int(active.max()) + 1) + active
+    order = np.argsort(key, axis=1, kind="stable")
+    ranked = np.take_along_axis(key, order, axis=1)
+    new = np.ones(key.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty_like(new)
+    np.put_along_axis(first, order, new, axis=1)
+    return first
+
+
 def plan_job(
     workload: AesWorkload | ShaWorkload,
     *,
@@ -224,62 +233,50 @@ def plan_job(
             f"{total_dpus} DPUs requested but only {profile.usable_dpus} usable"
         )
 
-    is_aes = isinstance(workload, AesWorkload)
-    if is_aes:
+    if isinstance(workload, AesWorkload):
         partition = partition_aes(workload.buffer_len, total_dpus)
-        in_bytes = [length for _, length in partition.slices]
-        out_bytes = list(in_bytes)
-        units = [length // 16 for length in in_bytes]
-        base_cost = cost or mc.bundled_default_config().kernel_costs["aes128"]
-        job_cost = base_cost
+        job_cost = cost or mc.bundled_default_config().kernel_costs["aes128"]
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
     else:
-        lengths = workload.message_lengths
-        partition = partition_sha(lengths, total_dpus)
-        # round-robin: DPU d holds messages d, d + total_dpus, ...
-        blocks = {n: padded_block_count(n) for n in set(lengths)}
-        padded = [blocks[n] for n in lengths]
-        in_bytes = [sum(lengths[d::total_dpus]) for d in range(total_dpus)]
-        out_bytes = [DIGEST_BYTES * len(ids) for ids in partition.message_ids]
-        units = [sum(padded[d::total_dpus]) for d in range(total_dpus)]
+        partition = partition_sha(workload.message_lengths, total_dpus)
         base_cost = cost or mc.bundled_default_config().kernel_costs["sha256"]
-        job_cost = _sha_cost_for(base_cost, len(lengths), sum(units))
+        n_messages = len(workload.message_lengths)
+        job_cost = _sha_cost_for(base_cost, n_messages, int(partition.units.sum()))
         broadcast_bytes = 0
 
     mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
-    for d in range(total_dpus):
-        if in_bytes[d] + out_bytes[d] > mram_budget:
-            raise CapacityError(
-                f"DPU {d} needs {in_bytes[d] + out_bytes[d]} B of MRAM, "
-                f"budget is {mram_budget} B"
-            )
+    need = partition.in_bytes + partition.out_bytes
+    over = np.flatnonzero(need > mram_budget)
+    if over.size:
+        d = over[0]
+        raise CapacityError(f"DPU {d} needs {need[d]} B of MRAM, budget is {mram_budget} B")
 
-    workloads = []
-    for d in range(total_dpus):
-        if is_aes:
-            active = min(tasklets, units[d]) if units[d] else 1
-        else:
-            n_msgs = len(partition.message_ids[d])
-            active = min(tasklets, n_msgs) if n_msgs else 1
-        workloads.append(mc.DpuWorkload(dpu_id=d, total_units=units[d], tasklets=active))
-
-    rank_phases = []
-    for r in range(n_ranks):
-        lo, hi = r * dpus_per_rank, (r + 1) * dpus_per_rank
-        rank_in = in_bytes[lo:hi]
-        rank_phases.append(
-            RankPhases(
-                prepare=sum(rank_in) / profile.host_prepare_rate,
-                to_dpu=mc.simulate_transfer(rank_in, "to_dpu", profile),
-                kernel=mc.simulate_rank_kernel(workloads[lo:hi], job_cost, profile),
-                from_dpu=mc.simulate_transfer(out_bytes[lo:hi], "from_dpu", profile),
-            )
+    # Each rank is priced from its byte sums and, as a DPU's kernel time
+    # depends only on its (units, active tasklets), from the first DPU of
+    # each distinct pair. Counts become Python ints before any arithmetic,
+    # so every modeled time is a plain float.
+    shape = (n_ranks, dpus_per_rank)
+    rank_in, rank_out = (b.reshape(shape).sum(axis=1).tolist()
+                         for b in (partition.in_bytes, partition.out_bytes))
+    active = np.where(partition.items > 0, np.minimum(partition.items, tasklets), 1)
+    units, active = partition.units.reshape(shape), active.reshape(shape)
+    first = _first_of_each_pair(units, active)
+    distinct = list(map(mc.DpuWorkload, units[first].tolist(), active[first].tolist()))
+    bounds = [0, *np.cumsum(first.sum(axis=1)).tolist()]
+    rank_phases = [
+        RankPhases(
+            prepare=rank_in[r] / profile.host_prepare_rate,
+            to_dpu=mc.simulate_transfer(rank_in[r], "to_dpu", profile),
+            kernel=mc.simulate_rank_kernel(distinct[bounds[r] : bounds[r + 1]], job_cost, profile),
+            from_dpu=mc.simulate_transfer(rank_out[r], "from_dpu", profile),
         )
+        for r in range(n_ranks)
+    ]
 
     # Key broadcast happens once, ahead of payload staging, on every rank
     # channel in parallel, so it costs one rank's worth of transfer time.
     broadcast_seconds = (
-        mc.simulate_transfer([EXPANDED_KEY_BYTES] * dpus_per_rank, "to_dpu", profile)
+        mc.simulate_transfer(EXPANDED_KEY_BYTES * dpus_per_rank, "to_dpu", profile)
         if broadcast_bytes
         else 0.0
     )
@@ -300,14 +297,12 @@ def plan_job(
         n_ranks=n_ranks,
         dpus_per_rank=dpus_per_rank,
         tasklets=tasklets,
-        partition=partition,
-        workloads=tuple(workloads),
         rank_phases=tuple(rank_phases),
         timeline=timeline,
         makespan=timeline.makespan,
         phase_times=phase_times,
-        payload_bytes_to_dpu=sum(in_bytes),
-        payload_bytes_from_dpu=sum(out_bytes),
+        payload_bytes_to_dpu=sum(rank_in),
+        payload_bytes_from_dpu=sum(rank_out),
         broadcast_bytes=broadcast_bytes,
         broadcast_seconds=broadcast_seconds,
     )

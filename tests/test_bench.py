@@ -12,7 +12,6 @@ from pimcrypt.bench import (
     ExperimentSpec,
     HostProfile,
     characterize_kernel,
-    default_host_profile,
     emit_csv,
     read_csv,
     run_experiment,
@@ -230,7 +229,7 @@ class TestCharacterization:
         assert ch.classification == "memory_bound"
 
     def test_synthetic_cost_above_ridge_is_compute_bound(self):
-        host = default_host_profile()
+        host = bundled_default_config().host
         dense = dataclasses.replace(
             AES_COST, instructions_per_unit=(host.ridge_point + 1) * 16
         )

@@ -369,8 +369,7 @@ class TestConfigErrors:
         assert "n_ranks must be in 1..10, got 40" in capsys.readouterr().err
         assert main(["validate", "--profile", str(path)]) == 3
         out = capsys.readouterr().out
-        assert out.startswith("violation: rank_scaling: ")
-        assert "n_ranks must be in 1..10, got 40" in out
+        assert out.splitlines() == ["violation: rank_scaling: n_ranks must be in 1..10, got 40"]
 
 
 # Arbitrary JSON, with integers bounded so that no example builds a large
@@ -430,3 +429,81 @@ def test_mutated_config_keeps_exit_contract(mutations):
     assert validated in (0, 2, 3, 4) and benched in (0, 2, 3, 4)
     if validated == 0:
         assert benched == 0
+
+
+def _exit_code(argv):
+    """main's exit code, an argparse exit included; an uncaught exception
+    propagates and fails the test."""
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+_BUNDLED_TEXT = resources.files("pimcrypt").joinpath("profiles/default.json").read_bytes()
+_NESTED = st.sampled_from([b"[", b'{"a":']).flatmap(
+    lambda opener: st.sampled_from([2, 50, 1000, 100_000]).map(lambda depth: opener * depth)
+)
+_RAW_CONFIGS = (
+    st.binary(max_size=48)
+    | st.integers(0, len(_BUNDLED_TEXT)).map(lambda n: _BUNDLED_TEXT[:n])
+    | _NESTED
+    | _NESTED.map(lambda text: text.replace(b'{"a":', b"[") + b"]" * len(text))
+    | st.sampled_from([b"\xff\xfe{}", b"\xef\xbb\xbf{}", b"1" * 5000, _BUNDLED_TEXT])
+)
+
+
+def _raw_config_argvs(tmp, cfg):
+    plain, message = f"{tmp}/plain.bin", f"{tmp}/message.bin"
+    with open(plain, "wb") as fh:
+        fh.write(bytes(64))
+    with open(message, "wb") as fh:
+        fh.write(b"abc")
+    return [
+        ["encrypt", "--key", FIPS_KEY_HEX, "--in", plain, "--out", f"{tmp}/c.bin",
+         "--profile", cfg],
+        ["hash", "--in", message, "--out", f"{tmp}/d.txt", "--profile", cfg],
+        ["bench", "--experiment", "weak_scaling", "--no-baseline", "--config", cfg,
+         "--out-dir", tmp],
+        ["validate", "--profile", cfg],
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RAW_CONFIGS)
+def test_raw_config_keeps_exit_contract(raw):
+    """Every subcommand exits 0/2/3/4 on a config file of any bytes: not
+    UTF-8, truncated, or nested deeper than the parser recurses."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/config.json"
+        with open(cfg, "wb") as fh:
+            fh.write(raw)
+        codes = [_exit_code(argv) for argv in _raw_config_argvs(tmp, cfg)]
+    assert all(code in (0, 2, 3, 4) for code in codes)
+    if raw == _BUNDLED_TEXT:
+        assert codes == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "nested"])
+def test_unparsable_config_is_data_error(tmp_path, raw):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(raw)
+    assert [_exit_code(argv) for argv in _raw_config_argvs(str(tmp_path), str(cfg))] == [3] * 4
+
+
+_PROFILE = default_profile()
+
+
+@pytest.mark.parametrize("flag,limit", [
+    ("--ranks", _PROFILE.num_ranks),
+    ("--dpus-per-rank", _PROFILE.dpus_per_rank),
+    ("--tasklets", _PROFILE.max_tasklets),
+])
+@pytest.mark.parametrize("command", ["encrypt", "hash"])
+def test_topology_flags_at_and_beyond_limits(tmp_path, command, flag, limit):
+    """A topology flag at 0 or one beyond the profile's limit is a data
+    error; at the limit the job runs."""
+    argv = next(a for a in _raw_config_argvs(str(tmp_path), "unused") if a[0] == command)
+    argv = argv[:argv.index("--profile")]
+    codes = [_exit_code([*argv, flag, str(value)]) for value in (0, limit, limit + 1)]
+    assert codes == [3, 0, 3]

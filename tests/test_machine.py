@@ -153,11 +153,11 @@ def _cycles(seconds):
 class TestSimulateDpuKernel:
     def test_single_tasklet_pipeline_penalty(self):
         # 100 units x 11 instructions = 1100 compute cycles, no MRAM cost
-        w = DpuWorkload(dpu_id=0, total_units=100, tasklets=1)
+        w = DpuWorkload(total_units=100, tasklets=1)
         assert _cycles(simulate_dpu_kernel(w, NO_MRAM_COST, PROFILE)) == pytest.approx(12100)
 
     def test_saturated_pipeline(self):
-        w = DpuWorkload(dpu_id=0, total_units=100, tasklets=11)
+        w = DpuWorkload(total_units=100, tasklets=11)
         assert _cycles(simulate_dpu_kernel(w, NO_MRAM_COST, PROFILE)) == pytest.approx(1100)
 
     def test_beyond_saturation_equals_saturation(self):
@@ -166,17 +166,17 @@ class TestSimulateDpuKernel:
         # cache refills, so the MRAM cost is identical.
         units = 22528
         t11 = simulate_dpu_kernel(
-            DpuWorkload(dpu_id=0, total_units=units, tasklets=11), AES_COST, PROFILE
+            DpuWorkload(total_units=units, tasklets=11), AES_COST, PROFILE
         )
         t16 = simulate_dpu_kernel(
-            DpuWorkload(dpu_id=0, total_units=units, tasklets=16), AES_COST, PROFILE
+            DpuWorkload(total_units=units, tasklets=16), AES_COST, PROFILE
         )
         assert t16 == t11
 
     def test_non_increasing_in_tasklets(self):
         times = [
             simulate_dpu_kernel(
-                DpuWorkload(dpu_id=0, total_units=52800, tasklets=t), AES_COST, PROFILE
+                DpuWorkload(total_units=52800, tasklets=t), AES_COST, PROFILE
             )
             for t in range(1, 25)
         ]
@@ -185,36 +185,36 @@ class TestSimulateDpuKernel:
     def test_linear_in_units(self):
         def t(units):
             return simulate_dpu_kernel(
-                DpuWorkload(dpu_id=0, total_units=units, tasklets=11), AES_COST, PROFILE
+                DpuWorkload(total_units=units, tasklets=11), AES_COST, PROFILE
             )
 
         # 1408 units = 128 blocks per tasklet = exactly one cache refill each
         assert t(2 * 1408) == pytest.approx(2 * t(1408), rel=1e-12)
 
     def test_zero_units(self):
-        w = DpuWorkload(dpu_id=0, total_units=0, tasklets=4)
+        w = DpuWorkload(total_units=0, tasklets=4)
         assert simulate_dpu_kernel(w, AES_COST, PROFILE) == 0.0
 
     def test_wram_overflow_rejected(self):
         fat = dataclasses.replace(AES_COST, wram_cache_bytes=16 * 1024)
         with pytest.raises(CapacityError):
             simulate_dpu_kernel(
-                DpuWorkload(dpu_id=0, total_units=10, tasklets=8), fat, PROFILE
+                DpuWorkload(total_units=10, tasklets=8), fat, PROFILE
             )
 
 
 class TestSimulateRankKernel:
     def test_identical_workloads_match_single_dpu(self):
-        w = DpuWorkload(dpu_id=0, total_units=4096, tasklets=16)
-        ws = [dataclasses.replace(w, dpu_id=i) for i in range(64)]
+        w = DpuWorkload(total_units=4096, tasklets=16)
+        ws = [w] * 64
         assert simulate_rank_kernel(ws, AES_COST, PROFILE) == simulate_dpu_kernel(
             w, AES_COST, PROFILE
         )
 
     def test_slowest_dpu_wins(self):
         ws = [
-            DpuWorkload(dpu_id=0, total_units=1000, tasklets=16),
-            DpuWorkload(dpu_id=1, total_units=2000, tasklets=16),
+            DpuWorkload(total_units=1000, tasklets=16),
+            DpuWorkload(total_units=2000, tasklets=16),
         ]
         assert simulate_rank_kernel(ws, AES_COST, PROFILE) == simulate_dpu_kernel(
             ws[1], AES_COST, PROFILE
@@ -239,7 +239,7 @@ class TestSimulateRankKernel:
         ),
     )
     def test_equals_bruteforce_max(self, pairs, cost):
-        ws = [DpuWorkload(dpu_id=i, total_units=u, tasklets=t) for i, (u, t) in enumerate(pairs)]
+        ws = [DpuWorkload(total_units=u, tasklets=t) for u, t in pairs]
 
         def outcome(price):
             try:
@@ -302,16 +302,16 @@ class TestHostProfile:
 
 class TestSimulateTransfer:
     def test_zero_bytes(self):
-        assert simulate_transfer([0, 0], "to_dpu", PROFILE) == 0.0
+        assert simulate_transfer(0, "to_dpu", PROFILE) == 0.0
 
     def test_linear(self):
-        one = simulate_transfer([1000] * 8, "to_dpu", PROFILE)
-        two = simulate_transfer([2000] * 8, "to_dpu", PROFILE)
+        one = simulate_transfer(8000, "to_dpu", PROFILE)
+        two = simulate_transfer(16000, "to_dpu", PROFILE)
         assert two == pytest.approx(2 * one)
 
     def test_direction_asymmetry_ratio(self):
-        to = simulate_transfer([4096] * 64, "to_dpu", PROFILE)
-        back = simulate_transfer([4096] * 64, "from_dpu", PROFILE)
+        to = simulate_transfer(4096 * 64, "to_dpu", PROFILE)
+        back = simulate_transfer(4096 * 64, "from_dpu", PROFILE)
         expected_ratio = (
             PROFILE.cpu_to_dpu_bandwidth_per_rank / PROFILE.dpu_to_cpu_bandwidth_per_rank
         )
@@ -319,8 +319,8 @@ class TestSimulateTransfer:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            simulate_transfer([-1], "to_dpu", PROFILE)
+            simulate_transfer(-1, "to_dpu", PROFILE)
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
-            simulate_transfer([1], "sideways", PROFILE)
+            simulate_transfer(1, "sideways", PROFILE)

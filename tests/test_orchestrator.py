@@ -10,16 +10,20 @@ from pimcrypt import reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError
 from pimcrypt.machine import (
+    DpuWorkload,
     ExecutionTimeline,
     KernelCost,
     TimelineEvent,
+    bundled_default_config,
     busy_time,
     default_profile,
+    simulate_dpu_kernel,
 )
 from pimcrypt.orchestrator import (
     AesWorkload,
     ShaWorkload,
     Strategy,
+    _sha_cost_for,
     partition_aes,
     partition_sha,
     plan_job,
@@ -30,24 +34,50 @@ from pimcrypt.sha256 import padded_block_count
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 PROFILE = default_profile()
+_SHA_COST = bundled_default_config().kernel_costs["sha256"]
 
 
 def _random_buffer(n_bytes, seed=0):
     return random.Random(seed).randbytes(n_bytes)
 
 
+def _aes_loop_partition(buffer_len, n_dpus):
+    """Oracle: per-DPU (offset, length) slices laid down one DPU at a time."""
+    base, rem = divmod(buffer_len // 16, n_dpus)
+    slices, offset = [], 0
+    for d in range(n_dpus):
+        length = (base + (1 if d < rem else 0)) * 16
+        slices.append((offset, length))
+        offset += length
+    return slices
+
+
+def _sha_loop_partition(lengths, n_dpus):
+    """Oracle: per-DPU message ids, one message at a time, round-robin."""
+    ids = [[] for _ in range(n_dpus)]
+    for idx in range(len(lengths)):
+        ids[idx % n_dpus].append(idx)
+    return ids
+
+
+def _arrays(plan):
+    return [a.tolist() for a in (plan.units, plan.items, plan.in_bytes, plan.out_bytes)]
+
+
 class TestPartitionAes:
     def test_even_split(self):
         plan = partition_aes(8 << 20, 64)
-        assert all(length == 131072 for _, length in plan.slices)
+        assert plan.in_bytes.tolist() == [131072] * 64
+        assert plan.units.tolist() == [8192] * 64
 
     def test_remainder_to_earlier_dpus(self):
         plan = partition_aes(1600, 3)
-        assert [length for _, length in plan.slices] == [544, 528, 528]
+        assert plan.in_bytes.tolist() == [544, 528, 528]
+        assert plan.units.tolist() == [34, 33, 33]
 
     def test_single_dpu_identity(self):
         plan = partition_aes(4096, 1)
-        assert plan.slices == ((0, 4096),)
+        assert _arrays(plan) == [[256], [256], [4096], [4096]]
 
     def test_misaligned_rejected(self):
         with pytest.raises(AlignmentError):
@@ -64,13 +94,14 @@ class TestPartitionAes:
     )
     def test_coverage_and_balance(self, blocks, n_dpus):
         plan = partition_aes(blocks * 16, n_dpus)
+        slices = _aes_loop_partition(blocks * 16, n_dpus)
         offset = 0
-        counts = []
-        for off, length in plan.slices:
+        for off, length in slices:
             assert off == offset and length % 16 == 0
             offset += length
-            counts.append(length // 16)
         assert offset == blocks * 16
+        counts = [length // 16 for _, length in slices]
+        assert _arrays(plan) == [counts, counts, [16 * c for c in counts], [16 * c for c in counts]]
         assert max(counts) - min(counts) <= 1
         assert counts == sorted(counts, reverse=True)
 
@@ -78,39 +109,62 @@ class TestPartitionAes:
 class TestPartitionSha:
     def test_even_split(self):
         plan = partition_sha([32768] * 1024, 64)
-        assert all(len(ids) == 16 for ids in plan.message_ids)
+        assert plan.items.tolist() == [16] * 64
+        assert plan.in_bytes.tolist() == [16 * 32768] * 64
 
     def test_round_robin_remainder(self):
-        plan = partition_sha([10] * 5, 2)
-        assert plan.message_ids == ((0, 2, 4), (1, 3))
+        # messages 0, 2, 4 on DPU 0 and 1, 3 on DPU 1
+        plan = partition_sha([10, 11, 12, 13, 14], 2)
+        assert plan.items.tolist() == [3, 2]
+        assert plan.in_bytes.tolist() == [10 + 12 + 14, 11 + 13]
+        assert plan.out_bytes.tolist() == [3 * 32, 2 * 32]
 
     def test_single_message_leaves_rest_idle(self):
         plan = partition_sha([100], 8)
-        assert plan.message_ids[0] == (0,)
-        assert all(ids == () for ids in plan.message_ids[1:])
+        assert _arrays(plan) == [[2] + [0] * 7, [1] + [0] * 7, [100] + [0] * 7, [32] + [0] * 7]
 
     def test_no_message_split_and_full_coverage(self):
-        plan = partition_sha(list(range(50)), 7)
-        seen = sorted(i for ids in plan.message_ids for i in ids)
-        assert seen == list(range(50))
+        # one message longer than all others together: a split would show
+        # as bytes or blocks of it on a second DPU
+        lengths = [10_000] + list(range(49))
+        plan = partition_sha(lengths, 7)
+        assert plan.items.sum() == 50
+        assert plan.in_bytes.sum() == sum(lengths)
+        assert plan.in_bytes[0] == sum(lengths[::7]) and plan.in_bytes[0] >= 10_000
+        assert plan.units.sum() == sum(padded_block_count(n) for n in lengths)
 
     @settings(max_examples=100, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 5000), max_size=200),
-        n_dpus=st.integers(1, 64),
+        n_ranks=st.integers(1, 3),
+        dpus_per_rank=st.integers(1, 32),
+        tasklets=st.integers(1, 24),
     )
-    def test_equals_loop_definition(self, lengths, n_dpus):
-        """The partition, and the per-DPU sums plan_job takes over it, equal
-        the message-by-message loops they replaced."""
-        ids = [[] for _ in range(n_dpus)]
-        for idx in range(len(lengths)):
-            ids[idx % n_dpus].append(idx)
-        assert partition_sha(lengths, n_dpus).message_ids == tuple(tuple(x) for x in ids)
-
-        plan = plan_job(ShaWorkload(tuple(lengths)), n_ranks=1, dpus_per_rank=n_dpus)
-        assert [w.total_units for w in plan.workloads] == [
-            sum(padded_block_count(lengths[i]) for i in x) for x in ids
+    def test_equals_loop_definition(self, lengths, n_ranks, dpus_per_rank, tasklets):
+        """The per-DPU arrays, and the rank times plan_job prices from them,
+        equal the message-by-message loops they replaced."""
+        n_dpus = n_ranks * dpus_per_rank
+        ids = _sha_loop_partition(lengths, n_dpus)
+        units = [sum(padded_block_count(lengths[i]) for i in x) for x in ids]
+        in_bytes = [sum(lengths[i] for i in x) for x in ids]
+        assert _arrays(partition_sha(lengths, n_dpus)) == [
+            units, [len(x) for x in ids], in_bytes, [32 * len(x) for x in ids],
         ]
+
+        plan = plan_job(
+            ShaWorkload(tuple(lengths)),
+            n_ranks=n_ranks, dpus_per_rank=dpus_per_rank, tasklets=tasklets,
+        )
+        cost = _sha_cost_for(_SHA_COST, len(lengths), sum(units))
+        for r, phases in enumerate(plan.rank_phases):
+            rank = range(r * dpus_per_rank, (r + 1) * dpus_per_rank)
+            assert phases.kernel == max(
+                simulate_dpu_kernel(
+                    DpuWorkload(units[d], min(len(ids[d]), tasklets) or 1), cost, PROFILE
+                )
+                for d in rank
+            )
+            assert phases.prepare == sum(in_bytes[d] for d in rank) / PROFILE.host_prepare_rate
         assert plan.payload_bytes_to_dpu == sum(lengths)
 
 
@@ -304,6 +358,10 @@ class TestCapacityChecks:
         with pytest.raises(CapacityError):
             plan_job(AesWorkload(16 << 10), n_ranks=1, dpus_per_rank=8, profile=profile)
 
+    def test_first_over_budget_dpu_named(self):
+        with pytest.raises(CapacityError, match=r"^DPU 3 needs 67108896 B of MRAM"):
+            plan_job(ShaWorkload((10, 10, 10, 64 << 20)), n_ranks=1, dpus_per_rank=4)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             plan_job(AesWorkload(160), tasklets=0)
@@ -425,9 +483,19 @@ def test_timeline_bit_exact(algorithm, strategy):
 class TestShaTaskletAssignment:
     def test_fewer_messages_than_tasklets_idles_tasklets(self):
         plan = plan_job(ShaWorkload((5000,) * 3), n_ranks=1, dpus_per_rank=1, tasklets=16)
-        assert plan.workloads[0].tasklets == 3
+        units = 3 * padded_block_count(5000)
+        cost = _sha_cost_for(_SHA_COST, 3, units)
+        kernel_s = plan.phase_times.kernel
+        assert kernel_s == simulate_dpu_kernel(DpuWorkload(units, 3), cost, PROFILE)
+        assert kernel_s != simulate_dpu_kernel(DpuWorkload(units, 16), cost, PROFILE)
 
     def test_dpu_without_messages_has_no_work(self):
+        partition = partition_sha((5000,), 4)
+        assert partition.units[0] > 0
+        assert partition.units[1:].tolist() == [0, 0, 0]
+        # the idle DPUs price at zero, so the rank costs what DPU 0 does
         plan = plan_job(ShaWorkload((5000,)), n_ranks=1, dpus_per_rank=4, tasklets=16)
-        assert plan.workloads[0].total_units > 0
-        assert all(w.total_units == 0 for w in plan.workloads[1:])
+        cost = _sha_cost_for(_SHA_COST, 1, int(partition.units[0]))
+        assert plan.phase_times.kernel == simulate_dpu_kernel(
+            DpuWorkload(int(partition.units[0]), 1), cost, PROFILE
+        )
