@@ -202,7 +202,7 @@ def _workload_for(spec: ExperimentSpec, scale: int) -> AesWorkload | ShaWorkload
     """Workload scaled by the number of workers sharing it (1 = as given)."""
     if spec.algorithm == "aes128":
         return AesWorkload(spec.buffer_bytes * scale)
-    return ShaWorkload((spec.message_bytes,) * (spec.message_count * scale))
+    return ShaWorkload(np.full(spec.message_count * scale, spec.message_bytes, dtype=np.int64))
 
 
 def run_experiment(

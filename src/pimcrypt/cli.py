@@ -2,7 +2,11 @@
 
 Subcommands: encrypt, hash, bench, validate. Summaries are printed as
 key=value lines for scriptability. Exit codes are a stable contract:
-0 ok, 2 usage, 3 data/config, 4 I/O.
+0 ok, 2 usage, 3 data/config, 4 I/O. Subcommands let errors propagate and
+main maps them in one place, printing `error: <message>` on stderr: an
+OSError (missing or unreadable input, config or directory; unwritable
+output or out-dir) exits 4, a ValueError or package error (bad config,
+misaligned input, a job the machine cannot hold) exits 3.
 """
 
 from __future__ import annotations
@@ -75,54 +79,31 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         print("error: key must be 32 hex characters (16 bytes)", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        config = _load_config(args.profile)
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
-        with open(args.infile, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config = _load_config(args.profile)
+    with open(args.infile, "rb") as fh:
+        data = fh.read()
 
     original_len = len(data)
     if len(data) % 16:
         if not args.pad:
-            print(
-                f"error: input length {len(data)} is not a multiple of 16 "
-                "(pass --pad to zero-fill)",
-                file=sys.stderr,
+            raise AlignmentError(
+                f"input length {len(data)} is not a multiple of 16 "
+                "(pass --pad to zero-fill)"
             )
-            return EXIT_DATA
         data = data + b"\x00" * (-len(data) % 16)
 
-    try:
-        result = run_job(
-            data,
-            key,
-            strategy=Strategy.parse(args.strategy),
-            n_ranks=args.ranks,
-            tasklets=args.tasklets,
-            profile=config.machine,
-            dpus_per_rank=args.dpus_per_rank,
-            cost=config.kernel_costs.get("aes128"),
-        )
-    except (AlignmentError, CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    try:
-        with open(args.outfile, "wb") as fh:
-            fh.write(result.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    result = run_job(
+        data,
+        key,
+        strategy=Strategy.parse(args.strategy),
+        n_ranks=args.ranks,
+        tasklets=args.tasklets,
+        profile=config.machine,
+        dpus_per_rank=args.dpus_per_rank,
+        cost=config.kernel_costs.get("aes128"),
+    )
+    with open(args.outfile, "wb") as fh:
+        fh.write(result.output)
 
     extra: dict[str, object] = {"bytes_in": original_len, "bytes_out": len(result.output)}
     if args.pad and original_len != len(data):
@@ -147,63 +128,34 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.profile)
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    config = _load_config(args.profile)
     paths = _collect_message_paths(args.infile)
     if not paths:
-        print("error: no input messages", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError("no input messages")
     messages = []
-    try:
-        for path in paths:
-            with open(path, "rb") as fh:
-                messages.append(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for path in paths:
+        with open(path, "rb") as fh:
+            messages.append(fh.read())
 
-    try:
-        result = run_job(
-            messages,
-            strategy=Strategy.parse(args.strategy),
-            n_ranks=args.ranks,
-            tasklets=args.tasklets,
-            profile=config.machine,
-            dpus_per_rank=args.dpus_per_rank,
-            cost=config.kernel_costs.get("sha256"),
-        )
-    except (CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
-    try:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            for digest in result.output:
-                fh.write(digest.hex() + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    result = run_job(
+        messages,
+        strategy=Strategy.parse(args.strategy),
+        n_ranks=args.ranks,
+        tasklets=args.tasklets,
+        profile=config.machine,
+        dpus_per_rank=args.dpus_per_rank,
+        cost=config.kernel_costs.get("sha256"),
+    )
+    with open(args.outfile, "w", encoding="utf-8") as fh:
+        for digest in result.output:
+            fh.write(digest.hex() + "\n")
 
     _print_summary(result, {"messages": len(messages)}, args.verbose)
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args.config)
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config = _load_config(args.config)
     try:
         spec = bh.ExperimentSpec.from_config(
             args.experiment, config.experiments.get(args.experiment)
@@ -212,18 +164,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        result = bh.run_experiment(spec, config, include_baseline=not args.no_baseline)
-    except (CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    result = bh.run_experiment(spec, config, include_baseline=not args.no_baseline)
     out_path = os.path.join(args.out_dir, f"{args.experiment}.csv")
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-        bh.emit_csv(result, out_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    os.makedirs(args.out_dir, exist_ok=True)
+    bh.emit_csv(result, out_path)
     print(f"experiment={args.experiment}")
     print(f"rows={len(result.rows)}")
     print(f"csv={out_path}")
@@ -236,9 +180,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ProfileError as exc:
         print(f"violation: {exc}")
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
     machine = config.machine
     problems = []
@@ -258,9 +199,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
             spec = bh.ExperimentSpec.from_config(
                 name, config.experiments.get(name)
             ).check_machine(machine)
-            # Sweeps are sorted and only strong scaling's per-DPU share
-            # shrinks along its sweep, so the first value loads a DPU most.
-            bh.plan_point(spec, spec.sweep[0], spec.strategies[0], config)
+            # Sweeps are sorted, every range, usable-DPU and WRAM limit is hit
+            # first at the largest value, and the per-DPU MRAM share is largest
+            # at the first (only strong scaling's shrinks), so a plan fails
+            # somewhere along the sweep only if it fails at one of the ends.
+            for value in (spec.sweep[0], spec.sweep[-1]):
+                bh.plan_point(spec, value, spec.strategies[0], config)
         except (PimcryptError, ValueError) as exc:
             problems.append(f"{name}: {exc}")
     if problems:
@@ -332,9 +276,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PimcryptError as exc:
+    except (PimcryptError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -68,11 +68,11 @@ class AesWorkload:
     buffer_len: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShaWorkload:
     """Shape of a hashing job: the length of every message, in input order."""
 
-    message_lengths: tuple[int, ...]
+    message_lengths: Sequence[int]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import tempfile
 from importlib import resources
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from pimcrypt.bench import read_csv
 from pimcrypt.cli import main
+from pimcrypt.errors import CapacityError
 from pimcrypt.machine import bundled_default_config, default_profile
 from pimcrypt.sha256 import sha256_digest
 
@@ -507,3 +509,71 @@ def test_topology_flags_at_and_beyond_limits(tmp_path, command, flag, limit):
     argv = argv[:argv.index("--profile")]
     codes = [_exit_code([*argv, flag, str(value)]) for value in (0, limit, limit + 1)]
     assert codes == [3, 0, 3]
+
+
+def test_validate_plans_last_sweep_value(tmp_path, capsys):
+    """WRAM that holds the bundled 2048 B cache at 16 tasklets but not at
+    17: bench fails partway along tasklet_scaling's sweep, and validate,
+    which plans each sweep's first and last value, rejects the profile too."""
+    doc = {**default_profile().to_json(), "wram_bytes": 32768}
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",
+                 "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+    assert "17 tasklets x 2048 B cache exceeds WRAM (32768 B)" in capsys.readouterr().err
+    assert main(["validate", "--profile", str(path)]) == 3
+    assert ("violation: tasklet_scaling: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)"
+            in capsys.readouterr().out.splitlines())
+
+
+def _bundled_argvs(tmp_path):
+    """One runnable argv per subcommand but validate, on the bundled config."""
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(_BUNDLED_TEXT)
+    return {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), str(cfg))}
+
+
+@pytest.mark.parametrize("case", [
+    "encrypt --out DIR", "hash --out DIR", "bench --out-dir FILE",
+    "encrypt --profile MISSING", "hash --profile MISSING", "bench --config MISSING",
+    "hash --in UNLISTABLE",
+])
+def test_io_failure_is_io_error(tmp_path, monkeypatch, capsys, case):
+    """A path that cannot be read, listed or written exits 4 with an error
+    line, whichever step meets it."""
+    command, flag, target = case.split()
+    value = {"DIR": tmp_path, "FILE": tmp_path / "config.json",
+             "MISSING": tmp_path / "none.json", "UNLISTABLE": tmp_path}[target]
+    argv = _bundled_argvs(tmp_path)[command] + [flag, str(value)]
+    if target == "UNLISTABLE":
+        # chmod cannot stop a listing by root, so the refusal is simulated
+        listdir = os.listdir
+
+        def refuse(path="."):
+            if os.fspath(path) == str(value):
+                raise PermissionError(13, "Permission denied", str(value))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", refuse)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("error,code", [
+    (OSError("disk gone"), 4),
+    (CapacityError("job too large"), 3),
+    (ValueError("bad value"), 3),
+], ids=["OSError", "CapacityError", "ValueError"])
+@pytest.mark.parametrize("command", ["encrypt", "hash", "bench"])
+def test_exception_to_exit_code(tmp_path, monkeypatch, capsys, command, error, code):
+    """main maps what a subcommand's work raises: OSError to 4, a package
+    error or ValueError to 3, each after `error: <message>` on stderr."""
+    def fail(*args, **kwargs):
+        raise error
+
+    target = "pimcrypt.bench.run_experiment" if command == "bench" else "pimcrypt.cli.run_job"
+    monkeypatch.setattr(target, fail)
+    assert main(_bundled_argvs(tmp_path)[command]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
