@@ -128,6 +128,7 @@ class ExperimentSpec:
         if section is not None and not isinstance(section, dict):
             raise ProfileError(f"experiment {experiment} must be a JSON object")
         entry = {**mc.bundled_default_config().experiments[experiment], **(section or {})}
+        entry.pop("notes", None)  # free text, as in every other config object
         types = {f.name: f.type for f in fields(cls) if f.name != "experiment"}
         unknown = set(entry) - set(types)
         if unknown:
@@ -216,8 +217,9 @@ def run_experiment(
     ordered by sweep value, one per strategy (in spec order) at each value,
     and carry the kernel speedup over the first row. rank_scaling alone
     spans several ranks, so it alone records the strategies and, unless
-    include_baseline is false, a host software baseline measured once at
-    BASELINE_CAP_BYTES and extrapolated linearly per byte.
+    include_baseline is false, a host software baseline measured once on about
+    BASELINE_CAP_BYTES (whole messages, for hashing) and extrapolated
+    linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
@@ -281,7 +283,7 @@ def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
         spec.algorithm, workload, threads=1, repetitions=reps, seed=spec.seed,
     ) / measured_bytes
     meta["baseline"] = (
-        f"single-thread software, measured at {BASELINE_CAP_BYTES} B, "
+        f"single-thread software, measured at {measured_bytes} B, "
         "extrapolated per byte"
     )
     meta["baseline_s_per_byte_1_thread"] = rate

@@ -25,6 +25,8 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Literal
 
+import numpy as np
+
 from .errors import CapacityError, MramAccessError, ProfileError
 
 TransferDirection = Literal["to_dpu", "from_dpu"]
@@ -306,14 +308,25 @@ def simulate_dpu_kernel(
 
 
 def simulate_rank_kernel(
-    workloads: list[DpuWorkload], cost: KernelCost, profile: MachineProfile
-) -> float:
-    """Rank kernel time: DPUs run independently, the slowest one finishes last.
+    units: np.ndarray, tasklets: np.ndarray, cost: KernelCost, profile: MachineProfile
+) -> list[float]:
+    """Kernel time of each rank of a job; row r of the (ranks, DPUs per rank)
+    int64 arrays units and tasklets holds rank r's DPUs.
 
-    A DPU's time depends only on its (total_units, tasklets), so a caller
-    passes each distinct pair of the rank once.
+    The DPUs of a rank run independently and the rank finishes with its
+    slowest one. A DPU's time depends only on its (units, tasklets) pair, so
+    each distinct pair of the job is priced once, in the order of its first
+    DPU (row-major): the first invalid pair raises first.
     """
-    return max((simulate_dpu_kernel(w, cost, profile) for w in workloads), default=0.0)
+    # one key per pair, as tasklets - low lies in 0..high - low
+    low, high = int(tasklets.min(initial=0)), int(tasklets.max(initial=0))
+    key = units * (high - low + 1) + (tasklets - low)
+    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    pairs = zip(units.flat[first[order]].tolist(), tasklets.flat[first[order]].tolist())
+    times = np.empty(first.size)
+    times[order] = [simulate_dpu_kernel(DpuWorkload(u, t), cost, profile) for u, t in pairs]
+    return times[inverse].reshape(units.shape).max(axis=1, initial=0.0).tolist()
 
 
 def simulate_transfer(

@@ -166,18 +166,6 @@ class JobResult:
     output: bytes | list[bytes]
     plan: JobPlan
 
-    @property
-    def timeline(self) -> mc.ExecutionTimeline:
-        return self.plan.timeline
-
-    @property
-    def makespan(self) -> float:
-        return self.plan.makespan
-
-    @property
-    def phase_times(self) -> PhaseTimes:
-        return self.plan.phase_times
-
 
 def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) -> mc.KernelCost:
     """Spread the per-message digest write over that job's hash blocks."""
@@ -191,19 +179,6 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
         wram_cache_bytes=base.wram_cache_bytes,
         unit_bytes=base.unit_bytes,
     )
-
-
-def _first_of_each_pair(units: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Mask of the DPUs (rows are ranks) whose (units, active) pair no
-    earlier DPU of the same rank has."""
-    key = units * (int(active.max()) + 1) + active
-    order = np.argsort(key, axis=1, kind="stable")
-    ranked = np.take_along_axis(key, order, axis=1)
-    new = np.ones(key.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    first = np.empty_like(new)
-    np.put_along_axis(first, order, new, axis=1)
-    return first
 
 
 def plan_job(
@@ -251,23 +226,21 @@ def plan_job(
         d = over[0]
         raise CapacityError(f"DPU {d} needs {need[d]} B of MRAM, budget is {mram_budget} B")
 
-    # Each rank is priced from its byte sums and, as a DPU's kernel time
-    # depends only on its (units, active tasklets), from the first DPU of
-    # each distinct pair. Counts become Python ints before any arithmetic,
-    # so every modeled time is a plain float.
+    # Each rank is priced from its byte sums and its DPUs' (units, active
+    # tasklets). Counts become Python ints before any arithmetic, so every
+    # modeled time is a plain float.
     shape = (n_ranks, dpus_per_rank)
     rank_in, rank_out = (b.reshape(shape).sum(axis=1).tolist()
                          for b in (partition.in_bytes, partition.out_bytes))
     active = np.where(partition.items > 0, np.minimum(partition.items, tasklets), 1)
-    units, active = partition.units.reshape(shape), active.reshape(shape)
-    first = _first_of_each_pair(units, active)
-    distinct = list(map(mc.DpuWorkload, units[first].tolist(), active[first].tolist()))
-    bounds = [0, *np.cumsum(first.sum(axis=1)).tolist()]
+    kernels = mc.simulate_rank_kernel(
+        partition.units.reshape(shape), active.reshape(shape), job_cost, profile
+    )
     rank_phases = [
         RankPhases(
             prepare=rank_in[r] / profile.host_prepare_rate,
             to_dpu=mc.simulate_transfer(rank_in[r], "to_dpu", profile),
-            kernel=mc.simulate_rank_kernel(distinct[bounds[r] : bounds[r + 1]], job_cost, profile),
+            kernel=kernels[r],
             from_dpu=mc.simulate_transfer(rank_out[r], "from_dpu", profile),
         )
         for r in range(n_ranks)

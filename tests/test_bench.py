@@ -328,3 +328,14 @@ def test_paper_csvs_bit_identical(tmp_path):
             emit_csv(run_experiment(spec, include_baseline=False), str(path))
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == _PAPER_CSVS[algorithm, experiment], (algorithm, experiment)
+
+
+def test_baseline_metadata_names_measured_bytes(tmp_path):
+    """The hash baseline runs on whole messages: 349 of 3000 B under the
+    1 MiB cap, and the CSV names those 1,047,000 B."""
+    spec = _spec("rank_scaling", algorithm="sha256", message_bytes=3000, sweep=[1],
+                 strategies=["pim1"], repetitions=1)
+    path = tmp_path / "rank_scaling.csv"
+    emit_csv(run_experiment(spec), str(path))
+    metadata, _ = read_csv(str(path))
+    assert "measured at 1047000 B," in metadata["baseline"]

@@ -577,3 +577,12 @@ def test_exception_to_exit_code(tmp_path, monkeypatch, capsys, command, error, c
     monkeypatch.setattr(target, fail)
     assert main(_bundled_argvs(tmp_path)[command]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_experiment_notes_accepted(tmp_path):
+    """An experiment entry takes a free-text notes key, as every other
+    config object does."""
+    cfg = _config(tmp_path, "why", "experiments", "weak_scaling", "notes")
+    assert main(["validate", "--profile", cfg]) == 0
+    assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
+                 "--config", cfg, "--out-dir", str(tmp_path)]) == 0

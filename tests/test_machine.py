@@ -1,8 +1,9 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimcrypt.errors import CapacityError, MramAccessError, ProfileError
@@ -203,52 +204,67 @@ class TestSimulateDpuKernel:
             )
 
 
+# a DPU's (units, tasklets): repeated unit counts, and now and then an invalid entry
+_DPU_PAIR = st.tuples(
+    st.sampled_from([0, 1, 7, 4096]) | st.integers(0, 5000) | st.just(-1),
+    st.integers(1, 24) | st.sampled_from([-1, 0, 25]),
+)
+
+
+def _grid(rows):
+    """(units, tasklets) arrays of shape (ranks, DPUs per rank) from rows of pairs."""
+    pairs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0, 2)
+    return pairs[..., 0], pairs[..., 1]
+
+
 class TestSimulateRankKernel:
     def test_identical_workloads_match_single_dpu(self):
         w = DpuWorkload(total_units=4096, tasklets=16)
-        ws = [w] * 64
-        assert simulate_rank_kernel(ws, AES_COST, PROFILE) == simulate_dpu_kernel(
-            w, AES_COST, PROFILE
-        )
+        assert simulate_rank_kernel(*_grid([[(4096, 16)] * 64]), AES_COST, PROFILE) == [
+            simulate_dpu_kernel(w, AES_COST, PROFILE)
+        ]
 
     def test_slowest_dpu_wins(self):
-        ws = [
-            DpuWorkload(total_units=1000, tasklets=16),
-            DpuWorkload(total_units=2000, tasklets=16),
+        units, tasklets = _grid([[(1000, 16), (2000, 16)], [(500, 16), (1000, 16)]])
+        assert simulate_rank_kernel(units, tasklets, AES_COST, PROFILE) == [
+            simulate_dpu_kernel(DpuWorkload(total_units=u, tasklets=16), AES_COST, PROFILE)
+            for u in (2000, 1000)
         ]
-        assert simulate_rank_kernel(ws, AES_COST, PROFILE) == simulate_dpu_kernel(
-            ws[1], AES_COST, PROFILE
-        )
 
     def test_empty(self):
-        assert simulate_rank_kernel([], AES_COST, PROFILE) == 0.0
+        assert simulate_rank_kernel(*_grid([[], []]), AES_COST, PROFILE) == [0.0, 0.0]
+        assert simulate_rank_kernel(*_grid([]), AES_COST, PROFILE) == []
 
     @settings(max_examples=100, deadline=None)
     @given(
-        pairs=st.lists(
-            st.tuples(
-                # repeated unit counts, and now and then an invalid entry
-                st.sampled_from([0, 1, 7, 4096]) | st.integers(0, 5000) | st.just(-1),
-                st.integers(1, 24) | st.sampled_from([0, 25]),
-            ),
-            max_size=16,
+        rows=st.tuples(st.integers(1, 3), st.integers(0, 16)).flatmap(
+            lambda shape: st.lists(
+                st.lists(_DPU_PAIR, min_size=shape[1], max_size=shape[1]),
+                min_size=shape[0], max_size=shape[0],
+            )
         ),
         # a 4 KiB cache overflows WRAM above 16 tasklets
         cost=st.sampled_from(
             [AES_COST, SHA_COST, dataclasses.replace(AES_COST, wram_cache_bytes=4096)]
         ),
     )
-    def test_equals_bruteforce_max(self, pairs, cost):
-        ws = [DpuWorkload(total_units=u, tasklets=t) for u, t in pairs]
-
+    # (1, -1) keys like (0, 24) unless the key is offset by the smallest count
+    @example(rows=[[(0, 24), (1, -1)]], cost=AES_COST)
+    def test_equals_bruteforce_max(self, rows, cost):
+        """Each rank's slowest DPU, and the error the first invalid DPU in
+        row-major order raises."""
         def outcome(price):
             try:
                 return price()
             except ValueError as exc:
                 return type(exc), str(exc)
 
-        assert outcome(lambda: simulate_rank_kernel(ws, cost, PROFILE)) == outcome(
-            lambda: max((simulate_dpu_kernel(w, cost, PROFILE) for w in ws), default=0.0)
+        assert outcome(lambda: simulate_rank_kernel(*_grid(rows), cost, PROFILE)) == outcome(
+            lambda: [
+                max((simulate_dpu_kernel(DpuWorkload(u, t), cost, PROFILE) for u, t in row),
+                    default=0.0)
+                for row in rows
+            ]
         )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimcrypt import machine as mc
 from pimcrypt import reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError
@@ -499,3 +500,24 @@ class TestShaTaskletAssignment:
         assert plan.phase_times.kernel == simulate_dpu_kernel(
             DpuWorkload(int(partition.units[0]), 1), cost, PROFILE
         )
+
+
+def test_job_prices_each_distinct_dpu_workload_once(monkeypatch):
+    """One pricing call per plan, and one DPU pricing per distinct (units,
+    active tasklets) pair of the job, however many ranks share it: a 16 MiB
+    split over 40 ranks gives the DPUs of ranks 0-23 410 blocks each and
+    those of ranks 24-39 409."""
+    priced, jobs = [], []
+    price_dpu, price_job = mc.simulate_dpu_kernel, mc.simulate_rank_kernel
+    monkeypatch.setattr(mc, "simulate_dpu_kernel",
+                        lambda w, *args: priced.append(w) or price_dpu(w, *args))
+    monkeypatch.setattr(mc, "simulate_rank_kernel",
+                        lambda *args: jobs.append(args) or price_job(*args))
+    plan = plan_job(AesWorkload(16 << 20), n_ranks=40)
+    assert len(jobs) == 1
+    assert priced == [DpuWorkload(410, 16), DpuWorkload(409, 16)]
+    cost = bundled_default_config().kernel_costs["aes128"]
+    assert [ph.kernel for ph in plan.rank_phases] == (
+        [price_dpu(DpuWorkload(410, 16), cost, PROFILE)] * 24
+        + [price_dpu(DpuWorkload(409, 16), cost, PROFILE)] * 16
+    )
