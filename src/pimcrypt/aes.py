@@ -1,17 +1,22 @@
 """AES-128 encryption structured like the near-memory DPU kernel.
 
-The round functions work on a column-major state and replace all
-finite-field arithmetic in MixColumns with 256-entry lookup tables (times-2
-and times-3), mirroring how the kernel avoids multiplies on hardware that
-only has cheap bitwise ops and adds. aes128_encrypt_buffer fuses those byte
-tables with the S-box into four 32-bit tables and runs the blocks through
-numpy in fixed-size batches; aes128_encrypt_block is the one-block case of
-it. Blocks are encrypted independently, which is what makes the work
-partitionable across DPUs in the first place. The byte-wise form of the
-rounds is replayed op by op in costs.py.
+The round functions replace all finite-field arithmetic in MixColumns with
+256-entry lookup tables (times-2 and times-3), mirroring how the kernel
+avoids multiplies on hardware that only has cheap bitwise ops and adds.
+aes128_encrypt_buffer fuses those byte tables with the S-box into word
+tables (the T-table round of Daemen & Rijmen, *The Design of Rijndael*,
+2002, section 4.2) and runs the blocks through numpy in fixed-size
+batches; aes128_encrypt_block is the one-block case of it. A batch's state
+is a contiguous (4, n) uint32 array, one plane per column word, so each
+table gather reads one byte lane of a plane. Blocks are encrypted
+independently, which is what makes the work partitionable across DPUs in
+the first place. The byte-wise form of the rounds is replayed op by op in
+costs.py.
 
-Keys, blocks and buffers are plain ``bytes``; hex formatting at the edges
-is lowercase without separators.
+Keys and blocks are ``bytes``. aes128_encrypt_buffer takes any
+C-contiguous buffer, sized in bytes, and writes the ciphertext straight
+into the ``bytearray`` it returns (equal to ``bytes`` of the same content).
+Hex formatting at the edges is lowercase without separators.
 """
 
 from __future__ import annotations
@@ -50,10 +55,6 @@ EXPANDED_KEY_BYTES = 176
 # working arrays then stay cache-sized, which makes a long buffer faster
 # than one whole-buffer pass and keeps its temporaries off the peak memory.
 BATCH_BLOCKS = 1 << 14
-
-# ShiftRows as a flat permutation of the column-major state:
-# byte (row r, col c) moves to (r, c - r mod 4), i.e. out[4c+r] = in[4((c+r)%4)+r].
-_SHIFT_ROWS = tuple((4 * (c + r) + r) % 16 for c in range(4) for r in range(4))
 
 
 @dataclass(frozen=True)
@@ -114,74 +115,83 @@ def aes128_encrypt_block(block: bytes, ks: bytes) -> bytes:
     """Encrypt a single 16-byte block."""
     if len(block) != BLOCK_BYTES:
         raise ValueError(f"block must be {BLOCK_BYTES} bytes, got {len(block)}")
-    return aes128_encrypt_buffer(block, ks)
+    return bytes(aes128_encrypt_buffer(block, ks))
+
+
+# MixColumns matrix: output byte i of a column takes _MIX[i][r] * S(byte r).
+# The last round has no MixColumns, which is the identity matrix.
+_MIX = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 
 
 @lru_cache(maxsize=1)
-def _fused_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fuse sbox/mul2/mul3 into four word tables for the vectorized path.
+def _fused_tables() -> np.ndarray:
+    """Fuse sbox/mul2/mul3 into eight word tables, shape (2, 4, 256) uint32.
 
-    T_r[x] packs the MixColumns contribution of S(x) sitting in state row r.
-    The pack order matches a native-endian uint32 view of the column bytes,
-    so the tables are correct on any host byte order by construction.
+    [0, r][x] packs the MixColumns contribution of S(x) sitting in state
+    row r; [1, r][x] holds S(x) alone at byte r, for the last round. The
+    pack order matches a native-endian uint32 view of the column bytes, so
+    the tables are correct on any host byte order by construction.
     """
     t = build_gf_tables()
-    packed = np.zeros((4, 256, 4), dtype=np.uint8)
-    for x in range(256):
-        s = t.sbox[x]
-        m2, m3 = t.mul2[s], t.mul3[s]
-        packed[0, x] = (m2, s, s, m3)
-        packed[1, x] = (m3, m2, s, s)
-        packed[2, x] = (s, m3, m2, s)
-        packed[3, x] = (s, s, m3, m2)
-    words = packed.reshape(4, 256, 4).copy().view(np.uint32).reshape(4, 256)
-    sbox_np = np.frombuffer(t.sbox, dtype=np.uint8)
-    return words[0], words[1], words[2], words[3], sbox_np
+    s, mul2, mul3 = (np.frombuffer(b, dtype=np.uint8) for b in (t.sbox, t.mul2, t.mul3))
+    # products[c][x] = c * S(x) for the coefficients c = 0 .. 3
+    products = np.stack((np.zeros_like(s), s, mul2[s], mul3[s]))
+    coef = np.array((_MIX, np.eye(4, dtype=int)))  # [table set, byte i, row r]
+    packed = products[coef].transpose(0, 2, 3, 1)  # [set, row r, x, byte i]
+    return np.ascontiguousarray(packed).view(np.uint32)[..., 0]
 
 
-def aes128_encrypt_buffer(buffer: bytes, ks: bytes) -> bytes:
-    """Encrypt every 16-byte block of a buffer independently.
+def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> bytearray:
+    """Encrypt every 16-byte block of a C-contiguous buffer independently.
 
-    Blocks go through the fused-table path BATCH_BLOCKS at a time, each
-    batch written into one preallocated output.
+    Any buffer-protocol object works; its length is taken in bytes. Blocks
+    go through the fused-table path BATCH_BLOCKS at a time, each batch
+    written straight into the returned bytearray.
     """
     if len(ks) != EXPANDED_KEY_BYTES:
         raise ValueError(f"expanded key must be {EXPANDED_KEY_BYTES} bytes, got {len(ks)}")
-    if len(buffer) % BLOCK_BYTES:
+    data = memoryview(buffer).cast("B")
+    if len(data) % BLOCK_BYTES:
         raise AlignmentError(
-            f"buffer length {len(buffer)} is not a multiple of {BLOCK_BYTES}"
+            f"buffer length {len(data)} is not a multiple of {BLOCK_BYTES}"
         )
-    if not buffer:
-        return b""
-    n = len(buffer) // BLOCK_BYTES
-    blocks = np.frombuffer(buffer, dtype=np.uint8).reshape(n, 16)
-    out = np.empty((n, 16), dtype=np.uint8)
-    for lo in range(0, n, BATCH_BLOCKS):
-        _encrypt_batch(blocks[lo : lo + BATCH_BLOCKS], ks, out[lo : lo + BATCH_BLOCKS])
-    return out.tobytes()
+    out = bytearray(len(data))
+    if not out:
+        return out
+    blocks = np.frombuffer(data, dtype=np.uint32).reshape(-1, 4)
+    words = np.frombuffer(out, dtype=np.uint32).reshape(-1, 4)
+    rk = np.frombuffer(ks, dtype=np.uint32).reshape(11, 4)
+    for lo in range(0, len(blocks), BATCH_BLOCKS):
+        _encrypt_batch(blocks[lo : lo + BATCH_BLOCKS], rk, words[lo : lo + BATCH_BLOCKS])
+    return out
 
 
-def _encrypt_batch(blocks: np.ndarray, ks: bytes, out: np.ndarray) -> None:
-    """Encrypt the (n, 16) uint8 rows of blocks into the rows of out."""
-    t0, t1, t2, t3, sbox_np = _fused_tables()
+def _encrypt_batch(blocks: np.ndarray, rk: np.ndarray, out: np.ndarray) -> None:
+    """Encrypt the (n, 4) uint32 column words of blocks into out.
+
+    The state is a (4, n) array of word planes: row j holds column word j
+    of every block, and its (4, n, 4) uint8 view gives state byte r of
+    column j at [j, :, r]. Every gather and XOR writes into a preallocated
+    array; w and nxt swap roles each round.
+    """
+    mix, last = _fused_tables()
     n = len(blocks)
-    rk_words = np.frombuffer(ks, dtype=np.uint8).reshape(11, 16).view(np.uint32)
-    rk_last = np.frombuffer(ks[160:176], dtype=np.uint8)
-
-    w = blocks.view(np.uint32) ^ rk_words[0]
+    w = np.empty((4, n), dtype=np.uint32)
     nxt = np.empty_like(w)
-    for rnd in range(1, 10):
-        sb = w.view(np.uint8).reshape(n, 16)
-        rk = rk_words[rnd]
+    buf = np.empty(n, dtype=np.uint32)
+    np.bitwise_xor(blocks.T, rk[0][:, None], out=w)
+    for rnd in range(1, 11):
+        t = last if rnd == 10 else mix
+        sb = w.view(np.uint8).reshape(4, n, 4)
+        # ShiftRows: row byte r of output column j comes from column j + r.
+        # mode clip, not the default raise, lets numpy gather straight into
+        # out (raise buffers it); a byte never exceeds a 256-entry table.
         for j in range(4):
-            nxt[:, j] = (
-                t0[sb[:, 4 * j]]
-                ^ t1[sb[:, (4 * j + 5) % 16]]
-                ^ t2[sb[:, (4 * j + 10) % 16]]
-                ^ t3[sb[:, (4 * j + 15) % 16]]
-                ^ rk[j]
-            )
+            row = nxt[j]
+            t[0].take(sb[j, :, 0], out=row, mode="clip")
+            for r in range(1, 4):
+                t[r].take(sb[(j + r) % 4, :, r], out=buf, mode="clip")
+                row ^= buf
+            row ^= rk[rnd, j]
         w, nxt = nxt, w
-    sb = w.view(np.uint8).reshape(n, 16)
-    for i in range(16):
-        out[:, i] = sbox_np[sb[:, _SHIFT_ROWS[i]]] ^ rk_last[i]
+    out[...] = w.T

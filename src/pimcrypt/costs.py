@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .aes import _SHIFT_ROWS, build_gf_tables
+from .aes import build_gf_tables
 from .sha256 import INIT_STATE, ROUND_CONSTANTS, sha256_pad
 
 _MASK = 0xFFFFFFFF
+# ShiftRows as a flat permutation of the column-major state:
+# byte (row r, col c) moves to (r, c - r mod 4), i.e. out[4c+r] = in[4((c+r)%4)+r].
+_SHIFT_ROWS = tuple((4 * (c + r) + r) % 16 for c in range(4) for r in range(4))
 
 
 def count_aes_block_ops(block: bytes, ks: bytes) -> tuple[bytes, Counter]:

@@ -163,7 +163,7 @@ class JobPlan:
 class JobResult:
     """A finished job: functional output plus the priced timeline."""
 
-    output: bytes | list[bytes]
+    output: bytearray | list[bytes]
     plan: JobPlan
 
 
@@ -334,7 +334,7 @@ def _build_timeline(
 
 
 def run_job(
-    workload: bytes | Sequence[bytes],
+    workload: bytes | bytearray | memoryview | Sequence[bytes],
     key: bytes | None = None,
     *,
     strategy: Strategy = Strategy.SYNC,
@@ -346,7 +346,7 @@ def run_job(
 ) -> JobResult:
     """Execute a workload functionally and price it under a strategy.
 
-    A bytes workload is encrypted (key required); a sequence of messages is
+    A bytes-like workload is encrypted (key required); a sequence of messages is
     hashed, with digests returned in input order.
     """
     common = dict(
@@ -360,12 +360,11 @@ def run_job(
     if isinstance(workload, (bytes, bytearray, memoryview)):
         if key is None:
             raise ValueError("encryption requires a key")
-        buffer = bytes(workload)
-        plan = plan_job(AesWorkload(len(buffer)), **common)
+        plan = plan_job(AesWorkload(memoryview(workload).nbytes), **common)
         # blocks are independent, so one pass over the whole buffer gives
         # what the DPUs' slices would
         return JobResult(
-            output=aes128_encrypt_buffer(buffer, key_expansion(key)), plan=plan
+            output=aes128_encrypt_buffer(workload, key_expansion(key)), plan=plan
         )
 
     messages = [bytes(m) for m in workload]

@@ -1,9 +1,12 @@
 import random
+import tracemalloc
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pimcrypt import aes
 from pimcrypt import reference as ref
 from pimcrypt.aes import (
     aes128_encrypt_block,
@@ -136,3 +139,52 @@ class TestEncryptBuffer:
         ]
         joined = b"".join(aes128_encrypt_buffer(p, ks) for p in pieces)
         assert joined == aes128_encrypt_buffer(data, ks)
+
+
+class TestEncryptBufferBatches:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        blocks=st.lists(st.binary(min_size=16, max_size=16), max_size=11),
+        batch=st.integers(min_value=1, max_value=4),
+    )
+    @example(key=bytes(16), blocks=[bytes(range(16))] * 10, batch=3)
+    def test_batches_match_oracle(self, key, blocks, batch):
+        """Small batches make every buffer straddle several of them; each
+        block must still equal the independent oracle's."""
+        expected = b"".join(ref.encrypt_block(b, key) for b in blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aes, "BATCH_BLOCKS", batch)
+            assert aes128_encrypt_buffer(b"".join(blocks), key_expansion(key)) == expected
+
+    def test_any_contiguous_buffer(self):
+        """bytes, bytearray, an odd-offset slice (unaligned words) and a
+        typed array give the same ciphertext, sized in bytes."""
+        data = random.Random(11).randbytes(16 * 37)
+        ks = key_expansion(FIPS_KEY)
+        expected = b"".join(
+            ref.encrypt_block(data[i : i + 16], FIPS_KEY) for i in range(0, len(data), 16)
+        )
+        odd = memoryview(bytearray(b"\x00" + data))[1:]
+        words = array("I")
+        words.frombytes(data)
+        for buf in (data, bytearray(data), odd, memoryview(words), words):
+            out = aes128_encrypt_buffer(buf, ks)
+            assert type(out) is bytearray
+            assert out == expected
+        assert type(aes128_encrypt_block(data[:16], ks)) is bytes
+        with pytest.raises(AlignmentError):
+            aes128_encrypt_buffer(array("I", [0] * 5), ks)
+
+    def test_peak_memory_is_one_output(self):
+        """A call holds the ciphertext once, plus one batch of state."""
+        data = bytes(4 << 20)
+        ks = key_expansion(FIPS_KEY)
+        aes128_encrypt_buffer(data[:16], ks)  # build the cached tables first
+        tracemalloc.start()
+        try:
+            aes128_encrypt_buffer(data, ks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(data)

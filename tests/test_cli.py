@@ -586,3 +586,23 @@ def test_experiment_notes_accepted(tmp_path):
     assert main(["validate", "--profile", cfg]) == 0
     assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
                  "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+
+
+def test_python_dash_m_runs_cli():
+    """`python -m pimcrypt` runs the command line in a checkout where the
+    console script is not installed."""
+    import subprocess
+    import sys
+
+    import pimcrypt
+
+    src = os.path.dirname(os.path.dirname(pimcrypt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    profile = resources.files("pimcrypt").joinpath("profiles/default.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pimcrypt", "validate", "--profile", str(profile)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "profile=ok" in proc.stdout

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -521,3 +522,14 @@ def test_job_prices_each_distinct_dpu_workload_once(monkeypatch):
         [price_dpu(DpuWorkload(410, 16), cost, PROFILE)] * 24
         + [price_dpu(DpuWorkload(409, 16), cost, PROFILE)] * 16
     )
+
+
+def test_typed_buffer_is_sized_in_bytes():
+    """A memoryview of a typed array is planned and encrypted by its bytes,
+    not its item count, exactly like the bytes it holds."""
+    plain = _random_buffer(16 * 50, seed=4)
+    typed = run_job(memoryview(array("I", plain)), KEY, n_ranks=2)
+    expected = run_job(plain, KEY, n_ranks=2)
+    assert typed.plan == expected.plan
+    assert typed.plan.payload_bytes_to_dpu == len(plain)
+    assert typed.output == expected.output
