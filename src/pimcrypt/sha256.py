@@ -4,9 +4,16 @@ A message is consumed as a stream of 64-byte blocks; every block update
 depends on the running state, so one message can never be split across
 workers — parallelism only exists across messages. sha256_many drives an
 arbitrary batch of messages through one ragged lane-vectorized pass (one
-numpy lane per message). Lanes are sorted by padded block count, longest
-first, and compression step s runs only the prefix of lanes whose chains
-are longer than s, so the pass takes as many steps as the longest chain.
+lane per message). Lanes are sorted by padded block count, longest first,
+and compression step s runs only the prefix of lanes whose chains are
+longer than s, so the pass takes as many steps as the longest chain.
+A step of more than PACKED_MAX_LANES lanes is compressed with numpy, one
+uint32 array element per lane. A narrower step, such as the tail of a
+few long messages, is compressed on Python ints that pack its lanes side
+by side, one 64-bit slot each ("SIMD within a register": Fisher and
+Dietz, "Compiling for SIMD within a register", LCPC 1998): there each
+numpy call would do so little work that its fixed per-call cost would
+dominate, while a big-int operation's cost grows with the lane count.
 A block's message schedule does not depend on the running state, so the
 schedules of many steps are computed ahead, SCHEDULE_BATCH_BLOCKS blocks
 at a time (the multi-buffer technique of Gueron and Krasnov, "Parallelizing
@@ -41,6 +48,7 @@ ROUND_CONSTANTS = (
 BLOCK_BYTES = 64
 DIGEST_BYTES = 32
 SCHEDULE_BATCH_BLOCKS = 2048  # blocks scheduled ahead at once: ~512 KiB of W
+PACKED_MAX_LANES = 128  # widest step compressed on packed ints, not numpy
 
 _K = np.array(ROUND_CONSTANTS, dtype=np.uint32)[:, None]
 # Shift amounts, made once as 0-d uint32 arrays. numpy converts a scalar
@@ -65,7 +73,11 @@ def padded_block_count(message_len: int) -> int:
 
 
 def _batch_blocks(
-    messages: list[bytes], lengths: np.ndarray, counts: np.ndarray, active: np.ndarray, s0: int
+    messages: list[bytes | memoryview],
+    lengths: np.ndarray,
+    counts: np.ndarray,
+    active: np.ndarray,
+    s0: int,
 ) -> np.ndarray:
     """Padded blocks s0 .. s0 + len(active) - 1 of the running lanes, as
     (blocks, 16) words, step by step: step s0's lanes first, then s0 + 1's.
@@ -80,8 +92,8 @@ def _batch_blocks(
     lengths, counts = lengths[:m0], counts[:m0]
     ends = np.minimum(counts, s0 + len(active))
     his = BLOCK_BYTES * ends
-    chunks = [
-        message[lo:hi].ljust(hi - lo, b"\x00")
+    chunks = [  # bytes() of a memoryview slice: views have no ljust
+        bytes(message[lo:hi]).ljust(hi - lo, b"\x00")
         for message, hi in zip(messages, his.tolist())
     ]
     data = np.frombuffer(bytearray(b"".join(chunks)), dtype=np.uint8)
@@ -127,13 +139,43 @@ def _compress(state: np.ndarray, wk: np.ndarray) -> None:
     state[:, : wk.shape[1]] += (a, b, c, d, e, f, g, h)
 
 
-def sha256_digest(message: bytes) -> bytes:
+def _compress_packed(state: np.ndarray, wk: np.ndarray) -> None:
+    """_compress on Python ints: each state word and each W[t] + K[t] row
+    is one int holding lane i in bits 64i .. 64i + 31. The 32 spare bits
+    of every lane take the carries of a round's adds, so one mask per new
+    word keeps the lanes apart; a rotation is one shift of the doubled
+    word e | e << 32, masked. Rows go through "<u8" bytes both ways, so
+    the packing holds on any host byte order."""
+    lanes = wk.shape[1]
+    width = 8 * lanes
+    mask = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * lanes, "little")
+    rows = np.concatenate((state[:, :lanes], wk)).astype("<u8").tobytes()
+    a, b, c, d, e, f, g, h, *ks = [
+        int.from_bytes(rows[i : i + width], "little") for i in range(0, len(rows), width)
+    ]
+    # Maj(a, b, c) = b ^ ((a ^ b) & (b ^ c)); a round's a ^ b is the next round's b ^ c
+    bc = b ^ c
+    for k in ks:
+        ee = e | e << 32
+        aa = a | a << 32
+        ab = a ^ b
+        t1 = h + ((ee >> 6 ^ ee >> 11 ^ ee >> 25) & mask) + (g ^ (e & (f ^ g))) + k
+        t2 = ((aa >> 2 ^ aa >> 13 ^ aa >> 22) & mask) + (b ^ (ab & bc))
+        h, g, f, e, d, c, b, a = g, f, e, (d + t1) & mask, c, b, a, (t1 + t2) & mask
+        bc = ab
+    packed = b"".join(x.to_bytes(width, "little") for x in (a, b, c, d, e, f, g, h))
+    state[:, :lanes] += np.frombuffer(packed, dtype="<u8").reshape(8, lanes).astype(np.uint32)
+
+
+def sha256_digest(message: bytes | bytearray | memoryview) -> bytes:
     """Hash one message."""
     return sha256_many([message])[0]
 
 
-def sha256_many(messages: list[bytes]) -> list[bytes]:
+def sha256_many(messages: list[bytes | bytearray | memoryview]) -> list[bytes]:
     """Hash a batch of messages, output in input order.
+
+    A message is bytes or any C-contiguous buffer, hashed by its bytes.
 
     One ragged pass over all lanes, sorted by padded block count, longest
     first: step s compresses the prefix of lanes with more than s blocks,
@@ -142,6 +184,8 @@ def sha256_many(messages: list[bytes]) -> list[bytes]:
     computed for a batch of steps at a time, at least one whole step and
     otherwise at most SCHEDULE_BATCH_BLOCKS blocks.
     """
+    # any other buffer as a byte view: an array('I') is sized in bytes, not items
+    messages = [m if isinstance(m, bytes) else memoryview(m).cast("B") for m in messages]
     lengths = np.array([len(m) for m in messages], dtype=np.int64)
     n = len(messages)
     if not n:
@@ -163,7 +207,8 @@ def sha256_many(messages: list[bytes]) -> list[bytes]:
         wk = _schedule(_batch_blocks(ordered, lengths, counts, active[s0:s1], s0))
         start = 0
         for m in active[s0:s1].tolist():
-            _compress(state, wk[:, start : start + m])
+            compress = _compress_packed if m <= PACKED_MAX_LANES else _compress
+            compress(state, wk[:, start : start + m])
             start += m
         s0 = s1
     out = np.empty((n, 8), dtype=">u4")

@@ -1,13 +1,16 @@
 import hashlib
 import math
 import random
+from array import array
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import reference as ref
+from pimcrypt import sha256 as sha256_module
 from pimcrypt.sha256 import (
     INIT_STATE,
     MAX_MESSAGE_BYTES,
@@ -146,3 +149,39 @@ class TestBatch:
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
             sha256_many([b"abc", FakeLen()])
+
+
+def test_any_contiguous_buffer():
+    """A message is hashed by its bytes, whatever buffer holds them: an
+    array('I') is 400 bytes long, not 100."""
+    raw = random.Random(12).randbytes(1000)
+    msgs = [raw, bytearray(raw), memoryview(raw)[1:600], array("I", raw[:400])]
+    expected = [hashlib.sha256(m).digest() for m in msgs]
+    assert sha256_many(msgs) == expected
+    assert [sha256_digest(m) for m in msgs] == expected
+
+
+class TestCompressionPaths:
+    """sha256_many compresses a step on packed ints when it has at most
+    PACKED_MAX_LANES lanes and with numpy otherwise. Threshold 0 runs every
+    step with numpy, 10**6 every step packed, and 4 switches path inside a
+    schedule batch as the lanes run out."""
+
+    @pytest.mark.parametrize("threshold", [0, 4, 10**6])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from(_BOUNDARY_LENGTHS) | st.integers(0, 700), max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ragged_pass_matches_hashlib(self, threshold, lengths, seed):
+        rng = random.Random(seed)
+        lengths = list(_BOUNDARY_LENGTHS) + lengths
+        rng.shuffle(lengths)
+        msgs = [rng.randbytes(n) for n in lengths]
+        with mock.patch.object(sha256_module, "PACKED_MAX_LANES", threshold):
+            assert sha256_many(msgs) == [hashlib.sha256(m).digest() for m in msgs]
+
+    def test_long_single_chain(self):
+        """64 KiB is 1,025 one-lane steps."""
+        msg = random.Random(14).randbytes(64 << 10)
+        assert sha256_digest(msg) == hashlib.sha256(msg).digest()
