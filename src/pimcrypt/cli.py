@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import bench as bh
 from . import machine as mc
@@ -116,12 +117,9 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
     paths = []
     for item in inputs:
         if os.path.isdir(item):
-            names = sorted(os.listdir(item))
-            paths.extend(
-                os.path.join(item, n)
-                for n in names
-                if os.path.isfile(os.path.join(item, n))
-            )
+            with os.scandir(item) as entries:  # is_file() follows symlinks
+                names = sorted(e.name for e in entries if e.is_file())
+            paths.extend(os.path.join(item, n) for n in names)
         else:
             paths.append(item)
     return paths
@@ -223,7 +221,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Cached: callers share the returned parser and must not change it. A
+    parser is a web of reference cycles, so one built per call would leave
+    that much garbage for the cycle collector on every run of main.
+    """
     parser = argparse.ArgumentParser(
         prog="pimcrypt",
         description="Near-memory AES-128/SHA-256 kernels with a deterministic "

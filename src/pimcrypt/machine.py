@@ -21,7 +21,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Literal
 
@@ -183,30 +183,101 @@ class TimelineEvent:
     kind: str
 
 
-@dataclass(frozen=True)
-class ExecutionTimeline:
-    """Timestamped per-rank events of one job, sorted by time."""
+_KIND_COLUMN = {kind: k for k, kind in enumerate(EVENT_KINDS)}
 
-    events: tuple[TimelineEvent, ...]
+
+class ExecutionTimeline:
+    """Event times of one job: times[r, k] is when rank r's EVENT_KINDS[k]
+    event happens, NaN where that rank has no such event.
+
+    The planner builds a timeline from its (ranks, 8) array; events, the
+    same times as TimelineEvent objects sorted by (time, rank, kind index),
+    are derived on first access. A timeline built from events keeps them as
+    given and maps each into the array, where a repeated kind counts at its
+    last event; what the array cannot hold (unknown kinds, the earlier
+    events of a repeated kind) stays in spare, for validation. times is
+    read-only and timelines with equal times and spare events are equal.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        events: Iterable[TimelineEvent] | None = None,
+        *,
+        times: Iterable[Iterable[float]] | None = None,
+    ) -> None:
+        if (events is None) == (times is None):
+            raise ValueError("give a timeline either events or times")
+        self.spare: tuple[TimelineEvent, ...] = ()
+        if events is not None:
+            events = tuple(events)
+            times, self.spare = _map_events(events)
+            self.__dict__["events"] = events  # seeds the cached property
+        self.times = np.array(times, dtype=np.float64)
+        if self.times.ndim != 2 or self.times.shape[1] != len(EVENT_KINDS):
+            raise ValueError(f"timeline times must be a (ranks, {len(EVENT_KINDS)}) array")
+        self.times.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionTimeline):
+            return NotImplemented
+        return (np.array_equal(self.times, other.times, equal_nan=True)
+                and self.spare == other.spare)
+
+    def __repr__(self) -> str:
+        return f"ExecutionTimeline(times={self.times.tolist()!r}, spare={self.spare!r})"
+
+    @cached_property
+    def events(self) -> tuple[TimelineEvent, ...]:
+        keyed = sorted(
+            (t, r, k)
+            for r, row in enumerate(self.times.tolist())
+            for k, t in enumerate(row)
+            if t == t  # NaN: no such event
+        )
+        return tuple(TimelineEvent(t, r, EVENT_KINDS[k]) for t, r, k in keyed)
 
     @property
     def makespan(self) -> float:
-        return max((e.time for e in self.events), default=0.0)
+        """The latest time in the array, 0.0 for an empty timeline."""
+        latest = float(np.fmax.reduce(self.times, axis=None, initial=-math.inf))
+        return latest if latest > -math.inf else 0.0
 
     def rank_events(self, rank: int) -> dict[str, float]:
-        return {e.kind: e.time for e in self.events if e.rank == rank}
+        if not 0 <= rank < len(self.times):
+            return {}
+        return {EVENT_KINDS[k]: t for k, t in enumerate(self.times[rank].tolist()) if t == t}
 
     def phase_intervals(self, start_kind: str, end_kind: str) -> list[tuple[float, float]]:
         """Per-rank (start, end) pairs for one phase, where both ends exist,
         in rank order; a kind repeated on a rank counts at its last event."""
-        starts: dict[int, float] = {}
-        ends: dict[int, float] = {}
-        for e in self.events:
-            if e.kind == start_kind:
-                starts[e.rank] = e.time
-            if e.kind == end_kind:
-                ends[e.rank] = e.time
-        return [(starts[r], ends[r]) for r in sorted(starts.keys() & ends.keys())]
+        starts = self.times[:, _KIND_COLUMN[start_kind]].tolist()
+        ends = self.times[:, _KIND_COLUMN[end_kind]].tolist()
+        return [(s, e) for s, e in zip(starts, ends) if s == s and e == e]  # NaN: absent
+
+
+def _map_events(
+    events: tuple[TimelineEvent, ...]
+) -> tuple[np.ndarray, tuple[TimelineEvent, ...]]:
+    """Rows of event times by rank and kind, the last event of a kind
+    winning, and the events left out of them."""
+    if any(e.rank < 0 for e in events):
+        raise ValueError("timeline ranks must be non-negative")
+    rows = [[math.nan] * len(EVENT_KINDS)
+            for _ in range(max((e.rank for e in events), default=-1) + 1)]
+    placed: dict[tuple[int, int], TimelineEvent] = {}
+    spare = []
+    for e in events:
+        k = _KIND_COLUMN.get(e.kind)
+        if k is None:
+            spare.append(e)
+            continue
+        if (e.rank, k) in placed:
+            spare.append(placed[e.rank, k])
+        placed[e.rank, k] = e
+        rows[e.rank][k] = e.time
+    return np.array(rows, dtype=np.float64).reshape(-1, len(EVENT_KINDS)), tuple(spare)
 
 
 def busy_time(intervals: Iterable[tuple[float, float]]) -> float:
@@ -294,16 +365,17 @@ def simulate_dpu_kernel(
     chunk = min(cost.wram_cache_bytes, profile.max_mram_access_bytes)
     base, rem = divmod(workload.total_units, workload.tasklets)
     mram_cycles = 0.0
-    for t in range(workload.tasklets):
-        units = base + (1 if t < rem else 0)
+    # the first rem tasklets take base + 1 units, the rest base. Each share
+    # is priced once but still added once per tasklet, never multiplied, so
+    # the float sum rounds exactly as a per-tasklet loop does
+    for units, count in ((base + 1, rem), (base, workload.tasklets - rem)):
         if units == 0:
             continue
-        mram_cycles += _streamed_access_cycles(
-            units * cost.mram_read_bytes_per_unit, chunk, profile
-        )
-        mram_cycles += _streamed_access_cycles(
-            units * cost.mram_write_bytes_per_unit, chunk, profile
-        )
+        read = _streamed_access_cycles(units * cost.mram_read_bytes_per_unit, chunk, profile)
+        write = _streamed_access_cycles(units * cost.mram_write_bytes_per_unit, chunk, profile)
+        for _ in range(count):
+            mram_cycles += read
+            mram_cycles += write
     return (compute_cycles + mram_cycles) / profile.dpu_frequency
 
 

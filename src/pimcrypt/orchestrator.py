@@ -3,7 +3,9 @@
 A job takes a workload (an AES buffer or a set of messages to hash), splits
 it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
-machine model). Three strategies are supported:
+machine model): a (ranks, 8) array of event times, one row per rank, from
+which the phase times, the makespan and validation are read. Three
+strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -317,20 +319,12 @@ def _build_timeline(
             from_starts[r] = cursor
             cursor += ph.from_dpu
 
-    keyed = []
-    for r, ph in enumerate(rank_phases):
-        times = (  # in EVENT_KINDS order; inbound transfer starts as staging ends
-            prep_starts[r], prep_ends[r], prep_ends[r], to_ends[r],
-            launches[r], kernel_ends[r], from_starts[r], from_starts[r] + ph.from_dpu,
-        )
-        keyed.extend((time, r, k) for k, time in enumerate(times))
-    keyed.sort()
-    return mc.ExecutionTimeline(
-        events=tuple(
-            mc.TimelineEvent(time=time, rank=r, kind=mc.EVENT_KINDS[k])
-            for time, r, k in keyed
-        )
-    )
+    from_ends = [start + ph.from_dpu for start, ph in zip(from_starts, rank_phases)]
+    # columns in EVENT_KINDS order; the inbound transfer starts as staging ends
+    return mc.ExecutionTimeline(times=list(zip(
+        prep_starts, prep_ends, prep_ends, to_ends,
+        launches, kernel_ends, from_starts, from_ends,
+    )))
 
 
 def run_job(
@@ -383,10 +377,25 @@ class TimelineViolation:
 
 
 def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]:
-    """Check every timeline invariant; returns all violations (empty = ok)."""
+    """Check every timeline invariant; returns all violations (empty = ok).
+
+    Each rank's kinds must appear at most once, be known, carry
+    non-negative times and follow EVENT_KINDS order. One pass over the
+    times array finds the ranks that may break a rule: a negative, missing
+    or decreasing time, or an event left out of the array. Only those ranks
+    are checked event by event, in the order their events are given.
+    """
+    # a clean row starts at or after 0 and never decreases; NaN fails both
+    times = timeline.times
+    clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
+    ranks = set(np.flatnonzero(~clean).tolist())
+    ranks.update(e.rank for e in timeline.spare)
+    if not ranks:
+        return []
     by_rank: dict[int, list[mc.TimelineEvent]] = {}
     for event in timeline.events:
-        by_rank.setdefault(event.rank, []).append(event)
+        if event.rank in ranks:
+            by_rank.setdefault(event.rank, []).append(event)
     violations = []
     for rank in sorted(by_rank):
         seen: dict[str, float] = {}

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -134,6 +135,19 @@ class TestHash:
         assert main([
             "hash", "--in", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "d"),
         ]) == 4
+
+    def test_directory_keeps_files_and_links_to_files(self, tmp_path):
+        """A directory contributes its regular files and symlinks to files,
+        by name; subdirectories and dangling links are skipped."""
+        d = tmp_path / "msgs"
+        d.mkdir()
+        (d / "c.bin").write_bytes(b"file")
+        (d / "a.link").symlink_to(d / "c.bin")
+        (d / "b.dir").mkdir()
+        (d / "d.dangling").symlink_to(d / "missing")
+        dst = tmp_path / "digests.txt"
+        assert main(["hash", "--in", str(d), "--out", str(dst)]) == 0
+        assert dst.read_text().splitlines() == [sha256_digest(b"file").hex()] * 2
 
 
 class TestBench:
@@ -533,6 +547,38 @@ def _bundled_argvs(tmp_path):
     return {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), str(cfg))}
 
 
+# sha256 of the whole stdout of `-v` runs on a 3-rank, 5-DPU-per-rank job:
+# the key=value summary and one `event t=... rank=... kind=...` line per event
+_GOLDEN_VERBOSE = {
+    ("encrypt", "sync"): "96c50c9380feff9bff4b9c89fa69999e1e2517ce194c6616c248eef134f95f78",
+    ("encrypt", "pim1"): "2891488f9db729923a2b0ee66733626b7ad68b6824ed42818cc8b42f1385879f",
+    ("encrypt", "pim2"): "9fdc966022f2bee891a88d385dee2db92c45ad62580181684d215013a45c8c30",
+    ("hash", "sync"): "cef89a314058d2a8d68a9d2df43c05c14ae7c9c8b3d59cd5bc6990bb79b96940",
+    ("hash", "pim1"): "04012802f23f51af3eabec3916659e40cf3d90217746e6710a2b1a7f52994744",
+    ("hash", "pim2"): "e0665f405e00bbdda37807af5d9303922858bda82bb0c27cd8d92b66858a6cc5",
+}
+
+
+@pytest.mark.parametrize("command,strategy", sorted(_GOLDEN_VERBOSE))
+def test_verbose_output_pinned(tmp_path, capsys, command, strategy):
+    if command == "encrypt":
+        src = tmp_path / "plain.bin"
+        src.write_bytes(bytes(range(256)) * 4100)
+        argv = ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src),
+                "--out", str(tmp_path / "out.bin")]
+    else:
+        src = tmp_path / "msgs"
+        src.mkdir()
+        for i, n in enumerate(range(0, 4000, 37)):
+            (src / f"m{i:03d}").write_bytes(bytes([i % 251]) * n)
+        argv = ["hash", "--in", str(src), "--out", str(tmp_path / "digests.txt")]
+    argv += ["--ranks", "3", "--dpus-per-rank", "5", "--strategy", strategy, "-v"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\nevent t=") == 24
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_VERBOSE[command, strategy]
+
+
 @pytest.mark.parametrize("case", [
     "encrypt --out DIR", "hash --out DIR", "bench --out-dir FILE",
     "encrypt --profile MISSING", "hash --profile MISSING", "bench --config MISSING",
@@ -547,14 +593,14 @@ def test_io_failure_is_io_error(tmp_path, monkeypatch, capsys, case):
     argv = _bundled_argvs(tmp_path)[command] + [flag, str(value)]
     if target == "UNLISTABLE":
         # chmod cannot stop a listing by root, so the refusal is simulated
-        listdir = os.listdir
+        scandir = os.scandir
 
         def refuse(path="."):
             if os.fspath(path) == str(value):
                 raise PermissionError(13, "Permission denied", str(value))
-            return listdir(path)
+            return scandir(path)
 
-        monkeypatch.setattr(os, "listdir", refuse)
+        monkeypatch.setattr(os, "scandir", refuse)
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")

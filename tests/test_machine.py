@@ -14,6 +14,7 @@ from pimcrypt.machine import (
     KernelCost,
     MachineProfile,
     TimelineEvent,
+    _streamed_access_cycles,
     bundled_default_config,
     default_profile,
     effective_ipc,
@@ -202,6 +203,36 @@ class TestSimulateDpuKernel:
             simulate_dpu_kernel(
                 DpuWorkload(total_units=10, tasklets=8), fat, PROFILE
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        units=st.integers(1, 5000),
+        tasklets=st.integers(1, 24),
+        read=st.floats(0, 80),
+        write=st.floats(0, 80),
+        per_byte=st.floats(0.01, 3),
+        fixed=st.floats(1, 200),
+    )
+    def test_equals_per_tasklet_loop(self, units, tasklets, read, write, per_byte, fixed):
+        """Pricing each tasklet share once keeps the per-tasklet sum bit for
+        bit, with fractional MRAM traffic and non-dyadic cycle costs."""
+        profile = dataclasses.replace(
+            PROFILE, mram_cycles_per_byte=per_byte, mram_fixed_cycles=fixed
+        )
+        cost = dataclasses.replace(
+            AES_COST, mram_read_bytes_per_unit=read, mram_write_bytes_per_unit=write
+        )
+        chunk = min(cost.wram_cache_bytes, profile.max_mram_access_bytes)
+        base, rem = divmod(units, tasklets)
+        mram = 0.0
+        for t in range(tasklets):
+            share = base + (1 if t < rem else 0)
+            if share:
+                mram += _streamed_access_cycles(share * read, chunk, profile)
+                mram += _streamed_access_cycles(share * write, chunk, profile)
+        compute = units * cost.instructions_per_unit / effective_ipc(tasklets, profile)
+        assert simulate_dpu_kernel(DpuWorkload(units, tasklets), cost, profile) == \
+            (compute + mram) / profile.dpu_frequency
 
 
 # a DPU's (units, tasklets): repeated unit counts, and now and then an invalid entry

@@ -3,6 +3,7 @@ import hashlib
 import random
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from pimcrypt import reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError
 from pimcrypt.machine import (
+    EVENT_KINDS,
     DpuWorkload,
     ExecutionTimeline,
     KernelCost,
@@ -22,9 +24,13 @@ from pimcrypt.machine import (
     simulate_dpu_kernel,
 )
 from pimcrypt.orchestrator import (
+    _SCHEDULES,
     AesWorkload,
+    RankPhases,
     ShaWorkload,
     Strategy,
+    TimelineViolation,
+    _build_timeline,
     _sha_cost_for,
     partition_aes,
     partition_sha,
@@ -480,6 +486,155 @@ def test_timeline_bit_exact(algorithm, strategy):
     text = repr([(e.time, e.rank, e.kind) for e in plan.timeline.events])
     assert len(plan.timeline.events) == 24
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_TIMELINES[algorithm, strategy]
+
+
+def _sorted_events_timeline(strategy, rank_phases, t0):
+    """Oracle: the event list as the planner built it before timelines were
+    arrays, one TimelineEvent per (rank, kind), sorted by (time, rank, kind
+    index)."""
+    waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
+    prep_starts, prep_ends, to_ends = [], [], []
+    cursor = t0
+    for ph in rank_phases:
+        prep_starts.append(cursor)
+        cursor += ph.prepare
+        prep_ends.append(cursor)
+        to_ends.append(cursor + ph.to_dpu)
+        if waits_for_inbound:
+            cursor = to_ends[-1]
+    barrier = max(to_ends, default=t0)
+    launches = [barrier if launch_barrier else end for end in to_ends]
+    kernel_ends = [launch + ph.kernel for launch, ph in zip(launches, rank_phases)]
+    from_starts = list(kernel_ends)
+    if serial_drain:
+        cursor = max(kernel_ends, default=t0)
+        for r, ph in enumerate(rank_phases):
+            from_starts[r] = cursor
+            cursor += ph.from_dpu
+    keyed = []
+    for r, ph in enumerate(rank_phases):
+        times = (
+            prep_starts[r], prep_ends[r], prep_ends[r], to_ends[r],
+            launches[r], kernel_ends[r], from_starts[r], from_starts[r] + ph.from_dpu,
+        )
+        keyed.extend((time, r, k) for k, time in enumerate(times))
+    keyed.sort()
+    return [TimelineEvent(time=time, rank=r, kind=EVENT_KINDS[k]) for time, r, k in keyed]
+
+
+def _event_phase_intervals(events, start_kind, end_kind):
+    """Oracle: per-rank (start, end) pairs, a repeated kind at its last event."""
+    starts, ends = {}, {}
+    for e in events:
+        if e.kind == start_kind:
+            starts[e.rank] = e.time
+        if e.kind == end_kind:
+            ends[e.rank] = e.time
+    return [(starts[r], ends[r]) for r in sorted(starts.keys() & ends.keys())]
+
+
+def _event_validator(events):
+    """Oracle: the validator as it walked events before timelines were arrays."""
+    by_rank = {}
+    for event in events:
+        by_rank.setdefault(event.rank, []).append(event)
+    violations = []
+    for rank in sorted(by_rank):
+        seen = {}
+        for event in by_rank[rank]:
+            if event.kind not in EVENT_KINDS:
+                violations.append(TimelineViolation(rank, "unknown event kind", event.kind))
+                continue
+            if event.kind in seen:
+                violations.append(TimelineViolation(rank, "duplicate event", event.kind))
+                continue
+            if event.time < 0:
+                violations.append(TimelineViolation(
+                    rank, "negative timestamp", f"{event.kind}@{event.time}"
+                ))
+            seen[event.kind] = event.time
+        present = [k for k in EVENT_KINDS if k in seen]
+        for earlier, later in zip(present, present[1:]):
+            if seen[later] < seen[earlier]:
+                violations.append(TimelineViolation(
+                    rank, f"{later} before {earlier}", f"{seen[later]} < {seen[earlier]}"
+                ))
+    return violations
+
+
+# few distinct values, so zero durations and equal event times are common
+_DURATIONS = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1e-9, 3.0])
+_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.0, -1.0, 2.5]),
+    st.floats(-5, 5, allow_nan=False),
+)
+
+_EVENT = st.builds(TimelineEvent, _TIMES, st.integers(0, 4),
+                   st.sampled_from(EVENT_KINDS + ("bogus",)))
+
+
+@st.composite
+def _hand_built_events(draw):
+    """Whole ranks with their kinds in order, one event maybe dropped, plus a
+    few stray events (repeats, unknown kinds, any time), in any order."""
+    events = []
+    for rank in range(draw(st.integers(0, 4))):
+        times = sorted(draw(st.lists(_TIMES, min_size=8, max_size=8)))
+        events += map(TimelineEvent, times, [rank] * 8, EVENT_KINDS)
+    if events and draw(st.booleans()):
+        events.pop(draw(st.integers(0, len(events) - 1)))
+    events += draw(st.lists(_EVENT, max_size=6))
+    return draw(st.permutations(events))
+
+
+class TestTimelineArray:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        phases=st.lists(st.builds(RankPhases, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS),
+                        min_size=1, max_size=6),
+        t0=st.sampled_from([0.0, 0.1, 1e-5]),
+        strategy=st.sampled_from(list(Strategy)),
+    )
+    def test_matches_sorted_event_list(self, phases, t0, strategy):
+        """The array timeline derives the events, makespan and phase
+        intervals the sorted event list gave, bit for bit."""
+        timeline = _build_timeline(strategy, phases, t0)
+        expected = _sorted_events_timeline(strategy, phases, t0)
+        assert timeline.times.shape == (len(phases), len(EVENT_KINDS))
+        assert list(timeline.events) == expected
+        assert timeline.makespan == max(e.time for e in expected)
+        for start_kind in EVENT_KINDS:
+            for end_kind in EVENT_KINDS:
+                assert timeline.phase_intervals(start_kind, end_kind) == \
+                    _event_phase_intervals(expected, start_kind, end_kind)
+        assert validate_timeline(timeline) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=_hand_built_events())
+    def test_validator_matches_event_walk(self, events):
+        """Duplicates, unknown kinds, negative times, out-of-order and
+        missing kinds give the same violations, in the same order and text."""
+        timeline = ExecutionTimeline(events=events)
+        assert validate_timeline(timeline) == _event_validator(events)
+        assert timeline.events == tuple(events)
+        # every event is kept, in the array or in spare
+        assert len(timeline.spare) + np.count_nonzero(~np.isnan(timeline.times)) == len(events)
+        # the array alone is the timeline exactly when no event was left out
+        assert (ExecutionTimeline(times=timeline.times) == timeline) == (not timeline.spare)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(_TIMES, min_size=8, max_size=8), max_size=5))
+    def test_events_and_array_built_are_equal(self, rows):
+        times = np.array(rows, dtype=np.float64).reshape(-1, len(EVENT_KINDS))
+        from_array = ExecutionTimeline(times=times)
+        from_events = ExecutionTimeline(events=from_array.events)
+        assert from_events == from_array
+        assert validate_timeline(from_events) == validate_timeline(from_array)
+        assert not from_array.times.flags.writeable
+        with pytest.raises(ValueError):
+            from_array.times[...] = 0.0
+        times[...] = 1.0  # the timeline holds its own copy
+        assert from_events == from_array
 
 
 class TestShaTaskletAssignment:
