@@ -19,9 +19,7 @@ baseline_s.
 from __future__ import annotations
 
 import os
-import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -42,7 +40,7 @@ from .sha256 import sha256_many
 
 
 EXPERIMENT_NAMES = ("tasklet_scaling", "strong_scaling", "weak_scaling", "rank_scaling")
-ALGORITHMS = ("aes128", "sha256")
+ALGORITHMS = mc.ALGORITHMS
 
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
 
@@ -319,6 +317,8 @@ def run_host_baseline(
     repeated calls measure identical work. Values are host-dependent by
     nature; no contract is attached to them beyond output correctness.
     """
+    if threads > 1:  # imported here, so a CLI run without threads never pays for it
+        from concurrent.futures import ThreadPoolExecutor
     rng = np.random.default_rng(seed)
     if algorithm == "aes128":
         nbytes = int(workload)
@@ -361,7 +361,7 @@ def run_host_baseline(
         times.append(time.perf_counter() - start)
     if out != reference_out:
         raise AssertionError("baseline output diverged from the sequential kernel")
-    return statistics.median(times)
+    return float(np.median(times))
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,9 @@ def default_profile() -> MachineProfile:
     return bundled_default_config().machine
 
 
+ALGORITHMS = ("aes128", "sha256")  # the kernels a config may price
+
+
 @dataclass(frozen=True)
 class KernelCost:
     """Per-unit cost of a kernel; a unit is one 16-byte AES block or one
@@ -190,30 +193,15 @@ class ExecutionTimeline:
     """Event times of one job: times[r, k] is when rank r's EVENT_KINDS[k]
     event happens, NaN where that rank has no such event.
 
-    The planner builds a timeline from its (ranks, 8) array; events, the
-    same times as TimelineEvent objects sorted by (time, rank, kind index),
-    are derived on first access. A timeline built from events keeps them as
-    given and maps each into the array, where a repeated kind counts at its
-    last event; what the array cannot hold (unknown kinds, the earlier
-    events of a repeated kind) stays in spare, for validation. times is
-    read-only and timelines with equal times and spare events are equal.
+    times is the timeline, a read-only copy of the (ranks, 8) array given;
+    events, the same times as TimelineEvent objects sorted by (time, rank,
+    kind index), are derived from it on first access. Timelines with equal
+    times are equal.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        events: Iterable[TimelineEvent] | None = None,
-        *,
-        times: Iterable[Iterable[float]] | None = None,
-    ) -> None:
-        if (events is None) == (times is None):
-            raise ValueError("give a timeline either events or times")
-        self.spare: tuple[TimelineEvent, ...] = ()
-        if events is not None:
-            events = tuple(events)
-            times, self.spare = _map_events(events)
-            self.__dict__["events"] = events  # seeds the cached property
+    def __init__(self, times: Iterable[Iterable[float]]) -> None:
         self.times = np.array(times, dtype=np.float64)
         if self.times.ndim != 2 or self.times.shape[1] != len(EVENT_KINDS):
             raise ValueError(f"timeline times must be a (ranks, {len(EVENT_KINDS)}) array")
@@ -222,11 +210,10 @@ class ExecutionTimeline:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionTimeline):
             return NotImplemented
-        return (np.array_equal(self.times, other.times, equal_nan=True)
-                and self.spare == other.spare)
+        return np.array_equal(self.times, other.times, equal_nan=True)
 
     def __repr__(self) -> str:
-        return f"ExecutionTimeline(times={self.times.tolist()!r}, spare={self.spare!r})"
+        return f"ExecutionTimeline(times={self.times.tolist()!r})"
 
     @cached_property
     def events(self) -> tuple[TimelineEvent, ...]:
@@ -251,33 +238,10 @@ class ExecutionTimeline:
 
     def phase_intervals(self, start_kind: str, end_kind: str) -> list[tuple[float, float]]:
         """Per-rank (start, end) pairs for one phase, where both ends exist,
-        in rank order; a kind repeated on a rank counts at its last event."""
+        in rank order."""
         starts = self.times[:, _KIND_COLUMN[start_kind]].tolist()
         ends = self.times[:, _KIND_COLUMN[end_kind]].tolist()
         return [(s, e) for s, e in zip(starts, ends) if s == s and e == e]  # NaN: absent
-
-
-def _map_events(
-    events: tuple[TimelineEvent, ...]
-) -> tuple[np.ndarray, tuple[TimelineEvent, ...]]:
-    """Rows of event times by rank and kind, the last event of a kind
-    winning, and the events left out of them."""
-    if any(e.rank < 0 for e in events):
-        raise ValueError("timeline ranks must be non-negative")
-    rows = [[math.nan] * len(EVENT_KINDS)
-            for _ in range(max((e.rank for e in events), default=-1) + 1)]
-    placed: dict[tuple[int, int], TimelineEvent] = {}
-    spare = []
-    for e in events:
-        k = _KIND_COLUMN.get(e.kind)
-        if k is None:
-            spare.append(e)
-            continue
-        if (e.rank, k) in placed:
-            spare.append(placed[e.rank, k])
-        placed[e.rank, k] = e
-        rows[e.rank][k] = e.time
-    return np.array(rows, dtype=np.float64).reshape(-1, len(EVENT_KINDS)), tuple(spare)
 
 
 def busy_time(intervals: Iterable[tuple[float, float]]) -> float:
@@ -481,11 +445,17 @@ def parse_config(doc: dict) -> Config:
     unknown = set(doc) - known
     if unknown:
         raise ProfileError(f"unknown config sections: {sorted(unknown)}")
+    costs = _section(doc, "kernel_costs")
+    unknown = set(costs) - set(ALGORITHMS) - {"notes"}
+    if unknown:
+        raise ProfileError(
+            f"unknown kernel_costs entries: {sorted(unknown)}, valid: {', '.join(ALGORITHMS)}"
+        )
     return Config(
         machine=MachineProfile.from_json(doc["machine"]),
         kernel_costs={
             name: _parse_fields(KernelCost, entry, f"kernel cost {name}")
-            for name, entry in _section(doc, "kernel_costs").items()
+            for name, entry in costs.items()
             if name != "notes"
         },
         host=(

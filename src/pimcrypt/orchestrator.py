@@ -3,9 +3,9 @@
 A job takes a workload (an AES buffer or a set of messages to hash), splits
 it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
-machine model): a (ranks, 8) array of event times, one row per rank, from
-which the phase times, the makespan and validation are read. Three
-strategies are supported:
+machine model). The timeline is its (ranks, 8) times array, one row of
+event times per rank; the phase times, the makespan, validation and the
+derived event list are all read from it. Three strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -321,7 +321,7 @@ def _build_timeline(
 
     from_ends = [start + ph.from_dpu for start, ph in zip(from_starts, rank_phases)]
     # columns in EVENT_KINDS order; the inbound transfer starts as staging ends
-    return mc.ExecutionTimeline(times=list(zip(
+    return mc.ExecutionTimeline(list(zip(
         prep_starts, prep_ends, prep_ends, to_ends,
         launches, kernel_ends, from_starts, from_ends,
     )))
@@ -340,8 +340,9 @@ def run_job(
 ) -> JobResult:
     """Execute a workload functionally and price it under a strategy.
 
-    A bytes-like workload is encrypted (key required); a sequence of messages is
-    hashed, with digests returned in input order.
+    A workload that exports the buffer protocol is encrypted by its bytes
+    (key required); a sequence of messages is hashed, with digests returned
+    in input order, and takes no key.
     """
     common = dict(
         strategy=strategy,
@@ -351,16 +352,22 @@ def run_job(
         dpus_per_rank=dpus_per_rank,
         cost=cost,
     )
-    if isinstance(workload, (bytes, bytearray, memoryview)):
+    try:
+        nbytes = memoryview(workload).nbytes
+    except TypeError:  # not a buffer: messages to hash
+        nbytes = None
+    if nbytes is not None:
         if key is None:
             raise ValueError("encryption requires a key")
-        plan = plan_job(AesWorkload(memoryview(workload).nbytes), **common)
+        plan = plan_job(AesWorkload(nbytes), **common)
         # blocks are independent, so one pass over the whole buffer gives
         # what the DPUs' slices would
         return JobResult(
             output=aes128_encrypt_buffer(workload, key_expansion(key)), plan=plan
         )
 
+    if key is not None:
+        raise ValueError("hashing takes no key; a key is only for a buffer to encrypt")
     messages = [bytes(m) for m in workload]
     plan = plan_job(ShaWorkload(tuple(len(m) for m in messages)), **common)
     return JobResult(output=sha256_many(messages), plan=plan)
@@ -379,52 +386,30 @@ class TimelineViolation:
 def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]:
     """Check every timeline invariant; returns all violations (empty = ok).
 
-    Each rank's kinds must appear at most once, be known, carry
-    non-negative times and follow EVENT_KINDS order. One pass over the
-    times array finds the ranks that may break a rule: a negative, missing
-    or decreasing time, or an event left out of the array. Only those ranks
-    are checked event by event, in the order their events are given.
+    Each rank's times must be non-negative and follow EVENT_KINDS order,
+    where a NaN (missing) kind is skipped. One pass over the times array
+    finds the ranks that may break a rule: a negative, missing or
+    decreasing time. Only those rows are checked kind by kind: negative
+    times in (time, kind index) order, then each present kind that comes
+    before the present kind ahead of it.
     """
     # a clean row starts at or after 0 and never decreases; NaN fails both
     times = timeline.times
     clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
-    ranks = set(np.flatnonzero(~clean).tolist())
-    ranks.update(e.rank for e in timeline.spare)
-    if not ranks:
-        return []
-    by_rank: dict[int, list[mc.TimelineEvent]] = {}
-    for event in timeline.events:
-        if event.rank in ranks:
-            by_rank.setdefault(event.rank, []).append(event)
     violations = []
-    for rank in sorted(by_rank):
-        seen: dict[str, float] = {}
-        for event in by_rank[rank]:
-            if event.kind not in mc.EVENT_KINDS:
-                violations.append(
-                    TimelineViolation(rank, "unknown event kind", event.kind)
-                )
-                continue
-            if event.kind in seen:
-                violations.append(
-                    TimelineViolation(rank, "duplicate event", event.kind)
-                )
-                continue
-            if event.time < 0:
-                violations.append(
-                    TimelineViolation(
-                        rank, "negative timestamp", f"{event.kind}@{event.time}"
-                    )
-                )
-            seen[event.kind] = event.time
-        present = [k for k in mc.EVENT_KINDS if k in seen]
-        for earlier, later in zip(present, present[1:]):
-            if seen[later] < seen[earlier]:
+    for rank in np.flatnonzero(~clean).tolist():
+        present = [(k, t) for k, t in enumerate(times[rank].tolist()) if t == t]  # NaN: absent
+        for t, k in sorted((t, k) for k, t in present if t < 0):
+            violations.append(
+                TimelineViolation(rank, "negative timestamp", f"{mc.EVENT_KINDS[k]}@{t}")
+            )
+        for (k0, t0), (k1, t1) in zip(present, present[1:]):
+            if t1 < t0:
                 violations.append(
                     TimelineViolation(
                         rank,
-                        f"{later} before {earlier}",
-                        f"{seen[later]} < {seen[earlier]}",
+                        f"{mc.EVENT_KINDS[k1]} before {mc.EVENT_KINDS[k0]}",
+                        f"{t1} < {t0}",
                     )
                 )
     return violations

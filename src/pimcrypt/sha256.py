@@ -141,7 +141,7 @@ def _compress(state: np.ndarray, wk: np.ndarray) -> None:
 
 def _compress_packed(state: np.ndarray, wk: np.ndarray) -> None:
     """_compress on Python ints: each state word and each W[t] + K[t] row
-    is one int holding lane i in bits 64i .. 64i + 31. The 32 spare bits
+    is one int holding lane i in bits 64i .. 64i + 31. The 32 free bits
     of every lane take the carries of a round's adds, so one mask per new
     word keeps the lanes apart; a rotation is one shift of the doubled
     word e | e << 32, masked. Rows go through "<u8" bytes both ways, so

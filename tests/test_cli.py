@@ -345,6 +345,27 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "encrypt", "bench"])
+    def test_misnamed_kernel_cost_rejected(self, tmp_path, capsys, command):
+        """A kernel_costs entry that names no kernel would silently not take
+        effect, so it is rejected, however plausible its fields."""
+        doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
+        entry = dict(doc["kernel_costs"]["aes128"])
+        entry["instructions_per_unit"] *= 100
+        cfg = _config(tmp_path, entry, "kernel_costs", "aes")
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(32))
+        argv = {
+            "validate": ["validate", "--profile", cfg],
+            "encrypt": ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain),
+                        "--out", str(tmp_path / "c.bin"), "--profile", cfg],
+            "bench": ["bench", "--experiment", "weak_scaling", "--no-baseline",
+                      "--config", cfg, "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "unknown kernel_costs entries: ['aes']" in captured.out + captured.err
+
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
         base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
         plain = tmp_path / "plain.bin"

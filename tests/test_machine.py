@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from pimcrypt.machine import (
     ExecutionTimeline,
     KernelCost,
     MachineProfile,
-    TimelineEvent,
     _streamed_access_cycles,
     bundled_default_config,
     default_profile,
@@ -302,22 +302,21 @@ class TestSimulateRankKernel:
 class TestPhaseIntervals:
     @settings(max_examples=100, deadline=None)
     @given(
-        events=st.lists(
-            st.tuples(st.floats(0, 10), st.integers(0, 5), st.sampled_from(EVENT_KINDS)),
-            max_size=40,
+        rows=st.lists(
+            st.lists(st.floats(0, 10) | st.just(math.nan), min_size=8, max_size=8),
+            max_size=6,
         ),
         start_kind=st.sampled_from(EVENT_KINDS),
         end_kind=st.sampled_from(EVENT_KINDS),
     )
-    def test_equals_per_rank_loop(self, events, start_kind, end_kind):
-        """One pass over the events gives what a scan per rank gave, repeated
-        kinds and a phase whose ends are one kind included."""
-        timeline = ExecutionTimeline(
-            events=tuple(TimelineEvent(time=t, rank=r, kind=k) for t, r, k in events)
-        )
+    def test_equals_per_rank_loop(self, rows, start_kind, end_kind):
+        """One pass over the array gives what a scan of each rank's events
+        gave, missing kinds and a phase whose ends are one kind included."""
+        timeline = ExecutionTimeline(np.array(rows).reshape(-1, len(EVENT_KINDS)))
         spans = []
-        for rank in sorted({e.rank for e in timeline.events}):
-            ev = timeline.rank_events(rank)
+        for rank in range(len(rows)):
+            ev = {e.kind: e.time for e in timeline.events if e.rank == rank}
+            assert timeline.rank_events(rank) == ev
             if start_kind in ev and end_kind in ev:
                 spans.append((ev[start_kind], ev[end_kind]))
         assert timeline.phase_intervals(start_kind, end_kind) == spans

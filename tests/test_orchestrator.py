@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from array import array
 
@@ -442,24 +443,19 @@ class TestValidateTimeline:
 
     def test_launch_before_transfer_end_flagged(self):
         plan = plan_job(AesWorkload(1 << 20), n_ranks=2, dpus_per_rank=8)
-        mutated = []
-        for event in plan.timeline.events:
-            if event.rank == 1 and event.kind == "launch":
-                event = TimelineEvent(time=0.0, rank=1, kind="launch")
-            mutated.append(event)
-        violations = validate_timeline(ExecutionTimeline(events=tuple(mutated)))
+        times = plan.timeline.times.copy()
+        times[1, EVENT_KINDS.index("launch")] = 0.0
+        violations = validate_timeline(ExecutionTimeline(times))
         assert violations
         assert any(v.rank == 1 and "launch" in v.rule for v in violations)
 
     def test_negative_timestamp_flagged(self):
-        timeline = ExecutionTimeline(
-            events=(TimelineEvent(time=-1.0, rank=0, kind="prepare_start"),)
-        )
+        timeline = ExecutionTimeline([[-1.0] + [math.nan] * (len(EVENT_KINDS) - 1)])
         assert any("negative" in v.rule for v in validate_timeline(timeline))
 
     def test_empty_timeline_ok(self):
-        assert validate_timeline(ExecutionTimeline(events=())) == []
-        assert ExecutionTimeline(events=()).makespan == 0.0
+        assert validate_timeline(ExecutionTimeline(np.empty((0, 8)))) == []
+        assert ExecutionTimeline(np.empty((0, 8))).makespan == 0.0
 
 
 # sha256 of repr([(time, rank, kind), ...]) for a 3-rank, 5-DPU-per-rank job
@@ -569,22 +565,20 @@ _TIMES = st.one_of(
     st.floats(-5, 5, allow_nan=False),
 )
 
-_EVENT = st.builds(TimelineEvent, _TIMES, st.integers(0, 4),
-                   st.sampled_from(EVENT_KINDS + ("bogus",)))
-
 
 @st.composite
-def _hand_built_events(draw):
-    """Whole ranks with their kinds in order, one event maybe dropped, plus a
-    few stray events (repeats, unknown kinds, any time), in any order."""
-    events = []
-    for rank in range(draw(st.integers(0, 4))):
-        times = sorted(draw(st.lists(_TIMES, min_size=8, max_size=8)))
-        events += map(TimelineEvent, times, [rank] * 8, EVENT_KINDS)
-    if events and draw(st.booleans()):
-        events.pop(draw(st.integers(0, len(events) - 1)))
-    events += draw(st.lists(_EVENT, max_size=6))
-    return draw(st.permutations(events))
+def _time_rows(draw):
+    """Rows of a times array: in kind order or not, with a few kinds
+    missing (NaN), and -0.0, negative and equal times common."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = draw(st.lists(_TIMES, min_size=8, max_size=8))
+        if draw(st.booleans()):
+            row.sort()
+        for k in draw(st.sets(st.integers(0, 7), max_size=3)):
+            row[k] = math.nan
+        rows.append(row)
+    return rows
 
 
 class TestTimelineArray:
@@ -610,31 +604,29 @@ class TestTimelineArray:
         assert validate_timeline(timeline) == []
 
     @settings(max_examples=300, deadline=None)
-    @given(events=_hand_built_events())
-    def test_validator_matches_event_walk(self, events):
-        """Duplicates, unknown kinds, negative times, out-of-order and
-        missing kinds give the same violations, in the same order and text."""
-        timeline = ExecutionTimeline(events=events)
-        assert validate_timeline(timeline) == _event_validator(events)
-        assert timeline.events == tuple(events)
-        # every event is kept, in the array or in spare
-        assert len(timeline.spare) + np.count_nonzero(~np.isnan(timeline.times)) == len(events)
-        # the array alone is the timeline exactly when no event was left out
-        assert (ExecutionTimeline(times=timeline.times) == timeline) == (not timeline.spare)
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.lists(_TIMES, min_size=8, max_size=8), max_size=5))
-    def test_events_and_array_built_are_equal(self, rows):
+    @given(rows=_time_rows())
+    def test_validator_matches_event_walk(self, rows):
+        """Negative, out-of-order and missing kinds give the violations the
+        event walk gave, in the same order and text; the timeline keeps a
+        read-only copy of the array it was given."""
         times = np.array(rows, dtype=np.float64).reshape(-1, len(EVENT_KINDS))
-        from_array = ExecutionTimeline(times=times)
-        from_events = ExecutionTimeline(events=from_array.events)
-        assert from_events == from_array
-        assert validate_timeline(from_events) == validate_timeline(from_array)
-        assert not from_array.times.flags.writeable
+        timeline = ExecutionTimeline(times)
+        assert validate_timeline(timeline) == _event_validator(timeline.events)
+        assert len(timeline.events) == np.count_nonzero(~np.isnan(times))
+        assert not timeline.times.flags.writeable
         with pytest.raises(ValueError):
-            from_array.times[...] = 0.0
+            timeline.times[...] = 0.0
+        assert ExecutionTimeline(times) == timeline  # NaN equals NaN
+        before = times.copy()
         times[...] = 1.0  # the timeline holds its own copy
-        assert from_events == from_array
+        assert np.array_equal(timeline.times, before, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(8,), (0,), (2, 7), (2, 9), (1, 2, 8)])
+    def test_wrong_shape_rejected(self, shape):
+        """The type holds a (ranks, 8) array and nothing else, which the
+        validator relies on."""
+        with pytest.raises(ValueError, match="ranks, 8"):
+            ExecutionTimeline(np.zeros(shape))
 
 
 class TestShaTaskletAssignment:
@@ -688,3 +680,23 @@ def test_typed_buffer_is_sized_in_bytes():
     assert typed.plan == expected.plan
     assert typed.plan.payload_bytes_to_dpu == len(plain)
     assert typed.output == expected.output
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda b: np.frombuffer(b, np.uint8),
+    lambda b: np.frombuffer(b, np.uint32),
+    lambda b: array("B", b),
+], ids=["numpy-uint8", "numpy-uint32", "array-B"])
+def test_any_buffer_is_encrypted_with_its_key(wrap):
+    """A numpy array or an array.array is a buffer to encrypt under the key,
+    not a sequence of byte values to hash."""
+    plain = _random_buffer(16 * 50, seed=5)
+    result = run_job(wrap(plain), KEY, n_ranks=2)
+    expected = run_job(plain, KEY, n_ranks=2)
+    assert result.output == expected.output
+    assert result.plan == expected.plan
+
+
+def test_key_with_messages_rejected():
+    with pytest.raises(ValueError, match="key"):
+        run_job([b"abc", b"de"], KEY)
