@@ -107,7 +107,17 @@ class ExperimentSpec:
 
     def check_machine(self, machine: mc.MachineProfile) -> "ExperimentSpec":
         """Reject a spec whose largest sweep value asks for more ranks, DPUs
-        or tasklets than the machine has."""
+        or tasklets than the machine has, or for a workload larger than all
+        its MRAM, which no plan could hold."""
+        _, scales = _AXES[self.experiment]
+        nbytes = (
+            self.buffer_bytes if self.algorithm == "aes128"
+            else self.message_bytes * self.message_count
+        ) * (self.sweep[-1] if scales else 1)
+        if nbytes > machine.usable_dpus * machine.mram_bytes:
+            raise ProfileError(
+                f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
+            )
         topology = _topology(self, self.sweep[-1], machine)
         for name, value in topology.items():
             limit = getattr(machine, _LIMITS[name])
@@ -227,6 +237,7 @@ def run_experiment(
     if spec.experiment == "rank_scaling":
         meta["strategies"] = ",".join(s.value for s in spec.strategies)
         if include_baseline:
+            plan_sweep_ends(spec, config)  # a job the machine cannot hold fails first
             baseline_rate = _measure_baseline(spec, meta)
 
     rows: list[ExperimentRow] = []
@@ -245,7 +256,7 @@ def run_experiment(
                 baseline_s=(
                     None if baseline_rate is None else baseline_rate * plan.payload_bytes_to_dpu
                 ),
-                speedup=(rows[0].kernel_s if rows else kernel) / kernel,
+                speedup=(rows[0].kernel_s if rows else kernel) / kernel if kernel else None,
                 bytes_to_dpu=plan.payload_bytes_to_dpu,
                 bytes_from_dpu=plan.payload_bytes_from_dpu,
             ))
@@ -264,6 +275,19 @@ def plan_point(
         cost=config.kernel_costs.get(spec.algorithm),
         **_topology(spec, value, config.machine),
     )
+
+
+def plan_sweep_ends(spec: ExperimentSpec, config: mc.Config) -> None:
+    """Plan the spec at the first and last sweep value, under its first
+    strategy, raising what the planner raises.
+
+    Sweeps are sorted, every range, usable-DPU and WRAM limit is hit first
+    at the largest value, and the per-DPU MRAM share is largest at the
+    first (only strong scaling's shrinks), so a plan fails somewhere along
+    the sweep only if it fails at one of the ends.
+    """
+    for value in (spec.sweep[0], spec.sweep[-1]):
+        plan_point(spec, value, spec.strategies[0], config)
 
 
 def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:

@@ -194,15 +194,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if name == "notes":
             continue
         try:
-            spec = bh.ExperimentSpec.from_config(
-                name, config.experiments.get(name)
-            ).check_machine(machine)
-            # Sweeps are sorted, every range, usable-DPU and WRAM limit is hit
-            # first at the largest value, and the per-DPU MRAM share is largest
-            # at the first (only strong scaling's shrinks), so a plan fails
-            # somewhere along the sweep only if it fails at one of the ends.
-            for value in (spec.sweep[0], spec.sweep[-1]):
-                bh.plan_point(spec, value, spec.strategies[0], config)
+            spec = bh.ExperimentSpec.from_config(name, config.experiments.get(name))
+            bh.plan_sweep_ends(spec.check_machine(machine), config)
         except (PimcryptError, ValueError) as exc:
             problems.append(f"{name}: {exc}")
     if problems:

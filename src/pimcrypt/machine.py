@@ -296,6 +296,8 @@ def _streamed_access_cycles(total_bytes: float, chunk: int, profile: MachineProf
 
     Partial trailing chunks are rounded up to the 8-byte DMA granule.
     """
+    if not math.isfinite(total_bytes):
+        raise MramAccessError(f"MRAM traffic of {total_bytes} B is not finite")
     if total_bytes <= 0:
         return 0.0
     whole = math.ceil(total_bytes)
@@ -366,15 +368,16 @@ def simulate_rank_kernel(
 
 
 def simulate_transfer(
-    total_bytes: int, direction: TransferDirection, profile: MachineProfile
-) -> float:
-    """Time of one batched rank transfer in the given direction.
+    total_bytes: int | np.ndarray, direction: TransferDirection, profile: MachineProfile
+) -> float | np.ndarray:
+    """Time of one batched rank transfer in the given direction, or of each
+    rank's given an int64 array of rank totals.
 
     All per-DPU buffers of the rank move as a single batched operation over
     the rank channel, so the time is the rank's byte total over the
     directional bandwidth.
     """
-    if total_bytes < 0:
+    if (np.asarray(total_bytes) < 0).any():
         raise ValueError("a rank's byte total must be non-negative")
     if direction == "to_dpu":
         bw = profile.cpu_to_dpu_bandwidth_per_rank

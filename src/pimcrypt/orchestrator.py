@@ -3,9 +3,10 @@
 A job takes a workload (an AES buffer or a set of messages to hash), splits
 it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
-machine model). The timeline is its (ranks, 8) times array, one row of
-event times per rank; the phase times, the makespan, validation and the
-derived event list are all read from it. Three strategies are supported:
+machine model). Row r of JobPlan.rank_phases holds rank r's four phase
+durations, and phase k runs from column 2k to 2k + 1 of the timeline's
+(ranks, 8) times array; the phase times, the makespan, validation and the
+derived event list are all read from that array. Three strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -30,14 +31,14 @@ transfer ahead of the payload staging.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
-from .errors import AlignmentError, CapacityError
+from .errors import AlignmentError, CapacityError, ProfileError
 from .sha256 import DIGEST_BYTES, padded_block_count, sha256_many
 
 MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
@@ -134,16 +135,6 @@ class PhaseTimes(NamedTuple):
 
 
 @dataclass(frozen=True)
-class RankPhases:
-    """Modeled durations of one rank's four phases."""
-
-    prepare: float
-    to_dpu: float
-    kernel: float
-    from_dpu: float
-
-
-@dataclass(frozen=True)
 class JobPlan:
     """Everything the model derives from a workload before/without running it."""
 
@@ -151,7 +142,7 @@ class JobPlan:
     n_ranks: int
     dpus_per_rank: int
     tasklets: int
-    rank_phases: tuple[RankPhases, ...]
+    rank_phases: np.ndarray = field(compare=False)  # read-only (ranks, 4), PhaseTimes order
     timeline: mc.ExecutionTimeline
     makespan: float
     phase_times: PhaseTimes
@@ -173,14 +164,7 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     """Spread the per-message digest write over that job's hash blocks."""
     if total_units == 0:
         return base
-    write = DIGEST_BYTES * total_messages / total_units
-    return mc.KernelCost(
-        instructions_per_unit=base.instructions_per_unit,
-        mram_read_bytes_per_unit=base.mram_read_bytes_per_unit,
-        mram_write_bytes_per_unit=write,
-        wram_cache_bytes=base.wram_cache_bytes,
-        unit_bytes=base.unit_bytes,
-    )
+    return replace(base, mram_write_bytes_per_unit=DIGEST_BYTES * total_messages / total_units)
 
 
 def plan_job(
@@ -229,25 +213,14 @@ def plan_job(
         raise CapacityError(f"DPU {d} needs {need[d]} B of MRAM, budget is {mram_budget} B")
 
     # Each rank is priced from its byte sums and its DPUs' (units, active
-    # tasklets). Counts become Python ints before any arithmetic, so every
-    # modeled time is a plain float.
+    # tasklets); row r of rank_phases holds its durations in PhaseTimes order.
     shape = (n_ranks, dpus_per_rank)
-    rank_in, rank_out = (b.reshape(shape).sum(axis=1).tolist()
+    rank_in, rank_out = (b.reshape(shape).sum(axis=1)
                          for b in (partition.in_bytes, partition.out_bytes))
     active = np.where(partition.items > 0, np.minimum(partition.items, tasklets), 1)
     kernels = mc.simulate_rank_kernel(
         partition.units.reshape(shape), active.reshape(shape), job_cost, profile
     )
-    rank_phases = [
-        RankPhases(
-            prepare=rank_in[r] / profile.host_prepare_rate,
-            to_dpu=mc.simulate_transfer(rank_in[r], "to_dpu", profile),
-            kernel=kernels[r],
-            from_dpu=mc.simulate_transfer(rank_out[r], "from_dpu", profile),
-        )
-        for r in range(n_ranks)
-    ]
-
     # Key broadcast happens once, ahead of payload staging, on every rank
     # channel in parallel, so it costs one rank's worth of transfer time.
     broadcast_seconds = (
@@ -255,29 +228,34 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-
-    timeline = _build_timeline(strategy, rank_phases, broadcast_seconds)
-    phase_times = PhaseTimes(
-        prepare=mc.busy_time(timeline.phase_intervals("prepare_start", "prepare_end")),
-        cpu_to_dpu=mc.busy_time(
-            timeline.phase_intervals("transfer_to_start", "transfer_to_end")
-        ),
-        kernel=mc.busy_time(timeline.phase_intervals("launch", "kernel_end")),
-        dpu_to_cpu=mc.busy_time(
-            timeline.phase_intervals("transfer_from_start", "transfer_from_end")
-        ),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is rejected below
+        rank_phases = np.array((
+            rank_in / profile.host_prepare_rate,
+            mc.simulate_transfer(rank_in, "to_dpu", profile),
+            kernels,
+            mc.simulate_transfer(rank_out, "from_dpu", profile),
+        )).T
+        timeline = _build_timeline(strategy, rank_phases, broadcast_seconds)
+    if not np.isfinite(timeline.times).all():
+        raise ProfileError(
+            "the model gives a non-finite time: a machine or kernel cost value is out of range"
+        )
+    rank_phases.flags.writeable = False
+    phase_times = PhaseTimes(*(
+        mc.busy_time(timeline.phase_intervals(start, end))
+        for start, end in zip(mc.EVENT_KINDS[::2], mc.EVENT_KINDS[1::2])
+    ))
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,
         dpus_per_rank=dpus_per_rank,
         tasklets=tasklets,
-        rank_phases=tuple(rank_phases),
+        rank_phases=rank_phases,
         timeline=timeline,
         makespan=timeline.makespan,
         phase_times=phase_times,
-        payload_bytes_to_dpu=sum(rank_in),
-        payload_bytes_from_dpu=sum(rank_out),
+        payload_bytes_to_dpu=int(rank_in.sum()),
+        payload_bytes_from_dpu=int(rank_out.sum()),
         broadcast_bytes=broadcast_bytes,
         broadcast_seconds=broadcast_seconds,
     )
@@ -297,34 +275,30 @@ _SCHEDULES = {
 
 
 def _build_timeline(
-    strategy: Strategy, rank_phases: Sequence[RankPhases], t0: float
+    strategy: Strategy, rank_phases: np.ndarray, t0: float
 ) -> mc.ExecutionTimeline:
+    """Phase starts set by the strategy from t0, and ends as start + duration,
+    for the (ranks, 4) durations of at least one rank. cumsum adds left to
+    right (not pairwise), so every time is the float a rank-by-rank loop gives."""
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
-    prep_starts, prep_ends, to_ends = [], [], []
-    cursor = t0
-    for ph in rank_phases:
-        prep_starts.append(cursor)
-        cursor += ph.prepare
-        prep_ends.append(cursor)
-        to_ends.append(cursor + ph.to_dpu)
-        if waits_for_inbound:
-            cursor = to_ends[-1]
-    barrier = max(to_ends, default=t0)
-    launches = [barrier if launch_barrier else end for end in to_ends]
-    kernel_ends = [launch + ph.kernel for launch, ph in zip(launches, rank_phases)]
-    from_starts = list(kernel_ends)
-    if serial_drain:
-        cursor = max(kernel_ends, default=t0)
-        for r, ph in enumerate(rank_phases):
-            from_starts[r] = cursor
-            cursor += ph.from_dpu
-
-    from_ends = [start + ph.from_dpu for start, ph in zip(from_starts, rank_phases)]
-    # columns in EVENT_KINDS order; the inbound transfer starts as staging ends
-    return mc.ExecutionTimeline(list(zip(
-        prep_starts, prep_ends, prep_ends, to_ends,
-        launches, kernel_ends, from_starts, from_ends,
-    )))
+    prepare, to_dpu, kernel, from_dpu = rank_phases.T
+    times = np.empty((len(rank_phases), len(mc.EVENT_KINDS)))
+    starts = times[:, ::2]
+    # the host stages one rank after the other, each after the previous
+    # rank's inbound transfer if it waits for it
+    steps = rank_phases[:, :2] if waits_for_inbound else rank_phases[:, :1]
+    staged = np.concatenate(([t0], steps.ravel())).cumsum()
+    starts[:, 0] = staged[:-1:steps.shape[1]]
+    starts[:, 1] = starts[:, 0] + prepare  # the inbound transfer starts as staging ends
+    to_ends = starts[:, 1] + to_dpu
+    starts[:, 2] = to_ends.max() if launch_barrier else to_ends
+    kernel_ends = starts[:, 2] + kernel
+    starts[:, 3] = (
+        np.concatenate(([kernel_ends.max()], from_dpu[:-1])).cumsum()
+        if serial_drain else kernel_ends
+    )
+    times[:, 1::2] = starts + rank_phases
+    return mc.ExecutionTimeline(times)
 
 
 def run_job(

@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from pimcrypt import bench
 from pimcrypt.bench import (
     ALGORITHMS,
     CSV_COLUMNS,
@@ -17,7 +18,7 @@ from pimcrypt.bench import (
     run_experiment,
     run_host_baseline,
 )
-from pimcrypt.errors import ProfileError
+from pimcrypt.errors import CapacityError, ProfileError
 from pimcrypt.machine import KernelCost, bundled_default_config
 from pimcrypt.orchestrator import AesWorkload, Strategy, plan_job
 
@@ -339,3 +340,28 @@ def test_baseline_metadata_names_measured_bytes(tmp_path):
     emit_csv(run_experiment(spec), str(path))
     metadata, _ = read_csv(str(path))
     assert "measured at 1047000 B," in metadata["baseline"]
+
+
+def test_unholdable_job_fails_before_the_baseline(monkeypatch):
+    """A job the machine cannot hold fails before the host baseline, which
+    on a 64 MiB message would take minutes, is measured."""
+    calls = []
+    monkeypatch.setattr(bench, "run_host_baseline",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    spec = _spec("rank_scaling", algorithm="sha256", message_bytes=64 << 20,
+                 message_count=1, sweep=[1])
+    with pytest.raises(CapacityError, match="DPU 0 needs 67108896 B"):
+        run_experiment(spec)
+    assert calls == []
+
+
+def test_zero_kernel_time_has_no_speedup():
+    """A kernel time that rounds to 0.0 gives no speedup, not a division
+    by zero."""
+    config = bundled_default_config()
+    config = dataclasses.replace(
+        config, machine=dataclasses.replace(config.machine, dpu_frequency=1e300)
+    )
+    rows = run_experiment(_spec("tasklet_scaling"), config, include_baseline=False).rows
+    zero = [row for row in rows if row.kernel_s == 0.0]
+    assert zero and all(row.speedup is None for row in zero)

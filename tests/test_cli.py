@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimcrypt import bench as bh
 from pimcrypt.bench import read_csv
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
@@ -336,6 +337,11 @@ class TestConfigErrors:
         # a workload beyond a DPU's MRAM, which bench rejects at its first sweep value
         (("experiments", "weak_scaling", "buffer_bytes"), 64 << 20, ["validate"], 3,
          "violation: weak_scaling: DPU 0 needs 134217728 B of MRAM"),
+        # a workload beyond all MRAM, too large for the planner's int64 counts
+        (("experiments", "weak_scaling", "buffer_bytes"), 1e300, ["validate"], 3,
+         "B workload exceeds the MRAM of all 2560 DPUs"),
+        (("experiments", "weak_scaling", "buffer_bytes"), 1e300,
+         ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3, "exceeds the MRAM"),
     ])
     def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
         cfg = _config(tmp_path, value, *keys)
@@ -408,6 +414,56 @@ class TestConfigErrors:
         out = capsys.readouterr().out
         assert out.splitlines() == ["violation: rank_scaling: n_ranks must be in 1..10, got 40"]
 
+    def test_unholdable_job_fails_before_the_baseline(self, tmp_path, capsys, monkeypatch):
+        """bench plans the sweep's ends before it measures the host
+        baseline, so a message beyond a DPU's MRAM exits 3 at once."""
+        calls = []
+        monkeypatch.setattr(bh, "run_host_baseline",
+                            lambda *args, **kwargs: calls.append(args) or 1.0)
+        entry = {"algorithm": "sha256", "message_bytes": 64 << 20, "message_count": 1,
+                 "sweep": [1]}
+        cfg = _config(tmp_path, entry, "experiments", "rank_scaling")
+        assert main(["bench", "--experiment", "rank_scaling", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "DPU 0 needs 67108896 B" in capsys.readouterr().err
+        assert calls == []
+
+    def test_kernel_time_rounding_to_zero(self, tmp_path, capsys):
+        """bench accepts what validate accepts, a kernel time of 0.0 too."""
+        cfg = _config(tmp_path, 1e300, "machine", "dpu_frequency")
+        assert main(["validate", "--profile", cfg]) == 0
+        assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",
+                     "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        _, rows = read_csv(str(tmp_path / "tasklet_scaling.csv"))
+        assert 0.0 in [row["kernel_s"] for row in rows]
+
+    @pytest.mark.parametrize("command", ["validate", "bench", "encrypt"])
+    @pytest.mark.parametrize("keys,value,text", [
+        (("kernel_costs", "aes128", "mram_read_bytes_per_unit"), 1e308, "not finite"),
+        (("machine", "host_prepare_rate"), 5e-324, "non-finite time"),
+    ])
+    def test_overflowing_model_input_is_data_error(self, tmp_path, capsys, command,
+                                                   keys, value, text):
+        """A value that overflows a modeled quantity exits 3 with a message,
+        and validate names it in a violation line; none prints inf or nan."""
+        cfg = _config(tmp_path, value, *keys)
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(4096))
+        out = str(tmp_path / "out")
+        argv = {
+            "validate": ["validate", "--profile", cfg],
+            "bench": ["bench", "--experiment", "weak_scaling", "--no-baseline",
+                      "--config", cfg, "--out-dir", out],
+            "encrypt": ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain), "--out", out,
+                        "--profile", cfg],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
+        if command == "validate":
+            assert all(line.startswith("violation: ") for line in captured.out.splitlines())
+        assert "_s=inf" not in captured.out and "_s=nan" not in captured.out
+
 
 # Arbitrary JSON, with integers bounded so that no example builds a large
 # workload, plus values a field may hold, so that some examples validate.
@@ -430,7 +486,12 @@ _FIELDS = [("experiments", "weak_scaling", name) for name in (
 )] + [("kernel_costs", "aes128", name) for name in (
     "instructions_per_unit", "mram_read_bytes_per_unit", "mram_write_bytes_per_unit",
     "wram_cache_bytes", "unit_bytes",
+)] + [("machine", name) for name in (
+    "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
+    "host_prepare_rate", "mram_fixed_cycles", "mram_cycles_per_byte",
 )]
+# values at the ends of the float range, which overflow or round the model's times
+_EXTREME = st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308])
 
 
 def _run(argv):
@@ -442,7 +503,8 @@ def _run(argv):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_FIELDS), _PLAUSIBLE | _JSON | st.just(_DELETE)),
+@given(st.lists(st.tuples(st.sampled_from(_FIELDS),
+                          _PLAUSIBLE | _JSON | _EXTREME | st.just(_DELETE)),
                 min_size=1, max_size=3))
 def test_mutated_config_keeps_exit_contract(mutations):
     """validate and bench exit 0/2/3/4 for any mutated config, and bench

@@ -370,3 +370,18 @@ class TestSimulateTransfer:
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
             simulate_transfer(1, "sideways", PROFILE)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        totals=st.lists(st.integers(0, 1 << 50), max_size=8),
+        direction=st.sampled_from(["to_dpu", "from_dpu"]),
+    )
+    def test_array_equals_scalar_calls(self, totals, direction):
+        """An int64 array of rank totals prices each total as the scalar
+        call does, bit for bit."""
+        times = simulate_transfer(np.array(totals, dtype=np.int64), direction, PROFILE)
+        assert times.tolist() == [simulate_transfer(t, direction, PROFILE) for t in totals]
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_transfer(np.array([0, 5, -1, 7], dtype=np.int64), "from_dpu", PROFILE)

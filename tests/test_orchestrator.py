@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from pimcrypt import machine as mc
 from pimcrypt import reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
-from pimcrypt.errors import AlignmentError, CapacityError
+from pimcrypt.errors import AlignmentError, CapacityError, ProfileError
 from pimcrypt.machine import (
     EVENT_KINDS,
     DpuWorkload,
@@ -27,7 +28,6 @@ from pimcrypt.machine import (
 from pimcrypt.orchestrator import (
     _SCHEDULES,
     AesWorkload,
-    RankPhases,
     ShaWorkload,
     Strategy,
     TimelineViolation,
@@ -165,15 +165,15 @@ class TestPartitionSha:
             n_ranks=n_ranks, dpus_per_rank=dpus_per_rank, tasklets=tasklets,
         )
         cost = _sha_cost_for(_SHA_COST, len(lengths), sum(units))
-        for r, phases in enumerate(plan.rank_phases):
+        for r, (prepare, _, kernel, _) in enumerate(plan.rank_phases.tolist()):
             rank = range(r * dpus_per_rank, (r + 1) * dpus_per_rank)
-            assert phases.kernel == max(
+            assert kernel == max(
                 simulate_dpu_kernel(
                     DpuWorkload(units[d], min(len(ids[d]), tasklets) or 1), cost, PROFILE
                 )
                 for d in rank
             )
-            assert phases.prepare == sum(in_bytes[d] for d in rank) / PROFILE.host_prepare_rate
+            assert prepare == sum(in_bytes[d] for d in rank) / PROFILE.host_prepare_rate
         assert plan.payload_bytes_to_dpu == sum(lengths)
 
 
@@ -182,10 +182,8 @@ class TestSyncSingleRank:
         buf = _random_buffer(1 << 20)
         result = run_job(buf, KEY, strategy=Strategy.SYNC, n_ranks=1, tasklets=16)
         plan = result.plan
-        ph = plan.rank_phases[0]
-        expected = (
-            plan.broadcast_seconds + ph.prepare + ph.to_dpu + ph.kernel + ph.from_dpu
-        )
+        prepare, to_dpu, kernel, from_dpu = plan.rank_phases[0].tolist()
+        expected = plan.broadcast_seconds + prepare + to_dpu + kernel + from_dpu
         assert plan.makespan == pytest.approx(expected, rel=1e-12)
         ev = plan.timeline.rank_events(0)
         assert ev["prepare_start"] == pytest.approx(plan.broadcast_seconds)
@@ -484,6 +482,15 @@ def test_timeline_bit_exact(algorithm, strategy):
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_TIMELINES[algorithm, strategy]
 
 
+class _Phases(NamedTuple):
+    """One rank's phase durations, in the planner's column order."""
+
+    prepare: float
+    to_dpu: float
+    kernel: float
+    from_dpu: float
+
+
 def _sorted_events_timeline(strategy, rank_phases, t0):
     """Oracle: the event list as the planner built it before timelines were
     arrays, one TimelineEvent per (rank, kind), sorted by (time, rank, kind
@@ -584,7 +591,7 @@ def _time_rows(draw):
 class TestTimelineArray:
     @settings(max_examples=200, deadline=None)
     @given(
-        phases=st.lists(st.builds(RankPhases, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS),
+        phases=st.lists(st.builds(_Phases, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS),
                         min_size=1, max_size=6),
         t0=st.sampled_from([0.0, 0.1, 1e-5]),
         strategy=st.sampled_from(list(Strategy)),
@@ -592,7 +599,7 @@ class TestTimelineArray:
     def test_matches_sorted_event_list(self, phases, t0, strategy):
         """The array timeline derives the events, makespan and phase
         intervals the sorted event list gave, bit for bit."""
-        timeline = _build_timeline(strategy, phases, t0)
+        timeline = _build_timeline(strategy, np.array(phases).reshape(-1, 4), t0)
         expected = _sorted_events_timeline(strategy, phases, t0)
         assert timeline.times.shape == (len(phases), len(EVENT_KINDS))
         assert list(timeline.events) == expected
@@ -665,7 +672,7 @@ def test_job_prices_each_distinct_dpu_workload_once(monkeypatch):
     assert len(jobs) == 1
     assert priced == [DpuWorkload(410, 16), DpuWorkload(409, 16)]
     cost = bundled_default_config().kernel_costs["aes128"]
-    assert [ph.kernel for ph in plan.rank_phases] == (
+    assert plan.rank_phases[:, 2].tolist() == (
         [price_dpu(DpuWorkload(410, 16), cost, PROFILE)] * 24
         + [price_dpu(DpuWorkload(409, 16), cost, PROFILE)] * 16
     )
@@ -678,6 +685,7 @@ def test_typed_buffer_is_sized_in_bytes():
     typed = run_job(memoryview(array("I", plain)), KEY, n_ranks=2)
     expected = run_job(plain, KEY, n_ranks=2)
     assert typed.plan == expected.plan
+    np.testing.assert_array_equal(typed.plan.rank_phases, expected.plan.rank_phases)
     assert typed.plan.payload_bytes_to_dpu == len(plain)
     assert typed.output == expected.output
 
@@ -695,8 +703,48 @@ def test_any_buffer_is_encrypted_with_its_key(wrap):
     expected = run_job(plain, KEY, n_ranks=2)
     assert result.output == expected.output
     assert result.plan == expected.plan
+    np.testing.assert_array_equal(result.plan.rank_phases, expected.plan.rank_phases)
 
 
 def test_key_with_messages_rejected():
     with pytest.raises(ValueError, match="key"):
         run_job([b"abc", b"de"], KEY)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 7, 40])
+@pytest.mark.parametrize("workload,calls", [
+    (AesWorkload(16 << 20), 3),
+    (ShaWorkload((100,) * 500), 2),
+], ids=["aes", "sha"])
+def test_plan_prices_each_transfer_direction_once(monkeypatch, n_ranks, workload, calls):
+    """One transfer pricing call per direction over every rank's total, and
+    one more for an AES job's key broadcast, however many ranks; the rank
+    phases are a read-only (ranks, 4) array, and phase k of rank r runs
+    from times[r, 2k] to times[r, 2k] + rank_phases[r, k]."""
+    transfers = []
+    price = mc.simulate_transfer
+    monkeypatch.setattr(mc, "simulate_transfer",
+                        lambda *args: transfers.append(args) or price(*args))
+    plan = plan_job(workload, n_ranks=n_ranks)
+    assert len(transfers) == calls
+    phases = plan.rank_phases
+    assert phases.shape == (n_ranks, 4) and phases.dtype == np.float64
+    assert not phases.flags.writeable
+    with pytest.raises(ValueError):
+        phases[0, 0] = 1.0
+    times = plan.timeline.times
+    assert np.array_equal(times[:, 1::2], times[:, ::2] + phases)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("host_prepare_rate", 5e-324),
+    ("cpu_to_dpu_bandwidth_per_rank", 5e-324),
+    ("dpu_frequency", 5e-324),
+    ("mram_fixed_cycles", 1.7e308),
+])
+def test_non_finite_time_rejected(field, value):
+    """A machine value that drives a modeled time to inf or nan is a
+    profile error, not a plan printing inf."""
+    profile = dataclasses.replace(PROFILE, **{field: value})
+    with pytest.raises(ProfileError, match="non-finite"):
+        plan_job(AesWorkload(1 << 20), n_ranks=2, profile=profile)
