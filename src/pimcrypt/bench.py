@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .orchestrator import (
 from .sha256 import sha256_many
 
 
-EXPERIMENT_NAMES = ("tasklet_scaling", "strong_scaling", "weak_scaling", "rank_scaling")
+EXPERIMENT_NAMES = mc.EXPERIMENTS
 ALGORITHMS = mc.ALGORITHMS
 
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
@@ -106,9 +106,8 @@ class ExperimentSpec:
         return self
 
     def check_machine(self, machine: mc.MachineProfile) -> "ExperimentSpec":
-        """Reject a spec whose largest sweep value asks for more ranks, DPUs
-        or tasklets than the machine has, or for a workload larger than all
-        its MRAM, which no plan could hold."""
+        """Reject a spec whose largest workload is larger than all the
+        machine's MRAM, which no plan could hold, before it is allocated."""
         _, scales = _AXES[self.experiment]
         nbytes = (
             self.buffer_bytes if self.algorithm == "aes128"
@@ -117,16 +116,6 @@ class ExperimentSpec:
         if nbytes > machine.usable_dpus * machine.mram_bytes:
             raise ProfileError(
                 f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
-            )
-        topology = _topology(self, self.sweep[-1], machine)
-        for name, value in topology.items():
-            limit = getattr(machine, _LIMITS[name])
-            if not 1 <= value <= limit:
-                raise ProfileError(f"{name} must be in 1..{limit}, got {value}")
-        if topology["n_ranks"] * topology["dpus_per_rank"] > machine.usable_dpus:
-            raise ProfileError(
-                f"{topology['n_ranks']} ranks of {topology['dpus_per_rank']}"
-                f" DPUs but only {machine.usable_dpus} usable"
             )
         return self
 
@@ -164,8 +153,6 @@ _AXES = {
     "weak_scaling": ("dpus_per_rank", True),
     "rank_scaling": ("n_ranks", True),
 }
-# plan_job topology argument -> the machine field bounding it
-_LIMITS = {"n_ranks": "num_ranks", "dpus_per_rank": "dpus_per_rank", "tasklets": "max_tasklets"}
 
 
 def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> dict[str, int]:
@@ -223,27 +210,27 @@ def run_experiment(
 
     _AXES names the plan_job argument swept and _topology the others. Rows are
     ordered by sweep value, one per strategy (in spec order) at each value,
-    and carry the kernel speedup over the first row. rank_scaling alone
-    spans several ranks, so it alone records the strategies and, unless
-    include_baseline is false, a host software baseline measured once on about
-    BASELINE_CAP_BYTES (whole messages, for hashing) and extrapolated
-    linearly per byte.
+    and carry the kernel speedup over the first row. Every point is planned
+    before anything is measured, so a point the planner rejects fails the
+    run at once. rank_scaling alone spans several ranks, so it alone records
+    the strategies and, unless include_baseline is false, a host software
+    baseline measured once on about BASELINE_CAP_BYTES (whole messages, for
+    hashing) and extrapolated linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
     spec.validate().check_machine(config.machine)
-    meta = _metadata(spec)
-    baseline_rate = None
-    if spec.experiment == "rank_scaling":
-        meta["strategies"] = ",".join(s.value for s in spec.strategies)
-        if include_baseline:
-            plan_sweep_ends(spec, config)  # a job the machine cannot hold fails first
-            baseline_rate = _measure_baseline(spec, meta)
-
+    _, scales = _AXES[spec.experiment]
+    cost = config.kernel_costs.get(spec.algorithm)
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
+        topology = _topology(spec, value, config.machine)
         for strategy in spec.strategies:
-            plan = plan_point(spec, value, strategy, config)
+            # a workload per plan, so no two sweep values' workloads are alive at once
+            plan = _checked_plan(
+                _workload_for(spec, value if scales else 1),
+                strategy=strategy, profile=config.machine, cost=cost, **topology,
+            )
             kernel = plan.phase_times.kernel
             rows.append(ExperimentRow(
                 sweep_value=value,
@@ -253,41 +240,17 @@ def run_experiment(
                 from_dpu_s=plan.phase_times.dpu_to_cpu,
                 prepare_s=plan.phase_times.prepare,
                 total_s=plan.makespan,
-                baseline_s=(
-                    None if baseline_rate is None else baseline_rate * plan.payload_bytes_to_dpu
-                ),
                 speedup=(rows[0].kernel_s if rows else kernel) / kernel if kernel else None,
                 bytes_to_dpu=plan.payload_bytes_to_dpu,
                 bytes_from_dpu=plan.payload_bytes_from_dpu,
             ))
+    meta = _metadata(spec)
+    if spec.experiment == "rank_scaling":
+        meta["strategies"] = ",".join(s.value for s in spec.strategies)
+        if include_baseline:
+            rate = _measure_baseline(spec, meta)
+            rows = [replace(row, baseline_s=rate * row.bytes_to_dpu) for row in rows]
     return ExperimentResult(spec=spec, rows=rows, metadata=meta)
-
-
-def plan_point(
-    spec: ExperimentSpec, value: int, strategy: Strategy, config: mc.Config
-) -> JobPlan:
-    """The checked plan of the spec's workload at one sweep value."""
-    _, scales = _AXES[spec.experiment]
-    return _checked_plan(
-        _workload_for(spec, value if scales else 1),
-        strategy=strategy,
-        profile=config.machine,
-        cost=config.kernel_costs.get(spec.algorithm),
-        **_topology(spec, value, config.machine),
-    )
-
-
-def plan_sweep_ends(spec: ExperimentSpec, config: mc.Config) -> None:
-    """Plan the spec at the first and last sweep value, under its first
-    strategy, raising what the planner raises.
-
-    Sweeps are sorted, every range, usable-DPU and WRAM limit is hit first
-    at the largest value, and the per-DPU MRAM share is largest at the
-    first (only strong scaling's shrinks), so a plan fails somewhere along
-    the sweep only if it fails at one of the ends.
-    """
-    for value in (spec.sweep[0], spec.sweep[-1]):
-        plan_point(spec, value, spec.strategies[0], config)
 
 
 def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import bench as bh
 from . import machine as mc
 from .errors import AlignmentError, CapacityError, PimcryptError, ProfileError
-from .orchestrator import MRAM_RESERVE_BYTES, Strategy, run_job
+from .orchestrator import Strategy, run_job
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -181,21 +181,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     machine = config.machine
     problems = []
-    if MRAM_RESERVE_BYTES >= machine.mram_bytes:
-        problems.append("MRAM smaller than the per-DPU runtime reserve")
+    # at the most tasklets, which encrypt and hash --tasklets may ask for
     for name, cost in config.kernel_costs.items():
         try:
             cost.validate(machine, machine.max_tasklets)
         except (CapacityError, ProfileError) as exc:
             problems.append(f"{name}: {exc}")
-    # Every experiment bench can run, a bundled one filling a missing entry,
-    # and any other name the document gives, which from_config rejects.
-    for name in dict.fromkeys([*bh.EXPERIMENT_NAMES, *config.experiments]):
-        if name == "notes":
-            continue
+    # Every experiment, a bundled one filling a missing entry, run as bench
+    # --no-baseline runs it, so validate accepts what bench accepts.
+    for name in mc.EXPERIMENTS:
         try:
             spec = bh.ExperimentSpec.from_config(name, config.experiments.get(name))
-            bh.plan_sweep_ends(spec.check_machine(machine), config)
+            bh.run_experiment(spec, config, include_baseline=False)
         except (PimcryptError, ValueError) as exc:
             problems.append(f"{name}: {exc}")
     if problems:

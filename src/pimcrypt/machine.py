@@ -44,7 +44,6 @@ class MachineProfile:
     pipeline_saturation_tasklets: int
     wram_bytes: int
     mram_bytes: int
-    iram_bytes: int
     cpu_to_dpu_bandwidth_per_rank: float   # bytes/second, per rank channel
     dpu_to_cpu_bandwidth_per_rank: float   # bytes/second, per rank channel
     host_prepare_rate: float               # bytes/second, host-side staging
@@ -130,6 +129,8 @@ def default_profile() -> MachineProfile:
 
 
 ALGORITHMS = ("aes128", "sha256")  # the kernels a config may price
+# the scaling experiments a config may set up
+EXPERIMENTS = ("tasklet_scaling", "strong_scaling", "weak_scaling", "rank_scaling")
 
 
 @dataclass(frozen=True)
@@ -454,6 +455,12 @@ def parse_config(doc: dict) -> Config:
         raise ProfileError(
             f"unknown kernel_costs entries: {sorted(unknown)}, valid: {', '.join(ALGORITHMS)}"
         )
+    experiments = _section(doc, "experiments")
+    unknown = set(experiments) - set(EXPERIMENTS) - {"notes"}
+    if unknown:
+        raise ProfileError(
+            f"unknown experiments: {sorted(unknown)}, valid: {', '.join(EXPERIMENTS)}"
+        )
     return Config(
         machine=MachineProfile.from_json(doc["machine"]),
         kernel_costs={
@@ -465,7 +472,7 @@ def parse_config(doc: dict) -> Config:
             HostProfile.from_json(doc["host"]) if "host" in doc
             else bundled_default_config().host
         ),
-        experiments=dict(_section(doc, "experiments")),
+        experiments=dict(experiments),
     )
 
 

@@ -183,11 +183,13 @@ def plan_job(
     if dpus_per_rank is None:
         dpus_per_rank = profile.dpus_per_rank
     if not 1 <= tasklets <= profile.max_tasklets:
-        raise ValueError(f"tasklets must be in 1..{profile.max_tasklets}")
+        raise ValueError(f"tasklets must be in 1..{profile.max_tasklets}, got {tasklets}")
     if not 1 <= n_ranks <= profile.num_ranks:
-        raise ValueError(f"n_ranks must be in 1..{profile.num_ranks}")
+        raise ValueError(f"n_ranks must be in 1..{profile.num_ranks}, got {n_ranks}")
     if not 1 <= dpus_per_rank <= profile.dpus_per_rank:
-        raise ValueError(f"dpus_per_rank must be in 1..{profile.dpus_per_rank}")
+        raise ValueError(
+            f"dpus_per_rank must be in 1..{profile.dpus_per_rank}, got {dpus_per_rank}"
+        )
     total_dpus = n_ranks * dpus_per_rank
     if total_dpus > profile.usable_dpus:
         raise CapacityError(

@@ -365,3 +365,18 @@ def test_zero_kernel_time_has_no_speedup():
     rows = run_experiment(_spec("tasklet_scaling"), config, include_baseline=False).rows
     zero = [row for row in rows if row.kernel_s == 0.0]
     assert zero and all(row.speedup is None for row in zero)
+
+
+def test_no_baseline_before_a_failing_point(monkeypatch):
+    """Every point is planned before the host baseline is measured: sync's
+    serial drain overflows from 17 ranks, where the overlapped strategies
+    listed before it do not, and the run fails with no baseline call."""
+    calls = []
+    monkeypatch.setattr(bench, "run_host_baseline",
+                        lambda *args, **kwargs: calls.append(args) or 1.0)
+    config = bundled_default_config()
+    config = dataclasses.replace(config, machine=dataclasses.replace(
+        config.machine, dpu_to_cpu_bandwidth_per_rank=3e-300))
+    with pytest.raises(ProfileError, match="non-finite time"):
+        run_experiment(_spec("rank_scaling"), config)
+    assert calls == []

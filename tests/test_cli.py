@@ -372,6 +372,28 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert "unknown kernel_costs entries: ['aes']" in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["validate", "encrypt", "hash", "bench"])
+    def test_misnamed_experiment_rejected(self, tmp_path, capsys, command):
+        """An experiment section that names no experiment would silently not
+        take effect, so it is rejected by every subcommand."""
+        doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
+        cfg = _config(tmp_path, doc["experiments"]["rank_scaling"],
+                      "experiments", "rank_scalng")
+        plain = tmp_path / "plain.bin"
+        plain.write_bytes(bytes(32))
+        argv = {
+            "validate": ["validate", "--profile", cfg],
+            "encrypt": ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain),
+                        "--out", str(tmp_path / "c.bin"), "--profile", cfg],
+            "hash": ["hash", "--in", str(plain), "--out", str(tmp_path / "d.txt"),
+                     "--profile", cfg],
+            "bench": ["bench", "--experiment", "weak_scaling", "--no-baseline",
+                      "--config", cfg, "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "unknown experiments: ['rank_scalng']" in captured.out + captured.err
+
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
         base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
         plain = tmp_path / "plain.bin"
@@ -409,10 +431,10 @@ class TestConfigErrors:
         path.write_text(json.dumps(doc))
         assert main(["bench", "--experiment", "rank_scaling", "--no-baseline",
                      "--config", str(path), "--out-dir", str(tmp_path)]) == 3
-        assert "n_ranks must be in 1..10, got 40" in capsys.readouterr().err
+        assert "n_ranks must be in 1..10, got 11" in capsys.readouterr().err
         assert main(["validate", "--profile", str(path)]) == 3
         out = capsys.readouterr().out
-        assert out.splitlines() == ["violation: rank_scaling: n_ranks must be in 1..10, got 40"]
+        assert out.splitlines() == ["violation: rank_scaling: n_ranks must be in 1..10, got 11"]
 
     def test_unholdable_job_fails_before_the_baseline(self, tmp_path, capsys, monkeypatch):
         """bench plans the sweep's ends before it measures the host
@@ -530,6 +552,19 @@ def test_mutated_config_keeps_exit_contract(mutations):
         assert benched == 0
 
 
+@pytest.mark.parametrize("value", [5e-324, 1e-300, 1e300, 1.7e308])
+@pytest.mark.parametrize("name", [keys[-1] for keys in _FIELDS if keys[0] == "machine"])
+def test_validate_accepts_what_bench_accepts(tmp_path, name, value):
+    """At each extreme value of each machine field the fuzzer varies,
+    validate exits 0 exactly when bench --no-baseline exits 0 on all four
+    experiments."""
+    cfg = _config(tmp_path, value, "machine", name)
+    benched = [_run(["bench", "--experiment", experiment, "--no-baseline",
+                     "--config", cfg, "--out-dir", str(tmp_path)])
+               for experiment in bh.EXPERIMENT_NAMES]
+    assert (_run(["validate", "--profile", cfg]) == 0) == (benched == [0] * 4)
+
+
 def _exit_code(argv):
     """main's exit code, an argparse exit included; an uncaught exception
     propagates and fails the test."""
@@ -611,7 +646,7 @@ def test_topology_flags_at_and_beyond_limits(tmp_path, command, flag, limit):
 def test_validate_plans_last_sweep_value(tmp_path, capsys):
     """WRAM that holds the bundled 2048 B cache at 16 tasklets but not at
     17: bench fails partway along tasklet_scaling's sweep, and validate,
-    which plans each sweep's first and last value, rejects the profile too."""
+    which runs each experiment as bench does, fails at the same point."""
     doc = {**default_profile().to_json(), "wram_bytes": 32768}
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(doc))
@@ -619,7 +654,7 @@ def test_validate_plans_last_sweep_value(tmp_path, capsys):
                  "--config", str(path), "--out-dir", str(tmp_path)]) == 3
     assert "17 tasklets x 2048 B cache exceeds WRAM (32768 B)" in capsys.readouterr().err
     assert main(["validate", "--profile", str(path)]) == 3
-    assert ("violation: tasklet_scaling: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)"
+    assert ("violation: tasklet_scaling: 17 tasklets x 2048 B cache exceeds WRAM (32768 B)"
             in capsys.readouterr().out.splitlines())
 
 

@@ -52,7 +52,6 @@ class TestDefaultProfile:
         assert PROFILE.max_tasklets == 24
         assert PROFILE.pipeline_saturation_tasklets == 11
         assert PROFILE.wram_bytes == 64 * 1024
-        assert PROFILE.iram_bytes == 24 * 1024
         assert PROFILE.mram_bytes == 64 * 1024 * 1024
 
     def test_valid(self):
