@@ -1,6 +1,6 @@
 """Scaling experiments, host baseline measurement, kernel characterization.
 
-Four experiments sweep one plan_job argument each (the _AXES table) and
+Four experiments sweep one plan_job argument each (machine.EXPERIMENTS) and
 report modeled per-phase times, one row per (sweep value, strategy):
 
 * tasklet_scaling — fixed workload on a single DPU, tasklet count swept.
@@ -20,26 +20,27 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import aes, sha256
 from . import machine as mc
 from .aes import aes128_encrypt_buffer, key_expansion
 from .errors import ProfileError
-from .machine import HostProfile
+from .machine import ExperimentSpec, HostProfile, Strategy
 from .orchestrator import (
     AesWorkload,
     JobPlan,
     ShaWorkload,
-    Strategy,
     plan_job,
     validate_timeline,
 )
 from .sha256 import sha256_many
 
 
-EXPERIMENT_NAMES = mc.EXPERIMENTS
+EXPERIMENT_NAMES = tuple(mc.EXPERIMENTS)
 ALGORITHMS = mc.ALGORITHMS
 
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
@@ -58,107 +59,10 @@ def _checked_plan(workload, **kwargs) -> JobPlan:
     return plan
 
 
-def _check_experiment(name: str) -> None:
-    if name not in EXPERIMENT_NAMES:
-        raise ProfileError(f"unknown experiment {name!r}, valid: {', '.join(EXPERIMENT_NAMES)}")
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment configuration.
-
-    buffer_bytes (AES) and message_bytes/message_count (hashing) describe
-    the workload at the granularity the experiment sweeps: total size for
-    tasklet and strong scaling, per-DPU size for weak scaling, per-rank
-    size for rank scaling. Every field comes from the config: from_config
-    overlays a user's experiment entry on the bundled one.
-    """
-
-    experiment: str
-    algorithm: str
-    buffer_bytes: int
-    message_bytes: int
-    message_count: int
-    sweep: tuple[int, ...]
-    strategies: tuple[Strategy, ...]
-    tasklets: int
-    repetitions: int
-    seed: int
-
-    def validate(self) -> "ExperimentSpec":
-        _check_experiment(self.experiment)
-        if self.algorithm not in ALGORITHMS:
-            raise ProfileError(f"unknown algorithm {self.algorithm!r}, valid: {', '.join(ALGORITHMS)}")
-        if not self.sweep:
-            raise ProfileError("sweep must not be empty")
-        if any(v <= 0 for v in self.sweep) or list(self.sweep) != sorted(self.sweep):
-            raise ProfileError("sweep values must be positive and sorted")
-        if not self.strategies:
-            raise ProfileError("strategies must not be empty")
-        if self.buffer_bytes < 16 or self.buffer_bytes % 16:
-            raise ProfileError("buffer_bytes must be a positive multiple of 16")
-        if self.message_bytes < 1 or self.message_count < 1:
-            raise ProfileError("message_bytes and message_count must be at least 1")
-        if self.repetitions < 1:
-            raise ProfileError("repetitions must be at least 1")
-        if self.seed < 0:
-            raise ProfileError("seed must not be negative")
-        return self
-
-    def check_machine(self, machine: mc.MachineProfile) -> "ExperimentSpec":
-        """Reject a spec whose largest workload is larger than all the
-        machine's MRAM, which no plan could hold, before it is allocated."""
-        _, scales = _AXES[self.experiment]
-        nbytes = (
-            self.buffer_bytes if self.algorithm == "aes128"
-            else self.message_bytes * self.message_count
-        ) * (self.sweep[-1] if scales else 1)
-        if nbytes > machine.usable_dpus * machine.mram_bytes:
-            raise ProfileError(
-                f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
-            )
-        return self
-
-    @classmethod
-    def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":
-        _check_experiment(experiment)
-        if section is not None and not isinstance(section, dict):
-            raise ProfileError(f"experiment {experiment} must be a JSON object")
-        entry = {**mc.bundled_default_config().experiments[experiment], **(section or {})}
-        entry.pop("notes", None)  # free text, as in every other config object
-        types = {f.name: f.type for f in fields(cls) if f.name != "experiment"}
-        unknown = set(entry) - set(types)
-        if unknown:
-            raise ProfileError(f"unknown experiment fields: {sorted(unknown)}")
-        for name in ("sweep", "strategies"):
-            if not isinstance(entry[name], (list, tuple)):
-                raise ProfileError(f"{name} must be a list")
-        try:
-            entry["strategies"] = tuple(Strategy.parse(s) for s in entry["strategies"])
-        except ValueError as exc:
-            raise ProfileError(str(exc)) from None
-        entry["sweep"] = tuple(
-            mc.parse_number("experiment", "sweep", v, integer=True) for v in entry["sweep"]
-        )
-        for name, ftype in types.items():
-            if ftype == "int":
-                entry[name] = mc.parse_number("experiment", name, entry[name], integer=True)
-        return cls(experiment=experiment, **entry).validate()
-
-
-# experiment -> (plan_job argument it sweeps, whether the workload grows with it)
-_AXES = {
-    "tasklet_scaling": ("tasklets", False),
-    "strong_scaling": ("dpus_per_rank", False),
-    "weak_scaling": ("dpus_per_rank", True),
-    "rank_scaling": ("n_ranks", True),
-}
-
-
 def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> dict[str, int]:
     """plan_job's topology arguments at one sweep value: one full rank, or
     a single DPU for tasklet scaling, with the swept argument set."""
-    axis, _ = _AXES[spec.experiment]
+    axis, _ = mc.EXPERIMENTS[spec.experiment]
     topology = {
         "n_ranks": 1,
         "dpus_per_rank": 1 if axis == "tasklets" else machine.dpus_per_rank,
@@ -208,11 +112,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Plan the spec's workload at every sweep value under every strategy.
 
-    _AXES names the plan_job argument swept and _topology the others. Rows are
-    ordered by sweep value, one per strategy (in spec order) at each value,
-    and carry the kernel speedup over the first row. Every point is planned
-    before anything is measured, so a point the planner rejects fails the
-    run at once. rank_scaling alone spans several ranks, so it alone records
+    machine.EXPERIMENTS names the plan_job argument swept and _topology the
+    others. Rows are ordered by sweep value, one per strategy (in spec order)
+    at each value, and carry the kernel speedup over the first row. Every
+    point is planned before anything is measured, so a point the planner
+    rejects fails the run at once. rank_scaling alone spans several ranks, so it alone records
     the strategies and, unless include_baseline is false, a host software
     baseline measured once on about BASELINE_CAP_BYTES (whole messages, for
     hashing) and extrapolated linearly per byte.
@@ -220,8 +124,8 @@ def run_experiment(
     if config is None:
         config = mc.bundled_default_config()
     spec.validate().check_machine(config.machine)
-    _, scales = _AXES[spec.experiment]
-    cost = config.kernel_costs.get(spec.algorithm)
+    _, scales = mc.EXPERIMENTS[spec.experiment]
+    cost = config.kernel_costs[spec.algorithm]
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
         topology = _topology(spec, value, config.machine)
@@ -308,39 +212,26 @@ def run_host_baseline(
         from concurrent.futures import ThreadPoolExecutor
     rng = np.random.default_rng(seed)
     if algorithm == "aes128":
-        nbytes = int(workload)
-        data = rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes()
+        whole = rng.integers(0, 256, int(workload), dtype=np.uint8).tobytes()
         ks = key_expansion(rng.integers(0, 256, 16, dtype=np.uint8).tobytes())
-        chunk = max(16, (nbytes // max(1, threads) + 15) // 16 * 16)
-        pieces = [data[i : i + chunk] for i in range(0, nbytes, chunk)] or [b""]
-
-        def job():
-            if threads <= 1:
-                return aes128_encrypt_buffer(data, ks)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return b"".join(pool.map(lambda p: aes128_encrypt_buffer(p, ks), pieces))
-
-        reference_out = aes128_encrypt_buffer(data, ks)
+        kernel, join, unit = partial(aes128_encrypt_buffer, ks=ks), b"".join, aes.BLOCK_BYTES
     elif algorithm == "sha256":
         msg_bytes, count = workload
-        msgs = [rng.integers(0, 256, msg_bytes, dtype=np.uint8).tobytes() for _ in range(count)]
-        groups = [msgs[i::threads] for i in range(threads)] if threads > 1 else [msgs]
-
-        def job():
-            if threads <= 1:
-                return sha256_many(msgs)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(sha256_many, groups))
-            out = [b""] * len(msgs)
-            for t, digests in enumerate(results):
-                for j, d in enumerate(digests):
-                    out[t + j * threads] = d
-            return out
-
-        reference_out = sha256_many(msgs)
+        whole = [rng.integers(0, 256, msg_bytes, dtype=np.uint8).tobytes() for _ in range(count)]
+        kernel, join, unit = sha256_many, lambda parts: [d for part in parts for d in part], 1
     else:
         raise ProfileError(f"unknown algorithm {algorithm!r}")
+    # threads in-order pieces of whole units: AES blocks, or messages
+    cuts = [len(whole) // unit * t // threads * unit for t in range(threads)] + [len(whole)]
+    pieces = [whole[a:b] for a, b in zip(cuts, cuts[1:])]
 
+    def job():
+        if threads <= 1:
+            return kernel(whole)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return join(pool.map(kernel, pieces))
+
+    reference_out = kernel(whole)
     times = []
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -366,7 +257,8 @@ def characterize_kernel(
         raise ProfileError(f"unknown algorithm {algorithm!r}")
     if host is None:
         host = mc.bundled_default_config().host
-    intensity = cost.instructions_per_unit / cost.unit_bytes
+    block_bytes = aes.BLOCK_BYTES if algorithm == "aes128" else sha256.BLOCK_BYTES
+    intensity = cost.instructions_per_unit / block_bytes
     ridge = host.ridge_point
     return KernelCharacterization(
         operations_per_byte=intensity,

@@ -101,7 +101,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         tasklets=args.tasklets,
         profile=config.machine,
         dpus_per_rank=args.dpus_per_rank,
-        cost=config.kernel_costs.get("aes128"),
+        cost=config.kernel_costs["aes128"],
     )
     with open(args.outfile, "wb") as fh:
         fh.write(result.output)
@@ -142,7 +142,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
         tasklets=args.tasklets,
         profile=config.machine,
         dpus_per_rank=args.dpus_per_rank,
-        cost=config.kernel_costs.get("sha256"),
+        cost=config.kernel_costs["sha256"],
     )
     with open(args.outfile, "w", encoding="utf-8") as fh:
         for digest in result.output:
@@ -154,15 +154,9 @@ def cmd_hash(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    try:
-        spec = bh.ExperimentSpec.from_config(
-            args.experiment, config.experiments.get(args.experiment)
-        )
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    result = bh.run_experiment(spec, config, include_baseline=not args.no_baseline)
+    result = bh.run_experiment(
+        config.experiments[args.experiment], config, include_baseline=not args.no_baseline
+    )
     out_path = os.path.join(args.out_dir, f"{args.experiment}.csv")
     os.makedirs(args.out_dir, exist_ok=True)
     bh.emit_csv(result, out_path)
@@ -187,11 +181,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             cost.validate(machine, machine.max_tasklets)
         except (CapacityError, ProfileError) as exc:
             problems.append(f"{name}: {exc}")
-    # Every experiment, a bundled one filling a missing entry, run as bench
-    # --no-baseline runs it, so validate accepts what bench accepts.
-    for name in mc.EXPERIMENTS:
+    # Every experiment run as bench --no-baseline runs it, so validate
+    # accepts what bench accepts.
+    for name, spec in config.experiments.items():
         try:
-            spec = bh.ExperimentSpec.from_config(name, config.experiments.get(name))
             bh.run_experiment(spec, config, include_baseline=False)
         except (PimcryptError, ValueError) as exc:
             problems.append(f"{name}: {exc}")
@@ -202,9 +195,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print("profile=ok")
     print(f"total_dpus={config.machine.dpus_per_rank * config.machine.num_ranks}")
     print(f"usable_dpus={config.machine.usable_dpus}")
-    bundled_costs = mc.bundled_default_config().kernel_costs
-    for name in bh.ALGORITHMS:
-        cost = config.kernel_costs.get(name, bundled_costs[name])
+    for name, cost in config.kernel_costs.items():
         roofline = bh.characterize_kernel(name, cost, config.host)
         print(f"{name}_operations_per_byte={roofline.operations_per_byte}")
         print(f"{name}_classification={roofline.classification}")

@@ -18,6 +18,7 @@ crypto — functional results come from the kernel modules.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -96,22 +97,50 @@ def parse_number(where: str, name: str, value: object, integer: bool) -> int | f
     return int(value) if integer else float(value)
 
 
-def _parse_fields(cls, doc: object, where: str):
-    """Build a numeric dataclass from a JSON object holding exactly its
-    fields (plus an optional free-text "notes")."""
+def _parse_fields(cls, doc: object, where: str, derived: dict | None = None):
+    """Build a config dataclass from a JSON object holding exactly its fields
+    (plus an optional free-text "notes"), each read by its annotation, but
+    those in derived: the parser fills these in, and a document naming one
+    is rejected."""
+    derived = derived or {}
     if not isinstance(doc, dict):
         raise ProfileError(f"{where} must be a JSON object")
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(fields) - {"notes"}
-    if unknown:
-        raise ProfileError(f"unknown {where} fields: {sorted(unknown)}")
+    named = sorted(set(derived) & set(doc))
+    if named:
+        raise ProfileError(f"{where} field {named[0]} is derived and may not be set")
+    fields = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in derived}
+    _reject_unknown(doc, fields, f"{where} fields")
     missing = set(fields) - set(doc)
     if missing:
         raise ProfileError(f"missing {where} fields: {sorted(missing)}")
-    return cls(**{
-        name: parse_number(where, name, doc[name], ftype == "int")
-        for name, ftype in fields.items()
+    return cls(**derived, **{
+        name: _parse_value(where, name, ftype, doc[name]) for name, ftype in fields.items()
     })
+
+
+def _parse_value(where: str, name: str, ftype: str, value: object):
+    """One field's value: an int, float, str, tuple[int, ...] or
+    tuple[Strategy, ...], as its annotation says."""
+    if ftype in ("int", "float"):
+        return parse_number(where, name, value, integer=ftype == "int")
+    if ftype == "str":
+        if not isinstance(value, str):
+            raise ProfileError(f"{where} field {name} must be a string")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ProfileError(f"{where} field {name} must be a list")
+    if ftype == "tuple[int, ...]":
+        return tuple(parse_number(where, name, v, integer=True) for v in value)
+    try:
+        return tuple(Strategy.parse(v) for v in value)
+    except ValueError as exc:
+        raise ProfileError(f"{where} field {name}: {exc}") from None
+
+
+def _reject_unknown(names: Iterable[str], known: Iterable[str], what: str) -> None:
+    unknown = set(names) - set(known) - {"notes"}
+    if unknown:
+        raise ProfileError(f"unknown {what}: {sorted(unknown)}, valid: {', '.join(known)}")
 
 
 def default_profile() -> MachineProfile:
@@ -129,8 +158,14 @@ def default_profile() -> MachineProfile:
 
 
 ALGORITHMS = ("aes128", "sha256")  # the kernels a config may price
-# the scaling experiments a config may set up
-EXPERIMENTS = ("tasklet_scaling", "strong_scaling", "weak_scaling", "rank_scaling")
+# the scaling experiments a config may set up:
+# name -> (plan_job argument it sweeps, whether the workload grows with it)
+EXPERIMENTS = {
+    "tasklet_scaling": ("tasklets", False),
+    "strong_scaling": ("dpus_per_rank", False),
+    "weak_scaling": ("dpus_per_rank", True),
+    "rank_scaling": ("n_ranks", True),
+}
 
 
 @dataclass(frozen=True)
@@ -142,11 +177,10 @@ class KernelCost:
     mram_read_bytes_per_unit: float
     mram_write_bytes_per_unit: float
     wram_cache_bytes: int
-    unit_bytes: int
 
     def validate(self, profile: MachineProfile, tasklets: int) -> "KernelCost":
-        if self.instructions_per_unit <= 0 or self.unit_bytes <= 0:
-            raise ProfileError("kernel cost instruction/unit sizes must be positive")
+        if self.instructions_per_unit <= 0:
+            raise ProfileError("kernel cost instructions_per_unit must be positive")
         if self.mram_read_bytes_per_unit < 0 or self.mram_write_bytes_per_unit < 0:
             raise ProfileError("kernel cost MRAM traffic must be non-negative")
         if self.wram_cache_bytes <= 0 or self.wram_cache_bytes % 8:
@@ -390,8 +424,10 @@ def simulate_transfer(
 
 
 # ---------------------------------------------------------------------------
-# Config documents: a machine profile plus optional kernel-cost, host and
-# experiment sections, shared by the CLI and the benchmark harness.
+# Config documents: a machine profile plus kernel-cost, host and experiment
+# sections, shared by the CLI and the benchmark harness. parse_config alone
+# reads them and returns every section complete: a section or entry the
+# document leaves out is the bundled one.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -415,64 +451,146 @@ class HostProfile:
         return host
 
 
+class Strategy(enum.Enum):
+    SYNC = "sync"
+    ASYNC_RANK_TRANSFER = "async_rank_transfer"   # pim1
+    ASYNC_RANK_EXECUTION = "async_rank_execution"  # pim2
+
+    @classmethod
+    def parse(cls, name: str) -> "Strategy":
+        aliases = {
+            "sync": cls.SYNC,
+            "pim1": cls.ASYNC_RANK_TRANSFER,
+            "async_rank_transfer": cls.ASYNC_RANK_TRANSFER,
+            "pim2": cls.ASYNC_RANK_EXECUTION,
+            "async_rank_execution": cls.ASYNC_RANK_EXECUTION,
+        }
+        try:
+            return aliases[str(name).lower()]
+        except KeyError:
+            raise ValueError(f"unknown strategy {name!r} (use sync, pim1 or pim2)") from None
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One experiment configuration.
+
+    buffer_bytes (AES) and message_bytes/message_count (hashing) describe
+    the workload at the granularity the experiment sweeps: total size for
+    tasklet and strong scaling, per-DPU size for weak scaling, per-rank
+    size for rank scaling. Every field comes from the config: from_config
+    overlays a user's experiment entry on the bundled one.
+    """
+
+    experiment: str
+    algorithm: str
+    buffer_bytes: int
+    message_bytes: int
+    message_count: int
+    sweep: tuple[int, ...]
+    strategies: tuple[Strategy, ...]
+    tasklets: int
+    repetitions: int
+    seed: int
+
+    def validate(self) -> "ExperimentSpec":
+        sweep = list(self.sweep)
+        for ok, problem in (
+            (self.experiment in EXPERIMENTS, f"must be one of {', '.join(EXPERIMENTS)}"),
+            (self.algorithm in ALGORITHMS, f"algorithm must be one of {', '.join(ALGORITHMS)}"),
+            (sweep, "sweep must not be empty"),
+            (min(sweep, default=1) > 0 and sweep == sorted(sweep),
+             "sweep values must be positive and sorted"),
+            (self.strategies, "strategies must not be empty"),
+            (self.buffer_bytes >= 16 and self.buffer_bytes % 16 == 0,
+             "buffer_bytes must be a positive multiple of 16"),
+            (min(self.message_bytes, self.message_count) >= 1,
+             "message_bytes and message_count must be at least 1"),
+            (self.repetitions >= 1, "repetitions must be at least 1"),
+            (self.seed >= 0, "seed must not be negative"),
+        ):
+            if not ok:
+                raise ProfileError(f"experiment {self.experiment}: {problem}")
+        return self
+
+    def check_machine(self, machine: MachineProfile) -> "ExperimentSpec":
+        """Reject a spec whose largest workload is larger than all the
+        machine's MRAM, which no plan could hold, before it is allocated."""
+        _, scales = EXPERIMENTS[self.experiment]
+        nbytes = (
+            self.buffer_bytes if self.algorithm == "aes128"
+            else self.message_bytes * self.message_count
+        ) * (self.sweep[-1] if scales else 1)
+        if nbytes > machine.usable_dpus * machine.mram_bytes:
+            raise ProfileError(
+                f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
+            )
+        return self
+
+    @classmethod
+    def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":
+        """The experiment's config entry (None for none) overlaid field by
+        field on the bundled one, parsed and validated."""
+        if experiment not in EXPERIMENTS:
+            raise ProfileError(f"unknown experiment {experiment!r}, valid: {', '.join(EXPERIMENTS)}")
+        where = f"experiment {experiment}"
+        if section is not None and not isinstance(section, dict):
+            raise ProfileError(f"{where} must be a JSON object")
+        entry = {**_bundled_doc()["experiments"][experiment], **(section or {})}
+        return _parse_fields(cls, entry, where, {"experiment": experiment}).validate()
+
+
+# Kernel-cost fields plan_job sets per job, and the value a parsed cost holds:
+# sha256's 32-byte digest over a 32 KiB message's 513 padded blocks.
+_DERIVED_COSTS = {"sha256": {"mram_write_bytes_per_unit": 32 / 513}}
+
+
 @dataclass(frozen=True)
 class Config:
     machine: MachineProfile
-    kernel_costs: dict[str, KernelCost]
+    kernel_costs: dict[str, KernelCost]  # one per name in ALGORITHMS
     host: HostProfile
-    experiments: dict[str, dict]
+    experiments: dict[str, ExperimentSpec]  # one per name in EXPERIMENTS
 
 
-def _section(doc: dict, name: str) -> dict:
+def _section(doc: dict, name: str, known: Iterable[str], what: str) -> dict:
+    """A section of the document, {} if absent, whose names must be known."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ProfileError(f"config section {name} must be a JSON object")
+    _reject_unknown(section, known, what)
     return section
 
 
-def parse_config(doc: dict) -> Config:
-    """Parse a config document; accepts a bare profile object as well.
+def parse_config(doc: object) -> Config:
+    """Parse a config document into a complete Config; a bare profile
+    object is read as {"machine": doc}.
 
-    A document without a host section takes the bundled host.
+    A host section, kernel_costs entry or experiment entry that the document
+    leaves out is the bundled one; an experiment entry that it gives is
+    overlaid field by field on the bundled entry.
     """
     if not isinstance(doc, dict):
         raise ProfileError("config document must be a JSON object")
     if "machine" not in doc:
-        # bare machine-profile document
-        return Config(
-            machine=MachineProfile.from_json(doc),
-            kernel_costs={},
-            host=bundled_default_config().host,
-            experiments={},
-        )
-    known = {"machine", "kernel_costs", "host", "experiments", "notes"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ProfileError(f"unknown config sections: {sorted(unknown)}")
-    costs = _section(doc, "kernel_costs")
-    unknown = set(costs) - set(ALGORITHMS) - {"notes"}
-    if unknown:
-        raise ProfileError(
-            f"unknown kernel_costs entries: {sorted(unknown)}, valid: {', '.join(ALGORITHMS)}"
-        )
-    experiments = _section(doc, "experiments")
-    unknown = set(experiments) - set(EXPERIMENTS) - {"notes"}
-    if unknown:
-        raise ProfileError(
-            f"unknown experiments: {sorted(unknown)}, valid: {', '.join(EXPERIMENTS)}"
-        )
+        doc = {"machine": doc}
+    _reject_unknown(doc, ("machine", "kernel_costs", "host", "experiments"), "config sections")
+    bundled = _bundled_doc()
+    costs = {**bundled["kernel_costs"],
+             **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}
+    experiments = _section(doc, "experiments", EXPERIMENTS, "experiments")
     return Config(
         machine=MachineProfile.from_json(doc["machine"]),
         kernel_costs={
-            name: _parse_fields(KernelCost, entry, f"kernel cost {name}")
-            for name, entry in costs.items()
-            if name != "notes"
+            name: _parse_fields(KernelCost, costs[name], f"kernel cost {name}",
+                                _DERIVED_COSTS.get(name))
+            for name in ALGORITHMS
         },
-        host=(
-            HostProfile.from_json(doc["host"]) if "host" in doc
-            else bundled_default_config().host
-        ),
-        experiments=dict(experiments),
+        host=HostProfile.from_json(doc.get("host", bundled["host"])),
+        experiments={
+            name: ExperimentSpec.from_config(name, experiments.get(name))
+            for name in EXPERIMENTS
+        },
     )
 
 
@@ -488,10 +606,12 @@ def load_config(path: str) -> Config:
 
 
 @lru_cache(maxsize=1)
-def bundled_default_config() -> Config:
-    """The config shipped with the package (profiles/default.json).
+def _bundled_doc() -> dict:
+    """profiles/default.json as JSON values; cached, so callers must not mutate it."""
+    return json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
 
-    Cached: callers share the returned object and must not mutate it.
-    """
-    text = resources.files("pimcrypt").joinpath("profiles/default.json").read_text()
-    return parse_config(json.loads(text))
+
+@lru_cache(maxsize=1)
+def bundled_default_config() -> Config:
+    """The config shipped with the package; cached, so callers must not mutate it."""
+    return parse_config(_bundled_doc())

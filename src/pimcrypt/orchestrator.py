@@ -30,7 +30,6 @@ transfer ahead of the payload staging.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
@@ -39,29 +38,10 @@ import numpy as np
 from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
 from .errors import AlignmentError, CapacityError, ProfileError
+from .machine import Strategy
 from .sha256 import DIGEST_BYTES, padded_block_count, sha256_many
 
 MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
-
-
-class Strategy(enum.Enum):
-    SYNC = "sync"
-    ASYNC_RANK_TRANSFER = "async_rank_transfer"   # pim1
-    ASYNC_RANK_EXECUTION = "async_rank_execution"  # pim2
-
-    @classmethod
-    def parse(cls, name: str) -> "Strategy":
-        aliases = {
-            "sync": cls.SYNC,
-            "pim1": cls.ASYNC_RANK_TRANSFER,
-            "async_rank_transfer": cls.ASYNC_RANK_TRANSFER,
-            "pim2": cls.ASYNC_RANK_EXECUTION,
-            "async_rank_execution": cls.ASYNC_RANK_EXECUTION,
-        }
-        try:
-            return aliases[str(name).lower()]
-        except KeyError:
-            raise ValueError(f"unknown strategy {name!r} (use sync, pim1 or pim2)") from None
 
 
 @dataclass(frozen=True)

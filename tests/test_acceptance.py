@@ -47,9 +47,7 @@ def criterion(number, name):
 
 
 def _spec(experiment, **overrides):
-    section = dict(bundled_default_config().experiments.get(experiment, {}))
-    section.update(overrides)
-    return ExperimentSpec.from_config(experiment, section)
+    return ExperimentSpec.from_config(experiment, overrides)
 
 
 def test_criterion_1_crypto_exactness():

@@ -55,9 +55,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
     def test_missing_section_takes_bundled_values(self, experiment):
         bundled = bundled_default_config().experiments[experiment]
-        assert ExperimentSpec.from_config(experiment, None) == ExperimentSpec.from_config(
-            experiment, bundled
-        )
+        assert ExperimentSpec.from_config(experiment, None) == bundled
 
 
 @pytest.fixture(scope="module", params=["aes128", "sha256"])
@@ -118,8 +116,7 @@ class TestTaskletScaling:
             mram_read_bytes_per_unit=0,
             mram_write_bytes_per_unit=0,
             wram_cache_bytes=AES_COST.wram_cache_bytes,
-            unit_bytes=16,
-        )
+                )
         base = None
         for t in range(1, 25):
             plan = plan_job(
@@ -209,10 +206,14 @@ class TestHostBaseline:
         t1 = run_host_baseline("sha256", (256, 64), threads=1, repetitions=3, seed=1)
         t2 = run_host_baseline("sha256", (256, 64), threads=2, repetitions=3, seed=1)
         assert t1 > 0 and t2 > 0
+        # 65 messages over 2 threads: pieces of 32 and 33, joined in order
+        assert run_host_baseline("sha256", (256, 65), threads=2, repetitions=1, seed=1) > 0
 
     def test_aes_threads_assemble_correctly(self):
         # correctness of the threaded assembly is asserted inside
         assert run_host_baseline("aes128", 32 << 10, threads=4, repetitions=2, seed=2) > 0
+        # 2051 blocks over 4 threads: pieces of whole blocks, not all one size
+        assert run_host_baseline("aes128", 2051 * 16, threads=4, repetitions=2, seed=2) > 0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ProfileError):

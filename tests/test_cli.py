@@ -182,7 +182,7 @@ class TestBench:
         lines = (tmp_path / "weak_scaling.csv").read_text().splitlines()
         assert len([l for l in lines if l and not l.startswith("#")]) == 3
 
-    def test_invalid_spec_is_usage_error(self, tmp_path):
+    def test_invalid_spec_is_data_error(self, tmp_path):
         config = {
             "machine": default_profile().to_json(),
             "experiments": {"weak_scaling": {"sweep": [4, 1]}},
@@ -192,7 +192,7 @@ class TestBench:
         assert main([
             "bench", "--experiment", "weak_scaling", "--config", str(cfg),
             "--out-dir", str(tmp_path),
-        ]) == 2
+        ]) == 3
 
     def test_idempotent_given_identical_inputs(self, tmp_path):
         config = {
@@ -305,25 +305,25 @@ class TestConfigErrors:
          ["bench", "--experiment", "rank_scaling", "--no-baseline"], 3, "n_ranks"),
         # whole numbers only; 2.5 used to be truncated to 2
         (("experiments", "weak_scaling", "sweep"), [1, 2.5],
-         ["bench", "--experiment", "weak_scaling"], 2, "integer"),
+         ["bench", "--experiment", "weak_scaling"], 3, "integer"),
         (("experiments", "weak_scaling"), 5,
-         ["bench", "--experiment", "weak_scaling"], 2, "weak_scaling"),
+         ["bench", "--experiment", "weak_scaling"], 3, "weak_scaling"),
         (("experiments", "weak_scaling", "sweep"), "1,4",
-         ["bench", "--experiment", "weak_scaling"], 2, "sweep"),
+         ["bench", "--experiment", "weak_scaling"], 3, "sweep"),
         (("experiments", "weak_scaling", "tasklets"), "16",
-         ["bench", "--experiment", "weak_scaling"], 2, "tasklets"),
+         ["bench", "--experiment", "weak_scaling"], 3, "tasklets"),
         (("experiments", "weak_scaling", "strategies"), ["sync", 1],
-         ["bench", "--experiment", "weak_scaling"], 2, "unknown strategy"),
+         ["bench", "--experiment", "weak_scaling"], 3, "unknown strategy"),
         # validate rejects what the planner rejects
         (("kernel_costs", "aes128", "instructions_per_unit"), -1,
          ["validate"], 3, "violation: aes128"),
         (("experiments", "weak_scaling", "strategies"), [],
-         ["bench", "--experiment", "weak_scaling"], 2, "strategies"),
+         ["bench", "--experiment", "weak_scaling"], 3, "strategies"),
         # empty workloads: a division by zero, and an all-zero CSV
         (("experiments", "tasklet_scaling", "buffer_bytes"), 0,
-         ["bench", "--experiment", "tasklet_scaling"], 2, "buffer_bytes"),
+         ["bench", "--experiment", "tasklet_scaling"], 3, "buffer_bytes"),
         (("experiments", "weak_scaling", "message_count"), -3,
-         ["bench", "--experiment", "weak_scaling"], 2, "message_count"),
+         ["bench", "--experiment", "weak_scaling"], 3, "message_count"),
         # more of what validate rejects, as the planner does
         (("experiments", "rank_scaling", "sweep"), [1, 41], ["validate"], 3, "n_ranks"),
         (("experiments", "strong_scaling", "sweep"), [1, 65], ["validate"], 3, "dpus_per_rank"),
@@ -393,6 +393,25 @@ class TestConfigErrors:
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert "unknown experiments: ['rank_scalng']" in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
+    @pytest.mark.parametrize("keys,value,text", [
+        (("experiments", "weak_scaling", "sweep"), [4, 1],
+         "experiment weak_scaling: sweep values must be positive and sorted"),
+        # derived per job by the planner, so a value set here would take no effect
+        (("kernel_costs", "sha256", "mram_write_bytes_per_unit"), 1e6,
+         "mram_write_bytes_per_unit is derived"),
+        # a unit is an AES block or a padded SHA block, whatever a config says
+        (("kernel_costs", "aes128", "unit_bytes"), 32, "['unit_bytes']"),
+    ], ids=["unsorted-sweep", "sha256-mram-write", "aes128-unit-bytes"])
+    def test_one_document_one_answer(self, tmp_path, capsys, command, keys, value, text):
+        """Every subcommand gives the same answer for one config document:
+        exit 3, naming the field or the experiment."""
+        cfg = _config(tmp_path, value, *keys)
+        argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), cfg)}
+        assert main(argvs[command]) == 3
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
 
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
         base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
@@ -507,7 +526,7 @@ _FIELDS = [("experiments", "weak_scaling", name) for name in (
     "tasklets", "repetitions", "seed", "turbo",
 )] + [("kernel_costs", "aes128", name) for name in (
     "instructions_per_unit", "mram_read_bytes_per_unit", "mram_write_bytes_per_unit",
-    "wram_cache_bytes", "unit_bytes",
+    "wram_cache_bytes",
 )] + [("machine", name) for name in (
     "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
     "host_prepare_rate", "mram_fixed_cycles", "mram_cycles_per_byte",

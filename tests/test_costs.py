@@ -51,5 +51,3 @@ def test_measured_constants_are_frozen_in_default_config():
     assert config.kernel_costs["sha256"].instructions_per_unit == (
         costs.sha256_instructions_per_block()
     )
-    assert config.kernel_costs["aes128"].unit_bytes == 16
-    assert config.kernel_costs["sha256"].unit_bytes == 64

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ NO_MRAM_COST = KernelCost(
     mram_read_bytes_per_unit=0,
     mram_write_bytes_per_unit=0,
     wram_cache_bytes=2048,
-    unit_bytes=16,
 )
 
 AES_COST = bundled_default_config().kernel_costs["aes128"]
@@ -384,3 +386,26 @@ class TestSimulateTransfer:
     def test_negative_element_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             simulate_transfer(np.array([0, 5, -1, 7], dtype=np.int64), "from_dpu", PROFILE)
+
+
+@pytest.mark.parametrize("first", ["machine", "orchestrator", "bench", "cli"])
+def test_moved_names_are_one_object_whatever_is_imported_first(first):
+    """Strategy and ExperimentSpec are defined in machine and re-exported by
+    orchestrator, bench and the package. In a fresh interpreter that asks
+    for each module first, every name is the one object, so no import
+    cycle hands out a half-built module."""
+    import pimcrypt
+
+    code = (
+        f"import pimcrypt.{first}\n"
+        "import pimcrypt\n"
+        "from pimcrypt import bench, machine, orchestrator\n"
+        "assert orchestrator.Strategy is machine.Strategy is pimcrypt.Strategy\n"
+        "assert bench.ExperimentSpec is machine.ExperimentSpec is pimcrypt.ExperimentSpec\n"
+    )
+    src = os.path.dirname(os.path.dirname(pimcrypt.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -218,7 +218,6 @@ _PIPELINE_COST = KernelCost(
     mram_read_bytes_per_unit=0,
     mram_write_bytes_per_unit=0,
     wram_cache_bytes=2048,
-    unit_bytes=16,
 )
 
 
