@@ -66,8 +66,11 @@ def _print_summary(result, extra: dict[str, object] | None = None, verbose: int 
     for key, value in pairs.items():
         print(f"{key}={value}")
     if verbose:
-        for event in plan.timeline.events:
-            print(f"event t={event.time:.9f} rank={event.rank} kind={event.kind}")
+        # a stable sort of the row-major times orders ties by (rank, kind)
+        times = plan.timeline.times
+        for i in times.argsort(axis=None, kind="stable").tolist():
+            rank, k = divmod(i, len(mc.EVENT_KINDS))
+            print(f"event t={times[rank, k]:.9f} rank={rank} kind={mc.EVENT_KINDS[k]}")
 
 
 def cmd_encrypt(args: argparse.Namespace) -> int:

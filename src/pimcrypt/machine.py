@@ -22,7 +22,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Literal
 
@@ -214,23 +214,12 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    time: float
-    rank: int
-    kind: str
-
-
-_KIND_COLUMN = {kind: k for k, kind in enumerate(EVENT_KINDS)}
-
-
 class ExecutionTimeline:
     """Event times of one job: times[r, k] is when rank r's EVENT_KINDS[k]
-    event happens, NaN where that rank has no such event.
+    event happens, and phase k runs from column 2k to column 2k + 1.
 
-    times is the timeline, a read-only copy of the (ranks, 8) array given;
-    events, the same times as TimelineEvent objects sorted by (time, rank,
-    kind index), are derived from it on first access. Timelines with equal
+    times is the timeline, a read-only copy of the (ranks, 8) array given,
+    which must be finite: every rank has every event. Timelines with equal
     times are equal.
     """
 
@@ -240,43 +229,26 @@ class ExecutionTimeline:
         self.times = np.array(times, dtype=np.float64)
         if self.times.ndim != 2 or self.times.shape[1] != len(EVENT_KINDS):
             raise ValueError(f"timeline times must be a (ranks, {len(EVENT_KINDS)}) array")
+        if not np.isfinite(self.times).all():
+            raise ValueError("timeline times must be finite")
         self.times.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionTimeline):
             return NotImplemented
-        return np.array_equal(self.times, other.times, equal_nan=True)
+        return np.array_equal(self.times, other.times)
 
     def __repr__(self) -> str:
         return f"ExecutionTimeline(times={self.times.tolist()!r})"
 
-    @cached_property
-    def events(self) -> tuple[TimelineEvent, ...]:
-        keyed = sorted(
-            (t, r, k)
-            for r, row in enumerate(self.times.tolist())
-            for k, t in enumerate(row)
-            if t == t  # NaN: no such event
-        )
-        return tuple(TimelineEvent(t, r, EVENT_KINDS[k]) for t, r, k in keyed)
-
     @property
     def makespan(self) -> float:
         """The latest time in the array, 0.0 for an empty timeline."""
-        latest = float(np.fmax.reduce(self.times, axis=None, initial=-math.inf))
-        return latest if latest > -math.inf else 0.0
+        return float(self.times.max()) if self.times.size else 0.0
 
-    def rank_events(self, rank: int) -> dict[str, float]:
-        if not 0 <= rank < len(self.times):
-            return {}
-        return {EVENT_KINDS[k]: t for k, t in enumerate(self.times[rank].tolist()) if t == t}
-
-    def phase_intervals(self, start_kind: str, end_kind: str) -> list[tuple[float, float]]:
-        """Per-rank (start, end) pairs for one phase, where both ends exist,
-        in rank order."""
-        starts = self.times[:, _KIND_COLUMN[start_kind]].tolist()
-        ends = self.times[:, _KIND_COLUMN[end_kind]].tolist()
-        return [(s, e) for s, e in zip(starts, ends) if s == s and e == e]  # NaN: absent
+    def phase_intervals(self, phase: int) -> list[tuple[float, float]]:
+        """Per-rank (start, end) pairs of phase 0..3, in rank order."""
+        return list(zip(*self.times[:, 2 * phase:2 * phase + 2].T.tolist()))
 
 
 def busy_time(intervals: Iterable[tuple[float, float]]) -> float:

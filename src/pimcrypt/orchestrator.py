@@ -5,8 +5,9 @@ it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
 machine model). Row r of JobPlan.rank_phases holds rank r's four phase
 durations, and phase k runs from column 2k to 2k + 1 of the timeline's
-(ranks, 8) times array; the phase times, the makespan, validation and the
-derived event list are all read from that array. Three strategies are supported:
+(ranks, 8) times array, in which every rank has every event; the phase
+times, the makespan, validation and the CLI's event listing are all read
+from that array. Three strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -217,16 +218,14 @@ def plan_job(
             kernels,
             mc.simulate_transfer(rank_out, "from_dpu", profile),
         )).T
-        timeline = _build_timeline(strategy, rank_phases, broadcast_seconds)
-    if not np.isfinite(timeline.times).all():
+        times = _schedule(strategy, rank_phases, broadcast_seconds)
+    if not np.isfinite(times).all():
         raise ProfileError(
             "the model gives a non-finite time: a machine or kernel cost value is out of range"
         )
     rank_phases.flags.writeable = False
-    phase_times = PhaseTimes(*(
-        mc.busy_time(timeline.phase_intervals(start, end))
-        for start, end in zip(mc.EVENT_KINDS[::2], mc.EVENT_KINDS[1::2])
-    ))
+    timeline = mc.ExecutionTimeline(times)
+    phase_times = PhaseTimes(*(mc.busy_time(timeline.phase_intervals(k)) for k in range(4)))
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,
@@ -256,12 +255,11 @@ _SCHEDULES = {
 }
 
 
-def _build_timeline(
-    strategy: Strategy, rank_phases: np.ndarray, t0: float
-) -> mc.ExecutionTimeline:
-    """Phase starts set by the strategy from t0, and ends as start + duration,
-    for the (ranks, 4) durations of at least one rank. cumsum adds left to
-    right (not pairwise), so every time is the float a rank-by-rank loop gives."""
+def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndarray:
+    """The (ranks, 8) event times: phase starts set by the strategy from t0,
+    and ends as start + duration, for the (ranks, 4) durations of at least
+    one rank. cumsum adds left to right (not pairwise), so every time is the
+    float a rank-by-rank loop gives."""
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
     prepare, to_dpu, kernel, from_dpu = rank_phases.T
     times = np.empty((len(rank_phases), len(mc.EVENT_KINDS)))
@@ -280,7 +278,7 @@ def _build_timeline(
         if serial_drain else kernel_ends
     )
     times[:, 1::2] = starts + rank_phases
-    return mc.ExecutionTimeline(times)
+    return times
 
 
 def run_job(
@@ -342,24 +340,23 @@ class TimelineViolation:
 def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]:
     """Check every timeline invariant; returns all violations (empty = ok).
 
-    Each rank's times must be non-negative and follow EVENT_KINDS order,
-    where a NaN (missing) kind is skipped. One pass over the times array
-    finds the ranks that may break a rule: a negative, missing or
-    decreasing time. Only those rows are checked kind by kind: negative
-    times in (time, kind index) order, then each present kind that comes
-    before the present kind ahead of it.
+    Each rank's times must be non-negative and follow EVENT_KINDS order.
+    One pass over the times array finds the ranks that may break a rule: a
+    negative or decreasing time. Only those rows are checked kind by kind:
+    negative times in (time, kind index) order, then each kind that comes
+    before the kind ahead of it.
     """
-    # a clean row starts at or after 0 and never decreases; NaN fails both
+    # a clean row starts at or after 0 and never decreases
     times = timeline.times
     clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
     violations = []
     for rank in np.flatnonzero(~clean).tolist():
-        present = [(k, t) for k, t in enumerate(times[rank].tolist()) if t == t]  # NaN: absent
-        for t, k in sorted((t, k) for k, t in present if t < 0):
+        row = list(enumerate(times[rank].tolist()))
+        for t, k in sorted((t, k) for k, t in row if t < 0):
             violations.append(
                 TimelineViolation(rank, "negative timestamp", f"{mc.EVENT_KINDS[k]}@{t}")
             )
-        for (k0, t0), (k1, t1) in zip(present, present[1:]):
+        for (k0, t0), (k1, t1) in zip(row, row[1:]):
             if t1 < t0:
                 violations.append(
                     TimelineViolation(

@@ -6,7 +6,9 @@ products are computed by shift-and-reduce, the substitution box is derived
 from multiplicative inverses plus the affine transform, and the hash
 constants are extracted from prime roots with exact integer arithmetic.
 A bug in a production lookup table therefore cannot be masked by the same
-bug here.
+bug here. The job scheduler is written rank by rank from the strategy
+rules alone, keyed by the strategies' value strings, and imports nothing
+from the machine model or the orchestrator.
 
 These functions are orders of magnitude slower than the production
 kernels and are only meant for correctness checks on small inputs.
@@ -198,3 +200,57 @@ def sha256(message: bytes) -> bytes:
             a, b, c, d, e, f, g, h = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
         state = [(s + v) & mask for s, v in zip(state, (a, b, c, d, e, f, g, h))]
     return b"".join(s.to_bytes(4, "big") for s in state)
+
+
+def schedule(strategy: str, phases, t0: float = 0.0) -> list[list[float]]:
+    """Event times of a job, one row per rank, from per-rank (prepare,
+    to_dpu, kernel, from_dpu) durations and the time t0 staging may begin.
+
+    A row holds its rank's prepare start and end, inbound transfer start and
+    end, launch, kernel end, and outbound transfer start and end. One host
+    stager prepares the ranks in order, and each rank's inbound transfer
+    runs on its own channel as soon as its staging ends. Under
+    "async_rank_transfer" the host stages the next rank at once; otherwise
+    it first waits for this rank's transfer. Under "async_rank_execution" a
+    rank launches when its own transfer ends; otherwise all ranks launch
+    when the last one ends. Under "sync" the ranks drain one after the
+    other once the last kernel ends; otherwise each drains as soon as its
+    own kernel ends.
+    """
+    if strategy not in ("sync", "async_rank_transfer", "async_rank_execution"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    rows = []
+    host = t0
+    for prepare, to_dpu, _, _ in phases:
+        staged = host + prepare
+        loaded = staged + to_dpu
+        rows.append([host, staged, staged, loaded])
+        host = staged if strategy == "async_rank_transfer" else loaded
+    barrier = max((row[3] for row in rows), default=t0)
+    for row, (_, _, kernel, _) in zip(rows, phases):
+        launch = row[3] if strategy == "async_rank_execution" else barrier
+        row += [launch, launch + kernel]
+    drain = max((row[5] for row in rows), default=t0)
+    for row, (_, _, _, from_dpu) in zip(rows, phases):
+        start = drain if strategy == "sync" else row[5]
+        drain = start + from_dpu
+        row += [start, drain]
+    return rows
+
+
+def union_length(intervals) -> float:
+    """Length of the union of closed (start, end) intervals with end >=
+    start: a sweep over their ends in time order, starts before ends at
+    equal times, adds each maximal covered stretch once, earliest first."""
+    edges = sorted([(s, 0) for s, _ in intervals] + [(e, 1) for _, e in intervals])
+    total, depth, opened = 0.0, 0, 0.0
+    for time, is_end in edges:
+        if is_end:
+            depth -= 1
+            if depth == 0:
+                total += time - opened
+        else:
+            if depth == 0:
+                opened = time
+            depth += 1
+    return total

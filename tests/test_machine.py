@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -10,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pimcrypt import machine as mc
 from pimcrypt.errors import CapacityError, MramAccessError, ProfileError
 from pimcrypt.machine import (
-    EVENT_KINDS,
     DpuWorkload,
-    ExecutionTimeline,
     KernelCost,
     MachineProfile,
     _streamed_access_cycles,
@@ -300,29 +298,6 @@ class TestSimulateRankKernel:
         )
 
 
-class TestPhaseIntervals:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(st.floats(0, 10) | st.just(math.nan), min_size=8, max_size=8),
-            max_size=6,
-        ),
-        start_kind=st.sampled_from(EVENT_KINDS),
-        end_kind=st.sampled_from(EVENT_KINDS),
-    )
-    def test_equals_per_rank_loop(self, rows, start_kind, end_kind):
-        """One pass over the array gives what a scan of each rank's events
-        gave, missing kinds and a phase whose ends are one kind included."""
-        timeline = ExecutionTimeline(np.array(rows).reshape(-1, len(EVENT_KINDS)))
-        spans = []
-        for rank in range(len(rows)):
-            ev = {e.kind: e.time for e in timeline.events if e.rank == rank}
-            assert timeline.rank_events(rank) == ev
-            if start_kind in ev and end_kind in ev:
-                spans.append((ev[start_kind], ev[end_kind]))
-        assert timeline.phase_intervals(start_kind, end_kind) == spans
-
-
 class TestHostProfile:
     def test_section_parsed(self):
         host = parse_config({
@@ -409,3 +384,14 @@ def test_moved_names_are_one_object_whatever_is_imported_first(first):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_all_names_resolve():
+    """Every name the package exports is defined, once, and the retired
+    per-event timeline type (a timeline is only its times array) is gone."""
+    import pimcrypt
+
+    assert len(set(pimcrypt.__all__)) == len(pimcrypt.__all__)
+    for name in pimcrypt.__all__:
+        assert getattr(pimcrypt, name) is not None, name
+    assert not [name for name in dir(pimcrypt) + dir(mc) if name.endswith("Event")]

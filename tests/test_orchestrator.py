@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 from array import array
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -19,19 +18,15 @@ from pimcrypt.machine import (
     DpuWorkload,
     ExecutionTimeline,
     KernelCost,
-    TimelineEvent,
     bundled_default_config,
-    busy_time,
     default_profile,
     simulate_dpu_kernel,
 )
 from pimcrypt.orchestrator import (
-    _SCHEDULES,
     AesWorkload,
     ShaWorkload,
     Strategy,
     TimelineViolation,
-    _build_timeline,
     _sha_cost_for,
     partition_aes,
     partition_sha,
@@ -185,7 +180,7 @@ class TestSyncSingleRank:
         prepare, to_dpu, kernel, from_dpu = plan.rank_phases[0].tolist()
         expected = plan.broadcast_seconds + prepare + to_dpu + kernel + from_dpu
         assert plan.makespan == pytest.approx(expected, rel=1e-12)
-        ev = plan.timeline.rank_events(0)
+        ev = dict(zip(EVENT_KINDS, plan.timeline.times[0].tolist()))
         assert ev["prepare_start"] == pytest.approx(plan.broadcast_seconds)
         assert ev["transfer_to_start"] == ev["prepare_end"]
         assert ev["launch"] == ev["transfer_to_end"]
@@ -234,12 +229,12 @@ class TestStrategyPipelines:
             cost=_PIPELINE_COST,
         )
         t0 = plan.broadcast_seconds
-        launch = plan.timeline.rank_events(0)["launch"]
+        launch = plan.timeline.times[0, EVENT_KINDS.index("launch")]
         # transfers finish at max over i of ((i+1)*2ms + 10ms) = 18 ms
         assert launch - t0 == pytest.approx(0.018, rel=1e-9)
         # every rank launches at the same instant
         for r in range(4):
-            assert plan.timeline.rank_events(r)["launch"] == launch
+            assert plan.timeline.times[r, EVENT_KINDS.index("launch")] == launch
         assert plan.makespan - t0 == pytest.approx(0.018 + 0.030 + 0.005, rel=1e-9)
 
     def test_sync_serializes_the_same_job(self):
@@ -254,7 +249,7 @@ class TestStrategyPipelines:
             cost=_PIPELINE_COST,
         )
         t0 = plan.broadcast_seconds
-        launch = plan.timeline.rank_events(0)["launch"]
+        launch = plan.timeline.times[0, EVENT_KINDS.index("launch")]
         # 4 x (2ms + 10ms) of staging precede the single launch
         assert launch - t0 == pytest.approx(0.048, rel=1e-9)
         # retrieval is serial too: 4 x 5 ms after the kernels finish
@@ -273,7 +268,7 @@ class TestStrategyPipelines:
         )
         t0 = plan.broadcast_seconds
         for r in range(4):
-            ev = plan.timeline.rank_events(r)
+            ev = dict(zip(EVENT_KINDS, plan.timeline.times[r].tolist()))
             assert ev["launch"] - t0 == pytest.approx(0.012 * (r + 1), rel=1e-9)
             assert ev["launch"] == ev["transfer_to_end"]
         assert plan.makespan - t0 == pytest.approx(0.048 + 0.030 + 0.005, rel=1e-9)
@@ -387,8 +382,8 @@ class TestBroadcast:
 
     def test_priced_ahead_of_payload(self):
         plan = plan_job(AesWorkload(1 << 20), n_ranks=2, dpus_per_rank=8)
-        first_event = min(e.time for e in plan.timeline.events)
-        assert first_event == pytest.approx(plan.broadcast_seconds)
+        # staging starts at the end of the broadcast, the first element of its cumsum
+        assert plan.timeline.times.min() == plan.broadcast_seconds
 
 
 class TestConservation:
@@ -406,22 +401,6 @@ class TestConservation:
 
 
 class TestPhaseTimes:
-    def test_consistent_with_timeline(self):
-        plan = plan_job(
-            AesWorkload(4 << 20),
-            strategy=Strategy.ASYNC_RANK_EXECUTION,
-            n_ranks=4,
-            dpus_per_rank=16,
-        )
-        tl = plan.timeline
-        assert plan.phase_times.prepare == pytest.approx(
-            busy_time(tl.phase_intervals("prepare_start", "prepare_end"))
-        )
-        assert plan.phase_times.kernel == pytest.approx(
-            busy_time(tl.phase_intervals("launch", "kernel_end"))
-        )
-        assert plan.makespan == max(e.time for e in tl.events)
-
     def test_phases_bounded_by_makespan(self):
         for strategy in Strategy:
             plan = plan_job(
@@ -447,7 +426,7 @@ class TestValidateTimeline:
         assert any(v.rank == 1 and "launch" in v.rule for v in violations)
 
     def test_negative_timestamp_flagged(self):
-        timeline = ExecutionTimeline([[-1.0] + [math.nan] * (len(EVENT_KINDS) - 1)])
+        timeline = ExecutionTimeline([[-1.0] + [0.0] * (len(EVENT_KINDS) - 1)])
         assert any("negative" in v.rule for v in validate_timeline(timeline))
 
     def test_empty_timeline_ok(self):
@@ -455,8 +434,8 @@ class TestValidateTimeline:
         assert ExecutionTimeline(np.empty((0, 8))).makespan == 0.0
 
 
-# sha256 of repr([(time, rank, kind), ...]) for a 3-rank, 5-DPU-per-rank job
-# with uneven ranks; pins every modeled timestamp bit for bit.
+# sha256 of repr([(time, rank, kind), ...]), sorted, for a 3-rank,
+# 5-DPU-per-rank job with uneven ranks; pins every modeled timestamp bit for bit.
 _GOLDEN_TIMELINES = {
     ("aes", "sync"): "9484a18c539bff0da2e8a81f4aaf4ebb79a055f92d7126ca9b8ef45643e31d02",
     ("aes", "async_rank_transfer"): "db67fed715b395883ebef0cb806c60da38cfa385963899227071b742641d01e3",
@@ -476,96 +455,30 @@ def test_timeline_bit_exact(algorithm, strategy):
     plan = plan_job(
         workload, strategy=Strategy(strategy), n_ranks=3, dpus_per_rank=5, tasklets=16
     )
-    text = repr([(e.time, e.rank, e.kind) for e in plan.timeline.events])
-    assert len(plan.timeline.events) == 24
+    times = plan.timeline.times
+    assert times.shape == (3, len(EVENT_KINDS))
+    keyed = sorted((t, r, k) for r, row in enumerate(times.tolist()) for k, t in enumerate(row))
+    text = repr([(t, r, EVENT_KINDS[k]) for t, r, k in keyed])
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN_TIMELINES[algorithm, strategy]
 
 
-class _Phases(NamedTuple):
-    """One rank's phase durations, in the planner's column order."""
-
-    prepare: float
-    to_dpu: float
-    kernel: float
-    from_dpu: float
-
-
-def _sorted_events_timeline(strategy, rank_phases, t0):
-    """Oracle: the event list as the planner built it before timelines were
-    arrays, one TimelineEvent per (rank, kind), sorted by (time, rank, kind
-    index)."""
-    waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
-    prep_starts, prep_ends, to_ends = [], [], []
-    cursor = t0
-    for ph in rank_phases:
-        prep_starts.append(cursor)
-        cursor += ph.prepare
-        prep_ends.append(cursor)
-        to_ends.append(cursor + ph.to_dpu)
-        if waits_for_inbound:
-            cursor = to_ends[-1]
-    barrier = max(to_ends, default=t0)
-    launches = [barrier if launch_barrier else end for end in to_ends]
-    kernel_ends = [launch + ph.kernel for launch, ph in zip(launches, rank_phases)]
-    from_starts = list(kernel_ends)
-    if serial_drain:
-        cursor = max(kernel_ends, default=t0)
-        for r, ph in enumerate(rank_phases):
-            from_starts[r] = cursor
-            cursor += ph.from_dpu
-    keyed = []
-    for r, ph in enumerate(rank_phases):
-        times = (
-            prep_starts[r], prep_ends[r], prep_ends[r], to_ends[r],
-            launches[r], kernel_ends[r], from_starts[r], from_starts[r] + ph.from_dpu,
-        )
-        keyed.extend((time, r, k) for k, time in enumerate(times))
-    keyed.sort()
-    return [TimelineEvent(time=time, rank=r, kind=EVENT_KINDS[k]) for time, r, k in keyed]
-
-
-def _event_phase_intervals(events, start_kind, end_kind):
-    """Oracle: per-rank (start, end) pairs, a repeated kind at its last event."""
-    starts, ends = {}, {}
-    for e in events:
-        if e.kind == start_kind:
-            starts[e.rank] = e.time
-        if e.kind == end_kind:
-            ends[e.rank] = e.time
-    return [(starts[r], ends[r]) for r in sorted(starts.keys() & ends.keys())]
-
-
-def _event_validator(events):
-    """Oracle: the validator as it walked events before timelines were arrays."""
-    by_rank = {}
-    for event in events:
-        by_rank.setdefault(event.rank, []).append(event)
+def _row_walk(rows):
+    """Oracle: per rank, its negative times in (time, kind) order, then each
+    kind whose time is below the time of the kind before it."""
     violations = []
-    for rank in sorted(by_rank):
-        seen = {}
-        for event in by_rank[rank]:
-            if event.kind not in EVENT_KINDS:
-                violations.append(TimelineViolation(rank, "unknown event kind", event.kind))
-                continue
-            if event.kind in seen:
-                violations.append(TimelineViolation(rank, "duplicate event", event.kind))
-                continue
-            if event.time < 0:
-                violations.append(TimelineViolation(
-                    rank, "negative timestamp", f"{event.kind}@{event.time}"
-                ))
-            seen[event.kind] = event.time
-        present = [k for k in EVENT_KINDS if k in seen]
-        for earlier, later in zip(present, present[1:]):
-            if seen[later] < seen[earlier]:
-                violations.append(TimelineViolation(
-                    rank, f"{later} before {earlier}", f"{seen[later]} < {seen[earlier]}"
-                ))
+    for rank, row in enumerate(rows):
+        violations += [
+            TimelineViolation(rank, "negative timestamp", f"{EVENT_KINDS[k]}@{t}")
+            for t, k in sorted(zip(row, range(len(row)))) if t < 0
+        ]
+        violations += [
+            TimelineViolation(rank, f"{EVENT_KINDS[k]} before {EVENT_KINDS[k - 1]}",
+                              f"{row[k]} < {row[k - 1]}")
+            for k in range(1, len(row)) if row[k] < row[k - 1]
+        ]
     return violations
 
 
-# few distinct values, so zero durations and equal event times are common
-_DURATIONS = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1e-9, 3.0])
 _TIMES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.25, 1.0, 1.0, -1.0, 2.5]),
     st.floats(-5, 5, allow_nan=False),
@@ -574,58 +487,80 @@ _TIMES = st.one_of(
 
 @st.composite
 def _time_rows(draw):
-    """Rows of a times array: in kind order or not, with a few kinds
-    missing (NaN), and -0.0, negative and equal times common."""
+    """Rows of a times array: in kind order or not, with -0.0, negative
+    and equal times common."""
     rows = []
     for _ in range(draw(st.integers(0, 5))):
         row = draw(st.lists(_TIMES, min_size=8, max_size=8))
         if draw(st.booleans()):
             row.sort()
-        for k in draw(st.sets(st.integers(0, 7), max_size=3)):
-            row[k] = math.nan
         rows.append(row)
     return rows
 
 
+@st.composite
+def _jobs(draw):
+    """A plan_job call of 1-40 ranks with drawn staging and channel rates,
+    on an AES buffer or on few enough messages that ranks with no work
+    (all durations zero) and equal event times are common."""
+    n_ranks, dpus = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    rate = st.sampled_from([1e8, 1e9, 1e10, 1e11])
+    profile = dataclasses.replace(
+        PROFILE, host_prepare_rate=draw(rate),
+        cpu_to_dpu_bandwidth_per_rank=draw(rate), dpu_to_cpu_bandwidth_per_rank=draw(rate),
+    )
+    if draw(st.booleans()):
+        workload = AesWorkload(16 * draw(st.integers(0, 64 * n_ranks * dpus)))
+    else:
+        workload = ShaWorkload(tuple(draw(st.lists(st.integers(0, 3000), max_size=100))))
+    return workload, dict(n_ranks=n_ranks, dpus_per_rank=dpus,
+                          tasklets=draw(st.integers(1, 24)), profile=profile)
+
+
 class TestTimelineArray:
     @settings(max_examples=200, deadline=None)
-    @given(
-        phases=st.lists(st.builds(_Phases, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS),
-                        min_size=1, max_size=6),
-        t0=st.sampled_from([0.0, 0.1, 1e-5]),
-        strategy=st.sampled_from(list(Strategy)),
-    )
-    def test_matches_sorted_event_list(self, phases, t0, strategy):
-        """The array timeline derives the events, makespan and phase
-        intervals the sorted event list gave, bit for bit."""
-        timeline = _build_timeline(strategy, np.array(phases).reshape(-1, 4), t0)
-        expected = _sorted_events_timeline(strategy, phases, t0)
-        assert timeline.times.shape == (len(phases), len(EVENT_KINDS))
-        assert list(timeline.events) == expected
-        assert timeline.makespan == max(e.time for e in expected)
-        for start_kind in EVENT_KINDS:
-            for end_kind in EVENT_KINDS:
-                assert timeline.phase_intervals(start_kind, end_kind) == \
-                    _event_phase_intervals(expected, start_kind, end_kind)
-        assert validate_timeline(timeline) == []
+    @given(job=_jobs(), strategy=st.sampled_from(list(Strategy)))
+    def test_plan_matches_reference_schedule(self, job, strategy):
+        """A plan's event times, phase times and makespan are, bit for bit,
+        what the reference scheduler and interval union give for its rank
+        phases from the end of its key broadcast."""
+        workload, kwargs = job
+        plan = plan_job(workload, strategy=strategy, **kwargs)
+        rows = reference.schedule(
+            strategy.value, plan.rank_phases.tolist(), plan.broadcast_seconds
+        )
+        assert plan.timeline.times.tolist() == rows
+        assert plan.phase_times == tuple(
+            reference.union_length([(row[2 * k], row[2 * k + 1]) for row in rows])
+            for k in range(4)
+        )
+        assert plan.makespan == max(map(max, rows))
+        assert validate_timeline(plan.timeline) == []
 
     @settings(max_examples=300, deadline=None)
     @given(rows=_time_rows())
     def test_validator_matches_event_walk(self, rows):
-        """Negative, out-of-order and missing kinds give the violations the
-        event walk gave, in the same order and text; the timeline keeps a
+        """Negative and out-of-order times give the violations a walk over
+        each row gives, in the same order and text; the timeline keeps a
         read-only copy of the array it was given."""
         times = np.array(rows, dtype=np.float64).reshape(-1, len(EVENT_KINDS))
         timeline = ExecutionTimeline(times)
-        assert validate_timeline(timeline) == _event_validator(timeline.events)
-        assert len(timeline.events) == np.count_nonzero(~np.isnan(times))
+        assert validate_timeline(timeline) == _row_walk(rows)
         assert not timeline.times.flags.writeable
         with pytest.raises(ValueError):
             timeline.times[...] = 0.0
-        assert ExecutionTimeline(times) == timeline  # NaN equals NaN
+        assert ExecutionTimeline(times) == timeline
         before = times.copy()
         times[...] = 1.0  # the timeline holds its own copy
-        assert np.array_equal(timeline.times, before, equal_nan=True)
+        assert np.array_equal(timeline.times, before)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, value):
+        """Every rank has every event, so no cell may be NaN or infinite."""
+        times = np.zeros((2, len(EVENT_KINDS)))
+        times[1, EVENT_KINDS.index("launch")] = value
+        with pytest.raises(ValueError, match="finite"):
+            ExecutionTimeline(times)
 
     @pytest.mark.parametrize("shape", [(8,), (0,), (2, 7), (2, 9), (1, 2, 8)])
     def test_wrong_shape_rejected(self, shape):

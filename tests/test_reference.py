@@ -1,6 +1,8 @@
 """The oracles themselves must be trustworthy before anything leans on them."""
 
+import ast
 import hashlib
+import inspect
 import random
 
 import pytest
@@ -79,3 +81,46 @@ def test_sha256_against_hashlib():
     for _ in range(64):
         msg = rng.randbytes(rng.randrange(0, 300))
         assert ref.sha256(msg) == hashlib.sha256(msg).digest()
+
+
+# two ranks' (prepare, to_dpu, kernel, from_dpu), worked by hand from t0 = 0
+_PHASES = [(1.0, 2.0, 4.0, 1.0), (1.0, 1.0, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("strategy,rows", [
+    # the host waits for each transfer; one launch at 5; ranks drain in turn from 9
+    ("sync", [[0, 1, 1, 3, 5, 9, 9, 10], [3, 4, 4, 5, 5, 6, 10, 12]]),
+    # rank 1 is staged while rank 0 transfers; one launch at 3; each drains at once
+    ("async_rank_transfer", [[0, 1, 1, 3, 3, 7, 7, 8], [1, 2, 2, 3, 3, 4, 4, 6]]),
+    # each rank launches as its own transfer ends and drains at once
+    ("async_rank_execution", [[0, 1, 1, 3, 3, 7, 7, 8], [3, 4, 4, 5, 5, 6, 6, 8]]),
+])
+def test_schedule_worked_example(strategy, rows):
+    assert ref.schedule(strategy, _PHASES) == rows
+    assert ref.schedule(strategy, [(0.0, 0.0, 0.0, 0.0)], t0=0.5) == [[0.5] * 8]
+    assert ref.schedule(strategy, []) == []
+
+
+def test_schedule_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="pim1"):
+        ref.schedule("pim1", _PHASES)
+
+
+@pytest.mark.parametrize("intervals,length", [
+    ([], 0.0),
+    ([(2.0, 2.0)], 0.0),
+    ([(0.0, 1.0), (1.0, 2.0)], 2.0),  # touching intervals are one stretch
+    ([(3.0, 4.0), (0.5, 2.0), (0.0, 1.0)], 3.0),
+    ([(0.0, 4.0), (1.0, 2.0)], 4.0),
+])
+def test_union_length(intervals, length):
+    assert ref.union_length(intervals) == length
+
+
+def test_imports_nothing_it_checks():
+    """The oracles are independent: the module imports only the stdlib."""
+    tree = ast.parse(inspect.getsource(ref))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert imported == {"__future__", "math", "functools"}
