@@ -1,7 +1,8 @@
 """Scaling experiments, host baseline measurement, kernel characterization.
 
 Four experiments sweep one plan_job argument each (machine.EXPERIMENTS) and
-report modeled per-phase times, one row per (sweep value, strategy):
+report modeled per-phase times, one row per (sweep value, strategy); a
+sweep value is priced once and rescheduled for each strategy:
 
 * tasklet_scaling — fixed workload on a single DPU, tasklet count swept.
 * strong_scaling  — fixed total workload, DPU count swept within one rank.
@@ -32,7 +33,6 @@ from .errors import ProfileError
 from .machine import ExperimentSpec, HostProfile, Strategy
 from .orchestrator import (
     AesWorkload,
-    JobPlan,
     ShaWorkload,
     plan_job,
     validate_timeline,
@@ -44,19 +44,6 @@ EXPERIMENT_NAMES = tuple(mc.EXPERIMENTS)
 ALGORITHMS = mc.ALGORITHMS
 
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
-
-
-def _checked_plan(workload, **kwargs) -> JobPlan:
-    """Plan a job and insist on a valid timeline; experiments never emit
-    rows derived from an inconsistent schedule."""
-    plan = plan_job(workload, **kwargs)
-    violations = validate_timeline(plan.timeline)
-    if violations:
-        raise RuntimeError(
-            "planner produced an invalid timeline: "
-            + "; ".join(str(v) for v in violations)
-        )
-    return plan
 
 
 def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> dict[str, int]:
@@ -113,13 +100,17 @@ def run_experiment(
     """Plan the spec's workload at every sweep value under every strategy.
 
     machine.EXPERIMENTS names the plan_job argument swept and _topology the
-    others. Rows are ordered by sweep value, one per strategy (in spec order)
-    at each value, and carry the kernel speedup over the first row. Every
-    point is planned before anything is measured, so a point the planner
-    rejects fails the run at once. rank_scaling alone spans several ranks, so it alone records
-    the strategies and, unless include_baseline is false, a host software
-    baseline measured once on about BASELINE_CAP_BYTES (whole messages, for
-    hashing) and extrapolated linearly per byte.
+    others. Each sweep value is priced once, by plan_job under the first
+    strategy; a strategy changes only the schedule, so each other strategy's
+    plan is replace(plan, strategy=s). No row comes from a plan whose
+    timeline fails validate_timeline. Rows are ordered by sweep value, one
+    per strategy (in spec order) at each value, and carry the kernel speedup
+    over the first row. Every point is planned before anything is measured,
+    so a point the planner rejects fails the run at once. rank_scaling alone
+    spans several ranks, so it alone records the strategies and, unless
+    include_baseline is false, a host software baseline measured once on
+    about BASELINE_CAP_BYTES (whole messages, for hashing) and extrapolated
+    linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
@@ -128,13 +119,18 @@ def run_experiment(
     cost = config.kernel_costs[spec.algorithm]
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
-        topology = _topology(spec, value, config.machine)
+        # a workload per sweep value, so no two values' workloads are alive at once
+        plan = plan_job(
+            _workload_for(spec, value if scales else 1), strategy=spec.strategies[0],
+            profile=config.machine, cost=cost, **_topology(spec, value, config.machine),
+        )
         for strategy in spec.strategies:
-            # a workload per plan, so no two sweep values' workloads are alive at once
-            plan = _checked_plan(
-                _workload_for(spec, value if scales else 1),
-                strategy=strategy, profile=config.machine, cost=cost, **topology,
-            )
+            if strategy is not plan.strategy:
+                plan = replace(plan, strategy=strategy)
+            violations = validate_timeline(plan.timeline)
+            if violations:
+                raise RuntimeError("planner produced an invalid timeline: "
+                                   + "; ".join(map(str, violations)))
             kernel = plan.phase_times.kernel
             rows.append(ExperimentRow(
                 sweep_value=value,

@@ -194,14 +194,6 @@ class KernelCost:
         return self
 
 
-@dataclass(frozen=True)
-class DpuWorkload:
-    """Work assigned to one DPU: how many units, spread over how many tasklets."""
-
-    total_units: int
-    tasklets: int
-
-
 EVENT_KINDS = (
     "prepare_start",
     "prepare_end",
@@ -316,9 +308,9 @@ def _streamed_access_cycles(total_bytes: float, chunk: int, profile: MachineProf
 
 
 def simulate_dpu_kernel(
-    workload: DpuWorkload, cost: KernelCost, profile: MachineProfile
+    units: int, tasklets: int, cost: KernelCost, profile: MachineProfile
 ) -> float:
-    """Kernel time in seconds for one DPU.
+    """Kernel time in seconds for one DPU running units spread over tasklets.
 
     Units are divided among tasklets as evenly as possible, remainder to
     the lowest tasklet ids. Compute cycles are total work divided by the
@@ -326,26 +318,26 @@ def simulate_dpu_kernel(
     refills its private WRAM cache, and all tasklets' accesses serialize
     on the single MRAM port.
     """
-    if workload.total_units < 0:
-        raise ValueError("total_units must be non-negative")
-    cost.validate(profile, workload.tasklets)
-    ipc = effective_ipc(workload.tasklets, profile)
-    if workload.total_units == 0:
+    if units < 0:
+        raise ValueError("units must be non-negative")
+    cost.validate(profile, tasklets)
+    ipc = effective_ipc(tasklets, profile)
+    if units == 0:
         return 0.0
 
-    compute_cycles = workload.total_units * cost.instructions_per_unit / ipc
+    compute_cycles = units * cost.instructions_per_unit / ipc
 
     chunk = min(cost.wram_cache_bytes, profile.max_mram_access_bytes)
-    base, rem = divmod(workload.total_units, workload.tasklets)
+    base, rem = divmod(units, tasklets)
     mram_cycles = 0.0
     # the first rem tasklets take base + 1 units, the rest base. Each share
     # is priced once but still added once per tasklet, never multiplied, so
     # the float sum rounds exactly as a per-tasklet loop does
-    for units, count in ((base + 1, rem), (base, workload.tasklets - rem)):
-        if units == 0:
+    for share, count in ((base + 1, rem), (base, tasklets - rem)):
+        if share == 0:
             continue
-        read = _streamed_access_cycles(units * cost.mram_read_bytes_per_unit, chunk, profile)
-        write = _streamed_access_cycles(units * cost.mram_write_bytes_per_unit, chunk, profile)
+        read = _streamed_access_cycles(share * cost.mram_read_bytes_per_unit, chunk, profile)
+        write = _streamed_access_cycles(share * cost.mram_write_bytes_per_unit, chunk, profile)
         for _ in range(count):
             mram_cycles += read
             mram_cycles += write
@@ -370,7 +362,7 @@ def simulate_rank_kernel(
     order = np.argsort(first)
     pairs = zip(units.flat[first[order]].tolist(), tasklets.flat[first[order]].tolist())
     times = np.empty(first.size)
-    times[order] = [simulate_dpu_kernel(DpuWorkload(u, t), cost, profile) for u, t in pairs]
+    times[order] = [simulate_dpu_kernel(u, t, cost, profile) for u, t in pairs]
     return times[inverse].reshape(units.shape).max(axis=1, initial=0.0).tolist()
 
 

@@ -7,7 +7,9 @@ machine model). Row r of JobPlan.rank_phases holds rank r's four phase
 durations, and phase k runs from column 2k to 2k + 1 of the timeline's
 (ranks, 8) times array, in which every rank has every event; the phase
 times, the makespan, validation and the CLI's event listing are all read
-from that array. Three strategies are supported:
+from that array. A strategy changes only the schedule: a JobPlan derives
+its timeline from its strategy and rank phases, so replace(plan,
+strategy=s) reschedules the same priced job. Three strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -117,20 +119,39 @@ class PhaseTimes(NamedTuple):
 
 @dataclass(frozen=True)
 class JobPlan:
-    """Everything the model derives from a workload before/without running it."""
+    """Everything the model derives from a workload before/without running it.
+
+    The schedule (timeline, makespan, phase_times) is derived on construction
+    from strategy, rank_phases and broadcast_seconds, so it always matches them.
+    """
 
     strategy: Strategy
     n_ranks: int
     dpus_per_rank: int
     tasklets: int
     rank_phases: np.ndarray = field(compare=False)  # read-only (ranks, 4), PhaseTimes order
-    timeline: mc.ExecutionTimeline
-    makespan: float
-    phase_times: PhaseTimes
+    timeline: mc.ExecutionTimeline = field(init=False)
+    makespan: float = field(init=False)
+    phase_times: PhaseTimes = field(init=False)
     payload_bytes_to_dpu: int
     payload_bytes_from_dpu: int
     broadcast_bytes: int
     broadcast_seconds: float
+
+    def __post_init__(self) -> None:
+        self.rank_phases.flags.writeable = False
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is rejected below
+            times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
+        if not np.isfinite(times).all():
+            raise ProfileError(
+                "the model gives a non-finite time: a machine or kernel cost value is out of range"
+            )
+        timeline = mc.ExecutionTimeline(times)
+        object.__setattr__(self, "timeline", timeline)
+        object.__setattr__(self, "makespan", timeline.makespan)
+        object.__setattr__(self, "phase_times", PhaseTimes(
+            *(mc.busy_time(timeline.phase_intervals(k)) for k in range(4))
+        ))
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,8 @@ def plan_job(
     dpus_per_rank: int | None = None,
     cost: mc.KernelCost | None = None,
 ) -> JobPlan:
-    """Partition a workload and price its execution under a strategy."""
+    """Partition a workload, price each rank's phases and schedule them
+    under a strategy; only the schedule depends on the strategy."""
     if profile is None:
         profile = mc.default_profile()
     if dpus_per_rank is None:
@@ -211,30 +233,19 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # JobPlan rejects a non-finite time
         rank_phases = np.array((
             rank_in / profile.host_prepare_rate,
             mc.simulate_transfer(rank_in, "to_dpu", profile),
             kernels,
             mc.simulate_transfer(rank_out, "from_dpu", profile),
         )).T
-        times = _schedule(strategy, rank_phases, broadcast_seconds)
-    if not np.isfinite(times).all():
-        raise ProfileError(
-            "the model gives a non-finite time: a machine or kernel cost value is out of range"
-        )
-    rank_phases.flags.writeable = False
-    timeline = mc.ExecutionTimeline(times)
-    phase_times = PhaseTimes(*(mc.busy_time(timeline.phase_intervals(k)) for k in range(4)))
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,
         dpus_per_rank=dpus_per_rank,
         tasklets=tasklets,
         rank_phases=rank_phases,
-        timeline=timeline,
-        makespan=timeline.makespan,
-        phase_times=phase_times,
         payload_bytes_to_dpu=int(rank_in.sum()),
         payload_bytes_from_dpu=int(rank_out.sum()),
         broadcast_bytes=broadcast_bytes,

@@ -20,7 +20,7 @@ from pimcrypt.bench import (
 )
 from pimcrypt.errors import CapacityError, ProfileError
 from pimcrypt.machine import KernelCost, bundled_default_config
-from pimcrypt.orchestrator import AesWorkload, Strategy, plan_job
+from pimcrypt.orchestrator import AesWorkload, Strategy, plan_job, validate_timeline
 
 AES_COST = bundled_default_config().kernel_costs["aes128"]
 SHA_COST = bundled_default_config().kernel_costs["sha256"]
@@ -189,6 +189,29 @@ class TestRankScaling:
         assert all(row.baseline_s and row.baseline_s > 0 for row in result.rows)
         # extrapolation is linear in the payload
         assert result.rows[1].baseline_s == pytest.approx(2 * result.rows[0].baseline_s)
+
+    def test_each_sweep_value_priced_once(self, monkeypatch):
+        """A strategy changes only the schedule: each sweep value is one
+        plan_job call, rescheduled for the other strategies, and every
+        row's plan is validated. The rows are those of one plan_job call per
+        (sweep value, strategy)."""
+        priced, validated = [], []
+        monkeypatch.setattr(bench, "plan_job",
+                            lambda *args, **kw: priced.append(args) or plan_job(*args, **kw))
+        monkeypatch.setattr(bench, "validate_timeline",
+                            lambda t: validated.append(t) or validate_timeline(t))
+        spec = _spec("rank_scaling", algorithm="aes128", sweep=[1, 2, 4, 8],
+                     strategies=["pim1", "pim2", "sync"])
+        rows = run_experiment(spec, include_baseline=False).rows
+        assert len(priced) == len(spec.sweep)
+        assert len(validated) == 3 * len(spec.sweep) == len(rows)
+        for row, timeline in zip(rows, validated):
+            plan = plan_job(AesWorkload(spec.buffer_bytes * row.sweep_value),
+                            strategy=row.strategy, n_ranks=row.sweep_value,
+                            tasklets=spec.tasklets)
+            assert timeline == plan.timeline
+            assert (row.prepare_s, row.to_dpu_s, row.kernel_s, row.from_dpu_s, row.total_s) == (
+                *plan.phase_times, plan.makespan)
 
     def test_reproducible(self):
         spec = _spec("rank_scaling", sweep=[1, 2, 4], strategies=["pim1", "pim2"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pimcrypt import machine as mc
 from pimcrypt.errors import CapacityError, MramAccessError, ProfileError
 from pimcrypt.machine import (
-    DpuWorkload,
     KernelCost,
     MachineProfile,
     _streamed_access_cycles,
@@ -154,54 +153,38 @@ def _cycles(seconds):
 class TestSimulateDpuKernel:
     def test_single_tasklet_pipeline_penalty(self):
         # 100 units x 11 instructions = 1100 compute cycles, no MRAM cost
-        w = DpuWorkload(total_units=100, tasklets=1)
-        assert _cycles(simulate_dpu_kernel(w, NO_MRAM_COST, PROFILE)) == pytest.approx(12100)
+        assert _cycles(simulate_dpu_kernel(100, 1, NO_MRAM_COST, PROFILE)) == pytest.approx(12100)
 
     def test_saturated_pipeline(self):
-        w = DpuWorkload(total_units=100, tasklets=11)
-        assert _cycles(simulate_dpu_kernel(w, NO_MRAM_COST, PROFILE)) == pytest.approx(1100)
+        assert _cycles(simulate_dpu_kernel(100, 11, NO_MRAM_COST, PROFILE)) == pytest.approx(1100)
 
     def test_beyond_saturation_equals_saturation(self):
         # unit count chosen so every tasklet's byte share chunks exactly:
         # 22528 units split over 11 or 16 tasklets both give whole 2048-byte
         # cache refills, so the MRAM cost is identical.
         units = 22528
-        t11 = simulate_dpu_kernel(
-            DpuWorkload(total_units=units, tasklets=11), AES_COST, PROFILE
-        )
-        t16 = simulate_dpu_kernel(
-            DpuWorkload(total_units=units, tasklets=16), AES_COST, PROFILE
-        )
+        t11 = simulate_dpu_kernel(units, 11, AES_COST, PROFILE)
+        t16 = simulate_dpu_kernel(units, 16, AES_COST, PROFILE)
         assert t16 == t11
 
     def test_non_increasing_in_tasklets(self):
-        times = [
-            simulate_dpu_kernel(
-                DpuWorkload(total_units=52800, tasklets=t), AES_COST, PROFILE
-            )
-            for t in range(1, 25)
-        ]
+        times = [simulate_dpu_kernel(52800, t, AES_COST, PROFILE) for t in range(1, 25)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(times, times[1:]))
 
     def test_linear_in_units(self):
         def t(units):
-            return simulate_dpu_kernel(
-                DpuWorkload(total_units=units, tasklets=11), AES_COST, PROFILE
-            )
+            return simulate_dpu_kernel(units, 11, AES_COST, PROFILE)
 
         # 1408 units = 128 blocks per tasklet = exactly one cache refill each
         assert t(2 * 1408) == pytest.approx(2 * t(1408), rel=1e-12)
 
     def test_zero_units(self):
-        w = DpuWorkload(total_units=0, tasklets=4)
-        assert simulate_dpu_kernel(w, AES_COST, PROFILE) == 0.0
+        assert simulate_dpu_kernel(0, 4, AES_COST, PROFILE) == 0.0
 
     def test_wram_overflow_rejected(self):
         fat = dataclasses.replace(AES_COST, wram_cache_bytes=16 * 1024)
         with pytest.raises(CapacityError):
-            simulate_dpu_kernel(
-                DpuWorkload(total_units=10, tasklets=8), fat, PROFILE
-            )
+            simulate_dpu_kernel(10, 8, fat, PROFILE)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -230,7 +213,7 @@ class TestSimulateDpuKernel:
                 mram += _streamed_access_cycles(share * read, chunk, profile)
                 mram += _streamed_access_cycles(share * write, chunk, profile)
         compute = units * cost.instructions_per_unit / effective_ipc(tasklets, profile)
-        assert simulate_dpu_kernel(DpuWorkload(units, tasklets), cost, profile) == \
+        assert simulate_dpu_kernel(units, tasklets, cost, profile) == \
             (compute + mram) / profile.dpu_frequency
 
 
@@ -249,15 +232,14 @@ def _grid(rows):
 
 class TestSimulateRankKernel:
     def test_identical_workloads_match_single_dpu(self):
-        w = DpuWorkload(total_units=4096, tasklets=16)
         assert simulate_rank_kernel(*_grid([[(4096, 16)] * 64]), AES_COST, PROFILE) == [
-            simulate_dpu_kernel(w, AES_COST, PROFILE)
+            simulate_dpu_kernel(4096, 16, AES_COST, PROFILE)
         ]
 
     def test_slowest_dpu_wins(self):
         units, tasklets = _grid([[(1000, 16), (2000, 16)], [(500, 16), (1000, 16)]])
         assert simulate_rank_kernel(units, tasklets, AES_COST, PROFILE) == [
-            simulate_dpu_kernel(DpuWorkload(total_units=u, tasklets=16), AES_COST, PROFILE)
+            simulate_dpu_kernel(u, 16, AES_COST, PROFILE)
             for u in (2000, 1000)
         ]
 
@@ -291,7 +273,7 @@ class TestSimulateRankKernel:
 
         assert outcome(lambda: simulate_rank_kernel(*_grid(rows), cost, PROFILE)) == outcome(
             lambda: [
-                max((simulate_dpu_kernel(DpuWorkload(u, t), cost, PROFILE) for u, t in row),
+                max((simulate_dpu_kernel(u, t, cost, PROFILE) for u, t in row),
                     default=0.0)
                 for row in rows
             ]

@@ -15,7 +15,6 @@ from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError, ProfileError
 from pimcrypt.machine import (
     EVENT_KINDS,
-    DpuWorkload,
     ExecutionTimeline,
     KernelCost,
     bundled_default_config,
@@ -163,9 +162,7 @@ class TestPartitionSha:
         for r, (prepare, _, kernel, _) in enumerate(plan.rank_phases.tolist()):
             rank = range(r * dpus_per_rank, (r + 1) * dpus_per_rank)
             assert kernel == max(
-                simulate_dpu_kernel(
-                    DpuWorkload(units[d], min(len(ids[d]), tasklets) or 1), cost, PROFILE
-                )
+                simulate_dpu_kernel(units[d], min(len(ids[d]), tasklets) or 1, cost, PROFILE)
                 for d in rank
             )
             assert prepare == sum(in_bytes[d] for d in rank) / PROFILE.host_prepare_rate
@@ -519,23 +516,31 @@ def _jobs(draw):
 
 class TestTimelineArray:
     @settings(max_examples=200, deadline=None)
-    @given(job=_jobs(), strategy=st.sampled_from(list(Strategy)))
-    def test_plan_matches_reference_schedule(self, job, strategy):
+    @given(job=_jobs(), strategy=st.sampled_from(list(Strategy)),
+           other=st.sampled_from(list(Strategy)))
+    def test_plan_matches_reference_schedule(self, job, strategy, other):
         """A plan's event times, phase times and makespan are, bit for bit,
         what the reference scheduler and interval union give for its rank
-        phases from the end of its key broadcast."""
+        phases from the end of its key broadcast; so are those of the plan
+        rescheduled for another strategy, which is the plan priced for it."""
         workload, kwargs = job
         plan = plan_job(workload, strategy=strategy, **kwargs)
-        rows = reference.schedule(
-            strategy.value, plan.rank_phases.tolist(), plan.broadcast_seconds
-        )
-        assert plan.timeline.times.tolist() == rows
-        assert plan.phase_times == tuple(
-            reference.union_length([(row[2 * k], row[2 * k + 1]) for row in rows])
-            for k in range(4)
-        )
-        assert plan.makespan == max(map(max, rows))
-        assert validate_timeline(plan.timeline) == []
+        rescheduled = dataclasses.replace(plan, strategy=other)
+        priced = plan_job(workload, strategy=other, **kwargs)
+        assert rescheduled == priced
+        assert rescheduled.rank_phases.tolist() == priced.rank_phases.tolist()
+        for scheduled in (plan, rescheduled):
+            rows = reference.schedule(
+                scheduled.strategy.value, scheduled.rank_phases.tolist(),
+                scheduled.broadcast_seconds,
+            )
+            assert scheduled.timeline.times.tolist() == rows
+            assert scheduled.phase_times == tuple(
+                reference.union_length([(row[2 * k], row[2 * k + 1]) for row in rows])
+                for k in range(4)
+            )
+            assert scheduled.makespan == max(map(max, rows))
+            assert validate_timeline(scheduled.timeline) == []
 
     @settings(max_examples=300, deadline=None)
     @given(rows=_time_rows())
@@ -576,8 +581,8 @@ class TestShaTaskletAssignment:
         units = 3 * padded_block_count(5000)
         cost = _sha_cost_for(_SHA_COST, 3, units)
         kernel_s = plan.phase_times.kernel
-        assert kernel_s == simulate_dpu_kernel(DpuWorkload(units, 3), cost, PROFILE)
-        assert kernel_s != simulate_dpu_kernel(DpuWorkload(units, 16), cost, PROFILE)
+        assert kernel_s == simulate_dpu_kernel(units, 3, cost, PROFILE)
+        assert kernel_s != simulate_dpu_kernel(units, 16, cost, PROFILE)
 
     def test_dpu_without_messages_has_no_work(self):
         partition = partition_sha((5000,), 4)
@@ -587,7 +592,7 @@ class TestShaTaskletAssignment:
         plan = plan_job(ShaWorkload((5000,)), n_ranks=1, dpus_per_rank=4, tasklets=16)
         cost = _sha_cost_for(_SHA_COST, 1, int(partition.units[0]))
         assert plan.phase_times.kernel == simulate_dpu_kernel(
-            DpuWorkload(int(partition.units[0]), 1), cost, PROFILE
+            int(partition.units[0]), 1, cost, PROFILE
         )
 
 
@@ -599,16 +604,16 @@ def test_job_prices_each_distinct_dpu_workload_once(monkeypatch):
     priced, jobs = [], []
     price_dpu, price_job = mc.simulate_dpu_kernel, mc.simulate_rank_kernel
     monkeypatch.setattr(mc, "simulate_dpu_kernel",
-                        lambda w, *args: priced.append(w) or price_dpu(w, *args))
+                        lambda *args: priced.append(args[:2]) or price_dpu(*args))
     monkeypatch.setattr(mc, "simulate_rank_kernel",
                         lambda *args: jobs.append(args) or price_job(*args))
     plan = plan_job(AesWorkload(16 << 20), n_ranks=40)
     assert len(jobs) == 1
-    assert priced == [DpuWorkload(410, 16), DpuWorkload(409, 16)]
+    assert priced == [(410, 16), (409, 16)]
     cost = bundled_default_config().kernel_costs["aes128"]
     assert plan.rank_phases[:, 2].tolist() == (
-        [price_dpu(DpuWorkload(410, 16), cost, PROFILE)] * 24
-        + [price_dpu(DpuWorkload(409, 16), cost, PROFILE)] * 16
+        [price_dpu(410, 16, cost, PROFILE)] * 24
+        + [price_dpu(409, 16, cost, PROFILE)] * 16
     )
 
 
@@ -670,15 +675,28 @@ def test_plan_prices_each_transfer_direction_once(monkeypatch, n_ranks, workload
     assert np.array_equal(times[:, 1::2], times[:, ::2] + phases)
 
 
+# each rank's 512 KiB drains in 1e308 s: pim2 drains the ranks side by
+# side, sync one after the other, which overflows
+_SERIAL_DRAIN_OVERFLOW = ("dpu_to_cpu_bandwidth_per_rank", (1 << 19) / 1e308)
+
+
 @pytest.mark.parametrize("field,value", [
     ("host_prepare_rate", 5e-324),
     ("cpu_to_dpu_bandwidth_per_rank", 5e-324),
     ("dpu_frequency", 5e-324),
     ("mram_fixed_cycles", 1.7e308),
+    _SERIAL_DRAIN_OVERFLOW,
 ])
 def test_non_finite_time_rejected(field, value):
     """A machine value that drives a modeled time to inf or nan is a
-    profile error, not a plan printing inf."""
+    profile error, not a plan printing inf, also when a plan whose times
+    are finite is rescheduled for a strategy under which they are not."""
     profile = dataclasses.replace(PROFILE, **{field: value})
     with pytest.raises(ProfileError, match="non-finite"):
         plan_job(AesWorkload(1 << 20), n_ranks=2, profile=profile)
+    if (field, value) == _SERIAL_DRAIN_OVERFLOW:
+        plan = plan_job(AesWorkload(1 << 20), n_ranks=2, profile=profile,
+                        strategy=Strategy.ASYNC_RANK_EXECUTION)
+        assert math.isfinite(plan.makespan)
+        with pytest.raises(ProfileError, match="non-finite"):
+            dataclasses.replace(plan, strategy=Strategy.SYNC)

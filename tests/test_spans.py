@@ -1,8 +1,9 @@
 """The host-clock benchmark wraps pimcrypt's entry points at the module
 attributes their callers look up (hostbench/spans.py). A refactor that
 inlines one of them, or calls it by another name, silently drops its span;
-this runs one small operation of each benchmark workload under the tracer
-and checks that every span the benchmark expects still fires."""
+this runs a small operation of each benchmark workload twice under the
+tracer and checks that every span the benchmark expects fires, with the
+same call counts in both operations, as a traced benchmark run requires."""
 
 import contextlib
 import importlib.util
@@ -48,8 +49,12 @@ def _calls(workload, tmp):
 def test_every_expected_span_fires(tmp_path, workload):
     spans = _load_spans()
     calls = _calls(workload, tmp_path)
-    with spans.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
-        codes = [cli.main(argv) for argv in calls]
-    assert codes == [0] * len(calls)
-    assert tracer.unresolved == []
-    assert spans.missing_spans(workload, [tracer.summary()]) == []
+    summaries = []
+    for _ in range(2):
+        with spans.Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in calls]
+        assert codes == [0] * len(calls)
+        assert tracer.unresolved == []
+        summaries.append(tracer.summary())
+    assert spans.missing_spans(workload, summaries) == []
+    assert spans.unstable_counts(summaries) == []
