@@ -2,7 +2,8 @@
 
 Four experiments sweep one plan_job argument each (machine.EXPERIMENTS) and
 report modeled per-phase times, one row per (sweep value, strategy); a
-sweep value is priced once and rescheduled for each strategy:
+sweep value is priced once and rescheduled for each strategy. Only
+rank_scaling lists strategies; the others run on one rank, under sync:
 
 * tasklet_scaling — fixed workload on a single DPU, tasklet count swept.
 * strong_scaling  — fixed total workload, DPU count swept within one rank.
@@ -12,7 +13,8 @@ sweep value is priced once and rescheduled for each strategy:
 
 All experiment times are outputs of the deterministic machine model, so a
 result is reproducible bit-for-bit from (spec, config); only
-run_host_baseline touches a wall clock. Results serialize to CSV with the
+run_host_baseline touches a wall clock, timing the median of 5 repetitions
+on data drawn from BASELINE_SEED. Results serialize to CSV with the
 fixed column set sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,
 baseline_s.
 """
@@ -61,6 +63,8 @@ def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> d
 
 # bytes of workload the host software baseline is measured on
 BASELINE_CAP_BYTES = 1 << 20
+# seed of the generator that draws the host baseline's data
+BASELINE_SEED = 20250808
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ def run_experiment(
     per strategy (in spec order) at each value, and carry the kernel speedup
     over the first row. Every point is planned before anything is measured,
     so a point the planner rejects fails the run at once. rank_scaling alone
-    spans several ranks, so it alone records the strategies and, unless
-    include_baseline is false, a host software baseline measured once on
-    about BASELINE_CAP_BYTES (whole messages, for hashing) and extrapolated
-    linearly per byte.
+    spans several ranks, so it alone lists strategies, records them and,
+    unless include_baseline is false, a host software baseline: the median
+    of 5 repetitions on about BASELINE_CAP_BYTES (whole messages, for
+    hashing), extrapolated linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
@@ -144,7 +148,12 @@ def run_experiment(
                 bytes_to_dpu=plan.payload_bytes_to_dpu,
                 bytes_from_dpu=plan.payload_bytes_from_dpu,
             ))
-    meta = _metadata(spec)
+    meta: dict[str, object] = {
+        "experiment": spec.experiment,
+        "algorithm": spec.algorithm,
+        "seed": BASELINE_SEED,
+        "generator": "numpy-default_rng",
+    }
     if spec.experiment == "rank_scaling":
         meta["strategies"] = ",".join(s.value for s in spec.strategies)
         if include_baseline:
@@ -163,10 +172,8 @@ def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
         count = max(1, BASELINE_CAP_BYTES // spec.message_bytes)
         workload = (spec.message_bytes, count)
         measured_bytes = spec.message_bytes * count
-    reps = max(5, spec.repetitions)
-    rate = run_host_baseline(
-        spec.algorithm, workload, threads=1, repetitions=reps, seed=spec.seed,
-    ) / measured_bytes
+    measure = partial(run_host_baseline, spec.algorithm, workload, repetitions=5)
+    rate = measure(threads=1) / measured_bytes
     meta["baseline"] = (
         f"single-thread software, measured at {measured_bytes} B, "
         "extrapolated per byte"
@@ -174,20 +181,8 @@ def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
     meta["baseline_s_per_byte_1_thread"] = rate
     n_cores = os.cpu_count() or 1
     if n_cores > 1:
-        meta["baseline_s_per_byte_all_cores"] = run_host_baseline(
-            spec.algorithm, workload, threads=n_cores, repetitions=reps,
-            seed=spec.seed,
-        ) / measured_bytes
+        meta["baseline_s_per_byte_all_cores"] = measure(threads=n_cores) / measured_bytes
     return rate
-
-
-def _metadata(spec: ExperimentSpec) -> dict[str, object]:
-    return {
-        "experiment": spec.experiment,
-        "algorithm": spec.algorithm,
-        "seed": spec.seed,
-        "generator": "numpy-default_rng",
-    }
 
 
 def run_host_baseline(
@@ -195,18 +190,18 @@ def run_host_baseline(
     workload: int | tuple[int, int],
     threads: int = 1,
     repetitions: int = 5,
-    seed: int = 20250808,
 ) -> float:
     """Wall-clock time of the production kernels on this host, median of reps.
 
     workload is a byte count (encryption) or (message_bytes, message_count)
-    (hashing). The workload content is produced by a seeded generator so
-    repeated calls measure identical work. Values are host-dependent by
-    nature; no contract is attached to them beyond output correctness.
+    (hashing). The workload content is drawn by a generator seeded with
+    BASELINE_SEED, so repeated calls measure identical work. Values are
+    host-dependent by nature; no contract is attached to them beyond output
+    correctness.
     """
     if threads > 1:  # imported here, so a CLI run without threads never pays for it
         from concurrent.futures import ThreadPoolExecutor
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(BASELINE_SEED)
     if algorithm == "aes128":
         whole = rng.integers(0, 256, int(workload), dtype=np.uint8).tobytes()
         ks = key_expansion(rng.integers(0, 256, 16, dtype=np.uint8).tobytes())
@@ -293,32 +288,3 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
         )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path: str) -> tuple[dict[str, str], list[dict[str, float | None]]]:
-    """Parse a CSV written by emit_csv back into metadata and rows."""
-    metadata: dict[str, str] = {}
-    rows: list[dict[str, float | None]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    body: list[str] = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            metadata[key.strip()] = value
-        elif line:
-            body.append(line)
-    if not body or body[0] != ",".join(CSV_COLUMNS):
-        raise ProfileError(f"{path} does not carry the expected CSV header")
-    for line in body[1:]:
-        cells = line.split(",")
-        row: dict[str, float | None] = {}
-        for name, cell in zip(CSV_COLUMNS, cells):
-            if cell == "":
-                row[name] = None
-            elif name == "sweep":
-                row[name] = int(cell)
-            else:
-                row[name] = float(cell)
-        rows.append(row)
-    return metadata, rows

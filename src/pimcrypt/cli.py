@@ -16,6 +16,7 @@ import os
 import sys
 from functools import lru_cache
 
+from . import aes
 from . import bench as bh
 from . import machine as mc
 from .errors import AlignmentError, CapacityError, PimcryptError, ProfileError
@@ -88,13 +89,13 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         data = fh.read()
 
     original_len = len(data)
-    if len(data) % 16:
+    if len(data) % aes.BLOCK_BYTES:
         if not args.pad:
             raise AlignmentError(
-                f"input length {len(data)} is not a multiple of 16 "
+                f"input length {len(data)} is not a multiple of {aes.BLOCK_BYTES} "
                 "(pass --pad to zero-fill)"
             )
-        data = data + b"\x00" * (-len(data) % 16)
+        data = data + b"\x00" * (-len(data) % aes.BLOCK_BYTES)
 
     result = run_job(
         data,

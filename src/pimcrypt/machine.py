@@ -28,6 +28,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
+from . import aes
 from .errors import CapacityError, MramAccessError, ProfileError
 
 TransferDirection = Literal["to_dpu", "from_dpu"]
@@ -442,8 +443,10 @@ class ExperimentSpec:
     buffer_bytes (AES) and message_bytes/message_count (hashing) describe
     the workload at the granularity the experiment sweeps: total size for
     tasklet and strong scaling, per-DPU size for weak scaling, per-rank
-    size for rank scaling. Every field comes from the config: from_config
-    overlays a user's experiment entry on the bundled one.
+    size for rank scaling. from_config overlays a user's experiment entry
+    on the bundled one. experiment is the entry's name, and strategies is
+    set only for rank_scaling: the other experiments run on one rank,
+    where every strategy gives the same schedule, so they run sync alone.
     """
 
     experiment: str
@@ -454,8 +457,6 @@ class ExperimentSpec:
     sweep: tuple[int, ...]
     strategies: tuple[Strategy, ...]
     tasklets: int
-    repetitions: int
-    seed: int
 
     def validate(self) -> "ExperimentSpec":
         sweep = list(self.sweep)
@@ -466,12 +467,10 @@ class ExperimentSpec:
             (min(sweep, default=1) > 0 and sweep == sorted(sweep),
              "sweep values must be positive and sorted"),
             (self.strategies, "strategies must not be empty"),
-            (self.buffer_bytes >= 16 and self.buffer_bytes % 16 == 0,
-             "buffer_bytes must be a positive multiple of 16"),
+            (self.buffer_bytes >= aes.BLOCK_BYTES and self.buffer_bytes % aes.BLOCK_BYTES == 0,
+             f"buffer_bytes must be a positive multiple of {aes.BLOCK_BYTES}"),
             (min(self.message_bytes, self.message_count) >= 1,
              "message_bytes and message_count must be at least 1"),
-            (self.repetitions >= 1, "repetitions must be at least 1"),
-            (self.seed >= 0, "seed must not be negative"),
         ):
             if not ok:
                 raise ProfileError(f"experiment {self.experiment}: {problem}")
@@ -501,7 +500,10 @@ class ExperimentSpec:
         if section is not None and not isinstance(section, dict):
             raise ProfileError(f"{where} must be a JSON object")
         entry = {**_bundled_doc()["experiments"][experiment], **(section or {})}
-        return _parse_fields(cls, entry, where, {"experiment": experiment}).validate()
+        derived: dict[str, object] = {"experiment": experiment}
+        if EXPERIMENTS[experiment][0] != "n_ranks":
+            derived["strategies"] = (Strategy.SYNC,)
+        return _parse_fields(cls, entry, where, derived).validate()
 
 
 # Kernel-cost fields plan_job sets per job, and the value a parsed cost holds:

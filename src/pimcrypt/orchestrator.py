@@ -38,6 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import aes
 from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
 from .errors import AlignmentError, CapacityError, ProfileError
@@ -85,12 +86,13 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     """
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    if buffer_len % 16:
-        raise AlignmentError(f"buffer length {buffer_len} is not a multiple of 16")
-    base, rem = divmod(buffer_len // 16, n_dpus)
+    if buffer_len % aes.BLOCK_BYTES:
+        raise AlignmentError(
+            f"buffer length {buffer_len} is not a multiple of {aes.BLOCK_BYTES}")
+    base, rem = divmod(buffer_len // aes.BLOCK_BYTES, n_dpus)
     blocks = np.full(n_dpus, base, dtype=np.int64)
     blocks[:rem] += 1
-    nbytes = 16 * blocks
+    nbytes = aes.BLOCK_BYTES * blocks
     return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
 
 

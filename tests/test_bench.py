@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 
@@ -14,7 +15,6 @@ from pimcrypt.bench import (
     HostProfile,
     characterize_kernel,
     emit_csv,
-    read_csv,
     run_experiment,
     run_host_baseline,
 )
@@ -30,6 +30,15 @@ def _spec(experiment, **overrides):
     return ExperimentSpec.from_config(experiment, overrides)
 
 
+def _read_csv(path):
+    """A CSV emit_csv wrote: its '# key=value' metadata, and its rows as
+    dicts of the cells' text."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    metadata = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    return metadata, list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+
 class TestSpecValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ProfileError, match="valid"):
@@ -40,8 +49,11 @@ class TestSpecValidation:
             _spec("tasklet_scaling", sweep=[4, 2])
 
     def test_bad_repetitions(self):
-        with pytest.raises(ProfileError, match="repetitions"):
-            _spec("tasklet_scaling", repetitions=0)
+        """The host baseline's repetitions are fixed in bench, so an
+        experiment may not set them."""
+        with pytest.raises(ProfileError, match=r"unknown experiment tasklet_scaling fields: "
+                                               r"\['repetitions'\]"):
+            _spec("tasklet_scaling", repetitions=5)
 
     def test_unknown_field(self):
         with pytest.raises(ProfileError, match="unknown"):
@@ -222,21 +234,21 @@ class TestRankScaling:
 
 class TestHostBaseline:
     def test_aes_median_of_reps(self):
-        t = run_host_baseline("aes128", 16 << 10, repetitions=5, seed=1)
+        t = run_host_baseline("aes128", 16 << 10, repetitions=5)
         assert t > 0
 
     def test_sha_threads(self):
-        t1 = run_host_baseline("sha256", (256, 64), threads=1, repetitions=3, seed=1)
-        t2 = run_host_baseline("sha256", (256, 64), threads=2, repetitions=3, seed=1)
+        t1 = run_host_baseline("sha256", (256, 64), threads=1, repetitions=3)
+        t2 = run_host_baseline("sha256", (256, 64), threads=2, repetitions=3)
         assert t1 > 0 and t2 > 0
         # 65 messages over 2 threads: pieces of 32 and 33, joined in order
-        assert run_host_baseline("sha256", (256, 65), threads=2, repetitions=1, seed=1) > 0
+        assert run_host_baseline("sha256", (256, 65), threads=2, repetitions=1) > 0
 
     def test_aes_threads_assemble_correctly(self):
         # correctness of the threaded assembly is asserted inside
-        assert run_host_baseline("aes128", 32 << 10, threads=4, repetitions=2, seed=2) > 0
+        assert run_host_baseline("aes128", 32 << 10, threads=4, repetitions=2) > 0
         # 2051 blocks over 4 threads: pieces of whole blocks, not all one size
-        assert run_host_baseline("aes128", 2051 * 16, threads=4, repetitions=2, seed=2) > 0
+        assert run_host_baseline("aes128", 2051 * 16, threads=4, repetitions=2) > 0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ProfileError):
@@ -304,13 +316,14 @@ class TestCsv:
             ),
             str(path),
         )
-        metadata, parsed = read_csv(str(path))
-        assert metadata["seed"] == "7"
+        metadata, parsed = _read_csv(str(path))
+        assert metadata == {"seed": "7"}
+        assert len(parsed) == len(rows)
         for row, got in zip(rows, parsed):
-            assert got["sweep"] == row.sweep_value
-            assert got["kernel_s"] == row.kernel_s
-            assert got["total_s"] == row.total_s
-            assert got["baseline_s"] == row.baseline_s
+            assert int(got["sweep"]) == row.sweep_value
+            assert float(got["kernel_s"]) == row.kernel_s
+            assert float(got["total_s"]) == row.total_s
+            assert (float(got["baseline_s"]) if got["baseline_s"] else None) == row.baseline_s
 
     def test_header_exact(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -326,9 +339,11 @@ class TestRunExperiment:
         assert len(res.rows) == 2
 
     def test_metadata_records_seed_and_generator(self):
-        res = run_experiment(_spec("weak_scaling", sweep=[1, 4], seed=99))
-        assert res.metadata["seed"] == 99
-        assert "generator" in res.metadata
+        """Every CSV records the seed and generator of the host baseline's
+        data, which no config sets."""
+        res = run_experiment(_spec("weak_scaling", sweep=[1, 4]))
+        assert res.metadata["seed"] == bench.BASELINE_SEED == 20250808
+        assert res.metadata["generator"] == "numpy-default_rng"
 
 
 # sha256 of each `bench --no-baseline` CSV of the bundled experiments (with
@@ -359,10 +374,10 @@ def test_baseline_metadata_names_measured_bytes(tmp_path):
     """The hash baseline runs on whole messages: 349 of 3000 B under the
     1 MiB cap, and the CSV names those 1,047,000 B."""
     spec = _spec("rank_scaling", algorithm="sha256", message_bytes=3000, sweep=[1],
-                 strategies=["pim1"], repetitions=1)
+                 strategies=["pim1"])
     path = tmp_path / "rank_scaling.csv"
     emit_csv(run_experiment(spec), str(path))
-    metadata, _ = read_csv(str(path))
+    metadata, _ = _read_csv(str(path))
     assert "measured at 1047000 B," in metadata["baseline"]
 
 

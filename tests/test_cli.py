@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import bench as bh
-from pimcrypt.bench import read_csv
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
 from pimcrypt.machine import bundled_default_config, default_profile
@@ -20,6 +20,14 @@ from pimcrypt.sha256 import sha256_digest
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+
+
+def _csv_column(path, name):
+    """One column of a CSV emit_csv wrote, as floats, its '#' metadata
+    lines skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return [float(row[name]) for row in rows]
 
 
 def _summary(capsys):
@@ -312,13 +320,13 @@ class TestConfigErrors:
          ["bench", "--experiment", "weak_scaling"], 3, "sweep"),
         (("experiments", "weak_scaling", "tasklets"), "16",
          ["bench", "--experiment", "weak_scaling"], 3, "tasklets"),
-        (("experiments", "weak_scaling", "strategies"), ["sync", 1],
-         ["bench", "--experiment", "weak_scaling"], 3, "unknown strategy"),
+        (("experiments", "rank_scaling", "strategies"), ["sync", 1],
+         ["bench", "--experiment", "rank_scaling"], 3, "unknown strategy"),
         # validate rejects what the planner rejects
         (("kernel_costs", "aes128", "instructions_per_unit"), -1,
          ["validate"], 3, "violation: aes128"),
-        (("experiments", "weak_scaling", "strategies"), [],
-         ["bench", "--experiment", "weak_scaling"], 3, "strategies"),
+        (("experiments", "rank_scaling", "strategies"), [],
+         ["bench", "--experiment", "rank_scaling"], 3, "strategies"),
         # empty workloads: a division by zero, and an all-zero CSV
         (("experiments", "tasklet_scaling", "buffer_bytes"), 0,
          ["bench", "--experiment", "tasklet_scaling"], 3, "buffer_bytes"),
@@ -413,6 +421,41 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
+    @pytest.mark.parametrize("experiment,name,value,text", [
+        *[pytest.param(experiment, name, value,
+                       f"unknown experiment {experiment} fields: ['{name}']",
+                       id=f"{experiment}-{name}")
+          for experiment in bh.EXPERIMENT_NAMES
+          for name, value in (("repetitions", 5), ("seed", bh.BASELINE_SEED))],
+        *[pytest.param(experiment, "strategies", ["sync"],
+                       f"experiment {experiment} field strategies is derived and may not be set",
+                       id=f"{experiment}-strategies")
+          for experiment in bh.EXPERIMENT_NAMES if experiment != "rank_scaling"],
+    ])
+    def test_value_without_effect_rejected(self, tmp_path, capsys, command, experiment,
+                                           name, value, text):
+        """A value that would take no effect is rejected by every subcommand,
+        even at its bundled value: the host baseline's repetitions and seed
+        are fixed in bench, and with one rank every strategy gives the same
+        schedule, so only rank_scaling lists strategies."""
+        cfg = _config(tmp_path, value, "experiments", experiment, name)
+        argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), cfg)}
+        assert main(argvs[command]) == 3
+        captured = capsys.readouterr()
+        assert text in captured.out + captured.err
+
+    def test_bench_baseline_runs_five_repetitions(self, tmp_path, monkeypatch):
+        """rank_scaling's host baseline is the median of 5 repetitions, on
+        one thread and then on all cores."""
+        calls = []
+        monkeypatch.setattr(bh, "run_host_baseline",
+                            lambda *args, **kwargs: calls.append(kwargs) or 1.0)
+        assert main(["bench", "--experiment", "rank_scaling",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert calls and all(kw["repetitions"] == 5 for kw in calls)
+        assert calls[0]["threads"] == 1
+
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
         base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
         plain = tmp_path / "plain.bin"
@@ -423,10 +466,10 @@ class TestConfigErrors:
             out = tmp_path / f"x{factor}"
             assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
                          "--config", cfg, "--out-dir", str(out)]) == 0
-            _, rows = read_csv(str(out / "weak_scaling.csv"))
+            bench_kernels = _csv_column(out / "weak_scaling.csv", "kernel_s")
             assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain),
                          "--out", str(out / "c.bin"), "--profile", cfg]) == 0
-            kernels.append(([row["kernel_s"] for row in rows], _summary(capsys)["kernel_s"]))
+            kernels.append((bench_kernels, _summary(capsys)["kernel_s"]))
         (bench1, encrypt1), (bench2, encrypt2) = kernels
         assert all(b > a for a, b in zip(bench1, bench2))
         assert float(encrypt2) > float(encrypt1)
@@ -475,8 +518,7 @@ class TestConfigErrors:
         assert main(["validate", "--profile", cfg]) == 0
         assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",
                      "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-        _, rows = read_csv(str(tmp_path / "tasklet_scaling.csv"))
-        assert 0.0 in [row["kernel_s"] for row in rows]
+        assert 0.0 in _csv_column(tmp_path / "tasklet_scaling.csv", "kernel_s")
 
     @pytest.mark.parametrize("command", ["validate", "bench", "encrypt"])
     @pytest.mark.parametrize("keys,value,text", [
@@ -522,9 +564,10 @@ _PLAUSIBLE = (
 )
 _DELETE = object()
 _FIELDS = [("experiments", "weak_scaling", name) for name in (
-    "algorithm", "buffer_bytes", "message_bytes", "message_count", "sweep", "strategies",
-    "tasklets", "repetitions", "seed", "turbo",
-)] + [("kernel_costs", "aes128", name) for name in (
+    "algorithm", "buffer_bytes", "message_bytes", "message_count", "sweep", "tasklets", "turbo",
+)] + [
+    ("experiments", "rank_scaling", "strategies"),
+] + [("kernel_costs", "aes128", name) for name in (
     "instructions_per_unit", "mram_read_bytes_per_unit", "mram_write_bytes_per_unit",
     "wram_cache_bytes",
 )] + [("machine", name) for name in (
