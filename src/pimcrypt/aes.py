@@ -8,7 +8,9 @@ tables (the T-table round of Daemen & Rijmen, *The Design of Rijndael*,
 2002, section 4.2) and runs the blocks through numpy in fixed-size
 batches; aes128_encrypt_block is the one-block case of it. A batch's state
 is a contiguous (4, n) uint32 array, one plane per column word, so each
-table gather reads one byte lane of a plane. Blocks are encrypted
+table gather reads one byte lane of a plane. The round key is folded into
+the first table each column gathers from, built per call from the key, so
+adding it costs no XOR of its own. Blocks are encrypted
 independently, which is what makes the work partitionable across DPUs in
 the first place. The byte-wise form of the rounds is replayed op by op in
 costs.py.
@@ -161,37 +163,44 @@ def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> 
     blocks = np.frombuffer(data, dtype=np.uint32).reshape(-1, 4)
     words = np.frombuffer(out, dtype=np.uint32).reshape(-1, 4)
     rk = np.frombuffer(ks, dtype=np.uint32).reshape(11, 4)
+    mix, last = _fused_tables()
+    # keyed[rnd - 1, j]: round rnd's first table for column j, its round key
+    # folded in; derived from the key, so built per call and never cached
+    keyed = np.concatenate((mix[0] ^ rk[1:10, :, None], last[0] ^ rk[10:, :, None]))
     for lo in range(0, len(blocks), BATCH_BLOCKS):
-        _encrypt_batch(blocks[lo : lo + BATCH_BLOCKS], rk, words[lo : lo + BATCH_BLOCKS])
+        _encrypt_batch(blocks[lo : lo + BATCH_BLOCKS], rk[0], keyed, words[lo : lo + BATCH_BLOCKS])
     return out
 
 
-def _encrypt_batch(blocks: np.ndarray, rk: np.ndarray, out: np.ndarray) -> None:
+def _encrypt_batch(
+    blocks: np.ndarray, rk0: np.ndarray, keyed: np.ndarray, out: np.ndarray
+) -> None:
     """Encrypt the (n, 4) uint32 column words of blocks into out.
 
     The state is a (4, n) array of word planes: row j holds column word j
     of every block, and its (4, n, 4) uint8 view gives state byte r of
-    column j at [j, :, r]. Every gather and XOR writes into a preallocated
-    array; w and nxt swap roles each round.
+    column j at [j, :, r]. rk0 is the whitening key; keyed[rnd - 1, j] is
+    the round's row-0 table with round key word j folded in, so the first
+    gather of each column adds the key. Every gather and XOR writes into a
+    preallocated array; w and nxt swap roles each round.
     """
     mix, last = _fused_tables()
     n = len(blocks)
     w = np.empty((4, n), dtype=np.uint32)
     nxt = np.empty_like(w)
     buf = np.empty(n, dtype=np.uint32)
-    np.bitwise_xor(blocks.T, rk[0][:, None], out=w)
+    np.bitwise_xor(blocks.T, rk0[:, None], out=w)
     for rnd in range(1, 11):
         t = last if rnd == 10 else mix
         sb = w.view(np.uint8).reshape(4, n, 4)
         # ShiftRows: row byte r of output column j comes from column j + r.
-        # mode clip, not the default raise, lets numpy gather straight into
-        # out (raise buffers it); a byte never exceeds a 256-entry table.
+        # Indices are uint8 and every table has 256 entries, so mode wrap
+        # never wraps; unlike the default raise it gathers straight into out.
         for j in range(4):
             row = nxt[j]
-            t[0].take(sb[j, :, 0], out=row, mode="clip")
+            keyed[rnd - 1, j].take(sb[j, :, 0], out=row, mode="wrap")
             for r in range(1, 4):
-                t[r].take(sb[(j + r) % 4, :, r], out=buf, mode="clip")
+                t[r].take(sb[(j + r) % 4, :, r], out=buf, mode="wrap")
                 row ^= buf
-            row ^= rk[rnd, j]
         w, nxt = nxt, w
     out[...] = w.T

@@ -447,6 +447,9 @@ class ExperimentSpec:
     on the bundled one. experiment is the entry's name, and strategies is
     set only for rank_scaling: the other experiments run on one rank,
     where every strategy gives the same schedule, so they run sync alone.
+    tasklet_scaling sweeps tasklets, so it may not set them either: its
+    tasklets is a placeholder 0, which bench._topology overwrites with the
+    sweep value at every point.
     """
 
     experiment: str
@@ -501,8 +504,11 @@ class ExperimentSpec:
             raise ProfileError(f"{where} must be a JSON object")
         entry = {**_bundled_doc()["experiments"][experiment], **(section or {})}
         derived: dict[str, object] = {"experiment": experiment}
-        if EXPERIMENTS[experiment][0] != "n_ranks":
+        axis = EXPERIMENTS[experiment][0]
+        if axis != "n_ranks":
             derived["strategies"] = (Strategy.SYNC,)
+        if axis == "tasklets":
+            derived["tasklets"] = 0  # a placeholder; the sweep sets tasklets
         return _parse_fields(cls, entry, where, derived).validate()
 
 

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,33 @@ class TestEncryptBufferBatches:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(aes, "BATCH_BLOCKS", batch)
             assert aes128_encrypt_buffer(b"".join(blocks), key_expansion(key)) == expected
+
+    def test_gathers_exact_on_every_byte(self):
+        """The gathers run in numpy's wrap mode, exact only because every
+        table has 256 entries. Under the all-zero key, block i = bytes([i]) * 16
+        enters round 1 unchanged, so round 1 reads every byte value at all
+        16 state positions."""
+        tables = aes._fused_tables()
+        assert tables.shape == (2, 4, 256)
+        assert tables.dtype == np.uint32
+        key = bytes(16)
+        blocks = [bytes([i]) * 16 for i in range(256)]
+        out = aes128_encrypt_buffer(b"".join(blocks), key_expansion(key))
+        for i, block in enumerate(blocks):
+            assert out[16 * i : 16 * i + 16] == ref.encrypt_block(block, key), i
+
+    def test_keyed_tables_follow_the_key(self):
+        """The round keys are folded into tables built per call: the same
+        two-batch buffer under two keys, back to back in one process, must
+        give each key's own ciphertext."""
+        data = random.Random(19).randbytes(16 * 6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aes, "BATCH_BLOCKS", 3)
+            for key in (FIPS_KEY, bytes(range(16, 32))):
+                expected = b"".join(
+                    ref.encrypt_block(data[i : i + 16], key) for i in range(0, len(data), 16)
+                )
+                assert aes128_encrypt_buffer(data, key_expansion(key)) == expected
 
     def test_any_contiguous_buffer(self):
         """bytes, bytearray, an odd-offset slice (unaligned words) and a

@@ -432,13 +432,17 @@ class TestConfigErrors:
                        f"experiment {experiment} field strategies is derived and may not be set",
                        id=f"{experiment}-strategies")
           for experiment in bh.EXPERIMENT_NAMES if experiment != "rank_scaling"],
+        pytest.param("tasklet_scaling", "tasklets", 16,
+                     "experiment tasklet_scaling field tasklets is derived and may not be set",
+                     id="tasklet_scaling-tasklets"),
     ])
     def test_value_without_effect_rejected(self, tmp_path, capsys, command, experiment,
                                            name, value, text):
         """A value that would take no effect is rejected by every subcommand,
         even at its bundled value: the host baseline's repetitions and seed
-        are fixed in bench, and with one rank every strategy gives the same
-        schedule, so only rank_scaling lists strategies."""
+        are fixed in bench, with one rank every strategy gives the same
+        schedule, so only rank_scaling lists strategies, and tasklet_scaling's
+        sweep sets tasklets at every point."""
         cfg = _config(tmp_path, value, "experiments", experiment, name)
         argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), cfg)}
         assert main(argvs[command]) == 3
