@@ -13,10 +13,10 @@ rank_scaling lists strategies; the others run on one rank, under sync:
 
 All experiment times are outputs of the deterministic machine model, so a
 result is reproducible bit-for-bit from (spec, config); only
-run_host_baseline touches a wall clock, timing the median of 5 repetitions
-on data drawn from BASELINE_SEED. Results serialize to CSV with the
-fixed column set sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,
-baseline_s.
+run_host_baseline touches a wall clock, timing the median of
+BASELINE_REPETITIONS runs on data drawn from BASELINE_SEED. Results
+serialize to CSV with the fixed column set
+sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,baseline_s.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> d
 BASELINE_CAP_BYTES = 1 << 20
 # seed of the generator that draws the host baseline's data
 BASELINE_SEED = 20250808
+# timed runs the host baseline takes the median of
+BASELINE_REPETITIONS = 5
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,12 @@ def run_experiment(
     so a point the planner rejects fails the run at once. rank_scaling alone
     spans several ranks, so it alone lists strategies, records them and,
     unless include_baseline is false, a host software baseline: the median
-    of 5 repetitions on about BASELINE_CAP_BYTES (whole messages, for
-    hashing), extrapolated linearly per byte.
+    of BASELINE_REPETITIONS runs on about BASELINE_CAP_BYTES (whole
+    messages, for hashing), extrapolated linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
-    spec.validate().check_machine(config.machine)
+    spec.check_machine(config.machine)
     _, scales = mc.EXPERIMENTS[spec.experiment]
     cost = config.kernel_costs[spec.algorithm]
     rows: list[ExperimentRow] = []
@@ -172,7 +174,7 @@ def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:
         count = max(1, BASELINE_CAP_BYTES // spec.message_bytes)
         workload = (spec.message_bytes, count)
         measured_bytes = spec.message_bytes * count
-    measure = partial(run_host_baseline, spec.algorithm, workload, repetitions=5)
+    measure = partial(run_host_baseline, spec.algorithm, workload)
     rate = measure(threads=1) / measured_bytes
     meta["baseline"] = (
         f"single-thread software, measured at {measured_bytes} B, "
@@ -189,9 +191,9 @@ def run_host_baseline(
     algorithm: str,
     workload: int | tuple[int, int],
     threads: int = 1,
-    repetitions: int = 5,
 ) -> float:
-    """Wall-clock time of the production kernels on this host, median of reps.
+    """Wall-clock time of the production kernels on this host, the median
+    of BASELINE_REPETITIONS runs.
 
     workload is a byte count (encryption) or (message_bytes, message_count)
     (hashing). The workload content is drawn by a generator seeded with
@@ -224,7 +226,7 @@ def run_host_baseline(
 
     reference_out = kernel(whole)
     times = []
-    for _ in range(repetitions):
+    for _ in range(BASELINE_REPETITIONS):
         start = time.perf_counter()
         out = job()
         times.append(time.perf_counter() - start)

@@ -5,8 +5,9 @@ key=value lines for scriptability. Exit codes are a stable contract:
 0 ok, 2 usage, 3 data/config, 4 I/O. Subcommands let errors propagate and
 main maps them in one place, printing `error: <message>` on stderr: an
 OSError (missing or unreadable input, config or directory; unwritable
-output or out-dir) exits 4, a ValueError or package error (bad config,
-misaligned input, a job the machine cannot hold) exits 3.
+output or out-dir) exits 4, a ValueError, package error or MemoryError
+(bad config, misaligned input, a job the machine cannot hold or this host
+cannot plan) exits 3.
 """
 
 from __future__ import annotations
@@ -183,14 +184,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for name, cost in config.kernel_costs.items():
         try:
             cost.validate(machine, machine.max_tasklets)
-        except (CapacityError, ProfileError) as exc:
+        except CapacityError as exc:
             problems.append(f"{name}: {exc}")
     # Every experiment run as bench --no-baseline runs it, so validate
     # accepts what bench accepts.
     for name, spec in config.experiments.items():
         try:
             bh.run_experiment(spec, config, include_baseline=False)
-        except (PimcryptError, ValueError) as exc:
+        except (PimcryptError, ValueError, MemoryError) as exc:
             problems.append(f"{name}: {exc}")
     if problems:
         for p in problems:
@@ -266,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PimcryptError, ValueError) as exc:
+    except (PimcryptError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

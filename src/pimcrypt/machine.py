@@ -53,36 +53,27 @@ class MachineProfile:
     mram_cycles_per_byte: float
     max_mram_access_bytes: int
 
-    def violations(self) -> list[str]:
-        """Invariant violations as human-readable strings (empty if valid)."""
-        bad = []
-        if self.usable_dpus > self.dpus_per_rank * self.num_ranks:
-            bad.append(
-                "usable_dpus exceeds dpus_per_rank * num_ranks "
-                f"({self.usable_dpus} > {self.dpus_per_rank * self.num_ranks})"
-            )
-        if self.pipeline_saturation_tasklets > self.max_tasklets:
-            bad.append("pipeline_saturation_tasklets exceeds max_tasklets")
-        if self.max_mram_access_bytes % 8:
-            bad.append("max_mram_access_bytes must be a multiple of 8")
-        for f in dataclasses.fields(self):
-            if getattr(self, f.name) <= 0:
-                bad.append(f"{f.name} must be strictly positive")
-        return bad
-
-    def validate(self) -> "MachineProfile":
-        bad = self.violations()
-        if bad:
-            raise ProfileError("; ".join(bad))
-        return self
+    def __post_init__(self) -> None:
+        _require(
+            (self.usable_dpus <= self.dpus_per_rank * self.num_ranks,
+             "usable_dpus exceeds dpus_per_rank * num_ranks "
+             f"({self.usable_dpus} > {self.dpus_per_rank * self.num_ranks})"),
+            (self.pipeline_saturation_tasklets <= self.max_tasklets,
+             "pipeline_saturation_tasklets exceeds max_tasklets"),
+            (self.max_mram_access_bytes % 8 == 0, "max_mram_access_bytes must be a multiple of 8"),
+            *((getattr(self, f.name) > 0, f"{f.name} must be strictly positive")
+              for f in dataclasses.fields(self)),
+        )
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MachineProfile":
-        """Parse a profile object; unknown or missing fields are rejected."""
-        return _parse_fields(cls, doc, "profile").validate()
+
+def _require(*checks: tuple[object, str]) -> None:
+    """Raise one ProfileError naming each problem whose check is false."""
+    bad = [problem for ok, problem in checks if not ok]
+    if bad:
+        raise ProfileError("; ".join(bad))
 
 
 def parse_number(where: str, name: str, value: object, integer: bool) -> int | float:
@@ -102,7 +93,7 @@ def _parse_fields(cls, doc: object, where: str, derived: dict | None = None):
     """Build a config dataclass from a JSON object holding exactly its fields
     (plus an optional free-text "notes"), each read by its annotation, but
     those in derived: the parser fills these in, and a document naming one
-    is rejected."""
+    is rejected. A value check the record fails is prefixed with where."""
     derived = derived or {}
     if not isinstance(doc, dict):
         raise ProfileError(f"{where} must be a JSON object")
@@ -114,9 +105,11 @@ def _parse_fields(cls, doc: object, where: str, derived: dict | None = None):
     missing = set(fields) - set(doc)
     if missing:
         raise ProfileError(f"missing {where} fields: {sorted(missing)}")
-    return cls(**derived, **{
-        name: _parse_value(where, name, ftype, doc[name]) for name, ftype in fields.items()
-    })
+    values = {name: _parse_value(where, name, ftype, doc[name]) for name, ftype in fields.items()}
+    try:
+        return cls(**derived, **values)
+    except ProfileError as exc:  # the record's own value checks, named by where
+        raise ProfileError(f"{where}: {exc}") from None
 
 
 def _parse_value(where: str, name: str, ftype: str, value: object):
@@ -172,27 +165,31 @@ EXPERIMENTS = {
 @dataclass(frozen=True)
 class KernelCost:
     """Per-unit cost of a kernel; a unit is one 16-byte AES block or one
-    64-byte hash block."""
+    64-byte hash block. Its values are checked when it is built; only the
+    WRAM fit of a job's tasklets waits for the job, in validate."""
 
     instructions_per_unit: float
     mram_read_bytes_per_unit: float
     mram_write_bytes_per_unit: float
     wram_cache_bytes: int
 
-    def validate(self, profile: MachineProfile, tasklets: int) -> "KernelCost":
-        if self.instructions_per_unit <= 0:
-            raise ProfileError("kernel cost instructions_per_unit must be positive")
-        if self.mram_read_bytes_per_unit < 0 or self.mram_write_bytes_per_unit < 0:
-            raise ProfileError("kernel cost MRAM traffic must be non-negative")
-        if self.wram_cache_bytes <= 0 or self.wram_cache_bytes % 8:
+    def __post_init__(self) -> None:
+        _require(
+            (self.instructions_per_unit > 0, "instructions_per_unit must be positive"),
+            (min(self.mram_read_bytes_per_unit, self.mram_write_bytes_per_unit) >= 0,
+             "MRAM traffic must be non-negative"),
             # the cache is refilled in whole 8-byte MRAM accesses
-            raise ProfileError("wram_cache_bytes must be a positive multiple of 8")
+            (self.wram_cache_bytes > 0 and self.wram_cache_bytes % 8 == 0,
+             "wram_cache_bytes must be a positive multiple of 8"),
+        )
+
+    def validate(self, profile: MachineProfile, tasklets: int) -> None:
+        """Check that one cache for each of tasklets tasklets fits in WRAM."""
         if self.wram_cache_bytes * tasklets > profile.wram_bytes:
             raise CapacityError(
                 f"{tasklets} tasklets x {self.wram_cache_bytes} B cache "
                 f"exceeds WRAM ({profile.wram_bytes} B)"
             )
-        return self
 
 
 EVENT_KINDS = (
@@ -392,7 +389,8 @@ def simulate_transfer(
 # Config documents: a machine profile plus kernel-cost, host and experiment
 # sections, shared by the CLI and the benchmark harness. parse_config alone
 # reads them and returns every section complete: a section or entry the
-# document leaves out is the bundled one.
+# document leaves out is the bundled one. Each record checks its values
+# when built, so a bad value fails at load; only KernelCost.validate waits.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -406,14 +404,9 @@ class HostProfile:
     def ridge_point(self) -> float:
         return self.peak_ops_per_second / self.peak_bandwidth_bytes_per_second
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "HostProfile":
-        """Parse a host object; unknown, missing or non-positive fields are rejected."""
-        host = _parse_fields(cls, doc, "host")
-        for f in dataclasses.fields(cls):
-            if getattr(host, f.name) <= 0:
-                raise ProfileError(f"host field {f.name} must be strictly positive")
-        return host
+    def __post_init__(self) -> None:
+        _require(*((getattr(self, f.name) > 0, f"{f.name} must be strictly positive")
+                   for f in dataclasses.fields(self)))
 
 
 class Strategy(enum.Enum):
@@ -461,10 +454,10 @@ class ExperimentSpec:
     strategies: tuple[Strategy, ...]
     tasklets: int
 
-    def validate(self) -> "ExperimentSpec":
+    def __post_init__(self) -> None:
         sweep = list(self.sweep)
-        for ok, problem in (
-            (self.experiment in EXPERIMENTS, f"must be one of {', '.join(EXPERIMENTS)}"),
+        _require(
+            (self.experiment in EXPERIMENTS, f"experiment must be one of {', '.join(EXPERIMENTS)}"),
             (self.algorithm in ALGORITHMS, f"algorithm must be one of {', '.join(ALGORITHMS)}"),
             (sweep, "sweep must not be empty"),
             (min(sweep, default=1) > 0 and sweep == sorted(sweep),
@@ -474,12 +467,9 @@ class ExperimentSpec:
              f"buffer_bytes must be a positive multiple of {aes.BLOCK_BYTES}"),
             (min(self.message_bytes, self.message_count) >= 1,
              "message_bytes and message_count must be at least 1"),
-        ):
-            if not ok:
-                raise ProfileError(f"experiment {self.experiment}: {problem}")
-        return self
+        )
 
-    def check_machine(self, machine: MachineProfile) -> "ExperimentSpec":
+    def check_machine(self, machine: MachineProfile) -> None:
         """Reject a spec whose largest workload is larger than all the
         machine's MRAM, which no plan could hold, before it is allocated."""
         _, scales = EXPERIMENTS[self.experiment]
@@ -491,12 +481,11 @@ class ExperimentSpec:
             raise ProfileError(
                 f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
             )
-        return self
 
     @classmethod
     def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":
         """The experiment's config entry (None for none) overlaid field by
-        field on the bundled one, parsed and validated."""
+        field on the bundled one, parsed and checked."""
         if experiment not in EXPERIMENTS:
             raise ProfileError(f"unknown experiment {experiment!r}, valid: {', '.join(EXPERIMENTS)}")
         where = f"experiment {experiment}"
@@ -509,7 +498,7 @@ class ExperimentSpec:
             derived["strategies"] = (Strategy.SYNC,)
         if axis == "tasklets":
             derived["tasklets"] = 0  # a placeholder; the sweep sets tasklets
-        return _parse_fields(cls, entry, where, derived).validate()
+        return _parse_fields(cls, entry, where, derived)
 
 
 # Kernel-cost fields plan_job sets per job, and the value a parsed cost holds:
@@ -552,13 +541,13 @@ def parse_config(doc: object) -> Config:
              **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}
     experiments = _section(doc, "experiments", EXPERIMENTS, "experiments")
     return Config(
-        machine=MachineProfile.from_json(doc["machine"]),
+        machine=_parse_fields(MachineProfile, doc["machine"], "profile"),
         kernel_costs={
             name: _parse_fields(KernelCost, costs[name], f"kernel cost {name}",
                                 _DERIVED_COSTS.get(name))
             for name in ALGORITHMS
         },
-        host=HostProfile.from_json(doc.get("host", bundled["host"])),
+        host=_parse_fields(HostProfile, doc.get("host", bundled["host"]), "host"),
         experiments={
             name: ExperimentSpec.from_config(name, experiments.get(name))
             for name in EXPERIMENTS

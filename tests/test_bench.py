@@ -234,21 +234,21 @@ class TestRankScaling:
 
 class TestHostBaseline:
     def test_aes_median_of_reps(self):
-        t = run_host_baseline("aes128", 16 << 10, repetitions=5)
+        t = run_host_baseline("aes128", 16 << 10)
         assert t > 0
 
     def test_sha_threads(self):
-        t1 = run_host_baseline("sha256", (256, 64), threads=1, repetitions=3)
-        t2 = run_host_baseline("sha256", (256, 64), threads=2, repetitions=3)
+        t1 = run_host_baseline("sha256", (256, 64), threads=1)
+        t2 = run_host_baseline("sha256", (256, 64), threads=2)
         assert t1 > 0 and t2 > 0
         # 65 messages over 2 threads: pieces of 32 and 33, joined in order
-        assert run_host_baseline("sha256", (256, 65), threads=2, repetitions=1) > 0
+        assert run_host_baseline("sha256", (256, 65), threads=2) > 0
 
     def test_aes_threads_assemble_correctly(self):
         # correctness of the threaded assembly is asserted inside
-        assert run_host_baseline("aes128", 32 << 10, threads=4, repetitions=2) > 0
+        assert run_host_baseline("aes128", 32 << 10, threads=4) > 0
         # 2051 blocks over 4 threads: pieces of whole blocks, not all one size
-        assert run_host_baseline("aes128", 2051 * 16, threads=4, repetitions=2) > 0
+        assert run_host_baseline("aes128", 2051 * 16, threads=4) > 0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ProfileError):

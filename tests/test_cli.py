@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import bench as bh
+from pimcrypt import orchestrator
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
 from pimcrypt.machine import bundled_default_config, default_profile
@@ -324,7 +325,7 @@ class TestConfigErrors:
          ["bench", "--experiment", "rank_scaling"], 3, "unknown strategy"),
         # validate rejects what the planner rejects
         (("kernel_costs", "aes128", "instructions_per_unit"), -1,
-         ["validate"], 3, "violation: aes128"),
+         ["validate"], 3, "violation: kernel cost aes128: instructions_per_unit must be positive"),
         (("experiments", "rank_scaling", "strategies"), [],
          ["bench", "--experiment", "rank_scaling"], 3, "strategies"),
         # empty workloads: a division by zero, and an all-zero CSV
@@ -406,20 +407,30 @@ class TestConfigErrors:
     @pytest.mark.parametrize("keys,value,text", [
         (("experiments", "weak_scaling", "sweep"), [4, 1],
          "experiment weak_scaling: sweep values must be positive and sorted"),
+        # kernel costs are checked at load, not when a job prices the kernel
+        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
+         "kernel cost aes128: instructions_per_unit must be positive"),
+        (("kernel_costs", "sha256", "wram_cache_bytes"), 12,
+         "kernel cost sha256: wram_cache_bytes must be a positive multiple of 8"),
         # derived per job by the planner, so a value set here would take no effect
         (("kernel_costs", "sha256", "mram_write_bytes_per_unit"), 1e6,
          "mram_write_bytes_per_unit is derived"),
         # a unit is an AES block or a padded SHA block, whatever a config says
         (("kernel_costs", "aes128", "unit_bytes"), 32, "['unit_bytes']"),
-    ], ids=["unsorted-sweep", "sha256-mram-write", "aes128-unit-bytes"])
+    ], ids=["unsorted-sweep", "aes128-instructions", "sha256-wram-cache", "sha256-mram-write",
+            "aes128-unit-bytes"])
     def test_one_document_one_answer(self, tmp_path, capsys, command, keys, value, text):
         """Every subcommand gives the same answer for one config document:
-        exit 3, naming the field or the experiment."""
+        exit 3, naming the field or the experiment, and validate names it
+        once."""
         cfg = _config(tmp_path, value, *keys)
         argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), cfg)}
         assert main(argvs[command]) == 3
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
+        if command == "validate":
+            [line] = captured.out.splitlines()
+            assert line.startswith("violation: ") and text in line
 
     @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
     @pytest.mark.parametrize("experiment,name,value,text", [
@@ -451,14 +462,17 @@ class TestConfigErrors:
 
     def test_bench_baseline_runs_five_repetitions(self, tmp_path, monkeypatch):
         """rank_scaling's host baseline is the median of 5 repetitions, on
-        one thread and then on all cores."""
-        calls = []
-        monkeypatch.setattr(bh, "run_host_baseline",
-                            lambda *args, **kwargs: calls.append(kwargs) or 1.0)
+        one thread and then on all cores: each measurement runs the kernel
+        once for the reference output, then 5 timed runs, on 2 cores as
+        two half pieces each."""
+        sizes = []
+        monkeypatch.setattr(bh, "aes128_encrypt_buffer",
+                            lambda data, ks: sizes.append(len(data)) or b"")
+        monkeypatch.setattr(bh.os, "cpu_count", lambda: 2)
         assert main(["bench", "--experiment", "rank_scaling",
                      "--out-dir", str(tmp_path)]) == 0
-        assert calls and all(kw["repetitions"] == 5 for kw in calls)
-        assert calls[0]["threads"] == 1
+        cap = bh.BASELINE_CAP_BYTES
+        assert sizes == [cap] * (1 + 5) + [cap] + [cap // 2] * (5 * 2)
 
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
         base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
@@ -725,7 +739,7 @@ def test_validate_plans_last_sweep_value(tmp_path, capsys):
 
 
 def _bundled_argvs(tmp_path):
-    """One runnable argv per subcommand but validate, on the bundled config."""
+    """One runnable argv per subcommand, on the bundled config."""
     cfg = tmp_path / "config.json"
     cfg.write_bytes(_BUNDLED_TEXT)
     return {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), str(cfg))}
@@ -807,6 +821,28 @@ def test_exception_to_exit_code(tmp_path, monkeypatch, capsys, command, error, c
     monkeypatch.setattr(target, fail)
     assert main(_bundled_argvs(tmp_path)[command]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
+def test_job_too_large_for_this_host_is_data_error(tmp_path, monkeypatch, capsys, command):
+    """A job whose plan needs more memory than this host has exits 3 with
+    the allocation's message, which validate reports as each experiment's
+    violation. The partitioners are made to fail: a real allocation that
+    large could be granted and exhaust the host."""
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def fail(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(orchestrator, "partition_aes", fail)
+    monkeypatch.setattr(orchestrator, "partition_sha", fail)
+    assert main(_bundled_argvs(tmp_path)[command]) == 3
+    captured = capsys.readouterr()
+    if command == "validate":
+        assert captured.out.splitlines() == [
+            f"violation: {name}: {message}" for name in bh.EXPERIMENT_NAMES]
+    else:
+        assert captured.err == f"error: {message}\n"
 
 
 def test_experiment_notes_accepted(tmp_path):

@@ -54,37 +54,38 @@ class TestDefaultProfile:
         assert PROFILE.mram_bytes == 64 * 1024 * 1024
 
     def test_valid(self):
-        assert PROFILE.violations() == []
+        """The bundled profile passes its own checks when it is rebuilt."""
+        assert MachineProfile(**PROFILE.to_json()) == PROFILE
 
 
 class TestProfileJson:
     def test_round_trip(self):
         doc = PROFILE.to_json()
-        assert MachineProfile.from_json(doc) == PROFILE
+        assert parse_config(doc).machine == PROFILE
 
     def test_unknown_field_rejected(self):
         doc = PROFILE.to_json()
         doc["turbo"] = 1
         with pytest.raises(ProfileError, match="unknown"):
-            MachineProfile.from_json(doc)
+            parse_config(doc).machine
 
     def test_missing_field_rejected(self):
         doc = PROFILE.to_json()
         del doc["wram_bytes"]
         with pytest.raises(ProfileError, match="missing"):
-            MachineProfile.from_json(doc)
+            parse_config(doc).machine
 
     def test_non_numeric_field_rejected(self):
         doc = PROFILE.to_json()
         doc["num_ranks"] = "forty"
         with pytest.raises(ProfileError, match="number"):
-            MachineProfile.from_json(doc)
+            parse_config(doc).machine
 
     def test_invariant_violation_rejected(self):
         doc = PROFILE.to_json()
         doc["usable_dpus"] = 99999
         with pytest.raises(ProfileError, match="usable_dpus"):
-            MachineProfile.from_json(doc)
+            parse_config(doc).machine
 
     def test_bare_profile_document(self, tmp_path):
         path = tmp_path / "p.json"
@@ -94,6 +95,40 @@ class TestProfileJson:
     def test_config_unknown_section_rejected(self):
         with pytest.raises(ProfileError, match="sections"):
             parse_config({"machine": PROFILE.to_json(), "warp_drive": {}})
+
+
+_CONFIG = bundled_default_config()
+
+
+_BAD_VALUES = [
+    (PROFILE, "usable_dpus", 99999, "usable_dpus exceeds dpus_per_rank"),
+    (PROFILE, "max_mram_access_bytes", 2044, "max_mram_access_bytes must be a multiple of 8"),
+    (PROFILE, "dpu_frequency", 0.0, "dpu_frequency must be strictly positive"),
+    (AES_COST, "instructions_per_unit", 0.0, "instructions_per_unit must be positive"),
+    (AES_COST, "mram_read_bytes_per_unit", -1.0, "MRAM traffic must be non-negative"),
+    (SHA_COST, "wram_cache_bytes", 12, "wram_cache_bytes must be a positive multiple of 8"),
+    (_CONFIG.host, "peak_bandwidth_bytes_per_second", -1.0,
+     "peak_bandwidth_bytes_per_second must be strictly positive"),
+    (_CONFIG.experiments["weak_scaling"], "sweep", (4, 1),
+     "sweep values must be positive and sorted"),
+    (_CONFIG.experiments["rank_scaling"], "strategies", (), "strategies must not be empty"),
+    (_CONFIG.experiments["tasklet_scaling"], "buffer_bytes", 8,
+     "buffer_bytes must be a positive multiple of 16"),
+]
+
+
+@pytest.mark.parametrize("record,name,value,match", [
+    pytest.param(*case, id=f"{type(case[0]).__name__}-{case[1]}") for case in _BAD_VALUES
+])
+def test_record_checks_itself(record, name, value, match):
+    """Each config record checks its values when it is built, so neither
+    direct construction nor dataclasses.replace makes an invalid one."""
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    assert type(record)(**fields) == record
+    with pytest.raises(ProfileError, match=match):
+        type(record)(**{**fields, name: value})
+    with pytest.raises(ProfileError, match=match):
+        dataclasses.replace(record, **{name: value})
 
 
 class TestEffectiveIpc:
