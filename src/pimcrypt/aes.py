@@ -1,19 +1,21 @@
 """AES-128 encryption structured like the near-memory DPU kernel.
 
 The round functions replace all finite-field arithmetic in MixColumns with
-256-entry lookup tables (times-2 and times-3), mirroring how the kernel
-avoids multiplies on hardware that only has cheap bitwise ops and adds.
-aes128_encrypt_buffer fuses those byte tables with the S-box into word
-tables (the T-table round of Daemen & Rijmen, *The Design of Rijndael*,
-2002, section 4.2) and runs the blocks through numpy in fixed-size
-batches; aes128_encrypt_block is the one-block case of it. A batch's state
-is a contiguous (4, n) uint32 array, one plane per column word, so each
-table gather reads one byte lane of a plane. The round key is folded into
-the first table each column gathers from, built per call from the key, so
-adding it costs no XOR of its own. Blocks are encrypted
-independently, which is what makes the work partitionable across DPUs in
-the first place. The byte-wise form of the rounds is replayed op by op in
-costs.py.
+256-entry lookup tables (MUL2 and MUL3), mirroring how the kernel avoids
+multiplies on hardware that only has cheap bitwise ops and adds. Every
+fixed table is a module constant built once at import: SBOX, MUL2, MUL3,
+the key schedule's RCON, and the word tables that fuse the byte tables
+with the S-box (the T-table round of Daemen & Rijmen, *The Design of
+Rijndael*, 2002, section 4.2). aes128_encrypt_buffer runs the blocks
+through those word tables in numpy, in fixed-size batches;
+aes128_encrypt_block is the one-block case of it. A batch's state is a
+contiguous (4, n) uint32 array, one plane per column word, so each table
+gather reads one byte lane of a plane. The round key is folded into the
+first table each column gathers from, built per call from the key, so
+adding it costs no XOR of its own. Blocks are encrypted independently,
+which is what makes the work partitionable across DPUs in the first place.
+The byte-wise form of the rounds is replayed op by op in costs.py, from
+the same byte tables.
 
 Keys and blocks are ``bytes``. aes128_encrypt_buffer takes any
 C-contiguous buffer, sized in bytes, and writes the ciphertext straight
@@ -23,8 +25,7 @@ Hex formatting at the edges is lowercase without separators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,34 +60,16 @@ EXPANDED_KEY_BYTES = 176
 BATCH_BLOCKS = 1 << 14
 
 
-@dataclass(frozen=True)
-class GfLookupTables:
-    """Precomputed GF(2^8) byte tables plus round constants.
-
-    mul2[x] and mul3[x] hold 0x02*x and 0x03*x under the AES polynomial,
-    covering every coefficient of the MixColumns matrix (0x01 is free).
-    """
-
-    mul2: bytes
-    mul3: bytes
-    sbox: bytes
-    round_constants: bytes
-
-
 def _xtime(x: int) -> int:
     return ((x << 1) ^ 0x1B) & 0xFF if x & 0x80 else x << 1
 
 
-@lru_cache(maxsize=1)
-def build_gf_tables() -> GfLookupTables:
-    """Precompute the multiplication tables and the ten round constants."""
-    mul2 = bytes(_xtime(x) for x in range(256))
-    mul3 = bytes(mul2[x] ^ x for x in range(256))
-    rc = bytearray(10)
-    rc[0] = 1
-    for i in range(1, 10):
-        rc[i] = _xtime(rc[i - 1])
-    return GfLookupTables(mul2=mul2, mul3=mul3, sbox=SBOX, round_constants=bytes(rc))
+# MUL2[x] and MUL3[x] hold 0x02*x and 0x03*x under the AES polynomial,
+# covering every coefficient of the MixColumns matrix (0x01 is free).
+MUL2 = bytes(_xtime(x) for x in range(256))
+MUL3 = bytes(MUL2[x] ^ x for x in range(256))
+# RCON[i] is x^i in GF(2^8), the round constant of key-schedule round i + 1.
+RCON = bytes(accumulate(range(9), lambda rc, _: _xtime(rc), initial=1))
 
 
 def key_expansion(key: bytes) -> bytes:
@@ -97,17 +80,15 @@ def key_expansion(key: bytes) -> bytes:
     """
     if len(key) != 16:
         raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
-    tables = build_gf_tables()
-    sbox, rc = tables.sbox, tables.round_constants
     ks = bytearray(key)
     for i in range(4, 44):
         w = ks[4 * (i - 1) : 4 * i]
         if i % 4 == 0:
             w = bytes((
-                sbox[w[1]] ^ rc[i // 4 - 1],
-                sbox[w[2]],
-                sbox[w[3]],
-                sbox[w[0]],
+                SBOX[w[1]] ^ RCON[i // 4 - 1],
+                SBOX[w[2]],
+                SBOX[w[3]],
+                SBOX[w[0]],
             ))
         ks.extend(a ^ b for a, b in zip(ks[4 * (i - 4) : 4 * (i - 3)], w))
     return bytes(ks)
@@ -123,24 +104,19 @@ def aes128_encrypt_block(block: bytes, ks: bytes) -> bytes:
 # MixColumns matrix: output byte i of a column takes _MIX[i][r] * S(byte r).
 # The last round has no MixColumns, which is the identity matrix.
 _MIX = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
-
-
-@lru_cache(maxsize=1)
-def _fused_tables() -> np.ndarray:
-    """Fuse sbox/mul2/mul3 into eight word tables, shape (2, 4, 256) uint32.
-
-    [0, r][x] packs the MixColumns contribution of S(x) sitting in state
-    row r; [1, r][x] holds S(x) alone at byte r, for the last round. The
-    pack order matches a native-endian uint32 view of the column bytes, so
-    the tables are correct on any host byte order by construction.
-    """
-    t = build_gf_tables()
-    s, mul2, mul3 = (np.frombuffer(b, dtype=np.uint8) for b in (t.sbox, t.mul2, t.mul3))
-    # products[c][x] = c * S(x) for the coefficients c = 0 .. 3
-    products = np.stack((np.zeros_like(s), s, mul2[s], mul3[s]))
-    coef = np.array((_MIX, np.eye(4, dtype=int)))  # [table set, byte i, row r]
-    packed = products[coef].transpose(0, 2, 3, 1)  # [set, row r, x, byte i]
-    return np.ascontiguousarray(packed).view(np.uint32)[..., 0]
+# SBOX, MUL2 and MUL3 fused into eight word tables, shape (2, 4, 256) uint32.
+# _FUSED[0, r][x] packs the MixColumns contribution of S(x) sitting in state
+# row r; _FUSED[1, r][x] holds S(x) alone at byte r, for the last round. The
+# pack order matches a native-endian uint32 view of the column bytes, so the
+# tables are correct on any host byte order by construction. Every call
+# shares them, so they are read-only.
+_FUSED = np.ascontiguousarray(
+    # [c, x] = c * S(x) for the coefficients c = 0 .. 3, indexed by coefficient
+    np.frombuffer(bytes(256) + SBOX + SBOX.translate(MUL2) + SBOX.translate(MUL3), dtype=np.uint8)
+    .reshape(4, 256)[np.array((_MIX, np.eye(4, dtype=int)))]  # [set, byte i, row r, x]
+    .transpose(0, 2, 3, 1)  # [set, row r, x, byte i]
+).view(np.uint32)[..., 0]
+_FUSED.flags.writeable = False
 
 
 def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> bytearray:
@@ -163,7 +139,7 @@ def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> 
     blocks = np.frombuffer(data, dtype=np.uint32).reshape(-1, 4)
     words = np.frombuffer(out, dtype=np.uint32).reshape(-1, 4)
     rk = np.frombuffer(ks, dtype=np.uint32).reshape(11, 4)
-    mix, last = _fused_tables()
+    mix, last = _FUSED
     # keyed[rnd - 1, j]: round rnd's first table for column j, its round key
     # folded in; derived from the key, so built per call and never cached
     keyed = np.concatenate((mix[0] ^ rk[1:10, :, None], last[0] ^ rk[10:, :, None]))
@@ -184,7 +160,7 @@ def _encrypt_batch(
     gather of each column adds the key. Every gather and XOR writes into a
     preallocated array; w and nxt swap roles each round.
     """
-    mix, last = _fused_tables()
+    mix, last = _FUSED
     n = len(blocks)
     w = np.empty((4, n), dtype=np.uint32)
     nxt = np.empty_like(w)

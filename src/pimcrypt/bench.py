@@ -41,10 +41,6 @@ from .orchestrator import (
 )
 from .sha256 import sha256_many
 
-
-EXPERIMENT_NAMES = tuple(mc.EXPERIMENTS)
-ALGORITHMS = mc.ALGORITHMS
-
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
 
 
@@ -246,7 +242,7 @@ def characterize_kernel(
     algorithm: str, cost: mc.KernelCost, host: HostProfile | None = None
 ) -> KernelCharacterization:
     """Place a kernel on the host roofline by its arithmetic intensity."""
-    if algorithm not in ALGORITHMS:
+    if algorithm not in mc.ALGORITHMS:
         raise ProfileError(f"unknown algorithm {algorithm!r}")
     if host is None:
         host = mc.bundled_default_config().host
@@ -260,12 +256,8 @@ def characterize_kernel(
     )
 
 
-def _format_value(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def _format_value(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def emit_csv(result: ExperimentResult, path: str) -> None:

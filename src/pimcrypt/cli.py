@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run a scaling experiment, emit CSV")
     ben.add_argument(
-        "--experiment", required=True, choices=bh.EXPERIMENT_NAMES,
+        "--experiment", required=True, choices=mc.EXPERIMENTS,
         help="experiment to run",
     )
     ben.add_argument("--config", default=None, help="config JSON (profile + experiments)")

@@ -5,6 +5,7 @@ Rather than inventing one, the functions here replay the kernel algorithms
 in the byte-wise and word-wise form a DPU runs, counting every basic
 operation a 32-bit in-order core would execute: table lookups, xors, adds,
 shifts/rotates (charged per shift), bitwise and/or/not, and byte moves.
+The AES replay looks up aes.py's own SBOX, MUL2 and MUL3 constants.
 Register renaming and loop control are not charged. Both instrumented
 kernels return their result so tests can pin them bit-for-bit to the
 production paths; the counts are data-independent because neither kernel
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .aes import build_gf_tables
+from .aes import MUL2, MUL3, SBOX
 from .sha256 import INIT_STATE, ROUND_CONSTANTS, sha256_pad
 
 _MASK = 0xFFFFFFFF
@@ -31,8 +32,6 @@ _SHIFT_ROWS = tuple((4 * (c + r) + r) % 16 for c in range(4) for r in range(4))
 
 def count_aes_block_ops(block: bytes, ks: bytes) -> tuple[bytes, Counter]:
     """Encrypt one block exactly like the production kernel, counting ops."""
-    tables = build_gf_tables()
-    sbox, mul2, mul3 = tables.sbox, tables.mul2, tables.mul3
     ops: Counter = Counter()
 
     s = bytearray(16)
@@ -43,21 +42,21 @@ def count_aes_block_ops(block: bytes, ks: bytes) -> tuple[bytes, Counter]:
         rk = ks[16 * rnd : 16 * rnd + 16]
         t = bytearray(16)
         for i, p in enumerate(_SHIFT_ROWS):
-            t[i] = sbox[s[p]]
+            t[i] = SBOX[s[p]]
             ops["lookup"] += 1  # SubBytes
             ops["move"] += 1    # ShiftRows placement
         for c in range(4):
             a, b, cc, d = t[4 * c : 4 * c + 4]
-            s[4 * c + 0] = mul2[a] ^ mul3[b] ^ cc ^ d ^ rk[4 * c + 0]
-            s[4 * c + 1] = a ^ mul2[b] ^ mul3[cc] ^ d ^ rk[4 * c + 1]
-            s[4 * c + 2] = a ^ b ^ mul2[cc] ^ mul3[d] ^ rk[4 * c + 2]
-            s[4 * c + 3] = mul3[a] ^ b ^ cc ^ mul2[d] ^ rk[4 * c + 3]
+            s[4 * c + 0] = MUL2[a] ^ MUL3[b] ^ cc ^ d ^ rk[4 * c + 0]
+            s[4 * c + 1] = a ^ MUL2[b] ^ MUL3[cc] ^ d ^ rk[4 * c + 1]
+            s[4 * c + 2] = a ^ b ^ MUL2[cc] ^ MUL3[d] ^ rk[4 * c + 2]
+            s[4 * c + 3] = MUL3[a] ^ b ^ cc ^ MUL2[d] ^ rk[4 * c + 3]
             # per output byte: two table lookups, four xors (incl. round key)
             ops["lookup"] += 8
             ops["xor"] += 16
     out = bytearray(16)
     for i, p in enumerate(_SHIFT_ROWS):
-        out[i] = sbox[s[p]] ^ ks[160 + i]
+        out[i] = SBOX[s[p]] ^ ks[160 + i]
         ops["lookup"] += 1
         ops["move"] += 1
         ops["xor"] += 1

@@ -523,9 +523,12 @@ def _section(doc: dict, name: str, known: Iterable[str], what: str) -> dict:
     return section
 
 
+_CONFIG_SECTIONS = ("machine", "kernel_costs", "host", "experiments")
+
+
 def parse_config(doc: object) -> Config:
     """Parse a config document into a complete Config; a bare profile
-    object is read as {"machine": doc}.
+    object, one that names no config section, is read as {"machine": doc}.
 
     A host section, kernel_costs entry or experiment entry that the document
     leaves out is the bundled one; an experiment entry that it gives is
@@ -534,8 +537,12 @@ def parse_config(doc: object) -> Config:
     if not isinstance(doc, dict):
         raise ProfileError("config document must be a JSON object")
     if "machine" not in doc:
+        named = sorted(doc.keys() & _CONFIG_SECTIONS)
+        if named:
+            raise ProfileError(
+                f"config document has no machine section (it has {', '.join(named)})")
         doc = {"machine": doc}
-    _reject_unknown(doc, ("machine", "kernel_costs", "host", "experiments"), "config sections")
+    _reject_unknown(doc, _CONFIG_SECTIONS, "config sections")
     bundled = _bundled_doc()
     costs = {**bundled["kernel_costs"],
              **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}

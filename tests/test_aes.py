@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from pimcrypt import aes
 from pimcrypt import reference as ref
 from pimcrypt.aes import (
+    MUL2,
+    MUL3,
+    RCON,
+    SBOX,
     aes128_encrypt_block,
     aes128_encrypt_buffer,
-    build_gf_tables,
     key_expansion,
 )
 from pimcrypt.errors import AlignmentError
@@ -24,30 +27,24 @@ FIPS_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
 class TestGfTables:
     def test_spot_values(self):
-        t = build_gf_tables()
-        assert t.mul2[0x01] == 0x02
-        assert t.mul3[0x01] == 0x03
-        assert t.mul2[0x80] == 0x1B
+        assert MUL2[0x01] == 0x02
+        assert MUL3[0x01] == 0x03
+        assert MUL2[0x80] == 0x1B
 
     def test_mul2_matches_field_multiplication(self):
-        t = build_gf_tables()
         for x in range(256):
-            assert t.mul2[x] == ref.gf_mul(2, x)
+            assert MUL2[x] == ref.gf_mul(2, x)
 
     def test_mul3_is_mul2_xor_identity(self):
-        t = build_gf_tables()
         for x in range(256):
-            assert t.mul3[x] == t.mul2[x] ^ x
+            assert MUL3[x] == MUL2[x] ^ x
 
     def test_sbox_matches_derived_oracle(self):
-        assert build_gf_tables().sbox == ref.computed_sbox()
+        assert SBOX == ref.computed_sbox()
 
     def test_round_constants(self):
         expected = bytes([0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36])
-        assert build_gf_tables().round_constants == expected
-
-    def test_deterministic(self):
-        assert build_gf_tables() is build_gf_tables()
+        assert RCON == expected
 
 
 class TestKeyExpansion:
@@ -163,7 +160,7 @@ class TestEncryptBufferBatches:
         table has 256 entries. Under the all-zero key, block i = bytes([i]) * 16
         enters round 1 unchanged, so round 1 reads every byte value at all
         16 state positions."""
-        tables = aes._fused_tables()
+        tables = aes._FUSED
         assert tables.shape == (2, 4, 256)
         assert tables.dtype == np.uint32
         key = bytes(16)

@@ -6,9 +6,7 @@ import pytest
 
 from pimcrypt import bench
 from pimcrypt.bench import (
-    ALGORITHMS,
     CSV_COLUMNS,
-    EXPERIMENT_NAMES,
     ExperimentResult,
     ExperimentRow,
     ExperimentSpec,
@@ -19,7 +17,7 @@ from pimcrypt.bench import (
     run_host_baseline,
 )
 from pimcrypt.errors import CapacityError, ProfileError
-from pimcrypt.machine import KernelCost, bundled_default_config
+from pimcrypt.machine import ALGORITHMS, EXPERIMENTS, KernelCost, bundled_default_config
 from pimcrypt.orchestrator import AesWorkload, Strategy, plan_job, validate_timeline
 
 AES_COST = bundled_default_config().kernel_costs["aes128"]
@@ -64,7 +62,7 @@ class TestSpecValidation:
         assert spec.sweep == tuple(range(1, 25))
         assert spec.algorithm == "aes128"
 
-    @pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_missing_section_takes_bundled_values(self, experiment):
         bundled = bundled_default_config().experiments[experiment]
         assert ExperimentSpec.from_config(experiment, None) == bundled
@@ -362,7 +360,7 @@ _PAPER_CSVS = {
 
 def test_paper_csvs_bit_identical(tmp_path):
     for algorithm in ALGORITHMS:
-        for experiment in EXPERIMENT_NAMES:
+        for experiment in EXPERIMENTS:
             spec = _spec(experiment, algorithm=algorithm)
             path = tmp_path / f"{algorithm}_{experiment}.csv"
             emit_csv(run_experiment(spec, include_baseline=False), str(path))

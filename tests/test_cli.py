@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import bench as bh
-from pimcrypt import orchestrator
+from pimcrypt import machine as mc
+from pimcrypt import orchestrator, reference
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
 from pimcrypt.machine import bundled_default_config, default_profile
@@ -98,6 +99,19 @@ class TestEncrypt:
         ]) == 0
         assert len(dst.read_bytes()) == 16
         assert _summary(capsys)["padded_from"] == "15"
+
+    def test_in_place(self, tmp_path):
+        """--in and --out naming one file leave it holding the ciphertext
+        of what it held: the input is read whole before the output opens."""
+        path = tmp_path / "data.bin"
+        plain = bytes(range(256)) * 4
+        path.write_bytes(plain)
+        key = bytes.fromhex(FIPS_KEY_HEX)
+        expected = b"".join(
+            reference.encrypt_block(plain[i : i + 16], key) for i in range(0, len(plain), 16))
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(path), "--out", str(path),
+                     "--ranks", "2"]) == 0
+        assert path.read_bytes() == expected
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main([
@@ -360,6 +374,22 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
 
+    @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
+    @pytest.mark.parametrize("section", ["experiments", "host", "kernel_costs"])
+    def test_document_without_machine_section(self, tmp_path, capsys, command, section):
+        """A document that names a config section but no machine section is
+        not a bare profile: it is rejected for the missing section, not for
+        an unknown profile field named after the section."""
+        doc = json.loads(_BUNDLED_TEXT)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: doc[section]}))
+        argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), str(path))}
+        assert main(argvs[command]) == 3
+        captured = capsys.readouterr()
+        assert f"config document has no machine section (it has {section})" in (
+            captured.out + captured.err)
+        assert "unknown profile fields" not in captured.out + captured.err
+
     @pytest.mark.parametrize("command", ["validate", "encrypt", "bench"])
     def test_misnamed_kernel_cost_rejected(self, tmp_path, capsys, command):
         """A kernel_costs entry that names no kernel would silently not take
@@ -437,12 +467,12 @@ class TestConfigErrors:
         *[pytest.param(experiment, name, value,
                        f"unknown experiment {experiment} fields: ['{name}']",
                        id=f"{experiment}-{name}")
-          for experiment in bh.EXPERIMENT_NAMES
+          for experiment in mc.EXPERIMENTS
           for name, value in (("repetitions", 5), ("seed", bh.BASELINE_SEED))],
         *[pytest.param(experiment, "strategies", ["sync"],
                        f"experiment {experiment} field strategies is derived and may not be set",
                        id=f"{experiment}-strategies")
-          for experiment in bh.EXPERIMENT_NAMES if experiment != "rank_scaling"],
+          for experiment in mc.EXPERIMENTS if experiment != "rank_scaling"],
         pytest.param("tasklet_scaling", "tasklets", 16,
                      "experiment tasklet_scaling field tasklets is derived and may not be set",
                      id="tasklet_scaling-tasklets"),
@@ -641,7 +671,7 @@ def test_validate_accepts_what_bench_accepts(tmp_path, name, value):
     cfg = _config(tmp_path, value, "machine", name)
     benched = [_run(["bench", "--experiment", experiment, "--no-baseline",
                      "--config", cfg, "--out-dir", str(tmp_path)])
-               for experiment in bh.EXPERIMENT_NAMES]
+               for experiment in mc.EXPERIMENTS]
     assert (_run(["validate", "--profile", cfg]) == 0) == (benched == [0] * 4)
 
 
@@ -840,7 +870,7 @@ def test_job_too_large_for_this_host_is_data_error(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     if command == "validate":
         assert captured.out.splitlines() == [
-            f"violation: {name}: {message}" for name in bh.EXPERIMENT_NAMES]
+            f"violation: {name}: {message}" for name in mc.EXPERIMENTS]
     else:
         assert captured.err == f"error: {message}\n"
 

@@ -405,10 +405,18 @@ def test_moved_names_are_one_object_whatever_is_imported_first(first):
 
 def test_all_names_resolve():
     """Every name the package exports is defined, once, and the retired
-    per-event timeline type (a timeline is only its times array) is gone."""
+    names are gone: the per-event timeline type (a timeline is only its
+    times array), the AES table record and its builder (the tables are
+    aes module constants), and bench's copies of machine's names."""
     import pimcrypt
+    from pimcrypt import bench
 
+    assert len(pimcrypt.__all__) == 41
     assert len(set(pimcrypt.__all__)) == len(pimcrypt.__all__)
     for name in pimcrypt.__all__:
         assert getattr(pimcrypt, name) is not None, name
     assert not [name for name in dir(pimcrypt) + dir(mc) if name.endswith("Event")]
+    for name in ("GfLookupTables", "build_gf_tables"):
+        assert not hasattr(pimcrypt, name), name
+    for name in ("ALGORITHMS", "EXPERIMENT_NAMES"):
+        assert not hasattr(bench, name), name

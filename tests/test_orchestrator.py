@@ -396,6 +396,20 @@ class TestConservation:
         assert result.plan.payload_bytes_to_dpu == 3700
         assert result.plan.payload_bytes_from_dpu == 32 * 100
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("n_ranks", [1, 3])
+    def test_empty_hash_job_costs_nothing(self, n_ranks, strategy):
+        """No messages means no hash blocks to spread the digest writes
+        over: the job moves no byte and takes no modeled time."""
+        result = run_job([], strategy=strategy, n_ranks=n_ranks)
+        plan = result.plan
+        assert result.output == []
+        assert tuple(plan.phase_times) == (0.0, 0.0, 0.0, 0.0)
+        assert plan.makespan == 0.0
+        assert (plan.payload_bytes_to_dpu, plan.payload_bytes_from_dpu,
+                plan.broadcast_bytes) == (0, 0, 0)
+        assert not validate_timeline(plan.timeline)
+
 
 class TestPhaseTimes:
     def test_phases_bounded_by_makespan(self):
