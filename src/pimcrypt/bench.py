@@ -118,13 +118,12 @@ def run_experiment(
         config = mc.bundled_default_config()
     spec.check_machine(config.machine)
     _, scales = mc.EXPERIMENTS[spec.experiment]
-    cost = config.kernel_costs[spec.algorithm]
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
         # a workload per sweep value, so no two values' workloads are alive at once
         plan = plan_job(
             _workload_for(spec, value if scales else 1), strategy=spec.strategies[0],
-            profile=config.machine, cost=cost, **_topology(spec, value, config.machine),
+            config=config, **_topology(spec, value, config.machine),
         )
         for strategy in spec.strategies:
             if strategy is not plan.strategy:

@@ -33,6 +33,17 @@ def _load_config(path: str | None) -> mc.Config:
     return mc.bundled_default_config() if path is None else mc.load_config(path)
 
 
+def _job_options(args: argparse.Namespace) -> dict[str, object]:
+    """run_job's options from the topology flags, with the --profile config loaded."""
+    return dict(
+        strategy=Strategy.parse(args.strategy),
+        n_ranks=args.ranks,
+        tasklets=args.tasklets,
+        dpus_per_rank=args.dpus_per_rank,
+        config=_load_config(args.profile),
+    )
+
+
 def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ranks", type=int, default=1, help="number of ranks to use")
     parser.add_argument(
@@ -81,11 +92,11 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     except ValueError:
         print(f"error: key is not valid hex: {args.key!r}", file=sys.stderr)
         return EXIT_USAGE
-    if len(key) != 16:
+    if len(args.key) != 32 or len(key) != 16:  # fromhex skips whitespace
         print("error: key must be 32 hex characters (16 bytes)", file=sys.stderr)
         return EXIT_USAGE
 
-    config = _load_config(args.profile)
+    options = _job_options(args)
     with open(args.infile, "rb") as fh:
         data = fh.read()
 
@@ -98,16 +109,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
             )
         data = data + b"\x00" * (-len(data) % aes.BLOCK_BYTES)
 
-    result = run_job(
-        data,
-        key,
-        strategy=Strategy.parse(args.strategy),
-        n_ranks=args.ranks,
-        tasklets=args.tasklets,
-        profile=config.machine,
-        dpus_per_rank=args.dpus_per_rank,
-        cost=config.kernel_costs["aes128"],
-    )
+    result = run_job(data, key, **options)
     with open(args.outfile, "wb") as fh:
         fh.write(result.output)
 
@@ -131,7 +133,7 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
 
 
 def cmd_hash(args: argparse.Namespace) -> int:
-    config = _load_config(args.profile)
+    options = _job_options(args)
     paths = _collect_message_paths(args.infile)
     if not paths:
         raise ValueError("no input messages")
@@ -140,15 +142,7 @@ def cmd_hash(args: argparse.Namespace) -> int:
         with open(path, "rb") as fh:
             messages.append(fh.read())
 
-    result = run_job(
-        messages,
-        strategy=Strategy.parse(args.strategy),
-        n_ranks=args.ranks,
-        tasklets=args.tasklets,
-        profile=config.machine,
-        dpus_per_rank=args.dpus_per_rank,
-        cost=config.kernel_costs["sha256"],
-    )
+    result = run_job(messages, **options)
     with open(args.outfile, "w", encoding="utf-8") as fh:
         for digest in result.output:
             fh.write(digest.hex() + "\n")

@@ -137,20 +137,6 @@ def _reject_unknown(names: Iterable[str], known: Iterable[str], what: str) -> No
         raise ProfileError(f"unknown {what}: {sorted(unknown)}, valid: {', '.join(known)}")
 
 
-def default_profile() -> MachineProfile:
-    """Profile of the reference machine: the bundled config's machine section.
-
-    Topology, memory sizes and the 11-tasklet saturation point describe the
-    real hardware generation being modeled. Transfer bandwidths, the host
-    staging rate and the MRAM access constants are model calibration
-    parameters (the hardware is characterized qualitatively: linear
-    transfer scaling, a strong to/from asymmetry, and a fixed MRAM floor
-    cost); they are chosen so the scaling-experiment shapes reproduce, and
-    absolute times carry no hardware claim.
-    """
-    return bundled_default_config().machine
-
-
 ALGORITHMS = ("aes128", "sha256")  # the kernels a config may price
 # the scaling experiments a config may set up:
 # name -> (plan_job argument it sweeps, whether the workload grows with it)
@@ -462,7 +448,9 @@ class ExperimentSpec:
             (sweep, "sweep must not be empty"),
             (min(sweep, default=1) > 0 and sweep == sorted(sweep),
              "sweep values must be positive and sorted"),
+            (len(set(sweep)) == len(sweep), "sweep values must be distinct"),
             (self.strategies, "strategies must not be empty"),
+            (len(set(self.strategies)) == len(self.strategies), "strategies must be distinct"),
             (self.buffer_bytes >= aes.BLOCK_BYTES and self.buffer_bytes % aes.BLOCK_BYTES == 0,
              f"buffer_bytes must be a positive multiple of {aes.BLOCK_BYTES}"),
             (min(self.message_bytes, self.message_count) >= 1,

@@ -177,14 +177,19 @@ def plan_job(
     strategy: Strategy = Strategy.SYNC,
     n_ranks: int = 1,
     tasklets: int = 16,
-    profile: mc.MachineProfile | None = None,
     dpus_per_rank: int | None = None,
-    cost: mc.KernelCost | None = None,
+    config: mc.Config | None = None,
 ) -> JobPlan:
     """Partition a workload, price each rank's phases and schedule them
-    under a strategy; only the schedule depends on the strategy."""
-    if profile is None:
-        profile = mc.default_profile()
+    under a strategy; only the schedule depends on the strategy.
+
+    The job is priced on config's machine (the bundled config if None),
+    with the kernel cost of the workload's own algorithm;
+    dpus_per_rank=None uses every DPU of a rank.
+    """
+    if config is None:
+        config = mc.bundled_default_config()
+    profile = config.machine
     if dpus_per_rank is None:
         dpus_per_rank = profile.dpus_per_rank
     if not 1 <= tasklets <= profile.max_tasklets:
@@ -203,13 +208,12 @@ def plan_job(
 
     if isinstance(workload, AesWorkload):
         partition = partition_aes(workload.buffer_len, total_dpus)
-        job_cost = cost or mc.bundled_default_config().kernel_costs["aes128"]
+        job_cost = config.kernel_costs["aes128"]
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
     else:
         partition = partition_sha(workload.message_lengths, total_dpus)
-        base_cost = cost or mc.bundled_default_config().kernel_costs["sha256"]
-        n_messages = len(workload.message_lengths)
-        job_cost = _sha_cost_for(base_cost, n_messages, int(partition.units.sum()))
+        job_cost = _sha_cost_for(config.kernel_costs["sha256"],
+                                 len(workload.message_lengths), int(partition.units.sum()))
         broadcast_bytes = 0
 
     mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
@@ -297,28 +301,15 @@ def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndar
 def run_job(
     workload: bytes | bytearray | memoryview | Sequence[bytes],
     key: bytes | None = None,
-    *,
-    strategy: Strategy = Strategy.SYNC,
-    n_ranks: int = 1,
-    tasklets: int = 16,
-    profile: mc.MachineProfile | None = None,
-    dpus_per_rank: int | None = None,
-    cost: mc.KernelCost | None = None,
+    **options,
 ) -> JobResult:
-    """Execute a workload functionally and price it under a strategy.
+    """Execute a workload functionally and price it with plan_job, which
+    takes the options (strategy, n_ranks, tasklets, dpus_per_rank, config).
 
     A workload that exports the buffer protocol is encrypted by its bytes
     (key required); a sequence of messages is hashed, with digests returned
     in input order, and takes no key.
     """
-    common = dict(
-        strategy=strategy,
-        n_ranks=n_ranks,
-        tasklets=tasklets,
-        profile=profile,
-        dpus_per_rank=dpus_per_rank,
-        cost=cost,
-    )
     try:
         nbytes = memoryview(workload).nbytes
     except TypeError:  # not a buffer: messages to hash
@@ -326,7 +317,7 @@ def run_job(
     if nbytes is not None:
         if key is None:
             raise ValueError("encryption requires a key")
-        plan = plan_job(AesWorkload(nbytes), **common)
+        plan = plan_job(AesWorkload(nbytes), **options)
         # blocks are independent, so one pass over the whole buffer gives
         # what the DPUs' slices would
         return JobResult(
@@ -336,7 +327,7 @@ def run_job(
     if key is not None:
         raise ValueError("hashing takes no key; a key is only for a buffer to encrypt")
     messages = [bytes(m) for m in workload]
-    plan = plan_job(ShaWorkload(tuple(len(m) for m in messages)), **common)
+    plan = plan_job(ShaWorkload(tuple(len(m) for m in messages)), **options)
     return JobResult(output=sha256_many(messages), plan=plan)
 
 

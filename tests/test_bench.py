@@ -127,11 +127,14 @@ class TestTaskletScaling:
             mram_write_bytes_per_unit=0,
             wram_cache_bytes=AES_COST.wram_cache_bytes,
                 )
+        config = bundled_default_config()
+        config = dataclasses.replace(
+            config, kernel_costs={**config.kernel_costs, "aes128": pure})
         base = None
         for t in range(1, 25):
             plan = plan_job(
                 AesWorkload(8 << 20), strategy=Strategy.SYNC, n_ranks=1,
-                dpus_per_rank=1, tasklets=t, cost=pure,
+                dpus_per_rank=1, tasklets=t, config=config,
             )
             if base is None:
                 base = plan.phase_times.kernel

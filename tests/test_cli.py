@@ -16,10 +16,11 @@ from pimcrypt import machine as mc
 from pimcrypt import orchestrator, reference
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
-from pimcrypt.machine import bundled_default_config, default_profile
+from pimcrypt.machine import bundled_default_config
 from pimcrypt.sha256 import sha256_digest
 
 FIPS_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
+_PROFILE = bundled_default_config().machine
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
@@ -84,6 +85,15 @@ class TestEncrypt:
         src = tmp_path / "p.bin"
         src.write_bytes(bytes(16))
         assert main(["encrypt", "--key", "abcd", "--in", str(src), "--out", str(tmp_path / "c")]) == 2
+
+    def test_spaced_key_is_usage_error(self, tmp_path, capsys):
+        """bytes.fromhex skips whitespace; a key is exactly 32 hex digits."""
+        src = tmp_path / "p.bin"
+        src.write_bytes(bytes(16))
+        spaced = " ".join(FIPS_KEY_HEX[i:i + 2] for i in range(0, 32, 2))
+        assert main(["encrypt", "--key", spaced, "--in", str(src), "--out", str(tmp_path / "c")]) == 2
+        assert "32 hex characters" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_misaligned_without_pad_is_data_error(self, tmp_path):
         src = tmp_path / "p.bin"
@@ -191,7 +201,7 @@ class TestBench:
 
     def test_custom_config(self, tmp_path):
         config = {
-            "machine": default_profile().to_json(),
+            "machine": _PROFILE.to_json(),
             "experiments": {
                 "weak_scaling": {"algorithm": "sha256", "sweep": [1, 4], "message_count": 4},
             },
@@ -207,7 +217,7 @@ class TestBench:
 
     def test_invalid_spec_is_data_error(self, tmp_path):
         config = {
-            "machine": default_profile().to_json(),
+            "machine": _PROFILE.to_json(),
             "experiments": {"weak_scaling": {"sweep": [4, 1]}},
         }
         cfg = tmp_path / "config.json"
@@ -219,7 +229,7 @@ class TestBench:
 
     def test_idempotent_given_identical_inputs(self, tmp_path):
         config = {
-            "machine": default_profile().to_json(),
+            "machine": _PROFILE.to_json(),
             "experiments": {"weak_scaling": {"sweep": [1, 4, 16]}},
         }
         cfg = tmp_path / "config.json"
@@ -236,7 +246,7 @@ class TestBench:
 
     def test_no_baseline_flag(self, tmp_path):
         config = {
-            "machine": default_profile().to_json(),
+            "machine": _PROFILE.to_json(),
             "experiments": {
                 "rank_scaling": {"sweep": [1, 2], "strategies": ["pim1", "pim2"]},
             },
@@ -256,12 +266,12 @@ class TestBench:
 class TestValidate:
     def test_default_profile_ok(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(default_profile().to_json()))
+        path.write_text(json.dumps(_PROFILE.to_json()))
         assert main(["validate", "--profile", str(path)]) == 0
         assert "profile=ok" in capsys.readouterr().out
 
     def test_usable_dpus_violation(self, tmp_path, capsys):
-        doc = default_profile().to_json()
+        doc = _PROFILE.to_json()
         doc["usable_dpus"] = 100000
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
@@ -269,7 +279,7 @@ class TestValidate:
         assert "usable_dpus" in capsys.readouterr().out
 
     def test_missing_field(self, tmp_path, capsys):
-        doc = default_profile().to_json()
+        doc = _PROFILE.to_json()
         del doc["dpu_frequency"]
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
@@ -305,6 +315,10 @@ class TestConfigErrors:
         (("host", "peak_ops_per_second"), "x"),
         (("host",), 5),
         (("host", "foo"), 1),
+        # values that would only repeat CSV rows
+        (("experiments", "rank_scaling", "sweep"), [2, 2]),
+        (("experiments", "rank_scaling", "strategies"), ["sync", "sync"]),
+        (("experiments", "rank_scaling", "strategies"), ["pim1", "async_rank_transfer"]),
     ])
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, command, keys, value):
         cfg = _config(tmp_path, value, *keys)
@@ -536,7 +550,7 @@ class TestConfigErrors:
     def test_validate_checks_bundled_experiments(self, tmp_path, capsys):
         """A bare profile takes every bundled experiment, and validate checks
         each against the profile's machine, as bench does."""
-        doc = {**default_profile().to_json(), "num_ranks": 10, "usable_dpus": 640}
+        doc = {**_PROFILE.to_json(), "num_ranks": 10, "usable_dpus": 640}
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
         assert main(["bench", "--experiment", "rank_scaling", "--no-baseline",
@@ -735,8 +749,6 @@ def test_unparsable_config_is_data_error(tmp_path, raw):
     assert [_exit_code(argv) for argv in _raw_config_argvs(str(tmp_path), str(cfg))] == [3] * 4
 
 
-_PROFILE = default_profile()
-
 
 @pytest.mark.parametrize("flag,limit", [
     ("--ranks", _PROFILE.num_ranks),
@@ -757,7 +769,7 @@ def test_validate_plans_last_sweep_value(tmp_path, capsys):
     """WRAM that holds the bundled 2048 B cache at 16 tasklets but not at
     17: bench fails partway along tasklet_scaling's sweep, and validate,
     which runs each experiment as bench does, fails at the same point."""
-    doc = {**default_profile().to_json(), "wram_bytes": 32768}
+    doc = {**_PROFILE.to_json(), "wram_bytes": 32768}
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(doc))
     assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",

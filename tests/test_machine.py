@@ -16,7 +16,6 @@ from pimcrypt.machine import (
     MachineProfile,
     _streamed_access_cycles,
     bundled_default_config,
-    default_profile,
     effective_ipc,
     load_config,
     mram_access_cycles,
@@ -26,7 +25,7 @@ from pimcrypt.machine import (
     simulate_transfer,
 )
 
-PROFILE = default_profile()
+PROFILE = bundled_default_config().machine
 
 NO_MRAM_COST = KernelCost(
     instructions_per_unit=11,
@@ -407,16 +406,18 @@ def test_all_names_resolve():
     """Every name the package exports is defined, once, and the retired
     names are gone: the per-event timeline type (a timeline is only its
     times array), the AES table record and its builder (the tables are
-    aes module constants), and bench's copies of machine's names."""
+    aes module constants), bench's copies of machine's names, and
+    default_profile (the bundled machine is bundled_default_config().machine)."""
     import pimcrypt
     from pimcrypt import bench
 
-    assert len(pimcrypt.__all__) == 41
+    assert len(pimcrypt.__all__) == 40
     assert len(set(pimcrypt.__all__)) == len(pimcrypt.__all__)
     for name in pimcrypt.__all__:
         assert getattr(pimcrypt, name) is not None, name
     assert not [name for name in dir(pimcrypt) + dir(mc) if name.endswith("Event")]
-    for name in ("GfLookupTables", "build_gf_tables"):
+    for name in ("GfLookupTables", "build_gf_tables", "default_profile"):
         assert not hasattr(pimcrypt, name), name
+    assert not hasattr(mc, "default_profile")
     for name in ("ALGORITHMS", "EXPERIMENT_NAMES"):
         assert not hasattr(bench, name), name

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import random
 from array import array
@@ -18,7 +19,6 @@ from pimcrypt.machine import (
     ExecutionTimeline,
     KernelCost,
     bundled_default_config,
-    default_profile,
     simulate_dpu_kernel,
 )
 from pimcrypt.orchestrator import (
@@ -36,8 +36,15 @@ from pimcrypt.orchestrator import (
 from pimcrypt.sha256 import padded_block_count
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-PROFILE = default_profile()
+PROFILE = bundled_default_config().machine
 _SHA_COST = bundled_default_config().kernel_costs["sha256"]
+
+
+def _config(machine=PROFILE, **costs):
+    """The bundled config with its machine and the named kernel costs replaced."""
+    config = bundled_default_config()
+    return dataclasses.replace(
+        config, machine=machine, kernel_costs={**config.kernel_costs, **costs})
 
 
 def _random_buffer(n_bytes, seed=0):
@@ -194,7 +201,7 @@ def _pipeline_profile():
     """Per rank: prepare 2 ms, inbound 10 ms, kernel 30 ms, outbound 5 ms
     for a 1 MiB per-DPU payload with one DPU per rank."""
     return dataclasses.replace(
-        default_profile(),
+        PROFILE,
         dpus_per_rank=1,
         num_ranks=8,
         usable_dpus=8,
@@ -221,9 +228,8 @@ class TestStrategyPipelines:
             strategy=Strategy.ASYNC_RANK_TRANSFER,
             n_ranks=4,
             tasklets=11,
-            profile=profile,
             dpus_per_rank=1,
-            cost=_PIPELINE_COST,
+            config=_config(profile, aes128=_PIPELINE_COST),
         )
         t0 = plan.broadcast_seconds
         launch = plan.timeline.times[0, EVENT_KINDS.index("launch")]
@@ -241,9 +247,8 @@ class TestStrategyPipelines:
             strategy=Strategy.SYNC,
             n_ranks=4,
             tasklets=11,
-            profile=profile,
             dpus_per_rank=1,
-            cost=_PIPELINE_COST,
+            config=_config(profile, aes128=_PIPELINE_COST),
         )
         t0 = plan.broadcast_seconds
         launch = plan.timeline.times[0, EVENT_KINDS.index("launch")]
@@ -259,9 +264,8 @@ class TestStrategyPipelines:
             strategy=Strategy.ASYNC_RANK_EXECUTION,
             n_ranks=4,
             tasklets=11,
-            profile=profile,
             dpus_per_rank=1,
-            cost=_PIPELINE_COST,
+            config=_config(profile, aes128=_PIPELINE_COST),
         )
         t0 = plan.broadcast_seconds
         for r in range(4):
@@ -352,9 +356,9 @@ class TestCapacityChecks:
             plan_job(AesWorkload(48 << 20), n_ranks=1, dpus_per_rank=1)
 
     def test_usable_dpus_respected(self):
-        profile = dataclasses.replace(default_profile(), usable_dpus=4)
+        config = _config(dataclasses.replace(PROFILE, usable_dpus=4))
         with pytest.raises(CapacityError):
-            plan_job(AesWorkload(16 << 10), n_ranks=1, dpus_per_rank=8, profile=profile)
+            plan_job(AesWorkload(16 << 10), n_ranks=1, dpus_per_rank=8, config=config)
 
     def test_first_over_budget_dpu_named(self):
         with pytest.raises(CapacityError, match=r"^DPU 3 needs 67108896 B of MRAM"):
@@ -525,7 +529,7 @@ def _jobs(draw):
     else:
         workload = ShaWorkload(tuple(draw(st.lists(st.integers(0, 3000), max_size=100))))
     return workload, dict(n_ranks=n_ranks, dpus_per_rank=dpus,
-                          tasklets=draw(st.integers(1, 24)), profile=profile)
+                          tasklets=draw(st.integers(1, 24)), config=_config(profile))
 
 
 class TestTimelineArray:
@@ -664,6 +668,50 @@ def test_key_with_messages_rejected():
         run_job([b"abc", b"de"], KEY)
 
 
+class TestJobConfig:
+    """A job is priced under one Config, with the kernel cost of its own
+    workload's algorithm; no caller pairs a cost with a workload."""
+
+    @staticmethod
+    def _slower(algorithm):
+        cost = bundled_default_config().kernel_costs[algorithm]
+        return dataclasses.replace(cost, instructions_per_unit=3 * cost.instructions_per_unit)
+
+    @pytest.mark.parametrize("workload,algorithm,other", [
+        (AesWorkload(1 << 20), "aes128", "sha256"),
+        (ShaWorkload((1000,) * 300), "sha256", "aes128"),
+    ], ids=["aes", "sha"])
+    def test_cost_follows_algorithm(self, workload, algorithm, other):
+        options = dict(strategy=Strategy.ASYNC_RANK_EXECUTION, n_ranks=2)
+        bundled = plan_job(workload, **options)
+        unaffected = plan_job(workload, config=_config(**{other: self._slower(other)}), **options)
+        assert unaffected == bundled
+        assert unaffected.rank_phases.tolist() == bundled.rank_phases.tolist()
+        # the job's own cost does take effect
+        priced = plan_job(workload, config=_config(**{algorithm: self._slower(algorithm)}),
+                          **options)
+        assert priced.phase_times.kernel > bundled.phase_times.kernel
+
+    def test_run_job_forwards_options(self):
+        config = _config(dataclasses.replace(PROFILE, host_prepare_rate=1e8),
+                         aes128=self._slower("aes128"))
+        options = dict(strategy=Strategy.ASYNC_RANK_TRANSFER, n_ranks=3, tasklets=5,
+                       dpus_per_rank=7, config=config)
+        plan = run_job(bytes(4096), KEY, **options).plan
+        expected = plan_job(AesWorkload(4096), **options)
+        assert plan == expected
+        assert plan.rank_phases.tolist() == expected.rank_phases.tolist()
+
+    def test_no_profile_or_cost_parameter(self):
+        for fn in (plan_job, run_job):
+            assert not {"profile", "cost"} & set(inspect.signature(fn).parameters), fn
+        for name, value in (("profile", PROFILE), ("cost", _SHA_COST)):
+            with pytest.raises(TypeError, match=name):
+                run_job(bytes(16), KEY, **{name: value})
+            with pytest.raises(TypeError, match=name):
+                run_job([b"abc"], **{name: value})
+
+
 @pytest.mark.parametrize("n_ranks", [1, 7, 40])
 @pytest.mark.parametrize("workload,calls", [
     (AesWorkload(16 << 20), 3),
@@ -705,11 +753,11 @@ def test_non_finite_time_rejected(field, value):
     """A machine value that drives a modeled time to inf or nan is a
     profile error, not a plan printing inf, also when a plan whose times
     are finite is rescheduled for a strategy under which they are not."""
-    profile = dataclasses.replace(PROFILE, **{field: value})
+    config = _config(dataclasses.replace(PROFILE, **{field: value}))
     with pytest.raises(ProfileError, match="non-finite"):
-        plan_job(AesWorkload(1 << 20), n_ranks=2, profile=profile)
+        plan_job(AesWorkload(1 << 20), n_ranks=2, config=config)
     if (field, value) == _SERIAL_DRAIN_OVERFLOW:
-        plan = plan_job(AesWorkload(1 << 20), n_ranks=2, profile=profile,
+        plan = plan_job(AesWorkload(1 << 20), n_ranks=2, config=config,
                         strategy=Strategy.ASYNC_RANK_EXECUTION)
         assert math.isfinite(plan.makespan)
         with pytest.raises(ProfileError, match="non-finite"):
