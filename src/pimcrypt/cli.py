@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import aes
 from . import bench as bh
 from . import machine as mc
-from .errors import AlignmentError, CapacityError, PimcryptError, ProfileError
+from .errors import AlignmentError, PimcryptError, ProfileError
 from .orchestrator import Strategy, run_job
 
 EXIT_OK = 0
@@ -172,14 +172,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"violation: {exc}")
         return EXIT_DATA
 
-    machine = config.machine
     problems = []
-    # at the most tasklets, which encrypt and hash --tasklets may ask for
-    for name, cost in config.kernel_costs.items():
-        try:
-            cost.validate(machine, machine.max_tasklets)
-        except CapacityError as exc:
-            problems.append(f"{name}: {exc}")
     # Every experiment run as bench --no-baseline runs it, so validate
     # accepts what bench accepts.
     for name, spec in config.experiments.items():

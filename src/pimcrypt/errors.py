@@ -14,7 +14,7 @@ class MramAccessError(PimcryptError, ValueError):
 
 
 class CapacityError(PimcryptError, ValueError):
-    """A workload does not fit in WRAM or MRAM."""
+    """A job needs more DPUs than are usable, or more MRAM than a DPU has."""
 
 
 class ProfileError(PimcryptError, ValueError):

@@ -29,7 +29,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from . import aes
-from .errors import CapacityError, MramAccessError, ProfileError
+from .errors import MramAccessError, ProfileError
 
 TransferDirection = Literal["to_dpu", "from_dpu"]
 
@@ -64,9 +64,6 @@ class MachineProfile:
             *((getattr(self, f.name) > 0, f"{f.name} must be strictly positive")
               for f in dataclasses.fields(self)),
         )
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _require(*checks: tuple[object, str]) -> None:
@@ -151,8 +148,8 @@ EXPERIMENTS = {
 @dataclass(frozen=True)
 class KernelCost:
     """Per-unit cost of a kernel; a unit is one 16-byte AES block or one
-    64-byte hash block. Its values are checked when it is built; only the
-    WRAM fit of a job's tasklets waits for the job, in validate."""
+    64-byte hash block. Its values are checked when it is built; whether
+    its cache fits WRAM depends on the machine, so Config checks that."""
 
     instructions_per_unit: float
     mram_read_bytes_per_unit: float
@@ -168,14 +165,6 @@ class KernelCost:
             (self.wram_cache_bytes > 0 and self.wram_cache_bytes % 8 == 0,
              "wram_cache_bytes must be a positive multiple of 8"),
         )
-
-    def validate(self, profile: MachineProfile, tasklets: int) -> None:
-        """Check that one cache for each of tasklets tasklets fits in WRAM."""
-        if self.wram_cache_bytes * tasklets > profile.wram_bytes:
-            raise CapacityError(
-                f"{tasklets} tasklets x {self.wram_cache_bytes} B cache "
-                f"exceeds WRAM ({profile.wram_bytes} B)"
-            )
 
 
 EVENT_KINDS = (
@@ -304,7 +293,6 @@ def simulate_dpu_kernel(
     """
     if units < 0:
         raise ValueError("units must be non-negative")
-    cost.validate(profile, tasklets)
     ipc = effective_ipc(tasklets, profile)
     if units == 0:
         return 0.0
@@ -376,7 +364,8 @@ def simulate_transfer(
 # sections, shared by the CLI and the benchmark harness. parse_config alone
 # reads them and returns every section complete: a section or entry the
 # document leaves out is the bundled one. Each record checks its values
-# when built, so a bad value fails at load; only KernelCost.validate waits.
+# when built, so a bad value fails at load, and Config checks that every
+# kernel's cache fits WRAM at the machine's most tasklets.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -500,6 +489,16 @@ class Config:
     kernel_costs: dict[str, KernelCost]  # one per name in ALGORITHMS
     host: HostProfile
     experiments: dict[str, ExperimentSpec]  # one per name in EXPERIMENTS
+
+    def __post_init__(self) -> None:
+        # each tasklet keeps its own cache in WRAM, and a job may run max_tasklets
+        m = self.machine
+        _require(*(
+            (cost.wram_cache_bytes * m.max_tasklets <= m.wram_bytes,
+             f"kernel cost {name}: {m.max_tasklets} tasklets x {cost.wram_cache_bytes} B "
+             f"cache exceeds WRAM ({m.wram_bytes} B)")
+            for name, cost in self.kernel_costs.items()
+        ))
 
 
 def _section(doc: dict, name: str, known: Iterable[str], what: str) -> dict:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -201,7 +202,7 @@ class TestBench:
 
     def test_custom_config(self, tmp_path):
         config = {
-            "machine": _PROFILE.to_json(),
+            "machine": dataclasses.asdict(_PROFILE),
             "experiments": {
                 "weak_scaling": {"algorithm": "sha256", "sweep": [1, 4], "message_count": 4},
             },
@@ -217,7 +218,7 @@ class TestBench:
 
     def test_invalid_spec_is_data_error(self, tmp_path):
         config = {
-            "machine": _PROFILE.to_json(),
+            "machine": dataclasses.asdict(_PROFILE),
             "experiments": {"weak_scaling": {"sweep": [4, 1]}},
         }
         cfg = tmp_path / "config.json"
@@ -229,7 +230,7 @@ class TestBench:
 
     def test_idempotent_given_identical_inputs(self, tmp_path):
         config = {
-            "machine": _PROFILE.to_json(),
+            "machine": dataclasses.asdict(_PROFILE),
             "experiments": {"weak_scaling": {"sweep": [1, 4, 16]}},
         }
         cfg = tmp_path / "config.json"
@@ -246,7 +247,7 @@ class TestBench:
 
     def test_no_baseline_flag(self, tmp_path):
         config = {
-            "machine": _PROFILE.to_json(),
+            "machine": dataclasses.asdict(_PROFILE),
             "experiments": {
                 "rank_scaling": {"sweep": [1, 2], "strategies": ["pim1", "pim2"]},
             },
@@ -266,12 +267,12 @@ class TestBench:
 class TestValidate:
     def test_default_profile_ok(self, tmp_path, capsys):
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(_PROFILE.to_json()))
+        path.write_text(json.dumps(dataclasses.asdict(_PROFILE)))
         assert main(["validate", "--profile", str(path)]) == 0
         assert "profile=ok" in capsys.readouterr().out
 
     def test_usable_dpus_violation(self, tmp_path, capsys):
-        doc = _PROFILE.to_json()
+        doc = dataclasses.asdict(_PROFILE)
         doc["usable_dpus"] = 100000
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
@@ -279,7 +280,7 @@ class TestValidate:
         assert "usable_dpus" in capsys.readouterr().out
 
     def test_missing_field(self, tmp_path, capsys):
-        doc = _PROFILE.to_json()
+        doc = dataclasses.asdict(_PROFILE)
         del doc["dpu_frequency"]
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
@@ -461,8 +462,11 @@ class TestConfigErrors:
          "mram_write_bytes_per_unit is derived"),
         # a unit is an AES block or a padded SHA block, whatever a config says
         (("kernel_costs", "aes128", "unit_bytes"), 32, "['unit_bytes']"),
+        # every tasklet's cache must fit WRAM, at any --tasklets and input size
+        (("machine", "wram_bytes"), 32768,
+         "kernel cost aes128: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)"),
     ], ids=["unsorted-sweep", "aes128-instructions", "sha256-wram-cache", "sha256-mram-write",
-            "aes128-unit-bytes"])
+            "aes128-unit-bytes", "wram-bytes"])
     def test_one_document_one_answer(self, tmp_path, capsys, command, keys, value, text):
         """Every subcommand gives the same answer for one config document:
         exit 3, naming the field or the experiment, and validate names it
@@ -550,7 +554,7 @@ class TestConfigErrors:
     def test_validate_checks_bundled_experiments(self, tmp_path, capsys):
         """A bare profile takes every bundled experiment, and validate checks
         each against the profile's machine, as bench does."""
-        doc = {**_PROFILE.to_json(), "num_ranks": 10, "usable_dpus": 640}
+        doc = {**dataclasses.asdict(_PROFILE), "num_ranks": 10, "usable_dpus": 640}
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
         assert main(["bench", "--experiment", "rank_scaling", "--no-baseline",
@@ -763,21 +767,6 @@ def test_topology_flags_at_and_beyond_limits(tmp_path, command, flag, limit):
     argv = argv[:argv.index("--profile")]
     codes = [_exit_code([*argv, flag, str(value)]) for value in (0, limit, limit + 1)]
     assert codes == [3, 0, 3]
-
-
-def test_validate_plans_last_sweep_value(tmp_path, capsys):
-    """WRAM that holds the bundled 2048 B cache at 16 tasklets but not at
-    17: bench fails partway along tasklet_scaling's sweep, and validate,
-    which runs each experiment as bench does, fails at the same point."""
-    doc = {**_PROFILE.to_json(), "wram_bytes": 32768}
-    path = tmp_path / "profile.json"
-    path.write_text(json.dumps(doc))
-    assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",
-                 "--config", str(path), "--out-dir", str(tmp_path)]) == 3
-    assert "17 tasklets x 2048 B cache exceeds WRAM (32768 B)" in capsys.readouterr().err
-    assert main(["validate", "--profile", str(path)]) == 3
-    assert ("violation: tasklet_scaling: 17 tasklets x 2048 B cache exceeds WRAM (32768 B)"
-            in capsys.readouterr().out.splitlines())
 
 
 def _bundled_argvs(tmp_path):

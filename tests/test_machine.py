@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import machine as mc
-from pimcrypt.errors import CapacityError, MramAccessError, ProfileError
+from pimcrypt.errors import MramAccessError, ProfileError
 from pimcrypt.machine import (
     KernelCost,
     MachineProfile,
@@ -54,46 +55,46 @@ class TestDefaultProfile:
 
     def test_valid(self):
         """The bundled profile passes its own checks when it is rebuilt."""
-        assert MachineProfile(**PROFILE.to_json()) == PROFILE
+        assert MachineProfile(**dataclasses.asdict(PROFILE)) == PROFILE
 
 
 class TestProfileJson:
     def test_round_trip(self):
-        doc = PROFILE.to_json()
+        doc = dataclasses.asdict(PROFILE)
         assert parse_config(doc).machine == PROFILE
 
     def test_unknown_field_rejected(self):
-        doc = PROFILE.to_json()
+        doc = dataclasses.asdict(PROFILE)
         doc["turbo"] = 1
         with pytest.raises(ProfileError, match="unknown"):
             parse_config(doc).machine
 
     def test_missing_field_rejected(self):
-        doc = PROFILE.to_json()
+        doc = dataclasses.asdict(PROFILE)
         del doc["wram_bytes"]
         with pytest.raises(ProfileError, match="missing"):
             parse_config(doc).machine
 
     def test_non_numeric_field_rejected(self):
-        doc = PROFILE.to_json()
+        doc = dataclasses.asdict(PROFILE)
         doc["num_ranks"] = "forty"
         with pytest.raises(ProfileError, match="number"):
             parse_config(doc).machine
 
     def test_invariant_violation_rejected(self):
-        doc = PROFILE.to_json()
+        doc = dataclasses.asdict(PROFILE)
         doc["usable_dpus"] = 99999
         with pytest.raises(ProfileError, match="usable_dpus"):
             parse_config(doc).machine
 
     def test_bare_profile_document(self, tmp_path):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps(PROFILE.to_json()))
+        path.write_text(json.dumps(dataclasses.asdict(PROFILE)))
         assert load_config(str(path)).machine == PROFILE
 
     def test_config_unknown_section_rejected(self):
         with pytest.raises(ProfileError, match="sections"):
-            parse_config({"machine": PROFILE.to_json(), "warp_drive": {}})
+            parse_config({"machine": dataclasses.asdict(PROFILE), "warp_drive": {}})
 
 
 _CONFIG = bundled_default_config()
@@ -113,6 +114,12 @@ _BAD_VALUES = [
     (_CONFIG.experiments["rank_scaling"], "strategies", (), "strategies must not be empty"),
     (_CONFIG.experiments["tasklet_scaling"], "buffer_bytes", 8,
      "buffer_bytes must be a positive multiple of 16"),
+    # every tasklet's cache must fit WRAM at the machine's most tasklets
+    (_CONFIG, "machine", dataclasses.replace(PROFILE, wram_bytes=32768),
+     re.escape("kernel cost aes128: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)")),
+    (_CONFIG, "kernel_costs",
+     {**_CONFIG.kernel_costs, "sha256": dataclasses.replace(SHA_COST, wram_cache_bytes=4096)},
+     re.escape("kernel cost sha256: 24 tasklets x 4096 B cache exceeds WRAM (65536 B)")),
 ]
 
 
@@ -215,11 +222,6 @@ class TestSimulateDpuKernel:
     def test_zero_units(self):
         assert simulate_dpu_kernel(0, 4, AES_COST, PROFILE) == 0.0
 
-    def test_wram_overflow_rejected(self):
-        fat = dataclasses.replace(AES_COST, wram_cache_bytes=16 * 1024)
-        with pytest.raises(CapacityError):
-            simulate_dpu_kernel(10, 8, fat, PROFILE)
-
     @settings(max_examples=200, deadline=None)
     @given(
         units=st.integers(1, 5000),
@@ -289,9 +291,9 @@ class TestSimulateRankKernel:
                 min_size=shape[0], max_size=shape[0],
             )
         ),
-        # a 4 KiB cache overflows WRAM above 16 tasklets
+        # a 256 B cache refills in smaller MRAM accesses than the 2 KiB ones
         cost=st.sampled_from(
-            [AES_COST, SHA_COST, dataclasses.replace(AES_COST, wram_cache_bytes=4096)]
+            [AES_COST, SHA_COST, dataclasses.replace(AES_COST, wram_cache_bytes=256)]
         ),
     )
     # (1, -1) keys like (0, 24) unless the key is offset by the smallest count
@@ -317,15 +319,15 @@ class TestSimulateRankKernel:
 class TestHostProfile:
     def test_section_parsed(self):
         host = parse_config({
-            "machine": PROFILE.to_json(),
+            "machine": dataclasses.asdict(PROFILE),
             "host": {"peak_ops_per_second": 2e9, "peak_bandwidth_bytes_per_second": 1e9},
         }).host
         assert host.ridge_point == 2.0
 
     def test_absent_section_takes_bundled_host(self):
         bundled = bundled_default_config().host
-        assert parse_config({"machine": PROFILE.to_json()}).host == bundled
-        assert parse_config(PROFILE.to_json()).host == bundled
+        assert parse_config({"machine": dataclasses.asdict(PROFILE)}).host == bundled
+        assert parse_config(dataclasses.asdict(PROFILE)).host == bundled
 
     @pytest.mark.parametrize("host,match", [
         ({"peak_ops_per_second": 1.0}, "missing"),
@@ -335,7 +337,7 @@ class TestHostProfile:
     ])
     def test_bad_section_rejected(self, host, match):
         with pytest.raises(ProfileError, match=match):
-            parse_config({"machine": PROFILE.to_json(), "host": host})
+            parse_config({"machine": dataclasses.asdict(PROFILE), "host": host})
 
 
 class TestSimulateTransfer:
