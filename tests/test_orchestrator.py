@@ -663,6 +663,22 @@ def test_any_buffer_is_encrypted_with_its_key(wrap):
     np.testing.assert_array_equal(result.plan.rank_phases, expected.plan.rank_phases)
 
 
+def test_file_is_planned_and_encrypted_like_its_padded_bytes(tmp_path):
+    """An open file is planned from its size, zero-filled to a whole block,
+    and its output yields the ciphertext of those bytes chunk by chunk."""
+    plain = _random_buffer(16 * 50 + 7, seed=6)
+    path = tmp_path / "plain.bin"
+    path.write_bytes(plain)
+    expected = run_job(plain + bytes(9), KEY, n_ranks=2)
+    with open(path, "rb") as fh:
+        result = run_job(fh, KEY, n_ranks=2)
+        assert b"".join(result.output) == expected.output
+    assert result.plan == expected.plan
+    np.testing.assert_array_equal(result.plan.rank_phases, expected.plan.rank_phases)
+    with open(path, "rb") as fh, pytest.raises(ValueError, match="key"):
+        run_job(fh)
+
+
 def test_key_with_messages_rejected():
     with pytest.raises(ValueError, match="key"):
         run_job([b"abc", b"de"], KEY)
