@@ -266,18 +266,7 @@ def emit_csv(result: ExperimentResult, path: str) -> None:
         lines.append(f"# {key}={value}")
     lines.append(",".join(CSV_COLUMNS))
     for row in result.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.sweep_value),
-                    _format_value(row.kernel_s),
-                    _format_value(row.to_dpu_s),
-                    _format_value(row.from_dpu_s),
-                    _format_value(row.prepare_s),
-                    _format_value(row.total_s),
-                    _format_value(row.baseline_s),
-                )
-            )
-        )
+        lines.append(",".join((str(row.sweep_value),
+                               *(_format_value(getattr(row, c)) for c in CSV_COLUMNS[1:]))))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

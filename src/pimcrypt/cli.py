@@ -5,8 +5,8 @@ key=value lines for scriptability. Exit codes are a stable contract:
 0 ok, 2 usage, 3 data/config, 4 I/O. Subcommands let errors propagate and
 main maps them in one place, printing `error: <message>` on stderr: an
 OSError (missing or unreadable input, config or directory; an encrypt
-input that changes size while it is streamed; unwritable output or
-out-dir) exits 4, a ValueError, package error or MemoryError
+input that changes size before it is planned or while it is streamed;
+unwritable output or out-dir) exits 4, a ValueError, package error or MemoryError
 (bad config, misaligned input, a job the machine cannot hold or this host
 cannot plan) exits 3.
 """
@@ -56,7 +56,7 @@ def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--tasklets", type=int, default=16, help="tasklets per DPU")
     parser.add_argument(
-        "--strategy", choices=("sync", "pim1", "pim2"), default="sync",
+        "--strategy", choices=mc.STRATEGY_NAMES, default="sync",
         help="orchestration strategy",
     )
     parser.add_argument("--profile", default=None, help="machine profile/config JSON")
@@ -113,6 +113,14 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
                 "(pass --pad to zero-fill)"
             )
         result = run_job(src, key, **options)
+        # run_job plans from its own fstat, so a file that changed size
+        # since the check above fails before the output is touched
+        padded = nbytes + -nbytes % aes.BLOCK_BYTES
+        if result.plan.payload_bytes_to_dpu != padded:
+            raise OSError(
+                f"input changed size: {padded} bytes checked, "
+                f"{result.plan.payload_bytes_to_dpu} planned"
+            )
         fd = os.open(args.outfile, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
         with open(fd, "wb") as dst:
             for chunk in result.output:
@@ -120,8 +128,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
             if stat.S_ISREG(os.fstat(dst.fileno()).st_mode):
                 dst.truncate()  # a longer old output keeps no stale tail
 
-    padded = nbytes + -nbytes % aes.BLOCK_BYTES
-    extra: dict[str, object] = {"bytes_in": nbytes, "bytes_out": padded}
+    extra: dict[str, object] = {"bytes_in": nbytes, "bytes_out": result.plan.payload_bytes_to_dpu}
     if padded != nbytes:
         extra["padded_from"] = nbytes
     _print_summary(result, extra, args.verbose)

@@ -11,10 +11,9 @@ kernels return their result so tests can pin them bit-for-bit to the
 production paths; the counts are data-independent because neither kernel
 branches on data.
 
-The resulting constants are frozen into the bundled default config;
-aes_instructions_per_block() and sha256_instructions_per_block() re-derive
-them, and tests/test_costs.py::test_measured_constants_are_frozen_in_default_config
-compares the two so drift is caught.
+The config parser reads its kernels' instructions_per_unit from
+aes_instructions_per_block() and sha256_instructions_per_block(), once per
+process; a config document does not set them.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from . import aes
+from . import aes, costs, sha256
 from .errors import MramAccessError, ProfileError
 
 TransferDirection = Literal["to_dpu", "from_dpu"]
@@ -149,7 +149,9 @@ EXPERIMENTS = {
 class KernelCost:
     """Per-unit cost of a kernel; a unit is one 16-byte AES block or one
     64-byte hash block. Its values are checked when it is built; whether
-    its cache fits WRAM depends on the machine, so Config checks that."""
+    its cache fits WRAM depends on the machine, so Config checks that. A
+    config document sets only wram_cache_bytes: parse_config derives the
+    rest from the kernel's code (see _derived_costs)."""
 
     instructions_per_unit: float
     mram_read_bytes_per_unit: float
@@ -391,17 +393,21 @@ class Strategy(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Strategy":
-        aliases = {
-            "sync": cls.SYNC,
-            "pim1": cls.ASYNC_RANK_TRANSFER,
-            "async_rank_transfer": cls.ASYNC_RANK_TRANSFER,
-            "pim2": cls.ASYNC_RANK_EXECUTION,
-            "async_rank_execution": cls.ASYNC_RANK_EXECUTION,
-        }
         try:
-            return aliases[str(name).lower()]
+            return STRATEGY_NAMES[str(name).lower()]
         except KeyError:
-            raise ValueError(f"unknown strategy {name!r} (use sync, pim1 or pim2)") from None
+            raise ValueError(
+                f"unknown strategy {name!r}, valid: {', '.join(STRATEGY_NAMES)}") from None
+
+
+# every name a strategy goes by: its value, and pim1/pim2 for the async ones
+STRATEGY_NAMES = {
+    "sync": Strategy.SYNC,
+    "pim1": Strategy.ASYNC_RANK_TRANSFER,
+    "pim2": Strategy.ASYNC_RANK_EXECUTION,
+    "async_rank_transfer": Strategy.ASYNC_RANK_TRANSFER,
+    "async_rank_execution": Strategy.ASYNC_RANK_EXECUTION,
+}
 
 
 @dataclass(frozen=True)
@@ -478,9 +484,26 @@ class ExperimentSpec:
         return _parse_fields(cls, entry, where, derived)
 
 
-# Kernel-cost fields plan_job sets per job, and the value a parsed cost holds:
-# sha256's 32-byte digest over a 32 KiB message's 513 padded blocks.
-_DERIVED_COSTS = {"sha256": {"mram_write_bytes_per_unit": 32 / 513}}
+@lru_cache(maxsize=1)
+def _derived_costs() -> dict[str, dict[str, float]]:
+    """The kernel-cost fields a config document may not set, by kernel,
+    worked out once per process. The op counts are measured by
+    pimcrypt.costs, a unit reads its own bytes and AES writes its block
+    back. plan_job sets sha256's write per job; the value parsed is a
+    32-byte digest spread over a 32 KiB message's padded blocks."""
+    return {
+        "aes128": {
+            "instructions_per_unit": float(costs.aes_instructions_per_block()),
+            "mram_read_bytes_per_unit": float(aes.BLOCK_BYTES),
+            "mram_write_bytes_per_unit": float(aes.BLOCK_BYTES),
+        },
+        "sha256": {
+            "instructions_per_unit": float(costs.sha256_instructions_per_block()),
+            "mram_read_bytes_per_unit": float(sha256.BLOCK_BYTES),
+            "mram_write_bytes_per_unit":
+                sha256.DIGEST_BYTES / sha256.padded_block_count(32 << 10),
+        },
+    }
 
 
 @dataclass(frozen=True)
@@ -531,14 +554,14 @@ def parse_config(doc: object) -> Config:
         doc = {"machine": doc}
     _reject_unknown(doc, _CONFIG_SECTIONS, "config sections")
     bundled = _bundled_doc()
-    costs = {**bundled["kernel_costs"],
-             **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}
+    entries = {**bundled["kernel_costs"],
+               **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}
     experiments = _section(doc, "experiments", EXPERIMENTS, "experiments")
     return Config(
         machine=_parse_fields(MachineProfile, doc["machine"], "profile"),
         kernel_costs={
-            name: _parse_fields(KernelCost, costs[name], f"kernel cost {name}",
-                                _DERIVED_COSTS.get(name))
+            name: _parse_fields(KernelCost, entries[name], f"kernel cost {name}",
+                                _derived_costs()[name])
             for name in ALGORITHMS
         },
         host=_parse_fields(HostProfile, doc.get("host", bundled["host"]), "host"),

@@ -236,6 +236,30 @@ class TestEncryptStream:
         assert captured.err.startswith("error: input ")
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("size", [16, 41], ids=["shrinks", "grows"])
+    def test_input_resized_before_planning_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                                       size):
+        """run_job plans from its own fstat of the input: a file resized
+        after the CLI checked its 32 bytes does not match its plan, so it
+        exits 4 and writes no output, with or without --pad."""
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(bytes(32))
+        run_job = cli.run_job
+
+        def resize_then_run(source, key, **options):
+            os.truncate(src, size)
+            return run_job(source, key, **options)
+
+        monkeypatch.setattr(cli, "run_job", resize_then_run)
+        argv = ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", str(dst)]
+        for pad in ([], ["--pad"]):
+            assert main(argv + pad) == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: input changed size: 32 bytes checked")
+            assert captured.out == ""
+            assert not dst.exists()
+            src.write_bytes(bytes(32))
+
     def test_short_reads_are_not_the_end(self, tmp_path, monkeypatch):
         """A read may return fewer bytes than asked for before the end of
         the file; the chunk is filled by reading again."""
@@ -532,6 +556,41 @@ def _config(tmp_path, value, *keys):
     return str(path)
 
 
+def _document_value(value):
+    """A parsed config value as a config document writes it."""
+    if isinstance(value, tuple):
+        return [v.value if isinstance(v, mc.Strategy) else v for v in value]
+    return value
+
+
+def test_every_config_value_is_settable_or_derived(tmp_path, capsys):
+    """Each field of each config record is either set by the bundled
+    document or derived: a document that sets a derived field, even to the
+    value it is derived as, is rejected naming it. 42 values are settable."""
+    config = bundled_default_config()
+    doc = json.loads(_BUNDLED_TEXT)
+    records = [(("machine",), "profile", config.machine), (("host",), "host", config.host)]
+    records += [(("kernel_costs", name), f"kernel cost {name}", cost)
+                for name, cost in config.kernel_costs.items()]
+    records += [(("experiments", name), f"experiment {name}", spec)
+                for name, spec in config.experiments.items()]
+    settable = derived = 0
+    for keys, where, record in records:
+        entry = doc
+        for key in keys:
+            entry = entry[key]
+        for f in dataclasses.fields(record):
+            if f.name in entry:
+                settable += 1
+                continue
+            derived += 1
+            cfg = _config(tmp_path, _document_value(getattr(record, f.name)), *keys, f.name)
+            assert main(["validate", "--profile", cfg]) == 3
+            assert capsys.readouterr().out == (
+                f"violation: {where} field {f.name} is derived and may not be set\n")
+    assert (settable, derived) == (42, 14)
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
     @pytest.mark.parametrize("keys,value", [
@@ -577,8 +636,8 @@ class TestConfigErrors:
         (("experiments", "rank_scaling", "strategies"), ["sync", 1],
          ["bench", "--experiment", "rank_scaling"], 3, "unknown strategy"),
         # validate rejects what the planner rejects
-        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
-         ["validate"], 3, "violation: kernel cost aes128: instructions_per_unit must be positive"),
+        (("kernel_costs", "aes128", "instructions_per_unit"), -1, ["validate"], 3,
+         "violation: kernel cost aes128 field instructions_per_unit is derived and may not be set"),
         (("experiments", "rank_scaling", "strategies"), [],
          ["bench", "--experiment", "rank_scaling"], 3, "strategies"),
         # empty workloads: a division by zero, and an all-zero CSV
@@ -590,7 +649,7 @@ class TestConfigErrors:
         (("experiments", "rank_scaling", "sweep"), [1, 41], ["validate"], 3, "n_ranks"),
         (("experiments", "strong_scaling", "sweep"), [1, 65], ["validate"], 3, "dpus_per_rank"),
         (("experiments", "weak_scaling", "tasklets"), 0, ["validate"], 3, "tasklets"),
-        # the config's kernel costs reach the planner
+        # bench rejects a derived kernel cost, as validate does
         (("kernel_costs", "aes128", "instructions_per_unit"), -1,
          ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3, "instruction"),
         # MRAM is accessed in whole 8-byte granules
@@ -635,7 +694,7 @@ class TestConfigErrors:
         effect, so it is rejected, however plausible its fields."""
         doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
         entry = dict(doc["kernel_costs"]["aes128"])
-        entry["instructions_per_unit"] *= 100
+        entry["wram_cache_bytes"] //= 2
         cfg = _config(tmp_path, entry, "kernel_costs", "aes")
         plain = tmp_path / "plain.bin"
         plain.write_bytes(bytes(32))
@@ -677,11 +736,20 @@ class TestConfigErrors:
         (("experiments", "weak_scaling", "sweep"), [4, 1],
          "experiment weak_scaling: sweep values must be positive and sorted"),
         # kernel costs are checked at load, not when a job prices the kernel
-        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
-         "kernel cost aes128: instructions_per_unit must be positive"),
         (("kernel_costs", "sha256", "wram_cache_bytes"), 12,
          "kernel cost sha256: wram_cache_bytes must be a positive multiple of 8"),
-        # derived per job by the planner, so a value set here would take no effect
+        # derived from the kernel's code, or per job by the planner, so a value
+        # set here, even the derived one, would take no effect
+        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
+         "kernel cost aes128 field instructions_per_unit is derived and may not be set"),
+        (("kernel_costs", "aes128", "mram_read_bytes_per_unit"), 16,
+         "kernel cost aes128 field mram_read_bytes_per_unit is derived and may not be set"),
+        (("kernel_costs", "aes128", "mram_write_bytes_per_unit"), 16,
+         "kernel cost aes128 field mram_write_bytes_per_unit is derived and may not be set"),
+        (("kernel_costs", "sha256", "instructions_per_unit"), 3464,
+         "kernel cost sha256 field instructions_per_unit is derived and may not be set"),
+        (("kernel_costs", "sha256", "mram_read_bytes_per_unit"), 64,
+         "kernel cost sha256 field mram_read_bytes_per_unit is derived and may not be set"),
         (("kernel_costs", "sha256", "mram_write_bytes_per_unit"), 1e6,
          "mram_write_bytes_per_unit is derived"),
         # a unit is an AES block or a padded SHA block, whatever a config says
@@ -689,7 +757,8 @@ class TestConfigErrors:
         # every tasklet's cache must fit WRAM, at any --tasklets and input size
         (("machine", "wram_bytes"), 32768,
          "kernel cost aes128: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)"),
-    ], ids=["unsorted-sweep", "aes128-instructions", "sha256-wram-cache", "sha256-mram-write",
+    ], ids=["unsorted-sweep", "sha256-wram-cache", "aes128-instructions", "aes128-mram-read",
+            "aes128-mram-write", "sha256-instructions", "sha256-mram-read", "sha256-mram-write",
             "aes128-unit-bytes", "wram-bytes"])
     def test_one_document_one_answer(self, tmp_path, capsys, command, keys, value, text):
         """Every subcommand gives the same answer for one config document:
@@ -747,18 +816,21 @@ class TestConfigErrors:
         assert sizes == [cap] * (1 + 5) + [cap] + [cap // 2] * (5 * 2)
 
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
-        base = bundled_default_config().kernel_costs["aes128"].instructions_per_unit
+        """A smaller WRAM cache makes more MRAM accesses: a 64-byte one
+        costs 2 cycles/B under the 128-cycle floor, a 2048-byte one 0.5.
+        On one DPU each of the 16 tasklets streams 256 B of the input."""
         plain = tmp_path / "plain.bin"
         plain.write_bytes(bytes(4096))
         kernels = []
-        for factor in (1, 2):
-            cfg = _config(tmp_path, base * factor, "kernel_costs", "aes128", "instructions_per_unit")
-            out = tmp_path / f"x{factor}"
+        for cache in (2048, 64):
+            cfg = _config(tmp_path, cache, "kernel_costs", "aes128", "wram_cache_bytes")
+            out = tmp_path / f"x{cache}"
             assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
                          "--config", cfg, "--out-dir", str(out)]) == 0
             bench_kernels = _csv_column(out / "weak_scaling.csv", "kernel_s")
             assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(plain),
-                         "--out", str(out / "c.bin"), "--profile", cfg]) == 0
+                         "--out", str(out / "c.bin"), "--profile", cfg,
+                         "--dpus-per-rank", "1"]) == 0
             kernels.append((bench_kernels, _summary(capsys)["kernel_s"]))
         (bench1, encrypt1), (bench2, encrypt2) = kernels
         assert all(b > a for a, b in zip(bench1, bench2))
@@ -812,7 +884,6 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["validate", "bench", "encrypt"])
     @pytest.mark.parametrize("keys,value,text", [
-        (("kernel_costs", "aes128", "mram_read_bytes_per_unit"), 1e308, "not finite"),
         (("machine", "host_prepare_rate"), 5e-324, "non-finite time"),
     ])
     def test_overflowing_model_input_is_data_error(self, tmp_path, capsys, command,
@@ -991,6 +1062,19 @@ def test_topology_flags_at_and_beyond_limits(tmp_path, command, flag, limit):
     argv = argv[:argv.index("--profile")]
     codes = [_exit_code([*argv, flag, str(value)]) for value in (0, limit, limit + 1)]
     assert codes == [3, 0, 3]
+
+
+@pytest.mark.parametrize("name", mc.STRATEGY_NAMES)
+def test_strategy_flag_takes_every_strategy_name(tmp_path, capsys, name):
+    """--strategy takes every name a config's strategies take, so the name
+    a summary prints runs the same job again."""
+    argv = next(a for a in _raw_config_argvs(str(tmp_path), "unused") if a[0] == "hash")
+    argv = [*argv[:argv.index("--profile")], "--ranks", "3"]
+    assert main([*argv, "--strategy", name]) == 0
+    first = _summary(capsys)
+    assert first["strategy"] == mc.Strategy.parse(name).value
+    assert main([*argv, "--strategy", first["strategy"]]) == 0
+    assert _summary(capsys) == first
 
 
 def _bundled_argvs(tmp_path):

@@ -222,6 +222,14 @@ class TestSimulateDpuKernel:
     def test_zero_units(self):
         assert simulate_dpu_kernel(0, 4, AES_COST, PROFILE) == 0.0
 
+    def test_overflowing_traffic_rejected(self):
+        """A tasklet's MRAM traffic that overflows a float is rejected, not
+        priced as an infinite time: 2 units of 1e308 B each."""
+        cost = KernelCost(instructions_per_unit=1216.0, mram_read_bytes_per_unit=1e308,
+                          mram_write_bytes_per_unit=16.0, wram_cache_bytes=2048)
+        with pytest.raises(MramAccessError, match="not finite"):
+            simulate_dpu_kernel(32, 16, cost, PROFILE)
+
     @settings(max_examples=200, deadline=None)
     @given(
         units=st.integers(1, 5000),
