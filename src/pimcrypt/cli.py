@@ -60,10 +60,13 @@ def _add_topology_flags(parser: argparse.ArgumentParser) -> None:
         help="orchestration strategy",
     )
     parser.add_argument("--profile", default=None, help="machine profile/config JSON")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
+    parser.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="also list every event of the timeline, by time",
+    )
 
 
-def _print_summary(result, extra: dict[str, object] | None = None, verbose: int = 0) -> None:
+def _print_summary(result, extra: dict[str, object] | None = None, verbose: bool = False) -> None:
     plan = result.plan
     pairs: dict[str, object] = {
         "strategy": plan.strategy.value,

@@ -4,9 +4,10 @@ The machine consists of ranks of DPUs. Each DPU is a multithreaded in-order
 core whose pipeline only retires one instruction per cycle once enough
 hardware threads (tasklets) are resident; below that threshold throughput
 scales with the tasklet count. Each DPU owns a small WRAM scratchpad and a
-large MRAM backing store; kernels stream data MRAM -> WRAM cache -> compute
--> MRAM, and an MRAM access has a fixed floor cost so small transfers are
-disproportionately expensive. The host reaches DPUs through per-rank
+large MRAM backing store; each tasklet streams its data MRAM -> WRAM ->
+compute -> MRAM in accesses of at most max_mram_access_bytes, and an MRAM
+access has a fixed floor cost so small transfers are disproportionately
+expensive. The host reaches DPUs through per-rank
 transfer channels with direction-dependent bandwidth.
 
 Everything here is closed-form and pure: a simulation is a function of
@@ -61,6 +62,10 @@ class MachineProfile:
             (self.pipeline_saturation_tasklets <= self.max_tasklets,
              "pipeline_saturation_tasklets exceeds max_tasklets"),
             (self.max_mram_access_bytes % 8 == 0, "max_mram_access_bytes must be a multiple of 8"),
+            # every tasklet of a job may hold one whole MRAM access in WRAM
+            (self.max_tasklets * self.max_mram_access_bytes <= self.wram_bytes,
+             "max_tasklets * max_mram_access_bytes exceeds wram_bytes "
+             f"({self.max_tasklets} * {self.max_mram_access_bytes} > {self.wram_bytes})"),
             *((getattr(self, f.name) > 0, f"{f.name} must be strictly positive")
               for f in dataclasses.fields(self)),
         )
@@ -148,24 +153,19 @@ EXPERIMENTS = {
 @dataclass(frozen=True)
 class KernelCost:
     """Per-unit cost of a kernel; a unit is one 16-byte AES block or one
-    64-byte hash block. Its values are checked when it is built; whether
-    its cache fits WRAM depends on the machine, so Config checks that. A
-    config document sets only wram_cache_bytes: parse_config derives the
-    rest from the kernel's code (see _derived_costs)."""
+    64-byte hash block. Its values are checked when it is built. A config
+    takes each kernel's cost from its code (see _derived_costs); a library
+    caller may build and price any other."""
 
     instructions_per_unit: float
     mram_read_bytes_per_unit: float
     mram_write_bytes_per_unit: float
-    wram_cache_bytes: int
 
     def __post_init__(self) -> None:
         _require(
             (self.instructions_per_unit > 0, "instructions_per_unit must be positive"),
             (min(self.mram_read_bytes_per_unit, self.mram_write_bytes_per_unit) >= 0,
              "MRAM traffic must be non-negative"),
-            # the cache is refilled in whole 8-byte MRAM accesses
-            (self.wram_cache_bytes > 0 and self.wram_cache_bytes % 8 == 0,
-             "wram_cache_bytes must be a positive multiple of 8"),
         )
 
 
@@ -290,8 +290,8 @@ def simulate_dpu_kernel(
     Units are divided among tasklets as evenly as possible, remainder to
     the lowest tasklet ids. Compute cycles are total work divided by the
     pipeline throughput; MRAM cycles are accumulated per tasklet as it
-    refills its private WRAM cache, and all tasklets' accesses serialize
-    on the single MRAM port.
+    streams its share through WRAM in max_mram_access_bytes accesses, and
+    all tasklets' accesses serialize on the single MRAM port.
     """
     if units < 0:
         raise ValueError("units must be non-negative")
@@ -301,7 +301,7 @@ def simulate_dpu_kernel(
 
     compute_cycles = units * cost.instructions_per_unit / ipc
 
-    chunk = min(cost.wram_cache_bytes, profile.max_mram_access_bytes)
+    chunk = profile.max_mram_access_bytes
     base, rem = divmod(units, tasklets)
     mram_cycles = 0.0
     # the first rem tasklets take base + 1 units, the rest base. Each share
@@ -362,12 +362,12 @@ def simulate_transfer(
 
 
 # ---------------------------------------------------------------------------
-# Config documents: a machine profile plus kernel-cost, host and experiment
-# sections, shared by the CLI and the benchmark harness. parse_config alone
-# reads them and returns every section complete: a section or entry the
-# document leaves out is the bundled one. Each record checks its values
-# when built, so a bad value fails at load, and Config checks that every
-# kernel's cache fits WRAM at the machine's most tasklets.
+# Config documents: a machine profile plus host and experiment sections,
+# shared by the CLI and the benchmark harness. parse_config alone reads
+# them and returns a complete Config: a section or entry the document
+# leaves out is the bundled one, and each kernel's cost comes from its
+# code. Each record checks its values when built, so a bad value fails at
+# load.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -485,24 +485,23 @@ class ExperimentSpec:
 
 
 @lru_cache(maxsize=1)
-def _derived_costs() -> dict[str, dict[str, float]]:
-    """The kernel-cost fields a config document may not set, by kernel,
-    worked out once per process. The op counts are measured by
-    pimcrypt.costs, a unit reads its own bytes and AES writes its block
-    back. plan_job sets sha256's write per job; the value parsed is a
-    32-byte digest spread over a 32 KiB message's padded blocks."""
+def _derived_costs() -> dict[str, KernelCost]:
+    """Each kernel's cost, by name in ALGORITHMS, worked out from its code
+    once per process. The op counts are measured by pimcrypt.costs, a unit
+    reads its own bytes and AES writes its block back. plan_job sets
+    sha256's write per job; the value here is a 32-byte digest spread over
+    a 32 KiB message's padded blocks."""
     return {
-        "aes128": {
-            "instructions_per_unit": float(costs.aes_instructions_per_block()),
-            "mram_read_bytes_per_unit": float(aes.BLOCK_BYTES),
-            "mram_write_bytes_per_unit": float(aes.BLOCK_BYTES),
-        },
-        "sha256": {
-            "instructions_per_unit": float(costs.sha256_instructions_per_block()),
-            "mram_read_bytes_per_unit": float(sha256.BLOCK_BYTES),
-            "mram_write_bytes_per_unit":
-                sha256.DIGEST_BYTES / sha256.padded_block_count(32 << 10),
-        },
+        "aes128": KernelCost(
+            instructions_per_unit=float(costs.aes_instructions_per_block()),
+            mram_read_bytes_per_unit=float(aes.BLOCK_BYTES),
+            mram_write_bytes_per_unit=float(aes.BLOCK_BYTES),
+        ),
+        "sha256": KernelCost(
+            instructions_per_unit=float(costs.sha256_instructions_per_block()),
+            mram_read_bytes_per_unit=float(sha256.BLOCK_BYTES),
+            mram_write_bytes_per_unit=sha256.DIGEST_BYTES / sha256.padded_block_count(32 << 10),
+        ),
     }
 
 
@@ -513,36 +512,17 @@ class Config:
     host: HostProfile
     experiments: dict[str, ExperimentSpec]  # one per name in EXPERIMENTS
 
-    def __post_init__(self) -> None:
-        # each tasklet keeps its own cache in WRAM, and a job may run max_tasklets
-        m = self.machine
-        _require(*(
-            (cost.wram_cache_bytes * m.max_tasklets <= m.wram_bytes,
-             f"kernel cost {name}: {m.max_tasklets} tasklets x {cost.wram_cache_bytes} B "
-             f"cache exceeds WRAM ({m.wram_bytes} B)")
-            for name, cost in self.kernel_costs.items()
-        ))
 
-
-def _section(doc: dict, name: str, known: Iterable[str], what: str) -> dict:
-    """A section of the document, {} if absent, whose names must be known."""
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ProfileError(f"config section {name} must be a JSON object")
-    _reject_unknown(section, known, what)
-    return section
-
-
-_CONFIG_SECTIONS = ("machine", "kernel_costs", "host", "experiments")
+_CONFIG_SECTIONS = ("machine", "host", "experiments")
 
 
 def parse_config(doc: object) -> Config:
     """Parse a config document into a complete Config; a bare profile
     object, one that names no config section, is read as {"machine": doc}.
 
-    A host section, kernel_costs entry or experiment entry that the document
-    leaves out is the bundled one; an experiment entry that it gives is
-    overlaid field by field on the bundled entry.
+    A host section or experiment entry that the document leaves out is the
+    bundled one; an experiment entry that it gives is overlaid field by
+    field on the bundled entry. The kernel costs are _derived_costs().
     """
     if not isinstance(doc, dict):
         raise ProfileError("config document must be a JSON object")
@@ -553,18 +533,14 @@ def parse_config(doc: object) -> Config:
                 f"config document has no machine section (it has {', '.join(named)})")
         doc = {"machine": doc}
     _reject_unknown(doc, _CONFIG_SECTIONS, "config sections")
-    bundled = _bundled_doc()
-    entries = {**bundled["kernel_costs"],
-               **_section(doc, "kernel_costs", ALGORITHMS, "kernel_costs entries")}
-    experiments = _section(doc, "experiments", EXPERIMENTS, "experiments")
+    experiments = doc.get("experiments", {})
+    if not isinstance(experiments, dict):
+        raise ProfileError("config section experiments must be a JSON object")
+    _reject_unknown(experiments, EXPERIMENTS, "experiments")
     return Config(
         machine=_parse_fields(MachineProfile, doc["machine"], "profile"),
-        kernel_costs={
-            name: _parse_fields(KernelCost, entries[name], f"kernel cost {name}",
-                                _derived_costs()[name])
-            for name in ALGORITHMS
-        },
-        host=_parse_fields(HostProfile, doc.get("host", bundled["host"]), "host"),
+        kernel_costs=dict(_derived_costs()),
+        host=_parse_fields(HostProfile, doc.get("host", _bundled_doc()["host"]), "host"),
         experiments={
             name: ExperimentSpec.from_config(name, experiments.get(name))
             for name in EXPERIMENTS

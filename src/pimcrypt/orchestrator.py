@@ -44,7 +44,7 @@ from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
 from .errors import AlignmentError, CapacityError, ProfileError
 from .machine import Strategy
-from .sha256 import DIGEST_BYTES, padded_block_count, sha256_many
+from .sha256 import DIGEST_BYTES, MAX_MESSAGE_BYTES, padded_block_count, sha256_many
 
 MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
 # A file is encrypted through one buffer of this size, a whole number of
@@ -102,10 +102,18 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
 
 def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     """Assign whole messages to DPUs round-robin by index: DPU d holds
-    messages d, d + n_dpus, ..."""
+    messages d, d + n_dpus, ...
+
+    Each length must be an integer in 0..MAX_MESSAGE_BYTES. It is checked
+    before it is cast to int64, which would wrap a larger one or truncate
+    a fraction."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    lengths = np.asarray(message_lengths, dtype=np.int64)
+    lengths = np.asarray(message_lengths)
+    if lengths.size and (lengths.ndim != 1 or lengths.dtype.kind not in "iu"
+                         or lengths.min() < 0 or lengths.max() > MAX_MESSAGE_BYTES):
+        raise ValueError(f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}")
+    lengths = lengths.astype(np.int64, copy=False)
     n = len(lengths)
     # per message: blocks, 1, bytes; message i in row i // n_dpus, column i % n_dpus
     grid = np.zeros((3, -(-n // n_dpus) * n_dpus), dtype=np.int64)
@@ -145,6 +153,9 @@ class JobPlan:
     broadcast_seconds: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, not {self.strategy!r} "
+                             f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
         self.rank_phases.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is rejected below
             times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
@@ -178,6 +189,10 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     if total_units == 0:
         return base
     return replace(base, mram_write_bytes_per_unit=DIGEST_BYTES * total_messages / total_units)
+
+
+def _mram_error(dpu: int, need: int, budget: int) -> CapacityError:
+    return CapacityError(f"DPU {dpu} needs {need} B of MRAM, budget is {budget} B")
 
 
 def plan_job(
@@ -215,7 +230,13 @@ def plan_job(
             f"{total_dpus} DPUs requested but only {profile.usable_dpus} usable"
         )
 
+    mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     if isinstance(workload, AesWorkload):
+        # DPU 0 takes the most blocks and holds them in and out. Its need is
+        # checked on Python ints first, as a larger buffer's int64 counts wrap
+        most = 2 * aes.BLOCK_BYTES * -(-(workload.buffer_len // aes.BLOCK_BYTES) // total_dpus)
+        if most > mram_budget:
+            raise _mram_error(0, most, mram_budget)
         partition = partition_aes(workload.buffer_len, total_dpus)
         job_cost = config.kernel_costs["aes128"]
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
@@ -225,12 +246,10 @@ def plan_job(
                                  len(workload.message_lengths), int(partition.units.sum()))
         broadcast_bytes = 0
 
-    mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     need = partition.in_bytes + partition.out_bytes
     over = np.flatnonzero(need > mram_budget)
     if over.size:
-        d = over[0]
-        raise CapacityError(f"DPU {d} needs {need[d]} B of MRAM, budget is {mram_budget} B")
+        raise _mram_error(over[0], need[over[0]], mram_budget)
 
     # Each rank is priced from its byte sums and its DPUs' (units, active
     # tasklets); row r of rank_phases holds its durations in PhaseTimes order.

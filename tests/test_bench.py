@@ -125,8 +125,7 @@ class TestTaskletScaling:
             + AES_COST.mram_write_bytes_per_unit,
             mram_read_bytes_per_unit=0,
             mram_write_bytes_per_unit=0,
-            wram_cache_bytes=AES_COST.wram_cache_bytes,
-                )
+        )
         config = bundled_default_config()
         config = dataclasses.replace(
             config, kernel_costs={**config.kernel_costs, "aes128": pure})

@@ -545,11 +545,12 @@ class TestValidate:
 
 
 def _config(tmp_path, value, *keys):
-    """The bundled config with the field at keys set to value, as a file."""
+    """The bundled config with the field at keys set to value, as a file;
+    a section or entry on the way that the bundled config lacks is added."""
     doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
     node = doc
     for key in keys[:-1]:
-        node = node[key]
+        node = node.setdefault(key, {})
     node[keys[-1]] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -563,15 +564,18 @@ def _document_value(value):
     return value
 
 
+_NO_KERNEL_COSTS = "unknown config sections: ['kernel_costs'], valid: machine, host, experiments"
+
+
 def test_every_config_value_is_settable_or_derived(tmp_path, capsys):
-    """Each field of each config record is either set by the bundled
-    document or derived: a document that sets a derived field, even to the
-    value it is derived as, is rejected naming it. 42 values are settable."""
+    """Each field of each record a document configures is either set by
+    the bundled document or derived: a document that sets a derived field,
+    even to the value it is derived as, is rejected naming it. 40 values
+    are settable. Kernel costs come from the kernels' code, so a document
+    has no kernel_costs section, and one that has it is rejected."""
     config = bundled_default_config()
     doc = json.loads(_BUNDLED_TEXT)
     records = [(("machine",), "profile", config.machine), (("host",), "host", config.host)]
-    records += [(("kernel_costs", name), f"kernel cost {name}", cost)
-                for name, cost in config.kernel_costs.items()]
     records += [(("experiments", name), f"experiment {name}", spec)
                 for name, spec in config.experiments.items()]
     settable = derived = 0
@@ -588,14 +592,17 @@ def test_every_config_value_is_settable_or_derived(tmp_path, capsys):
             assert main(["validate", "--profile", cfg]) == 3
             assert capsys.readouterr().out == (
                 f"violation: {where} field {f.name} is derived and may not be set\n")
-    assert (settable, derived) == (42, 14)
+    assert (settable, derived) == (40, 8)
+    cfg = _config(tmp_path, 2048, "kernel_costs", "aes128", "wram_cache_bytes")
+    assert main(["validate", "--profile", cfg]) == 3
+    assert capsys.readouterr().out == f"violation: {_NO_KERNEL_COSTS}\n"
 
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
     @pytest.mark.parametrize("keys,value", [
-        (("kernel_costs", "aes128", "instructions_per_unit"), "abc"),
-        (("kernel_costs", "sha256", "wram_cache_bytes"), 2048.5),
+        (("machine", "wram_bytes"), "abc"),
+        (("machine", "max_mram_access_bytes"), 2048.5),
         (("host", "peak_ops_per_second"), "x"),
         (("host",), 5),
         (("host", "foo"), 1),
@@ -635,9 +642,10 @@ class TestConfigErrors:
          ["bench", "--experiment", "weak_scaling"], 3, "tasklets"),
         (("experiments", "rank_scaling", "strategies"), ["sync", 1],
          ["bench", "--experiment", "rank_scaling"], 3, "unknown strategy"),
-        # validate rejects what the planner rejects
-        (("kernel_costs", "aes128", "instructions_per_unit"), -1, ["validate"], 3,
-         "violation: kernel cost aes128 field instructions_per_unit is derived and may not be set"),
+        # kernel costs come from the kernels' code, not from a config section
+        pytest.param(("kernel_costs", "aes128", "instructions_per_unit"), -1, ["validate"], 3,
+                     "violation: unknown config sections: ['kernel_costs']",
+                     id="kernel-costs-section-validate"),
         (("experiments", "rank_scaling", "strategies"), [],
          ["bench", "--experiment", "rank_scaling"], 3, "strategies"),
         # empty workloads: a division by zero, and an all-zero CSV
@@ -649,11 +657,16 @@ class TestConfigErrors:
         (("experiments", "rank_scaling", "sweep"), [1, 41], ["validate"], 3, "n_ranks"),
         (("experiments", "strong_scaling", "sweep"), [1, 65], ["validate"], 3, "dpus_per_rank"),
         (("experiments", "weak_scaling", "tasklets"), 0, ["validate"], 3, "tasklets"),
-        # bench rejects a derived kernel cost, as validate does
-        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
-         ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3, "instruction"),
+        # bench rejects a kernel_costs section, as validate does
+        pytest.param(("kernel_costs", "aes128", "instructions_per_unit"), -1,
+                     ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3,
+                     "unknown config sections: ['kernel_costs']",
+                     id="kernel-costs-section-bench"),
+        # every tasklet may hold one whole MRAM access in WRAM
+        pytest.param(("machine", "max_mram_access_bytes"), 4096, ["validate"], 3,
+                     "violation: profile: max_tasklets * max_mram_access_bytes exceeds wram_bytes",
+                     id="wram-fit-validate"),
         # MRAM is accessed in whole 8-byte granules
-        (("kernel_costs", "aes128", "wram_cache_bytes"), 100, ["validate"], 3, "wram_cache_bytes"),
         (("machine", "max_mram_access_bytes"), 2044, ["validate"], 3, "max_mram_access_bytes"),
         # a workload beyond a DPU's MRAM, which bench rejects at its first sweep value
         (("experiments", "weak_scaling", "buffer_bytes"), 64 << 20, ["validate"], 3,
@@ -673,29 +686,30 @@ class TestConfigErrors:
         assert text in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
-    @pytest.mark.parametrize("section", ["experiments", "host", "kernel_costs"])
-    def test_document_without_machine_section(self, tmp_path, capsys, command, section):
+    @pytest.mark.parametrize("section,text", [
+        ("experiments", "config document has no machine section (it has experiments)"),
+        ("host", "config document has no machine section (it has host)"),
+        # no config section, so a document of one is a bare profile with an unknown field
+        ("kernel_costs", "unknown profile fields: ['kernel_costs']"),
+    ], ids=["experiments", "host", "kernel_costs"])
+    def test_document_without_machine_section(self, tmp_path, capsys, command, section, text):
         """A document that names a config section but no machine section is
         not a bare profile: it is rejected for the missing section, not for
-        an unknown profile field named after the section."""
+        an unknown profile field named after the section. Each exits 3."""
         doc = json.loads(_BUNDLED_TEXT)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({section: doc[section]}))
+        path.write_text(json.dumps({section: doc.get(section, {})}))
         argvs = {argv[0]: argv for argv in _raw_config_argvs(str(tmp_path), str(path))}
         assert main(argvs[command]) == 3
         captured = capsys.readouterr()
-        assert f"config document has no machine section (it has {section})" in (
-            captured.out + captured.err)
-        assert "unknown profile fields" not in captured.out + captured.err
+        assert text in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["validate", "encrypt", "bench"])
     def test_misnamed_kernel_cost_rejected(self, tmp_path, capsys, command):
-        """A kernel_costs entry that names no kernel would silently not take
-        effect, so it is rejected, however plausible its fields."""
-        doc = json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
-        entry = dict(doc["kernel_costs"]["aes128"])
-        entry["wram_cache_bytes"] //= 2
-        cfg = _config(tmp_path, entry, "kernel_costs", "aes")
+        """A kernel_costs entry would silently not take effect, as a kernel's
+        cost comes from its code, so the section is rejected, whatever entry
+        it names and however plausible its fields."""
+        cfg = _config(tmp_path, {"wram_cache_bytes": 1024}, "kernel_costs", "aes")
         plain = tmp_path / "plain.bin"
         plain.write_bytes(bytes(32))
         argv = {
@@ -707,7 +721,7 @@ class TestConfigErrors:
         }[command]
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert "unknown kernel_costs entries: ['aes']" in captured.out + captured.err
+        assert _NO_KERNEL_COSTS in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["validate", "encrypt", "hash", "bench"])
     def test_misnamed_experiment_rejected(self, tmp_path, capsys, command):
@@ -735,28 +749,22 @@ class TestConfigErrors:
     @pytest.mark.parametrize("keys,value,text", [
         (("experiments", "weak_scaling", "sweep"), [4, 1],
          "experiment weak_scaling: sweep values must be positive and sorted"),
-        # kernel costs are checked at load, not when a job prices the kernel
-        (("kernel_costs", "sha256", "wram_cache_bytes"), 12,
-         "kernel cost sha256: wram_cache_bytes must be a positive multiple of 8"),
-        # derived from the kernel's code, or per job by the planner, so a value
-        # set here, even the derived one, would take no effect
-        (("kernel_costs", "aes128", "instructions_per_unit"), -1,
-         "kernel cost aes128 field instructions_per_unit is derived and may not be set"),
-        (("kernel_costs", "aes128", "mram_read_bytes_per_unit"), 16,
-         "kernel cost aes128 field mram_read_bytes_per_unit is derived and may not be set"),
-        (("kernel_costs", "aes128", "mram_write_bytes_per_unit"), 16,
-         "kernel cost aes128 field mram_write_bytes_per_unit is derived and may not be set"),
-        (("kernel_costs", "sha256", "instructions_per_unit"), 3464,
-         "kernel cost sha256 field instructions_per_unit is derived and may not be set"),
-        (("kernel_costs", "sha256", "mram_read_bytes_per_unit"), 64,
-         "kernel cost sha256 field mram_read_bytes_per_unit is derived and may not be set"),
-        (("kernel_costs", "sha256", "mram_write_bytes_per_unit"), 1e6,
-         "mram_write_bytes_per_unit is derived"),
-        # a unit is an AES block or a padded SHA block, whatever a config says
-        (("kernel_costs", "aes128", "unit_bytes"), 32, "['unit_bytes']"),
-        # every tasklet's cache must fit WRAM, at any --tasklets and input size
+        # kernel costs come from the kernels' code, so a document that sets
+        # any field of the kernel_costs section it once had fails at load
+        *[(("kernel_costs", name, field), value, _NO_KERNEL_COSTS) for name, field, value in (
+            ("sha256", "wram_cache_bytes", 12),
+            ("aes128", "instructions_per_unit", -1),
+            ("aes128", "mram_read_bytes_per_unit", 16),
+            ("aes128", "mram_write_bytes_per_unit", 16),
+            ("sha256", "instructions_per_unit", 3464),
+            ("sha256", "mram_read_bytes_per_unit", 64),
+            ("sha256", "mram_write_bytes_per_unit", 1e6),
+            ("aes128", "unit_bytes", 32),
+        )],
+        # every tasklet may hold one whole MRAM access in WRAM, at any
+        # --tasklets and input size
         (("machine", "wram_bytes"), 32768,
-         "kernel cost aes128: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)"),
+         "profile: max_tasklets * max_mram_access_bytes exceeds wram_bytes (24 * 2048 > 32768)"),
     ], ids=["unsorted-sweep", "sha256-wram-cache", "aes128-instructions", "aes128-mram-read",
             "aes128-mram-write", "sha256-instructions", "sha256-mram-read", "sha256-mram-write",
             "aes128-unit-bytes", "wram-bytes"])
@@ -816,15 +824,16 @@ class TestConfigErrors:
         assert sizes == [cap] * (1 + 5) + [cap] + [cap // 2] * (5 * 2)
 
     def test_config_kernel_costs_take_effect(self, tmp_path, capsys):
-        """A smaller WRAM cache makes more MRAM accesses: a 64-byte one
-        costs 2 cycles/B under the 128-cycle floor, a 2048-byte one 0.5.
-        On one DPU each of the 16 tasklets streams 256 B of the input."""
+        """A kernel's MRAM cost follows the machine's access size: smaller
+        accesses make more of them, and a 64-byte one costs 2 cycles/B under
+        the 128-cycle floor, a 2048-byte one 0.5. On one DPU each of the 16
+        tasklets streams 256 B of the input."""
         plain = tmp_path / "plain.bin"
         plain.write_bytes(bytes(4096))
         kernels = []
-        for cache in (2048, 64):
-            cfg = _config(tmp_path, cache, "kernel_costs", "aes128", "wram_cache_bytes")
-            out = tmp_path / f"x{cache}"
+        for access in (2048, 64):
+            cfg = _config(tmp_path, access, "machine", "max_mram_access_bytes")
+            out = tmp_path / f"x{access}"
             assert main(["bench", "--experiment", "weak_scaling", "--no-baseline",
                          "--config", cfg, "--out-dir", str(out)]) == 0
             bench_kernels = _csv_column(out / "weak_scaling.csv", "kernel_s")
@@ -928,11 +937,8 @@ _FIELDS = [("experiments", "weak_scaling", name) for name in (
     "algorithm", "buffer_bytes", "message_bytes", "message_count", "sweep", "tasklets", "turbo",
 )] + [
     ("experiments", "rank_scaling", "strategies"),
-] + [("kernel_costs", "aes128", name) for name in (
-    "instructions_per_unit", "mram_read_bytes_per_unit", "mram_write_bytes_per_unit",
-    "wram_cache_bytes",
-)] + [("machine", name) for name in (
-    "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
+] + [("machine", name) for name in (
+    "wram_bytes", "max_tasklets", "max_mram_access_bytes", "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
     "host_prepare_rate", "mram_fixed_cycles", "mram_cycles_per_byte",
 )]
 # values at the ends of the float range, which overflow or round the model's times

@@ -43,11 +43,12 @@ def test_sha_digest_count_scales_with_blocks():
     assert sum(two.values()) == 2 * sum(one.values())
 
 
-def test_measured_constants_are_frozen_in_default_config():
+def test_config_prices_the_measured_op_counts():
+    """A config prices each kernel at the op count pimcrypt.costs measures,
+    which is the count the README states: a counter edit that moves the
+    model fails here, not only through the CSV digests."""
     config = bundled_default_config()
-    assert config.kernel_costs["aes128"].instructions_per_unit == (
-        costs.aes_instructions_per_block()
-    )
-    assert config.kernel_costs["sha256"].instructions_per_unit == (
-        costs.sha256_instructions_per_block()
-    )
+    assert costs.aes_instructions_per_block() == 1216, "AES op count moved from 1216"
+    assert costs.sha256_instructions_per_block() == 3464, "SHA-256 op count moved from 3464"
+    assert config.kernel_costs["aes128"].instructions_per_unit == 1216
+    assert config.kernel_costs["sha256"].instructions_per_unit == 3464

@@ -32,7 +32,6 @@ NO_MRAM_COST = KernelCost(
     instructions_per_unit=11,
     mram_read_bytes_per_unit=0,
     mram_write_bytes_per_unit=0,
-    wram_cache_bytes=2048,
 )
 
 AES_COST = bundled_default_config().kernel_costs["aes128"]
@@ -106,7 +105,6 @@ _BAD_VALUES = [
     (PROFILE, "dpu_frequency", 0.0, "dpu_frequency must be strictly positive"),
     (AES_COST, "instructions_per_unit", 0.0, "instructions_per_unit must be positive"),
     (AES_COST, "mram_read_bytes_per_unit", -1.0, "MRAM traffic must be non-negative"),
-    (SHA_COST, "wram_cache_bytes", 12, "wram_cache_bytes must be a positive multiple of 8"),
     (_CONFIG.host, "peak_bandwidth_bytes_per_second", -1.0,
      "peak_bandwidth_bytes_per_second must be strictly positive"),
     (_CONFIG.experiments["weak_scaling"], "sweep", (4, 1),
@@ -114,12 +112,11 @@ _BAD_VALUES = [
     (_CONFIG.experiments["rank_scaling"], "strategies", (), "strategies must not be empty"),
     (_CONFIG.experiments["tasklet_scaling"], "buffer_bytes", 8,
      "buffer_bytes must be a positive multiple of 16"),
-    # every tasklet's cache must fit WRAM at the machine's most tasklets
-    (_CONFIG, "machine", dataclasses.replace(PROFILE, wram_bytes=32768),
-     re.escape("kernel cost aes128: 24 tasklets x 2048 B cache exceeds WRAM (32768 B)")),
-    (_CONFIG, "kernel_costs",
-     {**_CONFIG.kernel_costs, "sha256": dataclasses.replace(SHA_COST, wram_cache_bytes=4096)},
-     re.escape("kernel cost sha256: 24 tasklets x 4096 B cache exceeds WRAM (65536 B)")),
+    # every tasklet may hold one whole MRAM access in WRAM
+    (PROFILE, "wram_bytes", 32768,
+     re.escape("max_tasklets * max_mram_access_bytes exceeds wram_bytes (24 * 2048 > 32768)")),
+    (PROFILE, "max_tasklets", 33,
+     re.escape("max_tasklets * max_mram_access_bytes exceeds wram_bytes (33 * 2048 > 65536)")),
 ]
 
 
@@ -226,7 +223,7 @@ class TestSimulateDpuKernel:
         """A tasklet's MRAM traffic that overflows a float is rejected, not
         priced as an infinite time: 2 units of 1e308 B each."""
         cost = KernelCost(instructions_per_unit=1216.0, mram_read_bytes_per_unit=1e308,
-                          mram_write_bytes_per_unit=16.0, wram_cache_bytes=2048)
+                          mram_write_bytes_per_unit=16.0)
         with pytest.raises(MramAccessError, match="not finite"):
             simulate_dpu_kernel(32, 16, cost, PROFILE)
 
@@ -248,7 +245,7 @@ class TestSimulateDpuKernel:
         cost = dataclasses.replace(
             AES_COST, mram_read_bytes_per_unit=read, mram_write_bytes_per_unit=write
         )
-        chunk = min(cost.wram_cache_bytes, profile.max_mram_access_bytes)
+        chunk = profile.max_mram_access_bytes
         base, rem = divmod(units, tasklets)
         mram = 0.0
         for t in range(tasklets):
@@ -299,14 +296,13 @@ class TestSimulateRankKernel:
                 min_size=shape[0], max_size=shape[0],
             )
         ),
-        # a 256 B cache refills in smaller MRAM accesses than the 2 KiB ones
-        cost=st.sampled_from(
-            [AES_COST, SHA_COST, dataclasses.replace(AES_COST, wram_cache_bytes=256)]
-        ),
+        cost=st.sampled_from([AES_COST, SHA_COST]),
+        # a machine with 256 B MRAM accesses streams a share in more of them
+        profile=st.sampled_from([PROFILE, dataclasses.replace(PROFILE, max_mram_access_bytes=256)]),
     )
     # (1, -1) keys like (0, 24) unless the key is offset by the smallest count
-    @example(rows=[[(0, 24), (1, -1)]], cost=AES_COST)
-    def test_equals_bruteforce_max(self, rows, cost):
+    @example(rows=[[(0, 24), (1, -1)]], cost=AES_COST, profile=PROFILE)
+    def test_equals_bruteforce_max(self, rows, cost, profile):
         """Each rank's slowest DPU, and the error the first invalid DPU in
         row-major order raises."""
         def outcome(price):
@@ -315,9 +311,9 @@ class TestSimulateRankKernel:
             except ValueError as exc:
                 return type(exc), str(exc)
 
-        assert outcome(lambda: simulate_rank_kernel(*_grid(rows), cost, PROFILE)) == outcome(
+        assert outcome(lambda: simulate_rank_kernel(*_grid(rows), cost, profile)) == outcome(
             lambda: [
-                max((simulate_dpu_kernel(u, t, cost, PROFILE) for u, t in row),
+                max((simulate_dpu_kernel(u, t, cost, profile) for u, t in row),
                     default=0.0)
                 for row in rows
             ]

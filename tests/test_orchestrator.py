@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import math
 import random
+import re
 from array import array
 
 import numpy as np
@@ -33,7 +34,7 @@ from pimcrypt.orchestrator import (
     run_job,
     validate_timeline,
 )
-from pimcrypt.sha256 import padded_block_count
+from pimcrypt.sha256 import MAX_MESSAGE_BYTES, padded_block_count
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 PROFILE = bundled_default_config().machine
@@ -216,7 +217,6 @@ _PIPELINE_COST = KernelCost(
     instructions_per_unit=9,
     mram_read_bytes_per_unit=0,
     mram_write_bytes_per_unit=0,
-    wram_cache_bytes=2048,
 )
 
 
@@ -295,6 +295,18 @@ class TestStrategyOrdering:
         assert makespans[Strategy.ASYNC_RANK_TRANSFER] <= sync * (1 + 1e-12)
         assert makespans[Strategy.ASYNC_RANK_EXECUTION] <= sync * (1 + 1e-12)
 
+    def test_strategy_name_rejected(self):
+        """The library takes Strategy members only; a name gets a ValueError
+        that lists the names Strategy.parse reads, not a KeyError from the
+        schedule table."""
+        names = re.escape(f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
+        with pytest.raises(ValueError, match=rf"^strategy must be a Strategy, not 'sync' {names}$"):
+            plan_job(AesWorkload(16), strategy="sync")
+        with pytest.raises(ValueError, match="not 'pim1'"):
+            run_job([b"a"], strategy="pim1")
+        with pytest.raises(ValueError, match="not 'pim2'"):
+            dataclasses.replace(plan_job(AesWorkload(16)), strategy="pim2")
+
     def test_single_rank_degeneracy(self):
         buf_len = 2 << 20
         makespans = [
@@ -363,6 +375,29 @@ class TestCapacityChecks:
     def test_first_over_budget_dpu_named(self):
         with pytest.raises(CapacityError, match=r"^DPU 3 needs 67108896 B of MRAM"):
             plan_job(ShaWorkload((10, 10, 10, 64 << 20)), n_ranks=1, dpus_per_rank=4)
+
+    def test_job_beyond_int64_counts_gets_the_mram_error(self):
+        """A buffer whose per-DPU byte counts would wrap in int64 gets the
+        per-DPU MRAM error, with the same text as an in-range one; it used
+        to wrap every DPU's bytes to 0 and plan a 7.9e11 s job. So does the
+        longest message a SHA-256 length field holds."""
+        with pytest.raises(CapacityError,
+                           match=r"^DPU 0 needs 100663296 B of MRAM, budget is 66060288 B$"):
+            plan_job(AesWorkload(48 << 20), n_ranks=1, dpus_per_rank=1)
+        with pytest.raises(CapacityError,
+                           match=r"^DPU 0 needs 9223372036854775808 B of MRAM, budget is 66060288 B$"):
+            plan_job(AesWorkload(2 ** 68))
+        with pytest.raises(CapacityError, match=r"^DPU 0 needs 2305843009213693983 B of MRAM"):
+            plan_job(ShaWorkload([MAX_MESSAGE_BYTES]))
+
+    @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1])
+    def test_message_length_out_of_range_rejected(self, length):
+        """A length that int64 cannot hold, or that is not a whole number of
+        bytes, is rejected before it is cast: 2**70 used to raise a bare
+        OverflowError and 1.5 was planned as a 1-byte message."""
+        bounds = rf"^message lengths must be integers in 0\.\.{MAX_MESSAGE_BYTES}$"
+        with pytest.raises(ValueError, match=bounds):
+            plan_job(ShaWorkload([length]))
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
