@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -213,26 +213,27 @@ class ExecutionTimeline:
         """The latest time in the array, 0.0 for an empty timeline."""
         return float(self.times.max()) if self.times.size else 0.0
 
-    def phase_intervals(self, phase: int) -> list[tuple[float, float]]:
-        """Per-rank (start, end) pairs of phase 0..3, in rank order."""
-        return list(zip(*self.times[:, 2 * phase:2 * phase + 2].T.tolist()))
+    def phase_intervals(self, phase: int) -> list[list[float]]:
+        """Per-rank [start, end] pairs of phase 0..3, in rank order."""
+        return self.times[:, 2 * phase:2 * phase + 2].tolist()
 
 
-def busy_time(intervals: Iterable[tuple[float, float]]) -> float:
-    """Total length of the union of intervals (overlap counted once)."""
-    spans = sorted(intervals)
+def busy_time(intervals: Iterable[Sequence[float]]) -> float:
+    """Total length of the union of (start, end) intervals (overlap counted
+    once), adding each merged stretch in start order."""
+    spans = iter(sorted(intervals))
+    first = next(spans, None)
+    if first is None:
+        return 0.0
     total = 0.0
-    cur_start = cur_end = None
+    cur_start, cur_end = first
     for start, end in spans:
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
+        if start > cur_end:
+            total += cur_end - cur_start
             cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
+        elif end > cur_end:
+            cur_end = end
+    return total + (cur_end - cur_start)
 
 
 def effective_ipc(tasklets: int, profile: MachineProfile) -> float:
@@ -331,13 +332,25 @@ def simulate_rank_kernel(
     """
     # one key per pair, as tasklets - low lies in 0..high - low
     low, high = int(tasklets.min(initial=0)), int(tasklets.max(initial=0))
-    key = units * (high - low + 1) + (tasklets - low)
-    _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    pairs = zip(units.flat[first[order]].tolist(), tasklets.flat[first[order]].tolist())
+    key = (units * (high - low + 1) + (tasklets - low)).ravel()
+    # a stable sort keeps equal keys in DPU order, so each run of equal
+    # keys starts at its pair's first DPU
+    order = key.argsort(kind="stable")
+    ranked = key[order]
+    starts = np.empty(key.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    pair = np.empty_like(order)  # DPU -> its pair's index in key order
+    pair[order] = starts.cumsum() - 1
+    firsts = np.zeros(key.size, dtype=bool)
+    firsts[order[starts]] = True
+    first = np.flatnonzero(firsts)  # each pair's first DPU, row-major
     times = np.empty(first.size)
-    times[order] = [simulate_dpu_kernel(u, t, cost, profile) for u, t in pairs]
-    return times[inverse].reshape(units.shape).max(axis=1, initial=0.0).tolist()
+    times[pair[first]] = [
+        simulate_dpu_kernel(u, t, cost, profile)
+        for u, t in zip(units.flat[first].tolist(), tasklets.flat[first].tolist())
+    ]
+    return times[pair].reshape(units.shape).max(axis=1, initial=0.0).tolist()
 
 
 def simulate_transfer(

@@ -50,6 +50,7 @@ MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
 # A file is encrypted through one buffer of this size, a whole number of
 # aes.BATCH_BLOCKS batches, so streaming adds no kernel batch
 CHUNK_BYTES = 1 << 20
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class ShaWorkload:
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Per-DPU work assignment: four int64 arrays indexed by DPU.
+    """Per-DPU work assignment: four int64 arrays indexed by DPU (units and
+    in_bytes hold Python ints if int64 could not, see partition_sha).
 
     units are AES blocks or padded hash blocks; items are AES blocks or
     whole messages (messages are never split, their block chain is
@@ -93,11 +95,19 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     if buffer_len % aes.BLOCK_BYTES:
         raise AlignmentError(
             f"buffer length {buffer_len} is not a multiple of {aes.BLOCK_BYTES}")
-    base, rem = divmod(buffer_len // aes.BLOCK_BYTES, n_dpus)
-    blocks = np.full(n_dpus, base, dtype=np.int64)
-    blocks[:rem] += 1
+    blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus)
     nbytes = aes.BLOCK_BYTES * blocks
     return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
+
+
+def _spread(count: int, n_dpus: int) -> np.ndarray:
+    """count split over n_dpus as evenly as possible, the extra ones to the
+    earlier DPUs."""
+    base, rem = divmod(count, n_dpus)
+    share = np.empty(n_dpus, dtype=np.int64)
+    share[:rem] = base + 1
+    share[rem:] = base
+    return share
 
 
 def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
@@ -106,19 +116,24 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
 
     Each length must be an integer in 0..MAX_MESSAGE_BYTES. It is checked
     before it is cast to int64, which would wrap a larger one or truncate
-    a fraction."""
+    a fraction. The per-DPU sums are int64 arrays, or object arrays of
+    Python ints if the job's bytes and digests could pass int64."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     lengths = np.asarray(message_lengths)
+    longest = int(lengths.max()) if lengths.size and lengths.dtype.kind in "iu" else 0
     if lengths.size and (lengths.ndim != 1 or lengths.dtype.kind not in "iu"
-                         or lengths.min() < 0 or lengths.max() > MAX_MESSAGE_BYTES):
+                         or lengths.min() < 0 or longest > MAX_MESSAGE_BYTES):
         raise ValueError(f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}")
     lengths = lengths.astype(np.int64, copy=False)
     n = len(lengths)
-    # per message: blocks, 1, bytes; message i in row i // n_dpus, column i % n_dpus
-    grid = np.zeros((3, -(-n // n_dpus) * n_dpus), dtype=np.int64)
-    grid[:, :n] = padded_block_count(lengths), np.ones_like(lengths), lengths
-    units, messages, in_bytes = grid.reshape(3, -1, n_dpus).sum(axis=1)
+    messages = _spread(n, n_dpus)
+    # any sum of a DPU's or rank's bytes and digests is at most this
+    exact = (longest + DIGEST_BYTES) * n > _INT64_MAX
+    # per message: blocks, bytes; message i in row i // n_dpus, column i % n_dpus
+    grid = np.zeros((2, -(-n // n_dpus) * n_dpus), dtype=object if exact else np.int64)
+    grid[:, :n] = padded_block_count(lengths), lengths
+    units, in_bytes = grid.reshape(2, -1, n_dpus).sum(axis=1)
     return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
 
 
@@ -157,13 +172,14 @@ class JobPlan:
             raise ValueError(f"strategy must be a Strategy, not {self.strategy!r} "
                              f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
         self.rank_phases.flags.writeable = False
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite time is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):  # the timeline rejects a non-finite time
             times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
-        if not np.isfinite(times).all():
+        try:
+            timeline = mc.ExecutionTimeline(times)
+        except ValueError:  # _schedule's times are (ranks, 8), so only a non-finite time
             raise ProfileError(
                 "the model gives a non-finite time: a machine or kernel cost value is out of range"
-            )
-        timeline = mc.ExecutionTimeline(times)
+            ) from None
         object.__setattr__(self, "timeline", timeline)
         object.__setattr__(self, "makespan", timeline.makespan)
         object.__setattr__(self, "phase_times", PhaseTimes(
@@ -267,13 +283,15 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # JobPlan rejects a non-finite time
+    # float64 also when the byte sums are Python ints (see partition_sha);
+    # JobPlan rejects a non-finite time
+    with np.errstate(over="ignore", invalid="ignore"):
         rank_phases = np.array((
             rank_in / profile.host_prepare_rate,
             mc.simulate_transfer(rank_in, "to_dpu", profile),
             kernels,
             mc.simulate_transfer(rank_out, "from_dpu", profile),
-        )).T
+        ), dtype=np.float64).T
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,

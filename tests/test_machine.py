@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -11,12 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import machine as mc
+from pimcrypt import reference
 from pimcrypt.errors import MramAccessError, ProfileError
 from pimcrypt.machine import (
+    EVENT_KINDS,
+    ExecutionTimeline,
     KernelCost,
     MachineProfile,
     _streamed_access_cycles,
     bundled_default_config,
+    busy_time,
     effective_ipc,
     load_config,
     mram_access_cycles,
@@ -25,6 +30,7 @@ from pimcrypt.machine import (
     simulate_rank_kernel,
     simulate_transfer,
 )
+from pimcrypt.orchestrator import _sha_cost_for, partition_aes, partition_sha
 
 PROFILE = bundled_default_config().machine
 
@@ -318,6 +324,65 @@ class TestSimulateRankKernel:
                 for row in rows
             ]
         )
+
+    @pytest.mark.parametrize("algorithm,workload", [
+        # 32 MiB per rank plus 37 blocks: the first 37 DPUs take one more
+        ("aes128", 40 * (32 << 20) + 37 * 16),
+        # 3 messages per DPU, and 4 on the first 1,001
+        ("sha256", 3 * 40 * 64 + 1001),
+        # fewer messages than DPUs: the last 1,560 hold none
+        ("sha256", 1000),
+    ], ids=["aes-remainder", "sha-uneven", "sha-fewer-messages"])
+    def test_full_size_partition_equals_bruteforce_max(self, algorithm, workload):
+        """On a whole machine's partition, as plan_job builds it, each
+        rank's time is its slowest DPU's; a DPU priced as another pair would
+        show here, where the Hypothesis grids are at most 3 x 16."""
+        if algorithm == "aes128":
+            part, cost = partition_aes(workload, 40 * 64), AES_COST
+        else:
+            lengths = np.random.default_rng(7).integers(0, 5000, workload)
+            part = partition_sha(lengths, 40 * 64)
+            cost = _sha_cost_for(SHA_COST, workload, int(part.units.sum()))
+        active = np.where(part.items > 0, np.minimum(part.items, 16), 1)
+        units, tasklets = part.units.reshape(40, 64), active.reshape(40, 64)
+        assert len(set(zip(units.flat, tasklets.flat))) > 1
+        assert simulate_rank_kernel(units, tasklets, cost, PROFILE) == [
+            max(simulate_dpu_kernel(u, t, cost, PROFILE) for u, t in zip(*rank))
+            for rank in zip(units.tolist(), tasklets.tolist())
+        ]
+
+
+# an interval end: zeros of both signs, repeated points that make intervals
+# touch, nest and repeat, and any other finite float
+_POINT = st.sampled_from([0.0, -0.0, 0.1, 0.2, 1.1, 2.5, 4.0, -3.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+_INTERVAL = st.tuples(_POINT, _POINT).map(sorted).map(tuple)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestBusyTime:
+    @settings(max_examples=300, deadline=None)
+    @given(intervals=st.lists(_INTERVAL, max_size=12))
+    @example(intervals=[(2.5, 4.0), (0.0, 1.1), (1.1, 2.5)])   # unsorted, touching
+    # merged, not added piece by piece: 1.1 - 0.1 is 1.0, (0.2 - 0.1) + (1.1 - 0.2) is not
+    @example(intervals=[(0.2, 1.1), (0.1, 0.2)])
+    @example(intervals=[(0.0, 4.0), (1.1, 2.5), (1.1, 2.5)])   # nested, duplicate
+    @example(intervals=[(1.1, 1.1), (-3.0, -3.0), (4.0, 4.0)])  # zero length
+    @example(intervals=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-3.0, -0.0)])
+    def test_equals_reference_union(self, intervals):
+        """busy_time is reference.union_length bit for bit, on tuples and on
+        the [start, end] lists ExecutionTimeline.phase_intervals returns."""
+        expected = _bits(reference.union_length(intervals))
+        assert _bits(busy_time(intervals)) == expected
+        assert _bits(busy_time([list(pair) for pair in intervals])) == expected
+        times = np.zeros((len(intervals), len(EVENT_KINDS)))
+        times[:, 4:6] = np.array(intervals).reshape(-1, 2)
+        phase = ExecutionTimeline(times).phase_intervals(2)
+        assert phase == [list(pair) for pair in intervals]
+        assert _bits(busy_time(phase)) == expected
 
 
 class TestHostProfile:

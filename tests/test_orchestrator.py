@@ -390,6 +390,25 @@ class TestCapacityChecks:
         with pytest.raises(CapacityError, match=r"^DPU 0 needs 2305843009213693983 B of MRAM"):
             plan_job(ShaWorkload([MAX_MESSAGE_BYTES]))
 
+    def test_messages_summing_beyond_int64_get_the_mram_error(self):
+        """Five longest messages on one DPU sum past int64. The DPU gets the
+        per-DPU MRAM error with its exact need as a Python int; the int64
+        sum used to wrap negative, and simulate_transfer raised ValueError."""
+        need = 5 * (MAX_MESSAGE_BYTES + 32)
+        assert need > 2 ** 63
+        with pytest.raises(CapacityError,
+                           match=rf"^DPU 0 needs {need} B of MRAM, budget is 66060288 B$"):
+            plan_job(ShaWorkload([MAX_MESSAGE_BYTES] * 5), dpus_per_rank=1)
+        # on a machine whose MRAM holds them, the same job is planned from
+        # its exact byte count
+        roomy = _config(dataclasses.replace(PROFILE, mram_bytes=1 << 64))
+        plan = plan_job(ShaWorkload([MAX_MESSAGE_BYTES] * 5 + [3]), dpus_per_rank=2,
+                        config=roomy)
+        assert plan.payload_bytes_to_dpu == 5 * MAX_MESSAGE_BYTES + 3
+        assert plan.payload_bytes_from_dpu == 6 * 32
+        assert plan.rank_phases.dtype == np.float64
+        assert math.isfinite(plan.makespan)
+
     @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1])
     def test_message_length_out_of_range_rejected(self, length):
         """A length that int64 cannot hold, or that is not a whole number of
