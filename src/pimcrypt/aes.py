@@ -19,7 +19,8 @@ the same byte tables.
 
 Keys and blocks are ``bytes``. aes128_encrypt_buffer takes any
 C-contiguous buffer, sized in bytes, and writes the ciphertext straight
-into the ``bytearray`` it returns (equal to ``bytes`` of the same content).
+into ``out``: a new ``bytearray`` (equal to ``bytes`` of the same content)
+unless the caller gives a buffer, which may be the input itself.
 Hex formatting at the edges is lowercase without separators.
 """
 
@@ -119,12 +120,17 @@ _FUSED = np.ascontiguousarray(
 _FUSED.flags.writeable = False
 
 
-def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> bytearray:
+def aes128_encrypt_buffer(
+    buffer: bytes | bytearray | memoryview, ks: bytes, out: bytearray | memoryview | None = None
+) -> bytearray | memoryview:
     """Encrypt every 16-byte block of a C-contiguous buffer independently.
 
     Any buffer-protocol object works; its length is taken in bytes. Blocks
     go through the fused-table path BATCH_BLOCKS at a time, each batch
-    written straight into the returned bytearray.
+    written straight into out, which is returned: a new bytearray if None,
+    else a writable C-contiguous buffer of the input's byte length. out may
+    be the input itself, as each batch is read whole before it is written,
+    but must not overlap it otherwise (ValueError).
     """
     if len(ks) != EXPANDED_KEY_BYTES:
         raise ValueError(f"expanded key must be {EXPANDED_KEY_BYTES} bytes, got {len(ks)}")
@@ -133,11 +139,21 @@ def aes128_encrypt_buffer(buffer: bytes | bytearray | memoryview, ks: bytes) -> 
         raise AlignmentError(
             f"buffer length {len(data)} is not a multiple of {BLOCK_BYTES}"
         )
-    out = bytearray(len(data))
-    if not out:
+    if out is None:
+        out = bytearray(len(data))
+    dest = memoryview(out).cast("B")
+    if dest.readonly or len(dest) != len(data):
+        raise ValueError(f"out must be a writable buffer of {len(data)} bytes, "
+                         f"got {'a read-only one' if dest.readonly else len(dest)}")
+    if not data:
         return out
     blocks = np.frombuffer(data, dtype=np.uint32).reshape(-1, 4)
-    words = np.frombuffer(out, dtype=np.uint32).reshape(-1, 4)
+    words = np.frombuffer(dest, dtype=np.uint32).reshape(-1, 4)
+    # both are contiguous, so sharing memory is overlapping address ranges
+    if np.may_share_memory(blocks, words) and (
+        blocks.__array_interface__["data"][0] != words.__array_interface__["data"][0]
+    ):
+        raise ValueError("out overlaps the input without being it")
     rk = np.frombuffer(ks, dtype=np.uint32).reshape(11, 4)
     mix, last = _FUSED
     # keyed[rnd - 1, j]: round rnd's first table for column j, its round key

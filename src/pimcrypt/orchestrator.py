@@ -193,10 +193,12 @@ class JobResult:
 
     output is the ciphertext of a buffer, the digests of messages, or, for
     a file, an iterator that reads, encrypts and yields the ciphertext one
-    chunk at a time, so it is consumed once, while the file is open.
+    chunk at a time, so it is consumed once, while the file is open. Every
+    chunk is a view of one buffer that the next chunk overwrites, so a
+    caller that keeps a chunk copies it (bytes(chunk)).
     """
 
-    output: bytearray | list[bytes] | Iterator[bytearray]
+    output: bytearray | list[bytes] | Iterator[memoryview]
     plan: JobPlan
 
 
@@ -253,6 +255,13 @@ def plan_job(
         most = 2 * aes.BLOCK_BYTES * -(-(workload.buffer_len // aes.BLOCK_BYTES) // total_dpus)
         if most > mram_budget:
             raise _mram_error(0, most, mram_budget)
+        # partition_aes counts in int64, and each of its per-DPU or per-rank
+        # counts, in or out, is at most the job's bytes in and out
+        if 2 * workload.buffer_len > _INT64_MAX:
+            raise CapacityError(
+                f"a {workload.buffer_len} B buffer is beyond the planner's int64 counts: "
+                f"its bytes in and out may total at most 2**63 - 1 B"
+            )
         partition = partition_aes(workload.buffer_len, total_dpus)
         job_cost = config.kernel_costs["aes128"]
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
@@ -346,15 +355,18 @@ def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndar
 
 def _encrypt_file(
     src: BinaryIO, nbytes: int, padded: int, ks: bytes
-) -> Iterator[bytearray]:
+) -> Iterator[memoryview]:
     """The ciphertext of src's nbytes, zero-filled to padded, one
-    CHUNK_BYTES chunk at a time through one reused buffer.
+    CHUNK_BYTES chunk at a time through one reused buffer, sized to the
+    input if that is smaller.
 
-    Each chunk is read whole before it is yielded, so a caller may write it
-    over the bytes it came from. A file that ends early or runs past
+    Each chunk is read whole and encrypted in place, in the buffer it was
+    read into, before it is yielded, so a caller may write it over the
+    bytes it came from. A chunk stays valid until the next one is
+    requested, which overwrites it. A file that ends early or runs past
     nbytes raises OSError.
     """
-    buf = memoryview(bytearray(CHUNK_BYTES))
+    buf = memoryview(bytearray(min(CHUNK_BYTES, padded)))
     for lo in range(0, max(padded, 1), CHUNK_BYTES):  # an empty file is one empty chunk
         size = min(CHUNK_BYTES, padded - lo)
         want = min(size, nbytes - lo)
@@ -372,7 +384,8 @@ def _encrypt_file(
                 f"input holds more than the {nbytes} bytes planned from its size "
                 "(it grew, or its size is not known up front, as for a pipe)"
             )
-        yield aes128_encrypt_buffer(buf[:size], ks)
+        chunk = buf[:size]
+        yield aes128_encrypt_buffer(chunk, ks, out=chunk)
 
 
 def run_job(

@@ -213,3 +213,77 @@ class TestEncryptBufferBatches:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * len(data)
+
+
+class TestEncryptBufferOut:
+    """out names the buffer the ciphertext is written into: the input
+    itself, or a writable buffer disjoint from it, of the input's length."""
+
+    DATA = random.Random(23).randbytes(16 * 37)
+
+    def _expected(self):
+        return aes128_encrypt_buffer(self.DATA, key_expansion(FIPS_KEY))
+
+    def test_in_place_equals_copying(self):
+        """Small batches make the input span ten of them; each is read whole
+        before it is written, so encrypting over the input is exact, also
+        when out and the input are different objects over the same bytes."""
+        ks = key_expansion(FIPS_KEY)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aes, "BATCH_BLOCKS", 4)
+            shared = bytearray(self.DATA)
+            view = memoryview(bytearray(self.DATA))
+            for buf, out in ((shared, shared), (view, view),
+                             (memoryview(shared).toreadonly(), shared)):
+                shared[:] = self.DATA
+                assert aes128_encrypt_buffer(buf, ks, out=out) is out
+                assert out == self._expected()
+
+    def test_disjoint_out_equals_copying(self):
+        """Any writable C-contiguous buffer of the right length takes the
+        ciphertext, an odd-offset slice (unaligned words) and a typed array
+        too; out is returned."""
+        ks = key_expansion(FIPS_KEY)
+        odd = memoryview(bytearray(len(self.DATA) + 1))[1:]
+        for out in (bytearray(len(self.DATA)), odd, array("I", bytes(len(self.DATA)))):
+            assert aes128_encrypt_buffer(self.DATA, ks, out=out) is out
+            assert bytes(out) == self._expected()
+        assert aes128_encrypt_buffer(b"", ks, out=bytearray()) == b""
+
+    @pytest.mark.parametrize("args", [
+        lambda data: (data, bytearray(len(data) + 16)),
+        lambda data: (data, bytearray(len(data) - 16)),
+        lambda data: (data, bytes(len(data))),
+        lambda data: (data, memoryview(bytearray(len(data))).toreadonly()),
+        lambda data: (data[16:], data[:-16]),
+        lambda data: (data[:-16], data[16:]),
+    ], ids=["longer", "shorter", "bytes", "read-only-view", "out-before", "out-after"])
+    def test_bad_out_rejected_before_writing(self, args):
+        """A wrong length, a read-only out and a partial overlap with the
+        input each raise ValueError, before anything is written."""
+        data = memoryview(bytearray(self.DATA))
+        buf, out = args(data)
+        before = bytes(out)
+        with pytest.raises(ValueError, match="^out "):
+            aes128_encrypt_buffer(buf, key_expansion(FIPS_KEY), out=out)
+        assert (data, bytes(out)) == (self.DATA, before)
+
+    def test_non_contiguous_out_rejected(self):
+        out = memoryview(bytearray(2 * len(self.DATA)))[::2]
+        with pytest.raises(TypeError):
+            aes128_encrypt_buffer(self.DATA, key_expansion(FIPS_KEY), out=out)
+
+    def test_peak_memory_in_place_is_one_batch(self):
+        """Encrypting in place allocates no output: a call holds one batch
+        of state (its working set is under four batches of blocks), a
+        quarter of this buffer."""
+        data = bytearray(4 << 20)
+        ks = key_expansion(FIPS_KEY)
+        aes128_encrypt_buffer(data[:16], ks)  # build the cached tables first
+        tracemalloc.start()
+        try:
+            aes128_encrypt_buffer(data, ks, out=data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * aes.BATCH_BLOCKS * aes.BLOCK_BYTES

@@ -156,9 +156,9 @@ class TestEncryptStream:
         lengths = []
         encrypt = orchestrator.aes128_encrypt_buffer
 
-        def spy(buffer, ks):
+        def spy(buffer, ks, out=None):
             lengths.append(len(buffer))
-            return encrypt(buffer, ks)
+            return encrypt(buffer, ks, out=out)
 
         monkeypatch.setattr(orchestrator, "aes128_encrypt_buffer", spy)
         argv = ["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src), "--out", str(dst)]
@@ -170,6 +170,29 @@ class TestEncryptStream:
         pairs = _summary(capsys)
         assert (pairs["bytes_in"], pairs["bytes_out"]) == (str(n), str(len(expected)))
         assert pairs.get("padded_from") == (str(n) if n % 16 else None)
+
+    @pytest.mark.parametrize("args", [
+        lambda chunk: (chunk, bytearray(len(chunk) + 16)),
+        lambda chunk: (chunk, bytes(len(chunk))),
+        lambda chunk: (chunk[16:], chunk[:-16]),
+    ], ids=["wrong-length", "read-only", "partial-overlap"])
+    def test_bad_out_is_data_error(self, tmp_path, monkeypatch, capsys, args):
+        """A kernel call whose out the kernel rejects raises ValueError, so
+        encrypt exits 3 with one message, not a traceback."""
+        src, dst = tmp_path / "p.bin", tmp_path / "c.bin"
+        src.write_bytes(bytes(96))
+        encrypt = orchestrator.aes128_encrypt_buffer
+
+        def bad_call(buffer, ks, out=None):
+            buffer, out = args(buffer)
+            return encrypt(buffer, ks, out=out)
+
+        monkeypatch.setattr(orchestrator, "aes128_encrypt_buffer", bad_call)
+        assert main(["encrypt", "--key", FIPS_KEY_HEX, "--in", str(src),
+                     "--out", str(dst)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out ")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_in_place_across_chunks(self, tmp_path, monkeypatch):
         """The padded last chunk grows the file only after the whole input
@@ -319,8 +342,10 @@ print(peak() - before)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 def test_encrypt_memory_is_bounded_by_a_chunk(tmp_path):
     """Encrypting 16 MiB raises the peak resident size of a warmed-up
-    process by less than 8 MiB: the file passes through one chunk buffer,
-    where a whole-file read and its ciphertext would add 32 MiB."""
+    process by less than two chunks: the file passes through one chunk
+    buffer, encrypted in place, plus the kernel's working set of one batch.
+    A new ciphertext per chunk, with the previous one still held, would add
+    two more chunks, and a whole-file read and its ciphertext 32 MiB."""
     import subprocess
 
     import pimcrypt
@@ -337,7 +362,7 @@ def test_encrypt_memory_is_bounded_by_a_chunk(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 8 << 10  # KiB
+    assert int(proc.stdout) < 2 * orchestrator.CHUNK_BYTES >> 10  # KiB
 
 
 class TestHash:
@@ -890,6 +915,26 @@ class TestConfigErrors:
         assert main(["bench", "--experiment", "tasklet_scaling", "--no-baseline",
                      "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert 0.0 in _csv_column(tmp_path / "tasklet_scaling.csv", "kernel_s")
+
+    @pytest.mark.parametrize("command", ["bench", "validate"])
+    def test_buffer_beyond_int64_counts_is_data_error(self, tmp_path, capsys, command):
+        """On a machine whose MRAM holds any buffer, one whose bytes in and
+        out pass int64 exits 3 with one message naming the limit; bench and
+        validate used to raise OverflowError from partition_aes."""
+        doc = json.loads(_BUNDLED_TEXT)
+        doc["machine"]["mram_bytes"] = 2**80
+        doc["experiments"]["strong_scaling"]["buffer_bytes"] = 2**72
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = {"bench": ["bench", "--experiment", "strong_scaling", "--no-baseline",
+                          "--config", str(cfg), "--out-dir", str(tmp_path)],
+                "validate": ["validate", "--profile", str(cfg)]}[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        prefix = "violation: strong_scaling" if command == "validate" else "error"
+        assert captured.out + captured.err == (
+            f"{prefix}: a {2**72} B buffer is beyond the planner's int64 counts: "
+            "its bytes in and out may total at most 2**63 - 1 B\n")
 
     @pytest.mark.parametrize("command", ["validate", "bench", "encrypt"])
     @pytest.mark.parametrize("keys,value,text", [

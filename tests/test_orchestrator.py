@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimcrypt import machine as mc
+from pimcrypt import orchestrator
 from pimcrypt import reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError, ProfileError
@@ -409,6 +410,17 @@ class TestCapacityChecks:
         assert plan.rank_phases.dtype == np.float64
         assert math.isfinite(plan.makespan)
 
+    def test_buffer_beyond_int64_counts_rejected(self):
+        """On a machine whose MRAM holds it, a buffer is planned while its
+        bytes in and out fit int64, and rejected with CapacityError past
+        that; partition_aes used to raise OverflowError."""
+        roomy = _config(dataclasses.replace(PROFILE, mram_bytes=1 << 80))
+        plan = plan_job(AesWorkload(2 ** 62 - 16), dpus_per_rank=1, config=roomy)
+        assert plan.payload_bytes_to_dpu == plan.payload_bytes_from_dpu == 2 ** 62 - 16
+        with pytest.raises(CapacityError, match=r"^a 4611686018427387904 B buffer is beyond "
+                                                r"the planner's int64 counts"):
+            plan_job(AesWorkload(2 ** 62), config=roomy)
+
     @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1])
     def test_message_length_out_of_range_rejected(self, length):
         """A length that int64 cannot hold, or that is not a whole number of
@@ -731,6 +743,35 @@ def test_file_is_planned_and_encrypted_like_its_padded_bytes(tmp_path):
     np.testing.assert_array_equal(result.plan.rank_phases, expected.plan.rank_phases)
     with open(path, "rb") as fh, pytest.raises(ValueError, match="key"):
         run_job(fh)
+
+
+def test_file_chunks_are_one_buffer_to_copy(tmp_path, monkeypatch):
+    """A file's output yields every chunk in the one buffer it was read
+    into, which the next chunk overwrites: a caller who copies each chunk
+    as it comes gets the whole ciphertext."""
+    monkeypatch.setattr(orchestrator, "CHUNK_BYTES", 48)
+    plain = _random_buffer(16 * 10 + 7, seed=7)
+    path = tmp_path / "plain.bin"
+    path.write_bytes(plain)
+    expected = run_job(plain + bytes(9), KEY).output
+    with open(path, "rb") as fh:
+        chunks = [bytes(chunk) for chunk in run_job(fh, KEY).output]
+    assert [len(chunk) for chunk in chunks] == [48, 48, 48, 32]
+    assert b"".join(chunks) == expected
+    with open(path, "rb") as fh:
+        views = list(run_job(fh, KEY).output)
+    assert all(view.obj is views[0].obj for view in views)
+
+
+@pytest.mark.parametrize("n", [0, 7, 16])
+def test_file_buffer_is_sized_to_a_small_input(tmp_path, n):
+    """A file smaller than a chunk is read into a buffer of its padded
+    size, not a whole CHUNK_BYTES."""
+    path = tmp_path / "plain.bin"
+    path.write_bytes(bytes(range(n)))
+    with open(path, "rb") as fh:
+        [chunk] = run_job(fh, KEY).output
+    assert len(chunk.obj) == len(chunk) == n + -n % 16
 
 
 def test_key_with_messages_rejected():
