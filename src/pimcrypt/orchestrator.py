@@ -69,8 +69,8 @@ class ShaWorkload:
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Per-DPU work assignment: four int64 arrays indexed by DPU (units and
-    in_bytes hold Python ints if int64 could not, see partition_sha).
+    """Per-DPU work assignment: four count arrays indexed by DPU, int64 or,
+    if the job's bytes could pass int64, Python ints (see _count_dtype).
 
     units are AES blocks or padded hash blocks; items are AES blocks or
     whole messages (messages are never split, their block chain is
@@ -88,23 +88,35 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     """Split a block-aligned buffer into contiguous per-DPU slices.
 
     Block counts differ by at most one across DPUs and the earlier DPUs take
-    the extra blocks.
+    the extra blocks. The length must be a non-negative integer; a bool or
+    a float is rejected, not truncated.
     """
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
+    if isinstance(buffer_len, bool) or not isinstance(buffer_len, (int, np.integer)) \
+            or buffer_len < 0:
+        raise ValueError(f"buffer length must be a non-negative integer, got {buffer_len!r}")
+    buffer_len = int(buffer_len)
     if buffer_len % aes.BLOCK_BYTES:
         raise AlignmentError(
             f"buffer length {buffer_len} is not a multiple of {aes.BLOCK_BYTES}")
-    blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus)
+    # any sum of a DPU's or rank's bytes in and out is at most 2 * buffer_len
+    blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus, _count_dtype(2 * buffer_len))
     nbytes = aes.BLOCK_BYTES * blocks
     return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
 
 
-def _spread(count: int, n_dpus: int) -> np.ndarray:
+def _count_dtype(bound: int) -> type:
+    """The dtype of a job's counts that are at most bound: int64 if it holds
+    bound, else object, which keeps exact Python ints."""
+    return np.int64 if bound <= _INT64_MAX else object
+
+
+def _spread(count: int, n_dpus: int, dtype: type = np.int64) -> np.ndarray:
     """count split over n_dpus as evenly as possible, the extra ones to the
     earlier DPUs."""
     base, rem = divmod(count, n_dpus)
-    share = np.empty(n_dpus, dtype=np.int64)
+    share = np.empty(n_dpus, dtype=dtype)
     share[:rem] = base + 1
     share[rem:] = base
     return share
@@ -116,8 +128,7 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
 
     Each length must be an integer in 0..MAX_MESSAGE_BYTES. It is checked
     before it is cast to int64, which would wrap a larger one or truncate
-    a fraction. The per-DPU sums are int64 arrays, or object arrays of
-    Python ints if the job's bytes and digests could pass int64."""
+    a fraction."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     lengths = np.asarray(message_lengths)
@@ -129,9 +140,9 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     n = len(lengths)
     messages = _spread(n, n_dpus)
     # any sum of a DPU's or rank's bytes and digests is at most this
-    exact = (longest + DIGEST_BYTES) * n > _INT64_MAX
+    dtype = _count_dtype((longest + DIGEST_BYTES) * n)
     # per message: blocks, bytes; message i in row i // n_dpus, column i % n_dpus
-    grid = np.zeros((2, -(-n // n_dpus) * n_dpus), dtype=object if exact else np.int64)
+    grid = np.zeros((2, -(-n // n_dpus) * n_dpus), dtype=dtype)
     grid[:, :n] = padded_block_count(lengths), lengths
     units, in_bytes = grid.reshape(2, -1, n_dpus).sum(axis=1)
     return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
@@ -209,10 +220,6 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     return replace(base, mram_write_bytes_per_unit=DIGEST_BYTES * total_messages / total_units)
 
 
-def _mram_error(dpu: int, need: int, budget: int) -> CapacityError:
-    return CapacityError(f"DPU {dpu} needs {need} B of MRAM, budget is {budget} B")
-
-
 def plan_job(
     workload: AesWorkload | ShaWorkload,
     *,
@@ -248,20 +255,7 @@ def plan_job(
             f"{total_dpus} DPUs requested but only {profile.usable_dpus} usable"
         )
 
-    mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     if isinstance(workload, AesWorkload):
-        # DPU 0 takes the most blocks and holds them in and out. Its need is
-        # checked on Python ints first, as a larger buffer's int64 counts wrap
-        most = 2 * aes.BLOCK_BYTES * -(-(workload.buffer_len // aes.BLOCK_BYTES) // total_dpus)
-        if most > mram_budget:
-            raise _mram_error(0, most, mram_budget)
-        # partition_aes counts in int64, and each of its per-DPU or per-rank
-        # counts, in or out, is at most the job's bytes in and out
-        if 2 * workload.buffer_len > _INT64_MAX:
-            raise CapacityError(
-                f"a {workload.buffer_len} B buffer is beyond the planner's int64 counts: "
-                f"its bytes in and out may total at most 2**63 - 1 B"
-            )
         partition = partition_aes(workload.buffer_len, total_dpus)
         job_cost = config.kernel_costs["aes128"]
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
@@ -271,10 +265,12 @@ def plan_job(
                                  len(workload.message_lengths), int(partition.units.sum()))
         broadcast_bytes = 0
 
+    mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     need = partition.in_bytes + partition.out_bytes
     over = np.flatnonzero(need > mram_budget)
     if over.size:
-        raise _mram_error(over[0], need[over[0]], mram_budget)
+        raise CapacityError(
+            f"DPU {over[0]} needs {need[over[0]]} B of MRAM, budget is {mram_budget} B")
 
     # Each rank is priced from its byte sums and its DPUs' (units, active
     # tasklets); row r of rank_phases holds its durations in PhaseTimes order.
@@ -292,7 +288,7 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-    # float64 also when the byte sums are Python ints (see partition_sha);
+    # float64 also when the byte sums are Python ints (see _count_dtype);
     # JobPlan rejects a non-finite time
     with np.errstate(over="ignore", invalid="ignore"):
         rank_phases = np.array((
@@ -397,10 +393,10 @@ def run_job(
     takes the options (strategy, n_ranks, tasklets, dpus_per_rank, config).
 
     A workload that exports the buffer protocol is encrypted by its bytes
-    (key required). A binary file (it has readinto) is encrypted too: the
-    job is planned from its fstat size, zero-filled to a whole block, and
-    output streams its ciphertext (see JobResult). A sequence of messages
-    is hashed, with digests returned in input order, and takes no key.
+    (key required). A binary file (readinto, and a fileno for fstat) is
+    encrypted too: the job is planned from its fstat size, zero-filled to a
+    whole block, and output streams its ciphertext (see JobResult). A
+    sequence of messages is hashed (digests in input order); it takes no key.
     """
     if hasattr(workload, "readinto"):
         if key is None:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -696,7 +697,7 @@ class TestConfigErrors:
         # a workload beyond a DPU's MRAM, which bench rejects at its first sweep value
         (("experiments", "weak_scaling", "buffer_bytes"), 64 << 20, ["validate"], 3,
          "violation: weak_scaling: DPU 0 needs 134217728 B of MRAM"),
-        # a workload beyond all MRAM, too large for the planner's int64 counts
+        # a workload beyond all MRAM, rejected before it is allocated
         (("experiments", "weak_scaling", "buffer_bytes"), 1e300, ["validate"], 3,
          "B workload exceeds the MRAM of all 2560 DPUs"),
         (("experiments", "weak_scaling", "buffer_bytes"), 1e300,
@@ -917,10 +918,11 @@ class TestConfigErrors:
         assert 0.0 in _csv_column(tmp_path / "tasklet_scaling.csv", "kernel_s")
 
     @pytest.mark.parametrize("command", ["bench", "validate"])
-    def test_buffer_beyond_int64_counts_is_data_error(self, tmp_path, capsys, command):
+    def test_buffer_beyond_int64_counts_is_planned(self, tmp_path, command):
         """On a machine whose MRAM holds any buffer, one whose bytes in and
-        out pass int64 exits 3 with one message naming the limit; bench and
-        validate used to raise OverflowError from partition_aes."""
+        out pass int64 is planned from its exact counts, as messages are;
+        bench and validate used to exit 3 on it, and before that raised
+        OverflowError from partition_aes."""
         doc = json.loads(_BUNDLED_TEXT)
         doc["machine"]["mram_bytes"] = 2**80
         doc["experiments"]["strong_scaling"]["buffer_bytes"] = 2**72
@@ -929,12 +931,13 @@ class TestConfigErrors:
         argv = {"bench": ["bench", "--experiment", "strong_scaling", "--no-baseline",
                           "--config", str(cfg), "--out-dir", str(tmp_path)],
                 "validate": ["validate", "--profile", str(cfg)]}[command]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        prefix = "violation: strong_scaling" if command == "validate" else "error"
-        assert captured.out + captured.err == (
-            f"{prefix}: a {2**72} B buffer is beyond the planner's int64 counts: "
-            "its bytes in and out may total at most 2**63 - 1 B\n")
+        assert _run(argv) == 0
+        if command == "bench":
+            csv_path = tmp_path / "strong_scaling.csv"
+            times = [_csv_column(csv_path, name)
+                     for name in ("kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s")]
+            assert all(len(column) == 7 for column in times)
+            assert all(math.isfinite(t) for column in times for t in column)
 
     @pytest.mark.parametrize("command", ["validate", "bench", "encrypt"])
     @pytest.mark.parametrize("keys,value,text", [
@@ -983,7 +986,7 @@ _FIELDS = [("experiments", "weak_scaling", name) for name in (
 )] + [
     ("experiments", "rank_scaling", "strategies"),
 ] + [("machine", name) for name in (
-    "wram_bytes", "max_tasklets", "max_mram_access_bytes", "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
+    "wram_bytes", "max_tasklets", "max_mram_access_bytes", "mram_bytes", "dpu_frequency", "cpu_to_dpu_bandwidth_per_rank", "dpu_to_cpu_bandwidth_per_rank",
     "host_prepare_rate", "mram_fixed_cycles", "mram_cycles_per_byte",
 )]
 # values at the ends of the float range, which overflow or round the model's times

@@ -410,16 +410,20 @@ class TestCapacityChecks:
         assert plan.rank_phases.dtype == np.float64
         assert math.isfinite(plan.makespan)
 
-    def test_buffer_beyond_int64_counts_rejected(self):
-        """On a machine whose MRAM holds it, a buffer is planned while its
-        bytes in and out fit int64, and rejected with CapacityError past
-        that; partition_aes used to raise OverflowError."""
+    def test_buffer_beyond_int64_counts_planned_exactly(self):
+        """On a machine whose MRAM holds it, a buffer is planned from its
+        exact byte counts, as Python ints once its bytes in and out pass
+        int64, as messages are; partition_aes used to raise OverflowError
+        and plan_job a CapacityError."""
         roomy = _config(dataclasses.replace(PROFILE, mram_bytes=1 << 80))
-        plan = plan_job(AesWorkload(2 ** 62 - 16), dpus_per_rank=1, config=roomy)
-        assert plan.payload_bytes_to_dpu == plan.payload_bytes_from_dpu == 2 ** 62 - 16
-        with pytest.raises(CapacityError, match=r"^a 4611686018427387904 B buffer is beyond "
-                                                r"the planner's int64 counts"):
-            plan_job(AesWorkload(2 ** 62), config=roomy)
+        for buffer_len in (2 ** 62 - 16, 2 ** 62, 2 ** 72):
+            plan = plan_job(AesWorkload(buffer_len), dpus_per_rank=1, config=roomy)
+            assert plan.payload_bytes_to_dpu == plan.payload_bytes_from_dpu == buffer_len
+            assert plan.rank_phases.dtype == np.float64
+            assert math.isfinite(plan.makespan)
+        part = partition_aes(2 ** 72, 1)
+        assert part.units.tolist() == part.items.tolist() == [2 ** 68]
+        assert part.in_bytes.tolist() == part.out_bytes.tolist() == [2 ** 72]
 
     @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1])
     def test_message_length_out_of_range_rejected(self, length):
@@ -429,6 +433,17 @@ class TestCapacityChecks:
         bounds = rf"^message lengths must be integers in 0\.\.{MAX_MESSAGE_BYTES}$"
         with pytest.raises(ValueError, match=bounds):
             plan_job(ShaWorkload([length]))
+
+    @pytest.mark.parametrize("length", [-16, -8, 32.0, 8.5, True, "32", None])
+    def test_buffer_length_not_a_count_rejected(self, length):
+        """A buffer length that is negative or not an integer is rejected
+        before its alignment is checked: -16 used to give a partition of -1
+        blocks, and 32.0 a TypeError from slicing."""
+        bounds = r"^buffer length must be a non-negative integer, got "
+        with pytest.raises(ValueError, match=bounds):
+            partition_aes(length, 1)
+        with pytest.raises(ValueError, match=bounds):
+            plan_job(AesWorkload(length))
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
