@@ -88,10 +88,12 @@ class ExperimentResult:
 
 
 def _workload_for(spec: ExperimentSpec, scale: int) -> AesWorkload | ShaWorkload:
-    """Workload scaled by the number of workers sharing it (1 = as given)."""
+    """Workload scaled by the number of workers sharing it (1 = as given).
+    A hashing workload's equal lengths are a read-only zero-stride view,
+    which holds one length however many messages it lists."""
     if spec.algorithm == "aes128":
         return AesWorkload(spec.buffer_bytes * scale)
-    return ShaWorkload(np.full(spec.message_count * scale, spec.message_bytes, dtype=np.int64))
+    return ShaWorkload(np.broadcast_to(np.int64(spec.message_bytes), spec.message_count * scale))
 
 
 def run_experiment(

@@ -126,26 +126,38 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     """Assign whole messages to DPUs round-robin by index: DPU d holds
     messages d, d + n_dpus, ...
 
-    Each length must be an integer in 0..MAX_MESSAGE_BYTES. It is checked
-    before it is cast to int64, which would wrap a larger one or truncate
-    a fraction."""
+    The lengths must be one-dimensional, each an integer in
+    0..MAX_MESSAGE_BYTES. They are checked before they are cast to int64,
+    which would wrap a larger one or truncate a fraction. Each DPU's blocks
+    and bytes are summed as dealt (see _deal), so the one per-message array
+    made is the padded block counts; int64 lengths, even a read-only
+    zero-stride view (np.broadcast_to), are read in place."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     lengths = np.asarray(message_lengths)
-    longest = int(lengths.max()) if lengths.size and lengths.dtype.kind in "iu" else 0
-    if lengths.size and (lengths.ndim != 1 or lengths.dtype.kind not in "iu"
-                         or lengths.min() < 0 or longest > MAX_MESSAGE_BYTES):
+    integral = lengths.ndim == 1 and (lengths.dtype.kind in "iu" or not lengths.size)
+    longest = int(lengths.max()) if integral and lengths.size else 0
+    if not integral or lengths.size and (lengths.min() < 0 or longest > MAX_MESSAGE_BYTES):
         raise ValueError(f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}")
     lengths = lengths.astype(np.int64, copy=False)
     n = len(lengths)
     messages = _spread(n, n_dpus)
     # any sum of a DPU's or rank's bytes and digests is at most this
     dtype = _count_dtype((longest + DIGEST_BYTES) * n)
-    # per message: blocks, bytes; message i in row i // n_dpus, column i % n_dpus
-    grid = np.zeros((2, -(-n // n_dpus) * n_dpus), dtype=dtype)
-    grid[:, :n] = padded_block_count(lengths), lengths
-    units, in_bytes = grid.reshape(2, -1, n_dpus).sum(axis=1)
+    units = _deal(padded_block_count(lengths), n_dpus, dtype)
+    in_bytes = _deal(lengths, n_dpus, dtype)
     return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
+
+
+def _deal(values: np.ndarray, n_dpus: int, dtype: type) -> np.ndarray:
+    """Per-DPU sums, in dtype, of values dealt round-robin: DPU d sums values
+    d, d + n_dpus, ... The whole rounds are summed as rows of a reshape,
+    then the short last round is added to the first DPUs."""
+    rounds, rem = divmod(len(values), n_dpus)
+    whole = rounds * n_dpus
+    sums = values[:whole].reshape(rounds, n_dpus).sum(axis=0, dtype=dtype)
+    sums[:rem] += values[whole:]
+    return sums
 
 
 class PhaseTimes(NamedTuple):

@@ -67,9 +67,15 @@ def sha256_pad(message: bytes) -> bytes:
     return message + b"\x80" + b"\x00" * ((55 - len(message)) % 64) + bit_len.to_bytes(8, "big")
 
 
-def padded_block_count(message_len: int) -> int:
-    """Number of 64-byte blocks the message occupies after padding."""
-    return (message_len + 8) // 64 + 1
+def padded_block_count(message_len: int | np.ndarray) -> int | np.ndarray:
+    """Number of 64-byte blocks a message of message_len bytes occupies
+    after padding: an int for an int, an array for an integer array. The
+    argument is not modified; the arithmetic runs in place on the one
+    temporary made here (>> 6 is // 64, both round down)."""
+    count = message_len + 8
+    count >>= 6
+    count += 1
+    return count
 
 
 def _batch_blocks(

@@ -4,6 +4,7 @@ import inspect
 import math
 import random
 import re
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -145,6 +146,22 @@ class TestPartitionSha:
         assert plan.in_bytes[0] == sum(lengths[::7]) and plan.in_bytes[0] >= 10_000
         assert plan.units.sum() == sum(padded_block_count(n) for n in lengths)
 
+    def test_memory_is_one_array_per_message(self):
+        """Partitioning bench's largest hashing plan, 40 x 1,024 messages of
+        32 KiB over 2,560 DPUs given as a zero-stride view, traces at most
+        one int64 per message (the padded block counts) plus the per-DPU
+        sums. A zero-filled (2, n) grid, with the (2, n) copy of the blocks
+        and lengths assigned into it, traced 981 KiB."""
+        lengths = np.broadcast_to(np.int64(32768), 40960)
+        partition_sha(lengths, 2560)
+        tracemalloc.start()
+        try:
+            partition_sha(lengths, 2560)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(lengths) + (128 << 10)
+
     @settings(max_examples=100, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 5000), max_size=200),
@@ -161,6 +178,13 @@ class TestPartitionSha:
         in_bytes = [sum(lengths[i] for i in x) for x in ids]
         assert _arrays(partition_sha(lengths, n_dpus)) == [
             units, [len(x) for x in ids], in_bytes, [32 * len(x) for x in ids],
+        ]
+        # bench's hashing workloads: equal lengths as a read-only zero-stride view
+        length = lengths[-1] if lengths else 0
+        view = np.broadcast_to(np.int64(length), len(lengths))
+        assert _arrays(partition_sha(view, n_dpus)) == [
+            [padded_block_count(length) * len(x) for x in ids], [len(x) for x in ids],
+            [length * len(x) for x in ids], [32 * len(x) for x in ids],
         ]
 
         plan = plan_job(
@@ -425,11 +449,13 @@ class TestCapacityChecks:
         assert part.units.tolist() == part.items.tolist() == [2 ** 68]
         assert part.in_bytes.tolist() == part.out_bytes.tolist() == [2 ** 72]
 
-    @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1])
+    @pytest.mark.parametrize("length", [2 ** 70, 1.5, -1, MAX_MESSAGE_BYTES + 1, []])
     def test_message_length_out_of_range_rejected(self, length):
         """A length that int64 cannot hold, or that is not a whole number of
         bytes, is rejected before it is cast: 2**70 used to raise a bare
-        OverflowError and 1.5 was planned as a 1-byte message."""
+        OverflowError and 1.5 was planned as a 1-byte message. So is an
+        empty list as a length: the (1, 0) lengths [[]] used to get numpy's
+        "setting an array element with a sequence"."""
         bounds = rf"^message lengths must be integers in 0\.\.{MAX_MESSAGE_BYTES}$"
         with pytest.raises(ValueError, match=bounds):
             plan_job(ShaWorkload([length]))

@@ -5,6 +5,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,9 @@ class TestPadding:
             padded = sha256_pad(bytes(n))
             assert len(padded) % 64 == 0
             assert len(padded) == 64 * padded_block_count(n)
+        lengths = np.arange(1001)
+        assert padded_block_count(lengths).tolist() == [padded_block_count(n) for n in range(1001)]
+        assert lengths.tolist() == list(range(1001))
 
     def test_trailer_encodes_bit_length(self):
         padded = sha256_pad(b"xyz")
