@@ -20,7 +20,6 @@ import sys
 from functools import lru_cache
 
 from . import aes
-from . import bench as bh
 from . import machine as mc
 from .errors import AlignmentError, PimcryptError, ProfileError
 from .orchestrator import Strategy, run_job
@@ -182,6 +181,8 @@ def cmd_hash(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bh  # here, so encrypt and hash never load it
+
     config = _load_config(args.config)
     result = bh.run_experiment(
         config.experiments[args.experiment], config, include_baseline=not args.no_baseline
@@ -196,6 +197,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import bench as bh
+
     try:
         config = mc.load_config(args.profile)
     except ProfileError as exc:

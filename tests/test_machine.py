@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,3 +494,107 @@ def test_all_names_resolve():
     assert not hasattr(mc, "default_profile")
     for name in ("ALGORITHMS", "EXPERIMENT_NAMES"):
         assert not hasattr(bench, name), name
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_fresh(code, env_update=()):
+    """The stdout of code run in a fresh interpreter that has pimcrypt on
+    its path and, of the BLAS thread variables, only those in env_update."""
+    import pimcrypt
+
+    src = os.path.dirname(os.path.dirname(pimcrypt.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_update)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _threads_after(imports, env_update):
+    """The native thread count of a fresh interpreter after imports; checks
+    that the imports left os.environ as they found it."""
+    code = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        f"{imports}\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(*[line.split()[1] for line in fh if line.startswith('Threads:')])\n"
+        "print(os.environ == before)\n"
+    )
+    threads, unchanged = _run_fresh(code, env_update).split()
+    assert unchanged == "True", imports
+    return int(threads)
+
+
+def _numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        return "unknown"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="counts threads from /proc/self/status")
+@pytest.mark.parametrize("env_update, imports, expected", [
+    ({}, "import pimcrypt", 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "import pimcrypt.orchestrator", None),
+    ({"OMP_NUM_THREADS": "2"}, "import pimcrypt.orchestrator", None),
+    ({}, "import numpy\nimport pimcrypt.orchestrator", None),
+])
+def test_numpy_starts_with_one_blas_thread_unless_the_caller_decides(
+    env_update, imports, expected
+):
+    """Importing pimcrypt first loads numpy without OpenBLAS's worker pool,
+    and leaves os.environ as it was. A caller who sets a thread variable or
+    imports numpy first gets the threads a plain import numpy starts under
+    the same environment (expected None), once pimcrypt has loaded numpy."""
+    if "openblas" not in _numpy_blas_name().lower():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    if expected is None:
+        expected = _threads_after("import numpy", env_update)
+    assert _threads_after(imports, env_update) == expected
+
+
+def test_no_blas_call_in_the_package():
+    """pimcrypt calls no BLAS routine: no matrix product, dot, einsum or
+    linalg. The package imports numpy with one OpenBLAS thread on that
+    ground; whoever adds such a call revisits that guard in __init__."""
+    import pimcrypt
+
+    blas = {"dot", "vdot", "matmul", "inner", "outer", "tensordot", "einsum", "linalg"}
+    found = []
+    for path in sorted(Path(pimcrypt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.alias):
+                names = set(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                names = set((node.module or "").split("."))
+            else:
+                names = set()
+            if names & blas or isinstance(node, ast.MatMult):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {names or '@'}")
+    assert not found
+
+
+def test_package_and_cli_load_only_what_they_use():
+    """import pimcrypt loads no submodule; an exported name loads its own on
+    first use, and the command line loads bench only to run bench or
+    validate."""
+    code = (
+        "import sys\n"
+        "import pimcrypt\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pimcrypt.')))\n"
+        "import pimcrypt.cli\n"
+        "print('pimcrypt.bench' in sys.modules)\n"
+        "pimcrypt.run_experiment\n"
+        "print('pimcrypt.bench' in sys.modules)\n"
+    )
+    assert _run_fresh(code).splitlines() == ["[]", "False", "True"]
