@@ -43,8 +43,6 @@ _EXPORTS = {
     "aes": ("aes128_encrypt_block", "aes128_encrypt_buffer", "key_expansion"),
     "bench": (
         "ExperimentResult",
-        "ExperimentSpec",
-        "HostProfile",
         "KernelCharacterization",
         "characterize_kernel",
         "emit_csv",
@@ -61,8 +59,11 @@ _EXPORTS = {
     "machine": (
         "Config",
         "ExecutionTimeline",
+        "ExperimentSpec",
+        "HostProfile",
         "KernelCost",
         "MachineProfile",
+        "Strategy",
         "bundled_default_config",
         "effective_ipc",
         "load_config",
@@ -76,7 +77,6 @@ _EXPORTS = {
         "JobResult",
         "PartitionPlan",
         "ShaWorkload",
-        "Strategy",
         "partition_aes",
         "partition_sha",
         "plan_job",

@@ -110,16 +110,17 @@ def run_experiment(
     timeline fails validate_timeline. Rows are ordered by sweep value, one
     per strategy (in spec order) at each value, and carry the kernel speedup
     over the first row. Every point is planned before anything is measured,
-    so a point the planner rejects fails the run at once. rank_scaling alone
-    spans several ranks, so it alone lists strategies, records them and,
-    unless include_baseline is false, a host software baseline: the median
-    of BASELINE_REPETITIONS runs on about BASELINE_CAP_BYTES (whole
-    messages, for hashing), extrapolated linearly per byte.
+    so a point the planner rejects fails the run at once. The experiment
+    whose axis is n_ranks (rank_scaling) alone spans several ranks, so it
+    alone lists strategies, records them and, unless include_baseline is
+    false, a host software baseline: the median of BASELINE_REPETITIONS
+    runs on about BASELINE_CAP_BYTES (whole messages, for hashing),
+    extrapolated linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
     spec.check_machine(config.machine)
-    _, scales = mc.EXPERIMENTS[spec.experiment]
+    axis, scales = mc.EXPERIMENTS[spec.experiment]
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
         # a workload per sweep value, so no two values' workloads are alive at once
@@ -153,7 +154,7 @@ def run_experiment(
         "seed": BASELINE_SEED,
         "generator": "numpy-default_rng",
     }
-    if spec.experiment == "rank_scaling":
+    if axis == "n_ranks":
         meta["strategies"] = ",".join(s.value for s in spec.strategies)
         if include_baseline:
             rate = _measure_baseline(spec, meta)

@@ -18,6 +18,8 @@ A block's message schedule does not depend on the running state, so the
 schedules of many steps are computed ahead, SCHEDULE_BATCH_BLOCKS blocks
 at a time (the multi-buffer technique of Gueron and Krasnov, "Parallelizing
 message schedules to accelerate the computations of hash functions", 2012).
+Padding has one rule, _padding: sha256_pad appends it, and the ragged pass
+builds only the part of it that falls inside each schedule batch.
 sha256_digest is the one-message case of sha256_many.
 """
 
@@ -59,12 +61,19 @@ _SCHEDULE_SHIFTS = tuple(np.array(n, dtype=np.uint32) for n in (7, 25, 18, 14, 3
 _ROUND_SHIFTS = tuple(np.array(n, dtype=np.uint32) for n in (6, 26, 11, 21, 25, 7, 2, 30, 13, 19, 22, 10))
 
 
+def _padding(message_len: int) -> bytes:
+    """What padding appends to a message_len-byte message (FIPS 180-4 5.1.1):
+    0x80, zeros to fill padded_block_count(message_len) blocks, then the bit
+    length as a 64-bit big-endian integer."""
+    zeros = BLOCK_BYTES * padded_block_count(message_len) - message_len - 9
+    return b"\x80" + bytes(zeros) + (8 * message_len).to_bytes(8, "big")
+
+
 def sha256_pad(message: bytes) -> bytes:
-    """Append the 0x80 marker, zero fill and the 64-bit big-endian bit length."""
+    """The message followed by its padding."""
     if len(message) > MAX_MESSAGE_BYTES:
         raise ValueError("message too long for a 64-bit length field")
-    bit_len = 8 * len(message)
-    return message + b"\x80" + b"\x00" * ((55 - len(message)) % 64) + bit_len.to_bytes(8, "big")
+    return message + _padding(len(message))
 
 
 def padded_block_count(message_len: int | np.ndarray) -> int | np.ndarray:
@@ -79,38 +88,26 @@ def padded_block_count(message_len: int | np.ndarray) -> int | np.ndarray:
 
 
 def _batch_blocks(
-    messages: list[bytes | memoryview],
-    lengths: np.ndarray,
-    counts: np.ndarray,
-    active: np.ndarray,
-    s0: int,
+    messages: list[bytes | memoryview], counts: np.ndarray, active: np.ndarray, s0: int
 ) -> np.ndarray:
     """Padded blocks s0 .. s0 + len(active) - 1 of the running lanes, as
     (blocks, 16) words, step by step: step s0's lanes first, then s0 + 1's.
-    messages, lengths and counts list every lane, longest chain first.
+    messages and counts list every lane, longest chain first.
 
-    Each lane's bytes are sliced from its message and zero-filled to whole
-    blocks; the 0x80 markers and bit-length trailers that fall inside the
-    batch are then written in place, all lanes at once.
+    A lane's bytes are its slice of the message and, past the message's
+    end, the matching slice of its _padding, so no message is copied whole.
     """
-    m0 = active[0]
     lo = BLOCK_BYTES * s0
-    lengths, counts = lengths[:m0], counts[:m0]
-    ends = np.minimum(counts, s0 + len(active))
-    his = BLOCK_BYTES * ends
-    chunks = [  # bytes() of a memoryview slice: views have no ljust
-        bytes(message[lo:hi]).ljust(hi - lo, b"\x00")
-        for message, hi in zip(messages, his.tolist())
-    ]
-    data = np.frombuffer(bytearray(b"".join(chunks)), dtype=np.uint8)
-    size = his - lo
-    start = np.cumsum(size) - size  # each lane's first byte in data
-    marked = (lo <= lengths) & (lengths < his)
-    data[start[marked] + lengths[marked] - lo] = 0x80
-    last = ends == counts
-    data.view(">u8")[(start[last] + size[last]) // 8 - 1] = 8 * lengths[last].astype(np.uint64)
-    words = data.view(">u4").reshape(-1, 16)
-    first = start // BLOCK_BYTES  # each lane's first row in words
+    his = BLOCK_BYTES * np.minimum(counts[: active[0]], s0 + len(active))
+    chunks = []
+    for message, hi in zip(messages, his.tolist()):
+        chunks.append(message[lo:hi])
+        n = len(message)
+        if hi > n:
+            chunks.append(_padding(n)[max(lo - n, 0) : hi - n])
+    words = np.frombuffer(b"".join(chunks), dtype=">u4").reshape(-1, 16)
+    rows = his // BLOCK_BYTES - s0  # each lane's blocks in the batch
+    first = np.cumsum(rows) - rows  # each lane's first row in words
     return words[np.concatenate([first[:m] + t for t, m in enumerate(active)])]
 
 
@@ -200,7 +197,7 @@ def sha256_many(messages: list[bytes | bytearray | memoryview]) -> list[bytes]:
         raise ValueError("message too long for a 64-bit length field")
     by_count = padded_block_count(lengths)
     order = np.argsort(-by_count, kind="stable")
-    lengths, counts = lengths[order], by_count[order]
+    counts = by_count[order]
     ordered = [messages[i] for i in order.tolist()]
     # active[s]: the lanes with more than s blocks, a prefix of the sorted lanes
     active = n - np.cumsum(np.bincount(counts))[: counts[0]]
@@ -210,7 +207,7 @@ def sha256_many(messages: list[bytes | bytearray | memoryview]) -> list[bytes]:
     while s0 < len(active):
         limit = done[s0] - active[s0] + SCHEDULE_BATCH_BLOCKS
         s1 = max(s0 + 1, int(np.searchsorted(done, limit, side="right")))
-        wk = _schedule(_batch_blocks(ordered, lengths, counts, active[s0:s1], s0))
+        wk = _schedule(_batch_blocks(ordered, counts, active[s0:s1], s0))
         start = 0
         for m in active[s0:s1].tolist():
             compress = _compress_packed if m <= PACKED_MAX_LANES else _compress

@@ -586,15 +586,21 @@ def test_no_blas_call_in_the_package():
 
 def test_package_and_cli_load_only_what_they_use():
     """import pimcrypt loads no submodule; an exported name loads its own on
-    first use, and the command line loads bench only to run bench or
-    validate."""
+    first use (the config records and Strategy are machine's, with what
+    machine imports), and the command line loads bench only to run bench
+    or validate."""
     code = (
         "import sys\n"
         "import pimcrypt\n"
-        "print(sorted(m for m in sys.modules if m.startswith('pimcrypt.')))\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('pimcrypt.'))\n"
+        "print(loaded())\n"
+        "pimcrypt.HostProfile, pimcrypt.ExperimentSpec, pimcrypt.Strategy\n"
+        "print(loaded())\n"
         "import pimcrypt.cli\n"
         "print('pimcrypt.bench' in sys.modules)\n"
         "pimcrypt.run_experiment\n"
         "print('pimcrypt.bench' in sys.modules)\n"
     )
-    assert _run_fresh(code).splitlines() == ["[]", "False", "True"]
+    machine = ["pimcrypt.aes", "pimcrypt.costs", "pimcrypt.errors", "pimcrypt.machine",
+               "pimcrypt.sha256"]
+    assert _run_fresh(code).splitlines() == ["[]", str(machine), "False", "True"]

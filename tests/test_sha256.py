@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -169,23 +170,52 @@ class TestCompressionPaths:
     """sha256_many compresses a step on packed ints when it has at most
     PACKED_MAX_LANES lanes and with numpy otherwise. Threshold 0 runs every
     step with numpy, 10**6 every step packed, and 4 switches path inside a
-    schedule batch as the lanes run out."""
+    schedule batch as the lanes run out. Schedule batches of 1 and 3
+    blocks end a batch inside every boundary length's padding, so each
+    marker and trailer is built across a batch edge; the default batch
+    keeps the plain ids."""
 
     @pytest.mark.parametrize("threshold", [0, 4, 10**6])
+    @pytest.mark.parametrize(
+        "batch", [SCHEDULE_BATCH_BLOCKS, 1, 3], ids=[pytest.HIDDEN_PARAM, "batch1", "batch3"]
+    )
     @settings(max_examples=30, deadline=None)
     @given(
         lengths=st.lists(st.sampled_from(_BOUNDARY_LENGTHS) | st.integers(0, 700), max_size=40),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ragged_pass_matches_hashlib(self, threshold, lengths, seed):
+    def test_ragged_pass_matches_hashlib(self, threshold, batch, lengths, seed):
         rng = random.Random(seed)
         lengths = list(_BOUNDARY_LENGTHS) + lengths
         rng.shuffle(lengths)
         msgs = [rng.randbytes(n) for n in lengths]
-        with mock.patch.object(sha256_module, "PACKED_MAX_LANES", threshold):
+        with (
+            mock.patch.object(sha256_module, "PACKED_MAX_LANES", threshold),
+            mock.patch.object(sha256_module, "SCHEDULE_BATCH_BLOCKS", batch),
+        ):
             assert sha256_many(msgs) == [hashlib.sha256(m).digest() for m in msgs]
 
     def test_long_single_chain(self):
         """64 KiB is 1,025 one-lane steps."""
         msg = random.Random(14).randbytes(64 << 10)
         assert sha256_digest(msg) == hashlib.sha256(msg).digest()
+
+
+def test_batch_of_a_long_message_copies_no_whole_message():
+    """The last schedule batch of one 4 MiB message is built from that
+    batch's bytes alone: 128 KiB of blocks, where a whole-message copy to
+    pad it would trace over 4 MiB."""
+    message = bytes(4 << 20)
+    count = padded_block_count(len(message))
+    counts = np.array([count])
+    active = np.ones(SCHEDULE_BATCH_BLOCKS, dtype=np.int64)
+    s0 = count - SCHEDULE_BATCH_BLOCKS
+    tracemalloc.start()
+    try:
+        blocks = sha256_module._batch_blocks([message], counts, active, s0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    expected = sha256_pad(message)[64 * s0 :]
+    assert blocks.astype(">u4").tobytes() == expected
