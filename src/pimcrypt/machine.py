@@ -328,10 +328,15 @@ def simulate_rank_kernel(
     The DPUs of a rank run independently and the rank finishes with its
     slowest one. A DPU's time depends only on its (units, tasklets) pair, so
     each distinct pair of the job is priced once, in the order of its first
-    DPU (row-major): the first invalid pair raises first.
+    DPU (row-major): the first invalid pair raises first. One pair, as an
+    even split gives, is priced from DPU 0; more are found by a stable sort.
     """
+    if not units.size:
+        return [0.0] * len(units)
+    low, high = int(tasklets.min()), int(tasklets.max())
+    if low == high and units.min() == units.max():
+        return [simulate_dpu_kernel(int(units.flat[0]), low, cost, profile)] * len(units)
     # one key per pair, as tasklets - low lies in 0..high - low
-    low, high = int(tasklets.min(initial=0)), int(tasklets.max(initial=0))
     key = (units * (high - low + 1) + (tasklets - low)).ravel()
     # a stable sort keeps equal keys in DPU order, so each run of equal
     # keys starts at its pair's first DPU

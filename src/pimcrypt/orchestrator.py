@@ -130,22 +130,28 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     0..MAX_MESSAGE_BYTES. They are checked before they are cast to int64,
     which would wrap a larger one or truncate a fraction. Each DPU's blocks
     and bytes are summed as dealt (see _deal), so the one per-message array
-    made is the padded block counts; int64 lengths, even a read-only
-    zero-stride view (np.broadcast_to), are read in place."""
+    made is the padded block counts; int64 lengths are read in place, and a
+    zero-stride view (np.broadcast_to) is priced from the one length it repeats."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     lengths = np.asarray(message_lengths)
     integral = lengths.ndim == 1 and (lengths.dtype.kind in "iu" or not lengths.size)
-    longest = int(lengths.max()) if integral and lengths.size else 0
-    if not integral or lengths.size and (lengths.min() < 0 or longest > MAX_MESSAGE_BYTES):
+    repeated = integral and lengths.size > 1 and not lengths.strides[0]
+    distinct = lengths[:1] if repeated else lengths
+    longest = int(distinct.max()) if integral and lengths.size else 0
+    if not integral or lengths.size and (distinct.min() < 0 or longest > MAX_MESSAGE_BYTES):
         raise ValueError(f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}")
-    lengths = lengths.astype(np.int64, copy=False)
     n = len(lengths)
     messages = _spread(n, n_dpus)
     # any sum of a DPU's or rank's bytes and digests is at most this
     dtype = _count_dtype((longest + DIGEST_BYTES) * n)
-    units = _deal(padded_block_count(lengths), n_dpus, dtype)
-    in_bytes = _deal(lengths, n_dpus, dtype)
+    if repeated:
+        per_dpu = messages.astype(dtype, copy=False)
+        units, in_bytes = per_dpu * padded_block_count(longest), per_dpu * longest
+    else:
+        lengths = lengths.astype(np.int64, copy=False)
+        units = _deal(padded_block_count(lengths), n_dpus, dtype)
+        in_bytes = _deal(lengths, n_dpus, dtype)
     return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
 
 
@@ -195,8 +201,7 @@ class JobPlan:
             raise ValueError(f"strategy must be a Strategy, not {self.strategy!r} "
                              f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
         self.rank_phases.flags.writeable = False
-        with np.errstate(over="ignore", invalid="ignore"):  # the timeline rejects a non-finite time
-            times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
+        times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
         try:
             timeline = mc.ExecutionTimeline(times)
         except ValueError:  # _schedule's times are (ranks, 8), so only a non-finite time
@@ -289,7 +294,7 @@ def plan_job(
     shape = (n_ranks, dpus_per_rank)
     rank_in, rank_out = (b.reshape(shape).sum(axis=1)
                          for b in (partition.in_bytes, partition.out_bytes))
-    active = np.where(partition.items > 0, np.minimum(partition.items, tasklets), 1)
+    active = np.minimum(np.maximum(partition.items, 1), tasklets)  # an idle DPU as one tasklet
     kernels = mc.simulate_rank_kernel(
         partition.units.reshape(shape), active.reshape(shape), job_cost, profile
     )
@@ -335,30 +340,37 @@ _SCHEDULES = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the timeline rejects a non-finite time
 def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndarray:
     """The (ranks, 8) event times: phase starts set by the strategy from t0,
     and ends as start + duration, for the (ranks, 4) durations of at least
-    one rank. cumsum adds left to right (not pairwise), so every time is the
-    float a rank-by-rank loop gives."""
+    one rank. _running_sums adds left to right (not pairwise), so every
+    time is the float a rank-by-rank loop gives."""
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
-    prepare, to_dpu, kernel, from_dpu = rank_phases.T
+    _, to_dpu, kernel, from_dpu = rank_phases.T
     times = np.empty((len(rank_phases), len(mc.EVENT_KINDS)))
-    starts = times[:, ::2]
     # the host stages one rank after the other, each after the previous
     # rank's inbound transfer if it waits for it
-    steps = rank_phases[:, :2] if waits_for_inbound else rank_phases[:, :1]
-    staged = np.concatenate(([t0], steps.ravel())).cumsum()
-    starts[:, 0] = staged[:-1:steps.shape[1]]
-    starts[:, 1] = starts[:, 0] + prepare  # the inbound transfer starts as staging ends
-    to_ends = starts[:, 1] + to_dpu
-    starts[:, 2] = to_ends.max() if launch_barrier else to_ends
-    kernel_ends = starts[:, 2] + kernel
-    starts[:, 3] = (
-        np.concatenate(([kernel_ends.max()], from_dpu[:-1])).cumsum()
-        if serial_drain else kernel_ends
-    )
-    times[:, 1::2] = starts + rank_phases
+    step = 2 if waits_for_inbound else 1
+    staged = _running_sums(t0, rank_phases[:, :step])
+    times[:, 0] = staged[:-1:step]
+    times[:, 1] = times[:, 2] = staged[1::step]  # the inbound transfer starts as staging ends
+    times[:, 3] = staged[2::2] if waits_for_inbound else times[:, 2] + to_dpu
+    times[:, 4] = times[:, 3].max() if launch_barrier else times[:, 3]
+    times[:, 5] = times[:, 4] + kernel
+    if serial_drain:  # one rank after the other, once the last kernel ends
+        drained = _running_sums(times[:, 5].max(), from_dpu)
+        times[:, 6], times[:, 7] = drained[:-1], drained[1:]
+    else:
+        times[:, 6], times[:, 7] = times[:, 5], times[:, 5] + from_dpu
     return times
+
+
+def _running_sums(t0: float, steps: np.ndarray) -> np.ndarray:
+    """t0, then t0 plus each of steps in C order, added one at a time."""
+    sums = np.empty(steps.size + 1)
+    sums[0], sums[1:] = t0, steps.ravel()
+    return sums.cumsum()
 
 
 def _encrypt_file(
@@ -453,14 +465,17 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     """Check every timeline invariant; returns all violations (empty = ok).
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
-    One pass over the times array finds the ranks that may break a rule: a
-    negative or decreasing time. Only those rows are checked kind by kind:
-    negative times in (time, kind index) order, then each kind that comes
-    before the kind ahead of it.
+    A clean timeline passes one test of the whole array; otherwise one pass
+    finds the ranks that may break a rule: a negative or decreasing time.
+    Only those rows are checked kind by kind: negative times in (time, kind
+    index) order, then each kind that comes before the kind ahead of it.
     """
     # a clean row starts at or after 0 and never decreases
     times = timeline.times
-    clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
+    ordered, nonnegative = times[:, 1:] >= times[:, :-1], times[:, 0] >= 0
+    if ordered.all() and nonnegative.all():
+        return []
+    clean = nonnegative & ordered.all(axis=1)
     violations = []
     for rank in np.flatnonzero(~clean).tolist():
         row = list(enumerate(times[rank].tolist()))

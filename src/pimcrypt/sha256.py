@@ -96,6 +96,8 @@ def _batch_blocks(
 
     A lane's bytes are its slice of the message and, past the message's
     end, the matching slice of its _padding, so no message is copied whole.
+    The lanes' blocks are joined lane by lane and gathered step by step
+    with one index array.
     """
     lo = BLOCK_BYTES * s0
     his = BLOCK_BYTES * np.minimum(counts[: active[0]], s0 + len(active))
@@ -108,7 +110,10 @@ def _batch_blocks(
     words = np.frombuffer(b"".join(chunks), dtype=">u4").reshape(-1, 16)
     rows = his // BLOCK_BYTES - s0  # each lane's blocks in the batch
     first = np.cumsum(rows) - rows  # each lane's first row in words
-    return words[np.concatenate([first[:m] + t for t, m in enumerate(active)])]
+    # output row j is lane j - (rows of the steps before it) at step steps[j]
+    steps = np.repeat(np.arange(len(active)), active)
+    lanes = np.arange(len(steps)) - np.repeat(np.cumsum(active) - active, active)
+    return words[first[lanes] + steps]
 
 
 def _schedule(blocks: np.ndarray) -> np.ndarray:

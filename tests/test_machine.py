@@ -296,6 +296,34 @@ class TestSimulateRankKernel:
         assert simulate_rank_kernel(*_grid([[], []]), AES_COST, PROFILE) == [0.0, 0.0]
         assert simulate_rank_kernel(*_grid([]), AES_COST, PROFILE) == []
 
+    @pytest.mark.parametrize("pairs,units_vary", [
+        (1, True), (2, True), (35, True), (2560, True), (24, False),
+    ])
+    def test_prices_each_distinct_pair_once_in_first_dpu_order(
+        self, monkeypatch, pairs, units_vary
+    ):
+        """On a whole machine's 40 x 64 grid, each distinct (units,
+        tasklets) pair is priced exactly once, in the row-major order of
+        its first DPU, whether the DPUs share one pair or hold 2,560, and
+        also when every DPU holds the same units and only tasklets vary."""
+        rng = np.random.default_rng(pairs)
+        # pair i is (i + 1 units, or 7 for every pair, and tasklets
+        # 1 + i % 24), dealt in a shuffled order
+        which = rng.permutation(np.arange(40 * 64) % pairs).reshape(40, 64)
+        units = which + 1 if units_vary else np.full_like(which, 7)
+        tasklets = 1 + which % 24
+        priced = []
+        price = mc.simulate_dpu_kernel
+        monkeypatch.setattr(mc, "simulate_dpu_kernel",
+                            lambda *args: priced.append(args[:2]) or price(*args))
+        times = simulate_rank_kernel(units, tasklets, AES_COST, PROFILE)
+        assert priced == list(dict.fromkeys(zip(units.flat, tasklets.flat)))
+        assert len(priced) == pairs
+        assert times == [
+            max(price(u, t, AES_COST, PROFILE) for u, t in zip(*rank))
+            for rank in zip(units.tolist(), tasklets.tolist())
+        ]
+
     @settings(max_examples=100, deadline=None)
     @given(
         rows=st.tuples(st.integers(1, 3), st.integers(0, 16)).flatmap(

@@ -162,6 +162,29 @@ class TestPartitionSha:
             tracemalloc.stop()
         assert peak < 8 * len(lengths) + (128 << 10)
 
+    @pytest.mark.parametrize("length,count,n_ranks,mram_bytes", [
+        (32768, 40 * 1024, 40, None),  # bench's largest hashing plan
+        (5000, 2 * 64 * 3 + 77, 2, None),  # not a whole number of rounds
+        (100, 50, 1, None),  # fewer messages than DPUs
+        (MAX_MESSAGE_BYTES, 5, 1, 1 << 64),  # counts past int64: exact Python ints
+    ])
+    def test_zero_stride_view_plans_like_its_list(self, length, count, n_ranks, mram_bytes):
+        """Equal lengths as a zero-stride view, counted once, give the
+        partition and the plan that the same lengths as a list give, with
+        rank phases equal bit for bit."""
+        view = np.broadcast_to(np.int64(length), count)
+        dpus = 64 if mram_bytes is None else 2
+        part = partition_sha(view, n_ranks * dpus)
+        assert _arrays(part) == _arrays(partition_sha([length] * count, n_ranks * dpus))
+        assert part.units.dtype == part.in_bytes.dtype == (object if mram_bytes else np.int64)
+        config = None if mram_bytes is None else _config(
+            dataclasses.replace(PROFILE, mram_bytes=mram_bytes))
+        plans = [plan_job(ShaWorkload(lengths), n_ranks=n_ranks, dpus_per_rank=dpus,
+                          strategy=Strategy.ASYNC_RANK_EXECUTION, config=config)
+                 for lengths in (view, [length] * count)]
+        assert plans[0] == plans[1]
+        assert plans[0].rank_phases.tobytes() == plans[1].rank_phases.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 5000), max_size=200),
@@ -554,6 +577,26 @@ class TestValidateTimeline:
     def test_empty_timeline_ok(self):
         assert validate_timeline(ExecutionTimeline(np.empty((0, 8)))) == []
         assert ExecutionTimeline(np.empty((0, 8))).makespan == 0.0
+
+    @pytest.mark.parametrize("dirty", [
+        {"prepare_start": -1.0},
+        {"launch": 0.0},
+        {"prepare_start": -1.0, "launch": 0.0},
+    ], ids=["negative", "out-of-order", "both"])
+    def test_only_last_rank_dirty_gives_every_violation(self, dirty):
+        """A timeline whose one dirty row is its last still fails the
+        whole-array test, and that row gets the full violation list."""
+        plan = plan_job(AesWorkload(40 << 20), n_ranks=40, strategy=Strategy.SYNC)
+        times = plan.timeline.times.copy()
+        for kind, value in dirty.items():
+            times[-1, EVENT_KINDS.index(kind)] = value
+        violations = validate_timeline(ExecutionTimeline(times))
+        assert violations == _row_walk(times.tolist())
+        assert [(v.rank, v.rule) for v in violations] == [
+            (39, rule) for kind, rule in (("prepare_start", "negative timestamp"),
+                                          ("launch", "launch before transfer_to_end"))
+            if kind in dirty
+        ]
 
 
 # sha256 of repr([(time, rank, kind), ...]), sorted, for a 3-rank,

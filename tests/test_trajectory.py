@@ -1,0 +1,70 @@
+"""tools/trajectory.py times the planner's layers and checks every output
+it times, so a fast wrong planner cannot read as a win. This runs it for
+one round of one repetition, checks the keys of the report it writes, and
+checks that a wrong planner output is reported as a failure."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from pimcrypt import machine as mc
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "trajectory.py"
+_ALGORITHMS = ("aes128", "sha256")
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("trajectory", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_holds_every_curve_point():
+    trajectory = _load()
+    src = str(_PATH.parents[1] / "src")
+    report = json.loads(json.dumps(trajectory.run([("change", src)], 1, 1)))
+    assert set(report) == {"repetitions", "rounds", "host", "runs"}
+    assert (report["repetitions"], report["rounds"]) == (1, 1)
+    assert set(report["host"]) == {"nproc", "cpu_model", "python", "numpy"}
+    run = report["runs"]["change"]
+    assert set(run) == {"commit", "dirty", "source_sha256", "correct", "failures", "curves"}
+    assert run["source_sha256"] == trajectory.source_digest(src)
+    assert run["correct"] and run["failures"] == []
+    assert {curve: set(points) for curve, points in run["curves"].items()} == {
+        "plan_job": {f"{a}/{n}" for a in _ALGORITHMS for n in (1, 10, 40)},
+        "simulate_rank_kernel": {"1", "2", "35", "2560"},
+        "run_experiment": {f"{a}/{e}" for a in _ALGORITHMS for e in mc.EXPERIMENTS},
+    }
+    for points in run["curves"].values():
+        for point in points.values():
+            assert set(point) == {"median_s", "q1_s", "q3_s", "samples", "round_medians_s"}
+            assert 0 < point["q1_s"] <= point["median_s"] <= point["q3_s"]
+
+
+def _price_off_by_a_ulp(monkeypatch):
+    price = mc.simulate_dpu_kernel
+    monkeypatch.setattr(mc, "simulate_dpu_kernel", lambda *args: price(*args) * (1 + 2**-52))
+    return {f"run_experiment {a}/{e}: CSV differs from its fingerprint"
+            for a in _ALGORITHMS for e in mc.EXPERIMENTS}
+
+
+def _rank_priced_by_its_first_dpu(monkeypatch):
+    def first_dpu(units, tasklets, cost, profile):
+        return [mc.simulate_dpu_kernel(int(u[0]), int(t[0]), cost, profile)
+                for u, t in zip(units, tasklets)]
+
+    monkeypatch.setattr(mc, "simulate_rank_kernel", first_dpu)
+    return {f"simulate_rank_kernel with {n} pairs: a rank is not its slowest DPU"
+            for n in (2, 35, 2560)}
+
+
+@pytest.mark.parametrize("fault", [_price_off_by_a_ulp, _rank_priced_by_its_first_dpu])
+def test_wrong_planner_output_is_a_failure(monkeypatch, fault):
+    """A DPU priced one ulp off changes every CSV; a rank priced by its
+    first DPU, not its slowest, leaves every bench CSV as it was (each
+    bench plan has one pair) and shows only in the rank-kernel check."""
+    expected = fault(monkeypatch)
+    assert set(_load().measure(1)["failures"]) == expected
