@@ -44,19 +44,6 @@ from .sha256 import sha256_many
 CSV_COLUMNS = ("sweep", "kernel_s", "to_dpu_s", "from_dpu_s", "prepare_s", "total_s", "baseline_s")
 
 
-def _topology(spec: ExperimentSpec, value: int, machine: mc.MachineProfile) -> dict[str, int]:
-    """plan_job's topology arguments at one sweep value: one full rank, or
-    a single DPU for tasklet scaling, with the swept argument set."""
-    axis, _ = mc.EXPERIMENTS[spec.experiment]
-    topology = {
-        "n_ranks": 1,
-        "dpus_per_rank": 1 if axis == "tasklets" else machine.dpus_per_rank,
-        "tasklets": spec.tasklets,
-    }
-    topology[axis] = value
-    return topology
-
-
 # bytes of workload the host software baseline is measured on
 BASELINE_CAP_BYTES = 1 << 20
 # seed of the generator that draws the host baseline's data
@@ -87,13 +74,30 @@ class ExperimentResult:
     metadata: dict[str, object] = field(default_factory=dict)
 
 
-def _workload_for(spec: ExperimentSpec, scale: int) -> AesWorkload | ShaWorkload:
-    """Workload scaled by the number of workers sharing it (1 = as given).
-    A hashing workload's equal lengths are a read-only zero-stride view,
-    which holds one length however many messages it lists."""
-    if spec.algorithm == "aes128":
-        return AesWorkload(spec.buffer_bytes * scale)
-    return ShaWorkload(np.broadcast_to(np.int64(spec.message_bytes), spec.message_count * scale))
+def _point(spec: ExperimentSpec, value: int,
+           machine: mc.MachineProfile) -> tuple[AesWorkload | ShaWorkload, dict[str, int]]:
+    """plan_job's workload and topology at one sweep value: the spec's
+    workload, scaled by value if EXPERIMENTS says it grows with the sweep,
+    on one full rank (one DPU for tasklet scaling) with the swept argument
+    set. A workload larger than all the machine's MRAM is rejected before
+    it is built; a hashing one's equal lengths are a zero-stride view."""
+    axis, grows = mc.EXPERIMENTS[spec.experiment]
+    scale = value if grows else 1
+    aes_job = spec.algorithm == "aes128"
+    nbytes = (spec.buffer_bytes if aes_job else spec.message_bytes * spec.message_count) * scale
+    if nbytes > machine.usable_dpus * machine.mram_bytes:
+        raise ProfileError(
+            f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs")
+    topology = {
+        "n_ranks": 1,
+        "dpus_per_rank": 1 if axis == "tasklets" else machine.dpus_per_rank,
+        "tasklets": spec.tasklets,
+    }
+    topology[axis] = value
+    if aes_job:
+        return AesWorkload(nbytes), topology
+    lengths = np.broadcast_to(np.int64(spec.message_bytes), spec.message_count * scale)
+    return ShaWorkload(lengths), topology
 
 
 def run_experiment(
@@ -103,31 +107,27 @@ def run_experiment(
 ) -> ExperimentResult:
     """Plan the spec's workload at every sweep value under every strategy.
 
-    machine.EXPERIMENTS names the plan_job argument swept and _topology the
-    others. Each sweep value is priced once, by plan_job under the first
-    strategy; a strategy changes only the schedule, so each other strategy's
-    plan is replace(plan, strategy=s). No row comes from a plan whose
-    timeline fails validate_timeline. Rows are ordered by sweep value, one
-    per strategy (in spec order) at each value, and carry the kernel speedup
+    _point gives plan_job's workload and topology at each sweep value. Each
+    is priced once, by plan_job under the first strategy; a strategy
+    changes only the schedule, so each other strategy's plan is
+    replace(plan, strategy=s). No row comes from a plan whose timeline
+    fails validate_timeline. Rows are ordered by sweep value, one per
+    strategy (in spec order) at each value, and carry the kernel speedup
     over the first row. Every point is planned before anything is measured,
-    so a point the planner rejects fails the run at once. The experiment
-    whose axis is n_ranks (rank_scaling) alone spans several ranks, so it
-    alone lists strategies, records them and, unless include_baseline is
-    false, a host software baseline: the median of BASELINE_REPETITIONS
-    runs on about BASELINE_CAP_BYTES (whole messages, for hashing),
-    extrapolated linearly per byte.
+    so the first point that _point or the planner rejects fails the run.
+    The experiment whose axis is n_ranks (rank_scaling) alone spans several
+    ranks, so it alone lists strategies, records them and, unless
+    include_baseline is false, a host software baseline: the median of
+    BASELINE_REPETITIONS runs on about BASELINE_CAP_BYTES (whole messages,
+    for hashing), extrapolated linearly per byte.
     """
     if config is None:
         config = mc.bundled_default_config()
-    spec.check_machine(config.machine)
-    axis, scales = mc.EXPERIMENTS[spec.experiment]
+    axis = mc.EXPERIMENTS[spec.experiment][0]
     rows: list[ExperimentRow] = []
     for value in spec.sweep:
-        # a workload per sweep value, so no two values' workloads are alive at once
-        plan = plan_job(
-            _workload_for(spec, value if scales else 1), strategy=spec.strategies[0],
-            config=config, **_topology(spec, value, config.machine),
-        )
+        workload, topology = _point(spec, value, config.machine)
+        plan = plan_job(workload, strategy=spec.strategies[0], config=config, **topology)
         for strategy in spec.strategies:
             if strategy is not plan.strategy:
                 plan = replace(plan, strategy=strategy)

@@ -440,7 +440,7 @@ class ExperimentSpec:
     set only for rank_scaling: the other experiments run on one rank,
     where every strategy gives the same schedule, so they run sync alone.
     tasklet_scaling sweeps tasklets, so it may not set them either: its
-    tasklets is a placeholder 0, which bench._topology overwrites with the
+    tasklets is a placeholder 0, which bench._point overwrites with the
     sweep value at every point.
     """
 
@@ -469,19 +469,6 @@ class ExperimentSpec:
             (min(self.message_bytes, self.message_count) >= 1,
              "message_bytes and message_count must be at least 1"),
         )
-
-    def check_machine(self, machine: MachineProfile) -> None:
-        """Reject a spec whose largest workload is larger than all the
-        machine's MRAM, which no plan could hold, before it is allocated."""
-        _, scales = EXPERIMENTS[self.experiment]
-        nbytes = (
-            self.buffer_bytes if self.algorithm == "aes128"
-            else self.message_bytes * self.message_count
-        ) * (self.sweep[-1] if scales else 1)
-        if nbytes > machine.usable_dpus * machine.mram_bytes:
-            raise ProfileError(
-                f"a {nbytes} B workload exceeds the MRAM of all {machine.usable_dpus} DPUs"
-            )
 
     @classmethod
     def from_config(cls, experiment: str, section: dict | None) -> "ExperimentSpec":

@@ -93,8 +93,7 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     """
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    if isinstance(buffer_len, bool) or not isinstance(buffer_len, (int, np.integer)) \
-            or buffer_len < 0:
+    if not _is_integer(buffer_len) or buffer_len < 0:
         raise ValueError(f"buffer length must be a non-negative integer, got {buffer_len!r}")
     buffer_len = int(buffer_len)
     if buffer_len % aes.BLOCK_BYTES:
@@ -104,6 +103,11 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus, _count_dtype(2 * buffer_len))
     nbytes = aes.BLOCK_BYTES * blocks
     return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
+
+
+def _is_integer(value: object) -> bool:
+    """Whether value is a Python or numpy integer; a bool or a float is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _count_dtype(bound: int) -> type:
@@ -251,13 +255,18 @@ def plan_job(
 
     The job is priced on config's machine (the bundled config if None),
     with the kernel cost of the workload's own algorithm;
-    dpus_per_rank=None uses every DPU of a rank.
+    dpus_per_rank=None uses every DPU of a rank. A topology argument that
+    is a bool or not an integer is rejected, not truncated.
     """
     if config is None:
         config = mc.bundled_default_config()
     profile = config.machine
     if dpus_per_rank is None:
         dpus_per_rank = profile.dpus_per_rank
+    for name, value in (("n_ranks", n_ranks), ("dpus_per_rank", dpus_per_rank),
+                        ("tasklets", tasklets)):
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= tasklets <= profile.max_tasklets:
         raise ValueError(f"tasklets must be in 1..{profile.max_tasklets}, got {tasklets}")
     if not 1 <= n_ranks <= profile.num_ranks:

@@ -702,6 +702,11 @@ class TestConfigErrors:
          "B workload exceeds the MRAM of all 2560 DPUs"),
         (("experiments", "weak_scaling", "buffer_bytes"), 1e300,
          ["bench", "--experiment", "weak_scaling", "--no-baseline"], 3, "exceeds the MRAM"),
+        # and a hashing one, whose lengths would pass int64 if they were built
+        *(pytest.param(("experiments", "weak_scaling"), {"algorithm": "sha256", field: 1e300},
+                       argv, 3, "exceeds the MRAM", id=f"sha-{field}-{argv[0]}")
+          for field in ("message_bytes", "message_count")
+          for argv in (["validate"], ["bench", "--experiment", "weak_scaling", "--no-baseline"])),
     ])
     def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
         cfg = _config(tmp_path, value, *keys)
@@ -710,6 +715,7 @@ class TestConfigErrors:
         assert main(argv + flags) == code
         captured = capsys.readouterr()
         assert text in captured.out + captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["encrypt", "hash", "bench", "validate"])
     @pytest.mark.parametrize("section,text", [

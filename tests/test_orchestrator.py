@@ -502,6 +502,25 @@ class TestCapacityChecks:
         with pytest.raises(ValueError):
             plan_job(AesWorkload(160), n_ranks=41)
 
+    @pytest.mark.parametrize("name", ["n_ranks", "dpus_per_rank", "tasklets"])
+    @pytest.mark.parametrize("value", [7.5, 3.0, True, np.float64(2.0), "2"])
+    def test_topology_not_an_integer_rejected(self, name, value):
+        """A topology argument that is not an integer is rejected by name:
+        tasklets=7.5 used to give a plan that said 7.5 and was priced at 7,
+        tasklets=True was planned as 1, and n_ranks=2.5 got numpy's
+        TypeError. run_job forwards them to plan_job, so it rejects them too."""
+        bounds = rf"^{name} must be an integer, got "
+        with pytest.raises(ValueError, match=bounds):
+            plan_job(AesWorkload(1 << 20), **{name: value})
+        with pytest.raises(ValueError, match=bounds):
+            run_job([b"a"], **{name: value})
+
+    @pytest.mark.parametrize("name", ["n_ranks", "dpus_per_rank", "tasklets"])
+    def test_topology_numpy_integer_accepted(self, name):
+        """A numpy integer is an integer, as it is for partition_aes."""
+        plan, expected = (plan_job(AesWorkload(1 << 20), **{name: v}) for v in (np.int64(2), 2))
+        assert (plan.makespan, getattr(plan, name)) == (expected.makespan, 2)
+
 
 class TestBroadcast:
     def test_once_per_job_regardless_of_rank_count(self):

@@ -61,6 +61,14 @@ def _timed(call, repetitions: int) -> list[float]:
     return samples
 
 
+def _point(bench, spec, value: int, machine) -> tuple:
+    """bench._point(spec, value, machine), also in a tree from before it,
+    where bench._workload_for and bench._topology gave the two halves."""
+    if not hasattr(bench, "_point"):
+        return bench._workload_for(spec, value), bench._topology(spec, value, machine)
+    return bench._point(spec, value, machine)
+
+
 def measure(repetitions: int) -> dict:
     """Every curve's per-call samples, and every check that failed, for the
     pimcrypt this process imports."""
@@ -94,8 +102,7 @@ def measure(repetitions: int) -> dict:
         result = results[f"{algorithm}/rank_scaling"]
         spec, strategy = result.spec, result.spec.strategies[0]
         for n_ranks in PLAN_RANKS:
-            workload = bench._workload_for(spec, n_ranks)
-            topology = bench._topology(spec, n_ranks, config.machine)
+            workload, topology = _point(bench, spec, n_ranks, config.machine)
 
             def plan():
                 return orchestrator.plan_job(workload, strategy=strategy, config=config,
