@@ -22,6 +22,7 @@ sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,baseline_s.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -80,7 +81,8 @@ def _point(spec: ExperimentSpec, value: int,
     workload, scaled by value if EXPERIMENTS says it grows with the sweep,
     on one full rank (one DPU for tasklet scaling) with the swept argument
     set. A workload larger than all the machine's MRAM is rejected before
-    it is built; a hashing one's equal lengths are a zero-stride view."""
+    it is built; a hashing one's equal lengths are a read-only int64 view
+    with stride 0, which partition_sha prices from its one length."""
     axis, grows = mc.EXPERIMENTS[spec.experiment]
     scale = value if grows else 1
     aes_job = spec.algorithm == "aes128"
@@ -96,7 +98,10 @@ def _point(spec: ExperimentSpec, value: int,
     topology[axis] = value
     if aes_job:
         return AesWorkload(nbytes), topology
-    lengths = np.broadcast_to(np.int64(spec.message_bytes), spec.message_count * scale)
+    # every message has the same length: a read-only view of its 8 bytes
+    # repeated with stride 0, built directly (np.broadcast_to costs 5x more)
+    one = int(spec.message_bytes).to_bytes(8, sys.byteorder, signed=True)
+    lengths = np.ndarray((spec.message_count * scale,), np.int64, one, 0, (0,))
     return ShaWorkload(lengths), topology
 
 

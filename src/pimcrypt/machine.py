@@ -362,13 +362,15 @@ def simulate_transfer(
     total_bytes: int | np.ndarray, direction: TransferDirection, profile: MachineProfile
 ) -> float | np.ndarray:
     """Time of one batched rank transfer in the given direction, or of each
-    rank's given an int64 array of rank totals.
+    rank's given an array of rank totals (int64, or Python ints past int64);
+    a negative total raises ValueError.
 
     All per-DPU buffers of the rank move as a single batched operation over
     the rank channel, so the time is the rank's byte total over the
     directional bandwidth.
     """
-    if (np.asarray(total_bytes) < 0).any():
+    negative = total_bytes < 0
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValueError("a rank's byte total must be non-negative")
     if direction == "to_dpu":
         bw = profile.cpu_to_dpu_bandwidth_per_rank
@@ -567,7 +569,7 @@ def load_config(path: str) -> Config:
 @lru_cache(maxsize=1)
 def _bundled_doc() -> dict:
     """profiles/default.json as JSON values; cached, so callers must not mutate it."""
-    return json.loads(resources.files("pimcrypt").joinpath("profiles/default.json").read_text())
+    return json.loads(resources.files(__package__).joinpath("profiles/default.json").read_text())
 
 
 @lru_cache(maxsize=1)

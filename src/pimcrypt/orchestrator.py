@@ -88,8 +88,9 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     """Split a block-aligned buffer into contiguous per-DPU slices.
 
     Block counts differ by at most one across DPUs and the earlier DPUs take
-    the extra blocks. The length must be a non-negative integer; a bool or
-    a float is rejected, not truncated.
+    the extra blocks. A block comes back the size it went, so in_bytes and
+    out_bytes are one array. The length must be a non-negative integer; a
+    bool or a float is rejected, not truncated.
     """
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
@@ -135,7 +136,8 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     which would wrap a larger one or truncate a fraction. Each DPU's blocks
     and bytes are summed as dealt (see _deal), so the one per-message array
     made is the padded block counts; int64 lengths are read in place, and a
-    zero-stride view (np.broadcast_to) is priced from the one length it repeats."""
+    view with stride 0 (as bench._point builds) is priced from the one length
+    it repeats."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     lengths = np.asarray(message_lengths)
@@ -293,16 +295,17 @@ def plan_job(
 
     mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
     need = partition.in_bytes + partition.out_bytes
-    over = np.flatnonzero(need > mram_budget)
-    if over.size:
+    if need.max() > mram_budget:  # the first DPU over budget is sought only then
+        over = int(np.argmax(need > mram_budget))
         raise CapacityError(
-            f"DPU {over[0]} needs {need[over[0]]} B of MRAM, budget is {mram_budget} B")
+            f"DPU {over} needs {need[over]} B of MRAM, budget is {mram_budget} B")
 
     # Each rank is priced from its byte sums and its DPUs' (units, active
     # tasklets); row r of rank_phases holds its durations in PhaseTimes order.
     shape = (n_ranks, dpus_per_rank)
-    rank_in, rank_out = (b.reshape(shape).sum(axis=1)
-                         for b in (partition.in_bytes, partition.out_bytes))
+    rank_in = partition.in_bytes.reshape(shape).sum(axis=1)
+    rank_out = (rank_in if partition.out_bytes is partition.in_bytes  # as partition_aes gives
+                else partition.out_bytes.reshape(shape).sum(axis=1))
     active = np.minimum(np.maximum(partition.items, 1), tasklets)  # an idle DPU as one tasklet
     kernels = mc.simulate_rank_kernel(
         partition.units.reshape(shape), active.reshape(shape), job_cost, profile
@@ -314,15 +317,14 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-    # float64 also when the byte sums are Python ints (see _count_dtype);
-    # JobPlan rejects a non-finite time
+    # filled column by column, as float64 also when the byte sums are Python
+    # ints (see _count_dtype); JobPlan rejects a non-finite time
+    rank_phases = np.empty((n_ranks, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        rank_phases = np.array((
-            rank_in / profile.host_prepare_rate,
-            mc.simulate_transfer(rank_in, "to_dpu", profile),
-            kernels,
-            mc.simulate_transfer(rank_out, "from_dpu", profile),
-        ), dtype=np.float64).T
+        rank_phases[:, 0] = rank_in / profile.host_prepare_rate
+        rank_phases[:, 1] = mc.simulate_transfer(rank_in, "to_dpu", profile)
+        rank_phases[:, 2] = kernels
+        rank_phases[:, 3] = mc.simulate_transfer(rank_out, "from_dpu", profile)
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,
@@ -349,12 +351,21 @@ _SCHEDULES = {
 }
 
 
+# a lone rank's (1, 8) event times, as indices into its running sums: t0,
+# then each phase's end
+_BACK_TO_BACK = np.array([[0, 1, 1, 2, 2, 3, 3, 4]])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the timeline rejects a non-finite time
 def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndarray:
     """The (ranks, 8) event times: phase starts set by the strategy from t0,
     and ends as start + duration, for the (ranks, 4) durations of at least
     one rank. _running_sums adds left to right (not pairwise), so every
-    time is the float a rank-by-rank loop gives."""
+    time is the float a rank-by-rank loop gives. One rank runs its phases
+    back to back under every strategy: each phase starts as the one before
+    it ends."""
+    if len(rank_phases) == 1:
+        return _running_sums(t0, rank_phases)[_BACK_TO_BACK]
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
     _, to_dpu, kernel, from_dpu = rank_phases.T
     times = np.empty((len(rank_phases), len(mc.EVENT_KINDS)))

@@ -2,9 +2,10 @@ import csv
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
-from pimcrypt import bench
+from pimcrypt import bench, orchestrator
 from pimcrypt.bench import (
     CSV_COLUMNS,
     ExperimentResult,
@@ -392,6 +393,35 @@ def test_unholdable_job_fails_before_the_baseline(monkeypatch):
     with pytest.raises(CapacityError, match="DPU 0 needs 67108896 B"):
         run_experiment(spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sha_point_lengths_are_one_length_seen_through_stride_0(monkeypatch, experiment):
+    """At every sweep value a hashing workload's lengths are a read-only
+    int64 view with stride 0 of the right length, and partition_sha prices
+    it from its one length, as it prices the same lengths as an array,
+    without dealing them one by one."""
+    spec = _spec(experiment, algorithm="sha256")
+    machine = bundled_default_config().machine
+    points = [bench._point(spec, value, machine) for value in spec.sweep]
+    dealt = [orchestrator.partition_sha(np.array(w.message_lengths),
+                                        t["n_ranks"] * t["dpus_per_rank"]) for w, t in points]
+
+    def no_deal(*args):
+        raise AssertionError("_deal called on a zero-stride view")
+
+    monkeypatch.setattr(orchestrator, "_deal", no_deal)
+    grows = EXPERIMENTS[experiment][1]
+    for value, (workload, topology), expected in zip(spec.sweep, points, dealt):
+        lengths = workload.message_lengths
+        assert lengths.dtype == np.int64 and lengths.strides == (0,)
+        assert not lengths.flags.writeable
+        assert len(lengths) == spec.message_count * (value if grows else 1)
+        assert lengths[0] == lengths[-1] == spec.message_bytes
+        part = orchestrator.partition_sha(lengths, topology["n_ranks"] * topology["dpus_per_rank"])
+        assert [a.tolist() for a in (part.units, part.items, part.in_bytes, part.out_bytes)] == [
+            a.tolist() for a in (expected.units, expected.items, expected.in_bytes,
+                                 expected.out_bytes)]
 
 
 def test_zero_kernel_time_has_no_speedup():

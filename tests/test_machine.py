@@ -479,6 +479,33 @@ class TestSimulateTransfer:
         with pytest.raises(ValueError, match="non-negative"):
             simulate_transfer(np.array([0, 5, -1, 7], dtype=np.int64), "from_dpu", PROFILE)
 
+    # rank totals as plan_job may pass them: a Python int or numpy scalar
+    # (totals[1]), int64 rank sums, and rank sums past int64 as Python ints
+    _KINDS = {
+        "int": lambda totals: totals[1],
+        "int64": lambda totals: np.int64(totals[1]),
+        "int64 array": lambda totals: np.array(totals, dtype=np.int64),
+        "object array": lambda totals: np.array([2 ** 70, *totals], dtype=object),
+    }
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_one_negative_total_rejected_in_every_form(self, kind):
+        with pytest.raises(ValueError, match="non-negative"):
+            simulate_transfer(self._KINDS[kind]([5, -1, 0]), "to_dpu", PROFILE)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("direction", ["to_dpu", "from_dpu"])
+    def test_every_form_is_its_totals_over_the_bandwidth(self, kind, direction):
+        """Each total, in each form, is priced as the float it over the
+        directional bandwidth is, bit for bit."""
+        bw = (PROFILE.cpu_to_dpu_bandwidth_per_rank if direction == "to_dpu"
+              else PROFILE.dpu_to_cpu_bandwidth_per_rank)
+        total = self._KINDS[kind]([0, 3 << 40, 123_456_789])
+        times = simulate_transfer(total, direction, PROFILE)
+        assert np.atleast_1d(times).astype(np.float64).tolist() == [
+            int(t) / bw for t in np.atleast_1d(total).tolist()]
+        assert type(times) is type(total / bw)
+
 
 @pytest.mark.parametrize("first", ["machine", "orchestrator", "bench", "cli"])
 def test_moved_names_are_one_object_whatever_is_imported_first(first):

@@ -424,6 +424,38 @@ class TestCapacityChecks:
         with pytest.raises(CapacityError, match=r"^DPU 3 needs 67108896 B of MRAM"):
             plan_job(ShaWorkload((10, 10, 10, 64 << 20)), n_ranks=1, dpus_per_rank=4)
 
+    def test_first_of_several_over_budget_named_aes(self, monkeypatch):
+        """An AES split gives the extra blocks to the earlier DPUs, so DPU 0
+        is over first; with the slices reversed (in and out bytes still one
+        array) DPU 3 is the first over and DPU 0 is within budget."""
+        split = orchestrator.partition_aes
+
+        def reversed_split(buffer_len, n_dpus):
+            part = split(buffer_len, n_dpus)
+            nbytes = part.in_bytes[::-1]
+            return orchestrator.PartitionPlan(part.units[::-1], part.items[::-1],
+                                              nbytes, nbytes)
+
+        monkeypatch.setattr(orchestrator, "partition_aes", reversed_split)
+        fit = (PROFILE.mram_bytes - orchestrator.MRAM_RESERVE_BYTES) // 32  # blocks in + out
+        with pytest.raises(CapacityError,
+                           match=rf"^DPU 3 needs {32 * (fit + 1)} B of MRAM, budget is "):
+            plan_job(AesWorkload(16 * (4 * fit + 1)), n_ranks=1, dpus_per_rank=4)
+
+    def test_first_of_several_over_budget_named_sha(self):
+        """DPUs 1 and 3 are over, DPU 3 by more: DPU 1 is named."""
+        with pytest.raises(CapacityError, match=r"^DPU 1 needs 67108896 B of MRAM"):
+            plan_job(ShaWorkload((10, 64 << 20, 10, 65 << 20)), n_ranks=1, dpus_per_rank=4)
+
+    def test_first_of_several_over_budget_named_past_int64(self):
+        """Per-DPU byte sums past int64 are Python ints; DPU 1 (two longest
+        messages) is named, not DPU 3 (three)."""
+        big = MAX_MESSAGE_BYTES
+        lengths = [3, big, 3, big] * 2 + [3, 3, 3, big]
+        assert partition_sha(lengths, 4).in_bytes.dtype == object
+        with pytest.raises(CapacityError, match=rf"^DPU 1 needs {2 * big + 3 + 3 * 32} B of MRAM"):
+            plan_job(ShaWorkload(lengths), n_ranks=1, dpus_per_rank=4)
+
     def test_job_beyond_int64_counts_gets_the_mram_error(self):
         """A buffer whose per-DPU byte counts would wrap in int64 gets the
         per-DPU MRAM error, with the same text as an in-range one; it used

@@ -1,7 +1,8 @@
-"""tools/trajectory.py times the planner's layers and checks every output
-it times, so a fast wrong planner cannot read as a win. This runs it for
-one round of one repetition, checks the keys of the report it writes, and
-checks that a wrong planner output is reported as a failure."""
+"""tools/trajectory.py times the planner's layers of two or more source
+trees in one process and checks every output it times, so a fast wrong
+planner cannot read as a win. This runs it on two copies of this tree for
+two rounds, checks the keys of the report it writes, and checks that a
+wrong planner output is reported as a failure."""
 
 import importlib.util
 import json
@@ -25,23 +26,30 @@ def _load():
 def test_report_holds_every_curve_point():
     trajectory = _load()
     src = str(_PATH.parents[1] / "src")
-    report = json.loads(json.dumps(trajectory.run([("change", src)], 1, 1)))
-    assert set(report) == {"repetitions", "rounds", "host", "runs"}
-    assert (report["repetitions"], report["rounds"]) == (1, 1)
+    report = json.loads(json.dumps(trajectory.run([("parent", src), ("change", src)], 2)))
+    assert set(report) == {"repetitions", "baseline", "host", "runs"}
+    assert (report["repetitions"], report["baseline"]) == (2, "parent")
     assert set(report["host"]) == {"nproc", "cpu_model", "python", "numpy"}
-    run = report["runs"]["change"]
-    assert set(run) == {"commit", "dirty", "source_sha256", "correct", "failures", "curves"}
-    assert run["source_sha256"] == trajectory.source_digest(src)
-    assert run["correct"] and run["failures"] == []
-    assert {curve: set(points) for curve, points in run["curves"].items()} == {
-        "plan_job": {f"{a}/{n}" for a in _ALGORITHMS for n in (1, 10, 40)},
-        "simulate_rank_kernel": {"1", "2", "35", "2560"},
-        "run_experiment": {f"{a}/{e}" for a in _ALGORITHMS for e in mc.EXPERIMENTS},
-    }
-    for points in run["curves"].values():
-        for point in points.values():
-            assert set(point) == {"median_s", "q1_s", "q3_s", "samples", "round_medians_s"}
-            assert 0 < point["q1_s"] <= point["median_s"] <= point["q3_s"]
+    assert set(report["runs"]) == {"parent", "change"}
+    for name, run in report["runs"].items():
+        assert set(run) == {"commit", "dirty", "source_sha256", "correct", "failures", "curves"}
+        assert run["source_sha256"] == trajectory.source_digest(src)
+        assert run["correct"] and run["failures"] == []
+        assert {curve: set(points) for curve, points in run["curves"].items()} == {
+            "plan_job": {f"{a}/{n}" for a in _ALGORITHMS for n in (1, 10, 40)},
+            "simulate_rank_kernel": {"1", "2", "35", "2560"},
+            "run_experiment": {f"{a}/{e}" for a in _ALGORITHMS for e in mc.EXPERIMENTS},
+        }
+        for points in run["curves"].values():
+            for point in points.values():
+                keys = {"median_s", "q1_s", "q3_s", "samples"}
+                if name == "change":  # compared round by round with the baseline
+                    keys |= {"median_ratio", "q1_ratio", "q3_ratio", "wins"}
+                    assert 0 < point["q1_ratio"] <= point["median_ratio"] <= point["q3_ratio"]
+                    assert point["wins"] in (0, 0.5, 1)
+                assert set(point) == keys
+                assert point["samples"] == 2
+                assert 0 < point["q1_s"] <= point["median_s"] <= point["q3_s"]
 
 
 def _price_off_by_a_ulp(monkeypatch):
@@ -67,4 +75,5 @@ def test_wrong_planner_output_is_a_failure(monkeypatch, fault):
     first DPU, not its slowest, leaves every bench CSV as it was (each
     bench plan has one pair) and shows only in the rank-kernel check."""
     expected = fault(monkeypatch)
-    assert set(_load().measure(1)["failures"]) == expected
+    failures = _load().measure({"change": "pimcrypt"}, 1)["failures"]
+    assert set(failures) == {"change"} and set(failures["change"]) == expected

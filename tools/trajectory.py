@@ -5,11 +5,13 @@ Run from the root of a source checkout:
     python3 tools/trajectory.py --out BENCH_<n>.json
     python3 tools/trajectory.py --out BENCH_<n>.json --src parent=../old/src --src change=src
 
-Each --src NAME=DIR is a pimcrypt source tree (default: change=src). Each
-of ROUNDS rounds measures each tree once, in a fresh child process, and the
-trees take turns going first, so two trees are compared in alternating
-pairs under the same host load. The curves, each point timed over
-REPETITIONS calls with time.perf_counter after one untimed warm-up call:
+Each --src NAME=DIR is a pimcrypt source tree (default: change=src), NAME a
+Python identifier. Every tree's package is copied to a temporary directory
+as pimcrypt_<NAME>, and one child process imports them all side by side, so
+the trees are timed under the same host load. Each curve point is timed
+over REPETITIONS rounds with time.perf_counter, after one untimed warm-up
+call of each tree; in a round every tree makes one call, and every other
+round takes the trees in reverse order (A B B A ...). The curves:
 
 * plan_job at 1, 10 and 40 ranks for both algorithms, on bench's own
   rank_scaling workloads under that experiment's first strategy;
@@ -21,66 +23,64 @@ Every output is checked, so a fast wrong planner does not read as a win:
 each experiment's CSV against hostbench/fingerprints.json (read only), each
 plan_job makespan against its row of that experiment, and each rank-kernel
 result against the slowest DPU of each rank priced one by one. The file
-records, per tree, the medians and quartiles of every point over all
-rounds, each round's medians, the commit and whether its tree is dirty,
-the SHA-256 of the measured source (source_digest, which names an
-uncommitted tree too), whether every check passed and the failures; and
-the host facts.
+records, per tree, the median and quartiles of every point's samples, the
+commit and whether its tree is dirty, the SHA-256 of the measured source
+(source_digest, which names an uncommitted tree too), whether every check
+passed and the failures; and the host facts. Each tree after the first (the
+baseline) is compared with it round by round: per point, the median and
+quartiles of the ratios tree / baseline of the two calls in one round, and
+the share of rounds in which the tree was faster.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINTS = os.path.join(ROOT, "hostbench", "fingerprints.json")
-ROUNDS = 6
-REPETITIONS = 20
+REPETITIONS = 120
 PLAN_RANKS = (1, 10, 40)
 RANK_KERNEL_PAIRS = (1, 2, 35, 2560)
 
 
-def _timed(call, repetitions: int) -> list[float]:
-    """Seconds of each of repetitions calls, after one untimed warm-up call."""
-    call()
-    samples = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
+def _alternated(calls: dict[str, object], repetitions: int) -> dict[str, list[float]]:
+    """Seconds of each tree's call in each of repetitions rounds, after one
+    untimed warm-up call of each; odd rounds take the trees in reverse."""
+    for call in calls.values():
         call()
-        samples.append(time.perf_counter() - start)
+    names = list(calls)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    for r in range(repetitions):
+        for name in names if r % 2 == 0 else names[::-1]:
+            call = calls[name]
+            start = time.perf_counter()
+            call()
+            samples[name].append(time.perf_counter() - start)
     return samples
 
 
-def _point(bench, spec, value: int, machine) -> tuple:
-    """bench._point(spec, value, machine), also in a tree from before it,
-    where bench._workload_for and bench._topology gave the two halves."""
-    if not hasattr(bench, "_point"):
-        return bench._workload_for(spec, value), bench._topology(spec, value, machine)
-    return bench._point(spec, value, machine)
-
-
-def measure(repetitions: int) -> dict:
-    """Every curve's per-call samples, and every check that failed, for the
-    pimcrypt this process imports."""
+def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
+    """The curve points of one imported pimcrypt package, each a call to
+    time, and every check of their outputs that failed."""
     import numpy as np
 
-    from pimcrypt import bench, machine, orchestrator
-
-    with open(FINGERPRINTS, encoding="utf-8") as fh:
-        recorded = json.load(fh)["workloads"]["paper-sweep"]["csv_sha256"]
+    bench, machine, orchestrator = (importlib.import_module(f"{package}.{module}")
+                                    for module in ("bench", "machine", "orchestrator"))
     config = machine.bundled_default_config()
-    samples: dict[str, dict[str, list[float]]] = {
-        "plan_job": {}, "simulate_rank_kernel": {}, "run_experiment": {}}
+    points: dict[str, dict] = {"plan_job": {}, "simulate_rank_kernel": {}, "run_experiment": {}}
     failures: list[str] = []
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,10 +88,9 @@ def measure(repetitions: int) -> dict:
             for experiment in machine.EXPERIMENTS:
                 name = f"{algorithm}/{experiment}"
                 spec = machine.ExperimentSpec.from_config(experiment, {"algorithm": algorithm})
-                samples["run_experiment"][name] = _timed(
-                    lambda: bench.run_experiment(spec, config, include_baseline=False),
-                    repetitions)
-                results[name] = bench.run_experiment(spec, config, include_baseline=False)
+                run = partial(bench.run_experiment, spec, config, include_baseline=False)
+                points["run_experiment"][name] = run
+                results[name] = run()
                 path = os.path.join(tmp, f"{algorithm}-{experiment}.csv")
                 bench.emit_csv(results[name], path)
                 with open(path, "rb") as fh:
@@ -102,13 +101,10 @@ def measure(repetitions: int) -> dict:
         result = results[f"{algorithm}/rank_scaling"]
         spec, strategy = result.spec, result.spec.strategies[0]
         for n_ranks in PLAN_RANKS:
-            workload, topology = _point(bench, spec, n_ranks, config.machine)
-
-            def plan():
-                return orchestrator.plan_job(workload, strategy=strategy, config=config,
-                                             **topology)
-
-            samples["plan_job"][f"{algorithm}/{n_ranks}"] = _timed(plan, repetitions)
+            workload, topology = bench._point(spec, n_ranks, config.machine)
+            plan = partial(orchestrator.plan_job, workload, strategy=strategy, config=config,
+                           **topology)
+            points["plan_job"][f"{algorithm}/{n_ranks}"] = plan
             row = next(r for r in result.rows
                        if r.sweep_value == n_ranks and r.strategy is strategy)
             if plan().makespan != row.total_s:
@@ -121,16 +117,37 @@ def measure(repetitions: int) -> dict:
         # pair i is (i + 1 units, 1 + i % 24 tasklets), dealt to DPUs in a shuffled order
         which = rng.permutation(np.arange(shape[0] * shape[1]) % pairs).reshape(shape)
         units, tasklets = which + 1, 1 + which % 24
-        samples["simulate_rank_kernel"][str(pairs)] = _timed(
-            lambda: machine.simulate_rank_kernel(units, tasklets, cost, config.machine),
-            repetitions)
+        price = partial(machine.simulate_rank_kernel, units, tasklets, cost, config.machine)
+        points["simulate_rank_kernel"][str(pairs)] = price
         slowest = [
             max(machine.simulate_dpu_kernel(u, t, cost, config.machine) for u, t in zip(*rank))
             for rank in zip(units.tolist(), tasklets.tolist())
         ]
-        if machine.simulate_rank_kernel(units, tasklets, cost, config.machine) != slowest:
+        if price() != slowest:
             failures.append(f"simulate_rank_kernel with {pairs} pairs: a rank is not its "
                             "slowest DPU")
+    return points, failures
+
+
+def measure(packages: dict[str, str], repetitions: int) -> dict:
+    """Every curve's per-call samples, and every check that failed, of each
+    tree, given as tree name -> the name its pimcrypt package imports by;
+    the trees' calls of each point are timed in alternation."""
+    import numpy as np
+
+    with open(FINGERPRINTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)["workloads"]["paper-sweep"]["csv_sha256"]
+    points, failures = {}, {}
+    for name, package in packages.items():
+        points[name], failures[name] = _points(package, recorded)
+    first = points[next(iter(packages))]
+    samples: dict[str, dict] = {name: {curve: {} for curve in first} for name in packages}
+    for curve, curve_points in first.items():
+        for point in curve_points:
+            timed = _alternated({name: points[name][curve][point] for name in packages},
+                                repetitions)
+            for name, values in timed.items():
+                samples[name][curve][point] = values
     return {"samples": samples, "failures": failures, "numpy": np.__version__}
 
 
@@ -154,6 +171,22 @@ def source_digest(src: str) -> str:
     return digest.hexdigest()
 
 
+def _copy_package(src: str, dest: str, name: str) -> str:
+    """Copy src's pimcrypt package into dest as pimcrypt_<name>, and return
+    that name. A tree from before machine._bundled_doc read its package as
+    __package__ names it "pimcrypt"; the copy reads its own profile."""
+    package = f"pimcrypt_{name}"
+    target = os.path.join(dest, package)
+    shutil.copytree(os.path.join(src, "pimcrypt"), target,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.path.join(target, "machine.py")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace('resources.files("pimcrypt")', "resources.files(__package__)"))
+    return package
+
+
 def _cpu_model() -> str:
     """The CPU model as hostbench/run.py records it."""
     spec = importlib.util.spec_from_file_location(
@@ -163,38 +196,41 @@ def _cpu_model() -> str:
     return run_py.cpu_model()
 
 
-def _spread(values: list[float]) -> dict[str, float]:
+def _spread(values: list[float], unit: str = "_s") -> dict[str, float]:
     if len(values) < 2:
         q1 = median = q3 = values[0]
     else:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "samples": len(values)}
+    return {f"median{unit}": median, f"q1{unit}": q1, f"q3{unit}": q3}
 
 
-def run(trees: list[tuple[str, str]], repetitions: int, rounds: int) -> dict:
-    """Measure each (name, src) tree once per round, in a child process,
-    alternating which goes first, and summarize every curve point."""
-    rounds_of = {name: [] for name, _ in trees}
-    for r in range(rounds):
-        for name, src in trees if r % 2 == 0 else trees[::-1]:
-            env = dict(os.environ, PYTHONPATH=src)
-            done = subprocess.run(
-                [sys.executable, os.path.abspath(__file__), "--child", str(repetitions)],
-                env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=600,
-            )
-            rounds_of[name].append(json.loads(done.stdout.splitlines()[-1]))
+def run(trees: list[tuple[str, str]], repetitions: int) -> dict:
+    """Measure the (name, src) trees side by side in one child process and
+    summarize every curve point of each, and of each tree after the first
+    against the first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        packages = {name: _copy_package(src, tmp, name) for name, src in trees}
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child",
+             json.dumps({"path": tmp, "packages": packages, "repetitions": repetitions})],
+            stdout=subprocess.PIPE, text=True, check=True, timeout=1800,
+        )
+    measured = json.loads(done.stdout.splitlines()[-1])
+    baseline = trees[0][0]
     runs = {}
     for name, src in trees:
-        measured = rounds_of[name]
         curves = {}
-        for curve, points in measured[0]["samples"].items():
-            curves[curve] = {
-                point: {**_spread([s for m in measured for s in m["samples"][curve][point]]),
-                        "round_medians_s": [statistics.median(m["samples"][curve][point])
-                                            for m in measured]}
-                for point in points
-            }
-        failures = sorted({f for m in measured for f in m["failures"]})
+        for curve, points in measured["samples"][name].items():
+            curves[curve] = {}
+            for point, values in points.items():
+                summary = {**_spread(values), "samples": len(values)}
+                if name != baseline:
+                    base = measured["samples"][baseline][curve][point]
+                    ratios = [v / b for v, b in zip(values, base)]
+                    summary.update(_spread(ratios, unit="_ratio"),
+                                   wins=sum(r < 1 for r in ratios) / len(ratios))
+                curves[curve][point] = summary
+        failures = sorted(measured["failures"][name])
         head, status = _git(src, "rev-parse", "HEAD"), _git(src, "status", "--porcelain")
         runs[name] = {
             "commit": head.strip() if head else None,
@@ -206,10 +242,9 @@ def run(trees: list[tuple[str, str]], repetitions: int, rounds: int) -> dict:
         }
     return {
         "repetitions": repetitions,
-        "rounds": rounds,
+        "baseline": baseline,
         "host": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
-                 "python": platform.python_version(),
-                 "numpy": rounds_of[trees[0][0]][0]["numpy"]},
+                 "python": platform.python_version(), "numpy": measured["numpy"]},
         "runs": runs,
     }
 
@@ -219,21 +254,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--src", action="append", metavar="NAME=DIR",
                         help="a pimcrypt source tree to measure (repeatable; default change=src)")
-    parser.add_argument("--child", type=int, metavar="REPETITIONS", help=argparse.SUPPRESS)
+    parser.add_argument("--child", metavar="JSON", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child is not None:  # one measurement, of the pimcrypt on PYTHONPATH
-        print(json.dumps(measure(args.child)))
+    if args.child is not None:  # one measurement of the copied packages under path
+        job = json.loads(args.child)
+        sys.path.insert(0, job["path"])
+        print(json.dumps(measure(job["packages"], job["repetitions"])))
         return 0
     if not args.out:
         parser.error("--out is required")
     trees = []
     for item in args.src or [f"change={os.path.join(ROOT, 'src')}"]:
         name, sep, src = item.partition("=")
-        if not sep or name in dict(trees) or not os.path.isfile(
+        if not sep or not name.isidentifier() or name in dict(trees) or not os.path.isfile(
                 os.path.join(src, "pimcrypt", "__init__.py")):
-            parser.error(f"--src {item!r} is not NAME=DIR with a new NAME and DIR holding pimcrypt")
+            parser.error(f"--src {item!r} is not NAME=DIR with a new identifier NAME and "
+                         "DIR holding pimcrypt")
         trees.append((name, os.path.abspath(src)))
-    report = run(trees, REPETITIONS, ROUNDS)
+    report = run(trees, REPETITIONS)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
