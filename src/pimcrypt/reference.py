@@ -7,8 +7,10 @@ from multiplicative inverses plus the affine transform, and the hash
 constants are extracted from prime roots with exact integer arithmetic.
 A bug in a production lookup table therefore cannot be masked by the same
 bug here. The job scheduler is written rank by rank from the strategy
-rules alone, keyed by the strategies' value strings, and imports nothing
-from the machine model or the orchestrator.
+rules alone, keyed by the strategies' value strings, and the job pricer
+DPU by DPU and tasklet by tasklet from the machine model's written rules,
+keyed by plain values; neither imports anything from the machine model or
+the orchestrator.
 
 These functions are orders of magnitude slower than the production
 kernels and are only meant for correctness checks on small inputs.
@@ -236,6 +238,88 @@ def schedule(strategy: str, phases, t0: float = 0.0) -> list[list[float]]:
         drain = start + from_dpu
         row += [start, drain]
     return rows
+
+
+# bytes of the expanded AES-128 key broadcast to every DPU; bytes of a digest
+KEY_SCHEDULE_BYTES, DIGEST_BYTES = 176, 32
+MRAM_RESERVE_BYTES = 1 << 20  # runtime head-room per DPU
+
+
+def plan(algorithm: str, workload, n_ranks: int, dpus_per_rank: int, tasklets: int,
+         machine: dict, instructions_per_unit: float) -> tuple[list[list[float]], float]:
+    """Each rank's (prepare, to_dpu, kernel, from_dpu) durations of a job,
+    and the time t0 its staging may begin, priced DPU by DPU and tasklet by
+    tasklet; schedule(strategy, phases, t0) then gives its event times.
+
+    workload is an "aes128" buffer's length in bytes or the "sha256"
+    message lengths; machine holds the machine fields by name, and
+    instructions_per_unit is the kernel's op count per 16-byte AES block or
+    64-byte padded hash block. An AES buffer is cut into contiguous slices
+    of whole blocks, the extra blocks to the first DPUs; messages are dealt
+    round-robin, whole. A DPU over its MRAM budget (its bytes in and out
+    beyond mram_bytes less the reserve) raises ValueError, the first first.
+    """
+    n_dpus = n_ranks * dpus_per_rank
+    if algorithm == "aes128":
+        base, rem = divmod(workload // 16, n_dpus)
+        units = [base + (d < rem) for d in range(n_dpus)]
+        items, in_bytes = units, [16 * u for u in units]
+        out_bytes, read, write = in_bytes, 16.0, 16.0
+        t0 = KEY_SCHEDULE_BYTES * dpus_per_rank / machine["cpu_to_dpu_bandwidth_per_rank"]
+    else:
+        units, items, in_bytes = [0] * n_dpus, [0] * n_dpus, [0] * n_dpus
+        for i, length in enumerate(workload):
+            units[i % n_dpus] += (length + 9 + 63) // 64  # the 0x80 byte and the bit length
+            items[i % n_dpus] += 1
+            in_bytes[i % n_dpus] += length
+        out_bytes = [DIGEST_BYTES * n for n in items]
+        # each message's digest write is spread over the job's hash blocks
+        read, write, t0 = 64.0, DIGEST_BYTES * len(workload) / max(sum(units), 1), 0.0
+    budget = machine["mram_bytes"] - MRAM_RESERVE_BYTES
+    for d in range(n_dpus):
+        if in_bytes[d] + out_bytes[d] > budget:
+            raise ValueError(f"DPU {d} needs {in_bytes[d] + out_bytes[d]} B of MRAM, "
+                             f"budget is {budget} B")
+
+    def dpu_seconds(units: int, items: int) -> float:
+        if not units:
+            return 0.0
+        busy = min(max(items, 1), tasklets)  # an idle DPU still runs one tasklet
+        sat = machine["pipeline_saturation_tasklets"]
+        cycles = units * instructions_per_unit / (min(busy, sat) / sat)
+        mram = 0.0
+        for t in range(busy):  # each tasklet streams its share, in tasklet order
+            share = units // busy + (t < units % busy)
+            for per_unit in (read, write):
+                mram += _streamed_cycles(share * per_unit, machine)
+        return (cycles + mram) / machine["dpu_frequency"]
+
+    phases = []
+    for r in range(n_ranks):
+        rank = range(r * dpus_per_rank, (r + 1) * dpus_per_rank)
+        sent, returned = sum(in_bytes[d] for d in rank), sum(out_bytes[d] for d in rank)
+        phases.append([sent / machine["host_prepare_rate"],
+                       sent / machine["cpu_to_dpu_bandwidth_per_rank"],
+                       max(dpu_seconds(units[d], items[d]) for d in rank),
+                       returned / machine["dpu_to_cpu_bandwidth_per_rank"]])
+    return phases, t0
+
+
+def _streamed_cycles(nbytes: float, machine: dict) -> float:
+    """MRAM cycles of one tasklet streaming nbytes in whole accesses of
+    max_mram_access_bytes, the last rounded up to 8 bytes."""
+    if nbytes <= 0:
+        return 0.0
+    chunk = machine["max_mram_access_bytes"]
+    full, rest = divmod(math.ceil(nbytes), chunk)
+
+    def access(size):
+        return max(machine["mram_fixed_cycles"], machine["mram_cycles_per_byte"] * size)
+
+    cycles = full * access(chunk)
+    if rest:
+        cycles += access(-(-rest // 8) * 8)
+    return cycles
 
 
 def union_length(intervals) -> float:

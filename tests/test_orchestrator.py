@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 
 from pimcrypt import machine as mc
 from pimcrypt import orchestrator
-from pimcrypt import reference
+from pimcrypt import bench, reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError, ProfileError
 from pimcrypt.machine import (
+    ALGORITHMS,
     EVENT_KINDS,
+    EXPERIMENTS,
     ExecutionTimeline,
+    ExperimentSpec,
     KernelCost,
+    MachineProfile,
     bundled_default_config,
     simulate_dpu_kernel,
 )
@@ -792,6 +796,123 @@ class TestTimelineArray:
         validator relies on."""
         with pytest.raises(ValueError, match="ranks, 8"):
             ExecutionTimeline(np.zeros(shape))
+
+
+def _phase_rows(plan):
+    """A plan's rank phases as one [prepare, to_dpu, kernel, from_dpu] list per rank."""
+    return plan.rank_phases.tolist()
+
+
+def _planned(workload, strategy, config, **topology):
+    """A plan_job call's rank phases, broadcast time, event times, makespan
+    and phase times, as their repr (which tells -0.0 from 0.0), or the
+    error it raises: a CapacityError by its text, a ProfileError by name."""
+    try:
+        plan = plan_job(workload, strategy=strategy, config=config, **topology)
+    except CapacityError as exc:
+        return "CapacityError", str(exc)
+    except ProfileError:
+        return "ProfileError"
+    return repr((_phase_rows(plan), plan.broadcast_seconds, plan.timeline.times.tolist(),
+                 plan.makespan, tuple(plan.phase_times)))
+
+
+def _oracle(workload, strategy, config, n_ranks, dpus_per_rank, tasklets):
+    """What reference.plan and reference.schedule give for the same call,
+    in _planned's form: a time that is not finite is a ProfileError."""
+    algorithm = "aes128" if isinstance(workload, AesWorkload) else "sha256"
+    size = (workload.buffer_len if algorithm == "aes128"
+            else [int(n) for n in workload.message_lengths])
+    try:
+        phases, t0 = reference.plan(
+            algorithm, size, n_ranks, dpus_per_rank, tasklets,
+            dataclasses.asdict(config.machine), config.kernel_costs[algorithm].instructions_per_unit)
+    except ValueError as exc:
+        return "CapacityError", str(exc)
+    rows = reference.schedule(strategy.value, phases, t0)
+    if not all(math.isfinite(t) for row in rows for t in row):
+        return "ProfileError"
+    phase_times = tuple(reference.union_length([(row[2 * k], row[2 * k + 1]) for row in rows])
+                        for k in range(4))
+    return repr((phases, t0, rows, max(map(max, rows)), phase_times))
+
+
+# a rate or a frequency: a bundled one, or any in a wide range
+_RATE = st.sampled_from([1.5e8, 4.5e8, 6e8, 8e9]) | st.floats(1e3, 1e12)
+# values that drive some modeled time past the float range
+_OVERFLOWS = [("dpu_frequency", 5e-324), ("host_prepare_rate", 5e-324),
+              ("cpu_to_dpu_bandwidth_per_rank", 1e-300),
+              ("dpu_to_cpu_bandwidth_per_rank", 5e-324), ("mram_fixed_cycles", 1.7e308)]
+
+
+@st.composite
+def _oracle_jobs(draw):
+    """A machine of up to 4 ranks x 8 DPUs with every field drawn within
+    its valid range (now and then one that overflows a time), and a job on
+    it: an AES buffer or ragged message lengths (none, too), a topology,
+    tasklets and a strategy."""
+    dpus_per_rank, num_ranks = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    usable = draw(st.integers(1, dpus_per_rank * num_ranks))
+    max_tasklets = draw(st.integers(1, 24))
+    access = 8 * draw(st.integers(1, 256))
+    fields = dict(
+        dpus_per_rank=dpus_per_rank, num_ranks=num_ranks, usable_dpus=usable,
+        dpu_frequency=draw(_RATE), max_tasklets=max_tasklets,
+        pipeline_saturation_tasklets=draw(st.integers(1, max_tasklets)),
+        wram_bytes=max_tasklets * access + draw(st.integers(0, 4096)),
+        mram_bytes=draw(st.sampled_from([64 << 20, 1 << 80]) if draw(st.integers(0, 3))
+                        else st.integers(1, 1 << 22)),
+        cpu_to_dpu_bandwidth_per_rank=draw(_RATE), dpu_to_cpu_bandwidth_per_rank=draw(_RATE),
+        host_prepare_rate=draw(_RATE),
+        mram_fixed_cycles=draw(st.floats(1e-3, 1e4) | st.just(128.0)),
+        mram_cycles_per_byte=draw(st.floats(1e-6, 100) | st.just(0.5)),
+        max_mram_access_bytes=access,
+    )
+    if draw(st.integers(0, 9)) == 0:
+        fields.update([draw(st.sampled_from(_OVERFLOWS))])
+    n_ranks = draw(st.integers(1, min(num_ranks, usable)))
+    topology = dict(n_ranks=n_ranks,
+                    dpus_per_rank=draw(st.integers(1, min(dpus_per_rank, usable // n_ranks))),
+                    tasklets=draw(st.integers(1, max_tasklets)))
+    if draw(st.booleans()):
+        blocks = (st.integers(0, 4096) | st.integers(0, 64) if draw(st.integers(0, 4))
+                  else st.integers(0, 1 << 70))
+        workload = AesWorkload(16 * draw(blocks))
+    else:
+        length = st.integers(0, 5000) | st.sampled_from([0, 55, 56, 64, 119, 120])
+        lengths = draw(st.lists(length, max_size=60))
+        if draw(st.integers(0, 4)) == 0:  # an 8 MiB message
+            lengths.insert(draw(st.integers(0, len(lengths))), 1 << 23)
+        workload = ShaWorkload(lengths)
+    strategy = draw(st.sampled_from(list(Strategy)))
+    return workload, strategy, _config(MachineProfile(**fields)), topology
+
+
+class TestReferencePlan:
+    """plan_job prices and schedules a job exactly as reference.plan and
+    reference.schedule do from the machine model's rules, bit for bit:
+    its rank phases, every event time, the makespan and the phase times,
+    or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(job=_oracle_jobs())
+    def test_plan_equals_reference(self, job):
+        workload, strategy, config, topology = job
+        assert _planned(workload, strategy, config, **topology) == _oracle(
+            workload, strategy, config, **topology)
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_bundled_experiments_equal_reference(self, algorithm, experiment, end):
+        """Each bundled experiment at both ends of its sweep, as bench plans
+        it, under each strategy."""
+        config = bundled_default_config()
+        spec = ExperimentSpec.from_config(experiment, {"algorithm": algorithm})
+        workload, topology = bench._point(spec, spec.sweep[end], config.machine)
+        for strategy in Strategy:
+            assert _planned(workload, strategy, config, **topology) == _oracle(
+                workload, strategy, config, **topology)
 
 
 class TestShaTaskletAssignment:
