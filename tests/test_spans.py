@@ -3,7 +3,9 @@ attributes their callers look up (hostbench/spans.py). A refactor that
 inlines one of them, or calls it by another name, silently drops its span;
 this runs a small operation of each benchmark workload twice under the
 tracer and checks that every span the benchmark expects fires, with the
-same call counts in both operations, as a traced benchmark run requires."""
+same call counts in both operations, as a traced benchmark run requires,
+and that each span fires exactly as often as the planner's structure
+says, so a merged or dropped wrapped call fails here too."""
 
 import contextlib
 import importlib.util
@@ -45,6 +47,35 @@ def _calls(workload, tmp):
     return [bench, [*bench, "--config", str(tmp / "sha256.json")]]
 
 
+# Each span's calls per operation of _calls' instance, spans that fire only.
+# One plan prices each transfer direction once and the key broadcast once
+# more (AES), each distinct (units, active tasklets) pair of its DPUs once
+# (the 4 messages on 4 x 64 DPUs give 4 pairs and the idle DPUs' one), and
+# unions each of its 4 phases once. paper-sweep plans weak_scaling's 4
+# sweep values under sync, for aes128 and then sha256.
+_CALLS = {
+    "encrypt-bulk": {
+        "cli.main": 1, "orchestrator.run_job": 1, "orchestrator.plan_job": 1,
+        "orchestrator.partition_aes": 1, "aes.encrypt_buffer": 1,
+        "machine.simulate_dpu_kernel": 1, "machine.simulate_rank_kernel": 1,
+        "machine.simulate_transfer": 3, "machine.phase_intervals": 4, "machine.busy_time": 4,
+    },
+    "hash-mixed": {
+        "cli.main": 1, "orchestrator.run_job": 1, "orchestrator.plan_job": 1,
+        "orchestrator.partition_sha": 1, "sha256.many": 1,
+        "machine.simulate_dpu_kernel": 5, "machine.simulate_rank_kernel": 1,
+        "machine.simulate_transfer": 2, "machine.phase_intervals": 4, "machine.busy_time": 4,
+    },
+    "paper-sweep": {
+        "cli.main": 2, "bench.run_experiment": 2, "bench.emit_csv": 2,
+        "orchestrator.plan_job": 8, "orchestrator.partition_aes": 4,
+        "orchestrator.partition_sha": 4, "orchestrator.validate_timeline": 8,
+        "machine.simulate_dpu_kernel": 8, "machine.simulate_rank_kernel": 8,
+        "machine.simulate_transfer": 20, "machine.phase_intervals": 32, "machine.busy_time": 32,
+    },
+}
+
+
 @pytest.mark.parametrize("workload", ["encrypt-bulk", "hash-mixed", "paper-sweep"])
 def test_every_expected_span_fires(tmp_path, workload):
     spans = _load_spans()
@@ -58,3 +89,4 @@ def test_every_expected_span_fires(tmp_path, workload):
         summaries.append(tracer.summary())
     assert spans.missing_spans(workload, summaries) == []
     assert spans.unstable_counts(summaries) == []
+    assert {name: s["calls"] for name, s in summaries[0].items() if s["calls"]} == _CALLS[workload]
