@@ -126,6 +126,12 @@ def _parse_value(where: str, name: str, ftype: str, value: object):
     if not isinstance(value, (list, tuple)):
         raise ProfileError(f"{where} field {name} must be a list")
     if ftype == "tuple[int, ...]":
+        try:  # a list of JSON integers that floats hold, as parse_number takes them, in one pass
+            if set(map(type, value)) <= {int} and all(map(math.isfinite, value)):
+                return tuple(value)
+        except OverflowError:
+            pass
+        # a float, or a value parse_number rejects, value by value
         return tuple(parse_number(where, name, v, integer=True) for v in value)
     try:
         return tuple(Strategy.parse(v) for v in value)

@@ -660,6 +660,12 @@ class TestConfigErrors:
         # whole numbers only; 2.5 used to be truncated to 2
         (("experiments", "weak_scaling", "sweep"), [1, 2.5],
          ["bench", "--experiment", "weak_scaling"], 3, "integer"),
+        # a JSON integer too large for a float is not a finite number
+        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400],
+         ["bench", "--experiment", "rank_scaling", "--no-baseline"], 3,
+         "experiment rank_scaling field sweep must be a finite number"),
+        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400], ["validate"], 3,
+         "experiment rank_scaling field sweep must be a finite number"),
         (("experiments", "weak_scaling"), 5,
          ["bench", "--experiment", "weak_scaling"], 3, "weak_scaling"),
         (("experiments", "weak_scaling", "sweep"), "1,4",
