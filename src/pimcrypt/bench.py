@@ -22,7 +22,6 @@ sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,baseline_s.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -36,6 +35,7 @@ from .errors import ProfileError
 from .machine import ExperimentSpec, HostProfile, Strategy
 from .orchestrator import (
     AesWorkload,
+    SameLengths,
     ShaWorkload,
     plan_job,
     validate_timeline,
@@ -81,8 +81,8 @@ def _point(spec: ExperimentSpec, value: int,
     workload, scaled by value if EXPERIMENTS says it grows with the sweep,
     on one full rank (one DPU for tasklet scaling) with the swept argument
     set. A workload larger than all the machine's MRAM is rejected before
-    it is built; a hashing one's equal lengths are a read-only int64 view
-    with stride 0, which partition_sha prices from its one length."""
+    it is built; a hashing one's equal lengths are SameLengths, which
+    partition_sha prices from the one length."""
     axis, grows = mc.EXPERIMENTS[spec.experiment]
     scale = value if grows else 1
     aes_job = spec.algorithm == "aes128"
@@ -98,11 +98,7 @@ def _point(spec: ExperimentSpec, value: int,
     topology[axis] = value
     if aes_job:
         return AesWorkload(nbytes), topology
-    # every message has the same length: a read-only view of its 8 bytes
-    # repeated with stride 0, built directly (np.broadcast_to costs 5x more)
-    one = int(spec.message_bytes).to_bytes(8, sys.byteorder, signed=True)
-    lengths = np.ndarray((spec.message_count * scale,), np.int64, one, 0, (0,))
-    return ShaWorkload(lengths), topology
+    return ShaWorkload(SameLengths(spec.message_bytes, spec.message_count * scale)), topology
 
 
 def run_experiment(

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -188,40 +189,62 @@ EVENT_KINDS = (
 
 
 class ExecutionTimeline:
-    """Event times of one job: times[r, k] is when rank r's EVENT_KINDS[k]
-    event happens, and phase k runs from column 2k to column 2k + 1.
+    """Event times of one job: columns[k][r] is when rank r's EVENT_KINDS[k]
+    event happens, and phase k runs from column 2k to column 2k + 1. Every
+    rank has every event, at a finite time. Timelines with equal times are
+    equal.
 
-    times is the timeline, a read-only copy of the (ranks, 8) array given,
-    which must be finite: every rank has every event. Timelines with equal
-    times are equal.
+    ExecutionTimeline(times) reads a (ranks, 8) array of times, and
+    from_columns takes the 8 columns as lists, which the timeline keeps and
+    no one may change. times is the same as a read-only (ranks, 8) float64
+    array, built on first access.
     """
 
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, times: Iterable[Iterable[float]]) -> None:
-        self.times = np.array(times, dtype=np.float64)
-        if self.times.ndim != 2 or self.times.shape[1] != len(EVENT_KINDS):
+        array = np.array(times, dtype=np.float64)
+        if array.ndim != 2 or array.shape[1] != len(EVENT_KINDS):
             raise ValueError(f"timeline times must be a (ranks, {len(EVENT_KINDS)}) array")
-        if not np.isfinite(self.times).all():
+        if not np.isfinite(array).all():
             raise ValueError("timeline times must be finite")
-        self.times.flags.writeable = False
+        array.flags.writeable = False
+        self.columns = array.T.tolist()
+        self._times = array
+
+    @classmethod
+    def from_columns(cls, columns: list[list[float]]) -> "ExecutionTimeline":
+        """The timeline of 8 columns of one time per rank, kept as given;
+        a time that is not finite raises ValueError."""
+        if not all(map(math.isfinite, chain.from_iterable(columns))):
+            raise ValueError("timeline times must be finite")
+        timeline = cls.__new__(cls)
+        timeline.columns, timeline._times = columns, None
+        return timeline
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._times is None:
+            self._times = np.array(self.columns, dtype=np.float64).T.copy()
+            self._times.flags.writeable = False
+        return self._times
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionTimeline):
             return NotImplemented
-        return np.array_equal(self.times, other.times)
+        return self.columns == other.columns
 
     def __repr__(self) -> str:
         return f"ExecutionTimeline(times={self.times.tolist()!r})"
 
     @property
     def makespan(self) -> float:
-        """The latest time in the array, 0.0 for an empty timeline."""
-        return float(self.times.max()) if self.times.size else 0.0
+        """The latest time, 0.0 for an empty timeline."""
+        return max(map(max, self.columns)) if self.columns[0] else 0.0
 
     def phase_intervals(self, phase: int) -> list[list[float]]:
         """Per-rank [start, end] pairs of phase 0..3, in rank order."""
-        return self.times[:, 2 * phase:2 * phase + 2].tolist()
+        return list(map(list, zip(self.columns[2 * phase], self.columns[2 * phase + 1])))
 
 
 def busy_time(intervals: Iterable[Sequence[float]]) -> float:
@@ -326,57 +349,43 @@ def simulate_dpu_kernel(
 
 
 def simulate_rank_kernel(
-    units: np.ndarray, tasklets: np.ndarray, cost: KernelCost, profile: MachineProfile
+    units: Sequence[Sequence[int]], tasklets: Sequence[Sequence[int]],
+    cost: KernelCost, profile: MachineProfile,
 ) -> list[float]:
-    """Kernel time of each rank of a job; row r of the (ranks, DPUs per rank)
-    int64 arrays units and tasklets holds rank r's DPUs.
+    """Kernel time of each rank of a job; row r of units and tasklets holds
+    the (units, tasklets) pairs of rank r's DPUs, or of its distinct ones.
 
     The DPUs of a rank run independently and the rank finishes with its
-    slowest one. A DPU's time depends only on its (units, tasklets) pair, so
-    each distinct pair of the job is priced once, in the order of its first
-    DPU (row-major): the first invalid pair raises first. One pair, as an
-    even split gives, is priced from DPU 0; more are found by a stable sort.
+    slowest one (0.0 for a rank of none). A DPU's time depends only on its
+    pair, so each distinct pair of the job is priced once, in the order of
+    its first DPU (row-major): the first invalid pair raises first.
     """
-    if not units.size:
-        return [0.0] * len(units)
-    low, high = int(tasklets.min()), int(tasklets.max())
-    if low == high and units.min() == units.max():
-        return [simulate_dpu_kernel(int(units.flat[0]), low, cost, profile)] * len(units)
-    # one key per pair, as tasklets - low lies in 0..high - low
-    key = (units * (high - low + 1) + (tasklets - low)).ravel()
-    # a stable sort keeps equal keys in DPU order, so each run of equal
-    # keys starts at its pair's first DPU
-    order = key.argsort(kind="stable")
-    ranked = key[order]
-    starts = np.empty(key.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    pair = np.empty_like(order)  # DPU -> its pair's index in key order
-    pair[order] = starts.cumsum() - 1
-    firsts = np.zeros(key.size, dtype=bool)
-    firsts[order[starts]] = True
-    first = np.flatnonzero(firsts)  # each pair's first DPU, row-major
-    times = np.empty(first.size)
-    times[pair[first]] = [
-        simulate_dpu_kernel(u, t, cost, profile)
-        for u, t in zip(units.flat[first].tolist(), tasklets.flat[first].tolist())
-    ]
-    return times[pair].reshape(units.shape).max(axis=1, initial=0.0).tolist()
+    priced: dict[tuple[int, int], float] = {}
+    times = []
+    for rank in map(zip, units, tasklets):
+        slowest = 0.0
+        for pair in dict.fromkeys(rank):  # the rank's distinct pairs, in DPU order
+            seconds = priced.get(pair)
+            if seconds is None:
+                seconds = priced[pair] = simulate_dpu_kernel(*pair, cost, profile)
+            if seconds > slowest:
+                slowest = seconds
+        times.append(slowest)
+    return times
 
 
 def simulate_transfer(
-    total_bytes: int | np.ndarray, direction: TransferDirection, profile: MachineProfile
-) -> float | np.ndarray:
+    total_bytes: int | list[int], direction: TransferDirection, profile: MachineProfile
+) -> float | list[float]:
     """Time of one batched rank transfer in the given direction, or of each
-    rank's given an array of rank totals (int64, or Python ints past int64);
-    a negative total raises ValueError.
+    rank's given a list of rank totals; a negative total raises ValueError.
 
     All per-DPU buffers of the rank move as a single batched operation over
     the rank channel, so the time is the rank's byte total over the
     directional bandwidth.
     """
-    negative = total_bytes < 0
-    if negative.any() if isinstance(negative, np.ndarray) else negative:
+    many = isinstance(total_bytes, list)
+    if (min(total_bytes, default=0) if many else total_bytes) < 0:
         raise ValueError("a rank's byte total must be non-negative")
     if direction == "to_dpu":
         bw = profile.cpu_to_dpu_bandwidth_per_rank
@@ -384,7 +393,7 @@ def simulate_transfer(
         bw = profile.dpu_to_cpu_bandwidth_per_rank
     else:
         raise ValueError(f"unknown transfer direction: {direction!r}")
-    return total_bytes / bw
+    return [total / bw for total in total_bytes] if many else total_bytes / bw
 
 
 # ---------------------------------------------------------------------------

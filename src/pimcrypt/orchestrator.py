@@ -3,13 +3,14 @@
 A job takes a workload (an AES buffer or a set of messages to hash), splits
 it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
-machine model). Row r of JobPlan.rank_phases holds rank r's four phase
-durations, and phase k runs from column 2k to 2k + 1 of the timeline's
-(ranks, 8) times array, in which every rank has every event; the phase
-times, the makespan, validation and the CLI's event listing are all read
-from that array. A strategy changes only the schedule: a JobPlan derives
-its timeline from its strategy and rank phases, so replace(plan,
-strategy=s) reschedules the same priced job. Three strategies are supported:
+machine model). A partition and a plan hold Python ints and floats:
+JobPlan.rank_phases holds the four phase durations, one list per phase
+with one entry per rank, and phase k runs from event column 2k to 2k + 1
+of the timeline, in which every rank has every event; the phase times,
+the makespan and validation are read from those columns. A strategy
+changes only the schedule: a JobPlan derives its timeline from its
+strategy and rank phases, so replace(plan, strategy=s) reschedules the
+same priced job. Three strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -33,8 +34,13 @@ transfer ahead of the payload staging.
 
 from __future__ import annotations
 
+import operator
 import os
+from bisect import bisect_left, bisect_right
+from collections import abc
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain, repeat
+from operator import add, le, mul
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +56,6 @@ MRAM_RESERVE_BYTES = 1 << 20  # runtime metadata head-room per DPU
 # A file is encrypted through one buffer of this size, a whole number of
 # aes.BATCH_BLOCKS batches, so streaming adds no kernel batch
 CHUNK_BYTES = 1 << 20
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,32 @@ class ShaWorkload:
     message_lengths: Sequence[int]
 
 
+@dataclass(frozen=True)
+class SameLengths(abc.Sequence):
+    """count message lengths that all equal length, held in O(1) memory;
+    partition_sha prices them from the one length."""
+
+    length: int
+    count: int
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SameLengths(self.length, len(range(self.count)[index]))
+        range(self.count)[index]  # an index out of range raises IndexError
+        return self.length
+
+    def __iter__(self) -> Iterator[int]:
+        return repeat(self.length, self.count)
+
+
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Per-DPU work assignment: four count arrays indexed by DPU, int64 or,
-    if the job's bytes could pass int64, Python ints (see _count_dtype).
+    """Per-DPU work assignment as DPU-ordered runs of DPUs with equal
+    counts: run i is dpus[i] DPUs in a row, each holding units[i],
+    items[i], in_bytes[i] and out_bytes[i], all exact Python ints.
 
     units are AES blocks or padded hash blocks; items are AES blocks or
     whole messages (messages are never split, their block chain is
@@ -78,19 +105,21 @@ class PartitionPlan:
     out_bytes are what the DPU receives and returns.
     """
 
-    units: np.ndarray
-    items: np.ndarray
-    in_bytes: np.ndarray
-    out_bytes: np.ndarray
+    dpus: list[int]
+    units: list[int]
+    items: list[int]
+    in_bytes: list[int]
+    out_bytes: list[int]
 
 
 def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     """Split a block-aligned buffer into contiguous per-DPU slices.
 
     Block counts differ by at most one across DPUs and the earlier DPUs take
-    the extra blocks. A block comes back the size it went, so in_bytes and
-    out_bytes are one array. The length must be a non-negative integer; a
-    bool or a float is rejected, not truncated.
+    the extra blocks, so the partition is at most two runs. A block comes
+    back the size it went, so in_bytes and out_bytes are one list. The
+    length must be a non-negative integer; a bool or a float is rejected,
+    not truncated.
     """
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
@@ -100,10 +129,9 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     if buffer_len % aes.BLOCK_BYTES:
         raise AlignmentError(
             f"buffer length {buffer_len} is not a multiple of {aes.BLOCK_BYTES}")
-    # any sum of a DPU's or rank's bytes in and out is at most 2 * buffer_len
-    blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus, _count_dtype(2 * buffer_len))
-    nbytes = aes.BLOCK_BYTES * blocks
-    return PartitionPlan(units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
+    dpus, blocks = _spread(buffer_len // aes.BLOCK_BYTES, n_dpus)
+    nbytes = [aes.BLOCK_BYTES * n for n in blocks]
+    return PartitionPlan(dpus, units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
 
 
 def _is_integer(value: object) -> bool:
@@ -111,64 +139,55 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _count_dtype(bound: int) -> type:
-    """The dtype of a job's counts that are at most bound: int64 if it holds
-    bound, else object, which keeps exact Python ints."""
-    return np.int64 if bound <= _INT64_MAX else object
-
-
-def _spread(count: int, n_dpus: int, dtype: type = np.int64) -> np.ndarray:
+def _spread(count: int, n_dpus: int) -> tuple[list[int], list[int]]:
     """count split over n_dpus as evenly as possible, the extra ones to the
-    earlier DPUs."""
+    earlier DPUs, as runs: the DPUs of each run and the count of each DPU."""
     base, rem = divmod(count, n_dpus)
-    share = np.empty(n_dpus, dtype=dtype)
-    share[:rem] = base + 1
-    share[rem:] = base
-    return share
+    return ([rem, n_dpus - rem], [base + 1, base]) if rem else ([n_dpus], [base])
 
 
 def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     """Assign whole messages to DPUs round-robin by index: DPU d holds
     messages d, d + n_dpus, ...
 
-    The lengths must be one-dimensional, each an integer in
-    0..MAX_MESSAGE_BYTES. They are checked before they are cast to int64,
-    which would wrap a larger one or truncate a fraction. Each DPU's blocks
-    and bytes are summed as dealt (see _deal), so the one per-message array
-    made is the padded block counts; int64 lengths are read in place, and a
-    view with stride 0 (as bench._point builds) is priced from the one length
-    it repeats."""
+    Each length must be an integer in 0..MAX_MESSAGE_BYTES; a bool or a
+    float is rejected, not truncated. SameLengths is priced from its one
+    length, which is checked once: each DPU's sums are its message count
+    times it, in at most two runs, and no per-message list is made. Other
+    lengths are dealt straight into per-DPU sums (see _deal), one run per
+    DPU."""
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    lengths = np.asarray(message_lengths)
-    integral = lengths.ndim == 1 and (lengths.dtype.kind in "iu" or not lengths.size)
-    repeated = integral and lengths.size > 1 and not lengths.strides[0]
-    distinct = lengths[:1] if repeated else lengths
-    longest = int(distinct.max()) if integral and lengths.size else 0
-    if not integral or lengths.size and (distinct.min() < 0 or longest > MAX_MESSAGE_BYTES):
-        raise ValueError(f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}")
-    n = len(lengths)
-    messages = _spread(n, n_dpus)
-    # any sum of a DPU's or rank's bytes and digests is at most this
-    dtype = _count_dtype((longest + DIGEST_BYTES) * n)
-    if repeated:
-        per_dpu = messages.astype(dtype, copy=False)
-        units, in_bytes = per_dpu * padded_block_count(longest), per_dpu * longest
-    else:
-        lengths = lengths.astype(np.int64, copy=False)
-        units = _deal(padded_block_count(lengths), n_dpus, dtype)
-        in_bytes = _deal(lengths, n_dpus, dtype)
-    return PartitionPlan(units, messages, in_bytes, out_bytes=DIGEST_BYTES * messages)
+    bounds = f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}"
+    if isinstance(message_lengths, SameLengths):
+        length = message_lengths.length
+        if not _is_integer(length) or not 0 <= length <= MAX_MESSAGE_BYTES:
+            raise ValueError(bounds)
+        length, (dpus, messages) = int(length), _spread(len(message_lengths), n_dpus)
+        blocks = padded_block_count(length)
+        return PartitionPlan(dpus, [blocks * n for n in messages], messages,
+                             [length * n for n in messages], [DIGEST_BYTES * n for n in messages])
+    try:
+        if bool in set(map(type, message_lengths)):
+            raise TypeError
+        lengths = list(map(operator.index, message_lengths))
+    except TypeError:
+        raise ValueError(bounds) from None
+    if lengths and (min(lengths) < 0 or max(lengths) > MAX_MESSAGE_BYTES):
+        raise ValueError(bounds)
+    base, rem = divmod(len(lengths), n_dpus)
+    messages = [base + 1] * rem + [base] * (n_dpus - rem)
+    return PartitionPlan([1] * n_dpus, _deal(list(map(padded_block_count, lengths)), n_dpus),
+                         messages, _deal(lengths, n_dpus), [DIGEST_BYTES * n for n in messages])
 
 
-def _deal(values: np.ndarray, n_dpus: int, dtype: type) -> np.ndarray:
-    """Per-DPU sums, in dtype, of values dealt round-robin: DPU d sums values
-    d, d + n_dpus, ... The whole rounds are summed as rows of a reshape,
-    then the short last round is added to the first DPUs."""
-    rounds, rem = divmod(len(values), n_dpus)
-    whole = rounds * n_dpus
-    sums = values[:whole].reshape(rounds, n_dpus).sum(axis=0, dtype=dtype)
-    sums[:rem] += values[whole:]
+def _deal(values: list[int], n_dpus: int) -> list[int]:
+    """Per-DPU sums of values dealt round-robin: DPU d sums values d,
+    d + n_dpus, ..., added one round of n_dpus values at a time."""
+    sums = [0] * n_dpus
+    for start in range(0, len(values), n_dpus):
+        dealt = values[start:start + n_dpus]
+        sums[:len(dealt)] = map(add, sums, dealt)
     return sums
 
 
@@ -185,15 +204,17 @@ class PhaseTimes(NamedTuple):
 class JobPlan:
     """Everything the model derives from a workload before/without running it.
 
-    The schedule (timeline, makespan, phase_times) is derived on construction
-    from strategy, rank_phases and broadcast_seconds, so it always matches them.
+    rank_phases holds each phase's duration per rank, one list per phase
+    in PhaseTimes order, which no one may change. The schedule (timeline,
+    makespan, phase_times) is derived on construction from strategy,
+    rank_phases and broadcast_seconds, so it always matches them.
     """
 
     strategy: Strategy
     n_ranks: int
     dpus_per_rank: int
     tasklets: int
-    rank_phases: np.ndarray = field(compare=False)  # read-only (ranks, 4), PhaseTimes order
+    rank_phases: list[list[float]] = field(compare=False)
     timeline: mc.ExecutionTimeline = field(init=False)
     makespan: float = field(init=False)
     phase_times: PhaseTimes = field(init=False)
@@ -206,11 +227,10 @@ class JobPlan:
         if not isinstance(self.strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, not {self.strategy!r} "
                              f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
-        self.rank_phases.flags.writeable = False
-        times = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
+        columns = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
         try:
-            timeline = mc.ExecutionTimeline(times)
-        except ValueError:  # _schedule's times are (ranks, 8), so only a non-finite time
+            timeline = mc.ExecutionTimeline.from_columns(columns)
+        except ValueError:  # a non-finite time
             raise ProfileError(
                 "the model gives a non-finite time: a machine or kernel cost value is out of range"
             ) from None
@@ -289,27 +309,29 @@ def plan_job(
         broadcast_bytes = EXPANDED_KEY_BYTES * total_dpus
     else:
         partition = partition_sha(workload.message_lengths, total_dpus)
-        job_cost = _sha_cost_for(config.kernel_costs["sha256"],
-                                 len(workload.message_lengths), int(partition.units.sum()))
+        job_cost = _sha_cost_for(config.kernel_costs["sha256"], len(workload.message_lengths),
+                                 sum(map(mul, partition.dpus, partition.units)))
         broadcast_bytes = 0
 
     mram_budget = profile.mram_bytes - MRAM_RESERVE_BYTES
-    need = partition.in_bytes + partition.out_bytes
-    if need.max() > mram_budget:  # the first DPU over budget is sought only then
-        over = int(np.argmax(need > mram_budget))
-        raise CapacityError(
-            f"DPU {over} needs {need[over]} B of MRAM, budget is {mram_budget} B")
+    need = list(map(add, partition.in_bytes, partition.out_bytes))
+    if max(need) > mram_budget:  # the first DPU over budget is sought only then
+        run = next(i for i, n in enumerate(need) if n > mram_budget)
+        raise CapacityError(f"DPU {sum(partition.dpus[:run])} needs {need[run]} B of MRAM, "
+                            f"budget is {mram_budget} B")
 
-    # Each rank is priced from its byte sums and its DPUs' (units, active
-    # tasklets); row r of rank_phases holds its durations in PhaseTimes order.
-    shape = (n_ranks, dpus_per_rank)
-    rank_in = partition.in_bytes.reshape(shape).sum(axis=1)
+    # Ranks of one make-up are priced once, from their byte sums and the
+    # (units, active tasklets) of their runs, and then repeated; an idle DPU
+    # runs as one tasklet.
+    repeats, firsts, counts = _rank_classes(partition.dpus, n_ranks, dpus_per_rank)
+    held = [slice(first, first + len(n)) for first, n in zip(firsts, counts)]
+    rank_in = [sum(map(mul, n, partition.in_bytes[runs])) for runs, n in zip(held, counts)]
     rank_out = (rank_in if partition.out_bytes is partition.in_bytes  # as partition_aes gives
-                else partition.out_bytes.reshape(shape).sum(axis=1))
-    active = np.minimum(np.maximum(partition.items, 1), tasklets)  # an idle DPU as one tasklet
-    kernels = mc.simulate_rank_kernel(
-        partition.units.reshape(shape), active.reshape(shape), job_cost, profile
-    )
+                else [sum(map(mul, n, partition.out_bytes[runs])) for runs, n in zip(held, counts)])
+    busy = {n: min(max(n, 1), tasklets) for n in set(partition.items)}
+    active = list(map(busy.__getitem__, partition.items))
+    kernels = mc.simulate_rank_kernel([partition.units[runs] for runs in held],
+                                      [active[runs] for runs in held], job_cost, profile)
     # Key broadcast happens once, ahead of payload staging, on every rank
     # channel in parallel, so it costs one rank's worth of transfer time.
     broadcast_seconds = (
@@ -317,25 +339,55 @@ def plan_job(
         if broadcast_bytes
         else 0.0
     )
-    # filled column by column, as float64 also when the byte sums are Python
-    # ints (see _count_dtype); JobPlan rejects a non-finite time
-    rank_phases = np.empty((n_ranks, 4))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rank_phases[:, 0] = rank_in / profile.host_prepare_rate
-        rank_phases[:, 1] = mc.simulate_transfer(rank_in, "to_dpu", profile)
-        rank_phases[:, 2] = kernels
-        rank_phases[:, 3] = mc.simulate_transfer(rank_out, "from_dpu", profile)
+    phases = ([n / profile.host_prepare_rate for n in rank_in],
+              mc.simulate_transfer(rank_in, "to_dpu", profile),
+              kernels,
+              mc.simulate_transfer(rank_out, "from_dpu", profile))
     return JobPlan(
         strategy=strategy,
         n_ranks=n_ranks,
         dpus_per_rank=dpus_per_rank,
         tasklets=tasklets,
-        rank_phases=rank_phases,
-        payload_bytes_to_dpu=int(rank_in.sum()),
-        payload_bytes_from_dpu=int(rank_out.sum()),
+        rank_phases=[_repeated(phase, repeats) for phase in phases],
+        payload_bytes_to_dpu=sum(map(mul, rank_in, repeats)),
+        payload_bytes_from_dpu=sum(map(mul, rank_out, repeats)),
         broadcast_bytes=broadcast_bytes,
         broadcast_seconds=broadcast_seconds,
     )
+
+
+def _rank_classes(dpus: list[int], n_ranks: int,
+                  dpus_per_rank: int) -> tuple[list[int], list[int], list[list[int]]]:
+    """The ranks of a partition whose runs hold dpus[i] DPUs each, as
+    classes of consecutive ranks of one make-up, in rank order: how many
+    ranks each class has, the first run a rank of it holds DPUs of, and
+    how many DPUs of that run and of each next one it holds. The ranks that
+    lie in one run are one class; a rank cut from several runs is a class
+    of its own."""
+    ends = list(accumulate(dpus))  # the DPU after each run
+    repeats: list[int] = []
+    firsts: list[int] = []
+    counts: list[list[int]] = []
+    rank = 0
+    while rank < n_ranks:
+        lo, hi = rank * dpus_per_rank, (rank + 1) * dpus_per_rank
+        first, last = bisect_right(ends, lo), bisect_left(ends, hi)
+        if first == last:  # this rank, and the next ones up to the run's end
+            repeats.append((ends[first] - lo) // dpus_per_rank)
+            counts.append([dpus_per_rank])
+        else:
+            repeats.append(1)
+            counts.append([ends[first] - lo, *dpus[first + 1:last], hi - ends[last - 1]])
+        firsts.append(first)
+        rank += repeats[-1]
+    return repeats, firsts, counts
+
+
+def _repeated(values: list[float], repeats: list[int]) -> list[float]:
+    """Each of values as many times in a row as repeats says."""
+    if len(values) == 1:
+        return values * repeats[0]
+    return list(chain.from_iterable(map(repeat, values, repeats)))
 
 
 # Strategy -> (host_waits_for_inbound, launch_barrier, serial_drain).
@@ -351,46 +403,40 @@ _SCHEDULES = {
 }
 
 
-# a lone rank's (1, 8) event times, as indices into its running sums: t0,
-# then each phase's end
-_BACK_TO_BACK = np.array([[0, 1, 1, 2, 2, 3, 3, 4]])
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the timeline rejects a non-finite time
-def _schedule(strategy: Strategy, rank_phases: np.ndarray, t0: float) -> np.ndarray:
-    """The (ranks, 8) event times: phase starts set by the strategy from t0,
-    and ends as start + duration, for the (ranks, 4) durations of at least
-    one rank. _running_sums adds left to right (not pairwise), so every
-    time is the float a rank-by-rank loop gives. One rank runs its phases
-    back to back under every strategy: each phase starts as the one before
-    it ends."""
-    if len(rank_phases) == 1:
-        return _running_sums(t0, rank_phases)[_BACK_TO_BACK]
+def _schedule(strategy: Strategy, rank_phases: list[list[float]],
+              t0: float) -> list[list[float]]:
+    """The 8 event columns: phase starts set by the strategy from t0, and
+    ends as start + duration, for each phase's durations of at least one
+    rank. A chain of phases that run one after the other is one running
+    sum (accumulate, which adds left to right), so every time is the float
+    a rank-by-rank loop gives. One rank runs its phases back to back under
+    every strategy: each phase starts as the one before it ends."""
+    prepare, to_dpu, kernel, from_dpu = rank_phases
+    if len(prepare) == 1:
+        t = list(accumulate((prepare[0], to_dpu[0], kernel[0], from_dpu[0]), initial=t0))
+        return [t[0:1], t[1:2], t[1:2], t[2:3], t[2:3], t[3:4], t[3:4], t[4:5]]
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
-    _, to_dpu, kernel, from_dpu = rank_phases.T
-    times = np.empty((len(rank_phases), len(mc.EVENT_KINDS)))
     # the host stages one rank after the other, each after the previous
     # rank's inbound transfer if it waits for it
-    step = 2 if waits_for_inbound else 1
-    staged = _running_sums(t0, rank_phases[:, :step])
-    times[:, 0] = staged[:-1:step]
-    times[:, 1] = times[:, 2] = staged[1::step]  # the inbound transfer starts as staging ends
-    times[:, 3] = staged[2::2] if waits_for_inbound else times[:, 2] + to_dpu
-    times[:, 4] = times[:, 3].max() if launch_barrier else times[:, 3]
-    times[:, 5] = times[:, 4] + kernel
-    if serial_drain:  # one rank after the other, once the last kernel ends
-        drained = _running_sums(times[:, 5].max(), from_dpu)
-        times[:, 6], times[:, 7] = drained[:-1], drained[1:]
+    if waits_for_inbound:
+        steps = [0.0] * (2 * len(prepare))
+        steps[::2], steps[1::2] = prepare, to_dpu
+        staged = list(accumulate(steps, initial=t0))
+        prepare_start, prepare_end, loaded = staged[:-1:2], staged[1::2], staged[2::2]
     else:
-        times[:, 6], times[:, 7] = times[:, 5], times[:, 5] + from_dpu
-    return times
-
-
-def _running_sums(t0: float, steps: np.ndarray) -> np.ndarray:
-    """t0, then t0 plus each of steps in C order, added one at a time."""
-    sums = np.empty(steps.size + 1)
-    sums[0], sums[1:] = t0, steps.ravel()
-    return sums.cumsum()
+        staged = list(accumulate(prepare, initial=t0))
+        prepare_start, prepare_end = staged[:-1], staged[1:]
+        loaded = list(map(add, prepare_end, to_dpu))
+    # the inbound transfer starts as staging ends
+    launch = [max(loaded)] * len(loaded) if launch_barrier else loaded
+    done = list(map(add, launch, kernel))
+    if serial_drain:  # one rank after the other, once the last kernel ends
+        drained = list(accumulate(from_dpu, initial=max(done)))
+        drain_start, drain_end = drained[:-1], drained[1:]
+    else:
+        drain_start, drain_end = done, list(map(add, done, from_dpu))
+    return [prepare_start, prepare_end, prepare_end, loaded, launch, done,
+            drain_start, drain_end]
 
 
 def _encrypt_file(
@@ -485,17 +531,20 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     """Check every timeline invariant; returns all violations (empty = ok).
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
-    A clean timeline passes one test of the whole array; otherwise one pass
-    finds the ranks that may break a rule: a negative or decreasing time.
-    Only those rows are checked kind by kind: negative times in (time, kind
-    index) order, then each kind that comes before the kind ahead of it.
+    A clean timeline passes one comparison pass over every pair of
+    adjacent event columns, side by side; otherwise one pass over the times
+    array finds the ranks that may break a rule: a negative or decreasing
+    time. Only those rows are checked kind by kind: negative times in
+    (time, kind index) order, then each kind that comes before the kind
+    ahead of it.
     """
     # a clean row starts at or after 0 and never decreases
-    times = timeline.times
-    ordered, nonnegative = times[:, 1:] >= times[:, :-1], times[:, 0] >= 0
-    if ordered.all() and nonnegative.all():
+    columns = timeline.columns
+    if min(columns[0], default=0.0) >= 0 and all(map(
+            le, chain.from_iterable(columns[:-1]), chain.from_iterable(columns[1:]))):
         return []
-    clean = nonnegative & ordered.all(axis=1)
+    times = timeline.times
+    clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
     violations = []
     for rank in np.flatnonzero(~clean).tolist():
         row = list(enumerate(times[rank].tolist()))

@@ -274,9 +274,8 @@ _DPU_PAIR = st.tuples(
 
 
 def _grid(rows):
-    """(units, tasklets) arrays of shape (ranks, DPUs per rank) from rows of pairs."""
-    pairs = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0, 2)
-    return pairs[..., 0], pairs[..., 1]
+    """(units, tasklets) rows, one list per rank, from rows of pairs."""
+    return [[u for u, _ in row] for row in rows], [[t for _, t in row] for row in rows]
 
 
 class TestSimulateRankKernel:
@@ -316,7 +315,7 @@ class TestSimulateRankKernel:
         price = mc.simulate_dpu_kernel
         monkeypatch.setattr(mc, "simulate_dpu_kernel",
                             lambda *args: priced.append(args[:2]) or price(*args))
-        times = simulate_rank_kernel(units, tasklets, AES_COST, PROFILE)
+        times = simulate_rank_kernel(units.tolist(), tasklets.tolist(), AES_COST, PROFILE)
         assert priced == list(dict.fromkeys(zip(units.flat, tasklets.flat)))
         assert len(priced) == pairs
         assert times == [
@@ -372,11 +371,13 @@ class TestSimulateRankKernel:
         else:
             lengths = np.random.default_rng(7).integers(0, 5000, workload)
             part = partition_sha(lengths, 40 * 64)
-            cost = _sha_cost_for(SHA_COST, workload, int(part.units.sum()))
-        active = np.where(part.items > 0, np.minimum(part.items, 16), 1)
-        units, tasklets = part.units.reshape(40, 64), active.reshape(40, 64)
+            cost = _sha_cost_for(SHA_COST, workload, sum(map(int.__mul__, part.dpus, part.units)))
+        # the runs written out DPU by DPU, as a (40, 64) grid
+        grid = np.repeat(np.array([part.units, part.items], dtype=np.int64), part.dpus, axis=1)
+        units, items = grid.reshape(2, 40, 64)
+        tasklets = np.where(items > 0, np.minimum(items, 16), 1)
         assert len(set(zip(units.flat, tasklets.flat))) > 1
-        assert simulate_rank_kernel(units, tasklets, cost, PROFILE) == [
+        assert simulate_rank_kernel(units.tolist(), tasklets.tolist(), cost, PROFILE) == [
             max(simulate_dpu_kernel(u, t, cost, PROFILE) for u, t in zip(*rank))
             for rank in zip(units.tolist(), tasklets.tolist())
         ]
@@ -469,23 +470,23 @@ class TestSimulateTransfer:
         totals=st.lists(st.integers(0, 1 << 50), max_size=8),
         direction=st.sampled_from(["to_dpu", "from_dpu"]),
     )
-    def test_array_equals_scalar_calls(self, totals, direction):
-        """An int64 array of rank totals prices each total as the scalar
-        call does, bit for bit."""
-        times = simulate_transfer(np.array(totals, dtype=np.int64), direction, PROFILE)
-        assert times.tolist() == [simulate_transfer(t, direction, PROFILE) for t in totals]
+    def test_list_equals_scalar_calls(self, totals, direction):
+        """A list of rank totals prices each total as the scalar call does,
+        bit for bit."""
+        times = simulate_transfer(totals, direction, PROFILE)
+        assert times == [simulate_transfer(t, direction, PROFILE) for t in totals]
 
     def test_negative_element_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            simulate_transfer(np.array([0, 5, -1, 7], dtype=np.int64), "from_dpu", PROFILE)
+            simulate_transfer([0, 5, -1, 7], "from_dpu", PROFILE)
 
-    # rank totals as plan_job may pass them: a Python int or numpy scalar
-    # (totals[1]), int64 rank sums, and rank sums past int64 as Python ints
+    # rank totals as plan_job may pass them: a Python int, a numpy scalar,
+    # and a list of rank sums, also past int64
     _KINDS = {
         "int": lambda totals: totals[1],
         "int64": lambda totals: np.int64(totals[1]),
-        "int64 array": lambda totals: np.array(totals, dtype=np.int64),
-        "object array": lambda totals: np.array([2 ** 70, *totals], dtype=object),
+        "list": list,
+        "list past int64": lambda totals: [2 ** 70, *totals],
     }
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -497,14 +498,18 @@ class TestSimulateTransfer:
     @pytest.mark.parametrize("direction", ["to_dpu", "from_dpu"])
     def test_every_form_is_its_totals_over_the_bandwidth(self, kind, direction):
         """Each total, in each form, is priced as the float it over the
-        directional bandwidth is, bit for bit."""
+        directional bandwidth is, bit for bit: one time for a total, a list
+        of them for a list."""
         bw = (PROFILE.cpu_to_dpu_bandwidth_per_rank if direction == "to_dpu"
               else PROFILE.dpu_to_cpu_bandwidth_per_rank)
         total = self._KINDS[kind]([0, 3 << 40, 123_456_789])
         times = simulate_transfer(total, direction, PROFILE)
-        assert np.atleast_1d(times).astype(np.float64).tolist() == [
-            int(t) / bw for t in np.atleast_1d(total).tolist()]
-        assert type(times) is type(total / bw)
+        if isinstance(total, list):
+            assert times == [int(t) / bw for t in total]
+            assert {type(t) for t in times} == {float}
+        else:
+            assert times == int(total) / bw
+            assert type(times) is type(total / bw)
 
 
 @pytest.mark.parametrize("first", ["machine", "orchestrator", "bench", "cli"])
