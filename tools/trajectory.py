@@ -16,7 +16,9 @@ round takes the trees in reverse order (A B B A ...). The curves:
 * plan_job at 1, 10 and 40 ranks for both algorithms, on bench's own
   rank_scaling workloads under that experiment's first strategy;
 * simulate_rank_kernel on a whole machine's 40 x 64 grid holding 1, 2, 35
-  and 2,560 distinct (units, tasklets) pairs;
+  and 2,560 distinct (units, tasklets) pairs, given in the form the tree
+  takes: one list per rank, or (ranks, DPUs) int64 arrays for a tree from
+  before the planner priced on Python numbers;
 * run_experiment(include_baseline=False) for each experiment and algorithm.
 
 Every output is checked, so a fast wrong planner does not read as a win:
@@ -38,6 +40,7 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -117,7 +120,8 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
         # pair i is (i + 1 units, 1 + i % 24 tasklets), dealt to DPUs in a shuffled order
         which = rng.permutation(np.arange(shape[0] * shape[1]) % pairs).reshape(shape)
         units, tasklets = which + 1, 1 + which % 24
-        price = partial(machine.simulate_rank_kernel, units, tasklets, cost, config.machine)
+        price = partial(machine.simulate_rank_kernel, *_rank_grid(machine, units, tasklets),
+                        cost, config.machine)
         points["simulate_rank_kernel"][str(pairs)] = price
         slowest = [
             max(machine.simulate_dpu_kernel(u, t, cost, config.machine) for u, t in zip(*rank))
@@ -127,6 +131,17 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
             failures.append(f"simulate_rank_kernel with {pairs} pairs: a rank is not its "
                             "slowest DPU")
     return points, failures
+
+
+def _rank_grid(machine, units, tasklets) -> tuple:
+    """simulate_rank_kernel's (units, tasklets) arguments from (ranks, DPUs
+    per rank) int64 grids, in the form the tree's function takes: the grids
+    themselves for a tree that prices them as numpy arrays, one list per
+    rank for a tree that prices on Python numbers."""
+    if inspect.signature(machine.simulate_rank_kernel).parameters["units"].annotation == (
+            "np.ndarray"):
+        return units, tasklets
+    return units.tolist(), tasklets.tolist()
 
 
 def measure(packages: dict[str, str], repetitions: int) -> dict:
@@ -173,17 +188,10 @@ def source_digest(src: str) -> str:
 
 def _copy_package(src: str, dest: str, name: str) -> str:
     """Copy src's pimcrypt package into dest as pimcrypt_<name>, and return
-    that name. A tree from before machine._bundled_doc read its package as
-    __package__ names it "pimcrypt"; the copy reads its own profile."""
+    that name."""
     package = f"pimcrypt_{name}"
-    target = os.path.join(dest, package)
-    shutil.copytree(os.path.join(src, "pimcrypt"), target,
+    shutil.copytree(os.path.join(src, "pimcrypt"), os.path.join(dest, package),
                     ignore=shutil.ignore_patterns("__pycache__"))
-    path = os.path.join(target, "machine.py")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text.replace('resources.files("pimcrypt")', "resources.files(__package__)"))
     return package
 
 
