@@ -375,16 +375,17 @@ def simulate_rank_kernel(
 
 
 def simulate_transfer(
-    total_bytes: int | list[int], direction: TransferDirection, profile: MachineProfile
+    total_bytes: int | Sequence[int], direction: TransferDirection, profile: MachineProfile
 ) -> float | list[float]:
-    """Time of one batched rank transfer in the given direction, or of each
-    rank's given a list of rank totals; a negative total raises ValueError.
+    """Time of one batched rank transfer in the given direction, or a list
+    of each rank's given a sequence of rank totals; a negative total raises
+    ValueError.
 
     All per-DPU buffers of the rank move as a single batched operation over
     the rank channel, so the time is the rank's byte total over the
     directional bandwidth.
     """
-    many = isinstance(total_bytes, list)
+    many = hasattr(total_bytes, "__len__")
     if (min(total_bytes, default=0) if many else total_bytes) < 0:
         raise ValueError("a rank's byte total must be non-negative")
     if direction == "to_dpu":

@@ -34,13 +34,12 @@ transfer ahead of the payload staging.
 
 from __future__ import annotations
 
-import operator
 import os
 from bisect import bisect_left, bisect_right
 from collections import abc
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
-from operator import add, le, mul
+from operator import add, index, le, mul
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -83,10 +82,10 @@ class SameLengths(abc.Sequence):
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SameLengths(self.length, len(range(self.count)[index]))
-        range(self.count)[index]  # an index out of range raises IndexError
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SameLengths(self.length, len(range(self.count)[i]))
+        range(self.count)[i]  # an index out of range raises IndexError
         return self.length
 
     def __iter__(self) -> Iterator[int]:
@@ -168,9 +167,10 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
         return PartitionPlan(dpus, [blocks * n for n in messages], messages,
                              [length * n for n in messages], [DIGEST_BYTES * n for n in messages])
     try:
-        if bool in set(map(type, message_lengths)):
+        lengths = list(message_lengths)
+        if bool in set(map(type, lengths)):
             raise TypeError
-        lengths = list(map(operator.index, message_lengths))
+        lengths = list(map(index, lengths))
     except TypeError:
         raise ValueError(bounds) from None
     if lengths and (min(lengths) < 0 or max(lengths) > MAX_MESSAGE_BYTES):
@@ -327,7 +327,8 @@ def plan_job(
     held = [slice(first, first + len(n)) for first, n in zip(firsts, counts)]
     rank_in = [sum(map(mul, n, partition.in_bytes[runs])) for runs, n in zip(held, counts)]
     rank_out = (rank_in if partition.out_bytes is partition.in_bytes  # as partition_aes gives
-                else [sum(map(mul, n, partition.out_bytes[runs])) for runs, n in zip(held, counts)])
+                else [sum(map(mul, n, partition.out_bytes[runs]))
+                      for runs, n in zip(held, counts)])
     busy = {n: min(max(n, 1), tasklets) for n in set(partition.items)}
     active = list(map(busy.__getitem__, partition.items))
     kernels = mc.simulate_rank_kernel([partition.units[runs] for runs in held],

@@ -660,12 +660,6 @@ class TestConfigErrors:
         # whole numbers only; 2.5 used to be truncated to 2
         (("experiments", "weak_scaling", "sweep"), [1, 2.5],
          ["bench", "--experiment", "weak_scaling"], 3, "integer"),
-        # a JSON integer too large for a float is not a finite number
-        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400],
-         ["bench", "--experiment", "rank_scaling", "--no-baseline"], 3,
-         "experiment rank_scaling field sweep must be a finite number"),
-        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400], ["validate"], 3,
-         "experiment rank_scaling field sweep must be a finite number"),
         (("experiments", "weak_scaling"), 5,
          ["bench", "--experiment", "weak_scaling"], 3, "weak_scaling"),
         (("experiments", "weak_scaling", "sweep"), "1,4",
@@ -713,6 +707,12 @@ class TestConfigErrors:
                        argv, 3, "exceeds the MRAM", id=f"sha-{field}-{argv[0]}")
           for field in ("message_bytes", "message_count")
           for argv in (["validate"], ["bench", "--experiment", "weak_scaling", "--no-baseline"])),
+        # a JSON integer too large for a float is not a finite number
+        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400],
+         ["bench", "--experiment", "rank_scaling", "--no-baseline"], 3,
+         "experiment rank_scaling field sweep must be a finite number"),
+        (("experiments", "rank_scaling", "sweep"), [1, 10 ** 400], ["validate"], 3,
+         "experiment rank_scaling field sweep must be a finite number"),
     ])
     def test_bad_experiment_or_cost(self, tmp_path, capsys, keys, value, argv, code, text):
         cfg = _config(tmp_path, value, *keys)

@@ -470,21 +470,24 @@ class TestSimulateTransfer:
         totals=st.lists(st.integers(0, 1 << 50), max_size=8),
         direction=st.sampled_from(["to_dpu", "from_dpu"]),
     )
-    def test_list_equals_scalar_calls(self, totals, direction):
-        """A list of rank totals prices each total as the scalar call does,
-        bit for bit."""
-        times = simulate_transfer(totals, direction, PROFILE)
-        assert times == [simulate_transfer(t, direction, PROFILE) for t in totals]
+    def test_array_equals_scalar_calls(self, totals, direction):
+        """A list of rank totals, or an int64 array of them, prices each
+        total as the scalar call does, bit for bit."""
+        for form in (totals, np.array(totals, dtype=np.int64)):
+            times = simulate_transfer(form, direction, PROFILE)
+            assert times == [simulate_transfer(t, direction, PROFILE) for t in totals]
 
     def test_negative_element_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             simulate_transfer([0, 5, -1, 7], "from_dpu", PROFILE)
 
-    # rank totals as plan_job may pass them: a Python int, a numpy scalar,
-    # and a list of rank sums, also past int64
+    # rank totals as plan_job passes them, a Python int or a list of rank
+    # sums (also past int64), and as a caller may: a numpy scalar or array
     _KINDS = {
         "int": lambda totals: totals[1],
         "int64": lambda totals: np.int64(totals[1]),
+        "int64 array": lambda totals: np.array(totals, dtype=np.int64),
+        "object array": lambda totals: np.array([2 ** 70, *totals], dtype=object),
         "list": list,
         "list past int64": lambda totals: [2 ** 70, *totals],
     }
@@ -499,14 +502,14 @@ class TestSimulateTransfer:
     def test_every_form_is_its_totals_over_the_bandwidth(self, kind, direction):
         """Each total, in each form, is priced as the float it over the
         directional bandwidth is, bit for bit: one time for a total, a list
-        of them for a list."""
+        of them for a sequence."""
         bw = (PROFILE.cpu_to_dpu_bandwidth_per_rank if direction == "to_dpu"
               else PROFILE.dpu_to_cpu_bandwidth_per_rank)
         total = self._KINDS[kind]([0, 3 << 40, 123_456_789])
         times = simulate_transfer(total, direction, PROFILE)
-        if isinstance(total, list):
+        if hasattr(total, "__len__"):
+            assert type(times) is list
             assert times == [int(t) / bw for t in total]
-            assert {type(t) for t in times} == {float}
         else:
             assert times == int(total) / bw
             assert type(times) is type(total / bw)

@@ -177,23 +177,27 @@ class TestPartitionSha:
         (100, 50, 1, None),  # fewer messages than DPUs
         (MAX_MESSAGE_BYTES, 5, 1, 1 << 64),  # counts past int64: exact Python ints
     ])
-    def test_same_lengths_plan_like_their_list(self, length, count, n_ranks, mram_bytes):
-        """Equal lengths as SameLengths, counted once, give the partition
-        and the plan that the same lengths as a list give, with rank phases
-        equal bit for bit, and exact Python int counts past int64 too."""
-        view = orchestrator.SameLengths(length, count)
+    def test_zero_stride_view_plans_like_its_list(self, length, count, n_ranks, mram_bytes):
+        """Equal lengths as SameLengths, counted once, and as a numpy view
+        with stride 0 give the partition and the plan that the same lengths
+        as a list give, with rank phases equal bit for bit, and exact
+        Python int counts past int64 too."""
+        same = orchestrator.SameLengths(length, count)
+        view = np.broadcast_to(np.int64(length), count)
         dpus = 64 if mram_bytes is None else 2
-        part = partition_sha(view, n_ranks * dpus)
+        part = partition_sha(same, n_ranks * dpus)
         assert _arrays(part) == _arrays(partition_sha([length] * count, n_ranks * dpus))
+        assert _arrays(part) == _arrays(partition_sha(view, n_ranks * dpus))
         assert {type(n) for column in _arrays(part) for n in column} == {int}
         assert (sum(_arrays(part)[2]) > 2 ** 63) == (mram_bytes is not None)
         config = None if mram_bytes is None else _config(
             dataclasses.replace(PROFILE, mram_bytes=mram_bytes))
         plans = [plan_job(ShaWorkload(lengths), n_ranks=n_ranks, dpus_per_rank=dpus,
                           strategy=Strategy.ASYNC_RANK_EXECUTION, config=config)
-                 for lengths in (view, [length] * count)]
-        assert plans[0] == plans[1]
-        assert repr(plans[0].rank_phases) == repr(plans[1].rank_phases)
+                 for lengths in (same, [length] * count, view)]
+        assert plans[0] == plans[1] == plans[2]
+        assert repr(plans[0].rank_phases) == repr(plans[1].rank_phases) == repr(
+            plans[2].rank_phases)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -833,9 +837,9 @@ def _oracle(workload, strategy, config, n_ranks, dpus_per_rank, tasklets):
     size = (workload.buffer_len if algorithm == "aes128"
             else [int(n) for n in workload.message_lengths])
     try:
-        phases, t0 = reference.plan(
-            algorithm, size, n_ranks, dpus_per_rank, tasklets,
-            dataclasses.asdict(config.machine), config.kernel_costs[algorithm].instructions_per_unit)
+        phases, t0 = reference.plan(algorithm, size, n_ranks, dpus_per_rank, tasklets,
+                                    dataclasses.asdict(config.machine),
+                                    config.kernel_costs[algorithm].instructions_per_unit)
     except ValueError as exc:
         return "CapacityError", str(exc)
     rows = reference.schedule(strategy.value, phases, t0)
