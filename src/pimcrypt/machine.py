@@ -22,10 +22,12 @@ import dataclasses
 import enum
 import json
 import math
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
+from operator import index
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -188,6 +190,42 @@ EVENT_KINDS = (
 )
 
 
+class Columns(abc.Sequence):
+    """Columns of one float per rank that cannot change: Columns(columns)
+    keeps its own copy of each column as a list, and column k reads as a
+    tuple made on access. Columns with equal values are equal.
+
+    A planner's columns are never copied to tuples: that costs a copy per
+    column, and CPython 3.11 keeps every freed 20-item tuple on a free
+    list that it never takes from.
+    """
+
+    __slots__ = ("_lists",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, columns: Iterable[Iterable[float]]) -> None:
+        self._lists = [list(column) for column in columns]
+
+    @classmethod
+    def _adopt(cls, lists: list[list[float]]) -> "Columns":
+        """Columns of lists that no one else holds, kept without a copy."""
+        held = cls.__new__(cls)
+        held._lists = lists
+        return held
+
+    def __len__(self) -> int:
+        return len(self._lists)
+
+    def __getitem__(self, k: int) -> tuple[float, ...]:
+        return tuple(self._lists[index(k)])  # a slice would hand out the lists
+
+    def __eq__(self, other: object) -> bool:
+        return self._lists == other._lists if isinstance(other, Columns) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class ExecutionTimeline:
     """Event times of one job: columns[k][r] is when rank r's EVENT_KINDS[k]
     event happens, and phase k runs from column 2k to column 2k + 1. Every
@@ -195,9 +233,9 @@ class ExecutionTimeline:
     equal.
 
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
-    from_columns takes the 8 columns as lists, which the timeline keeps and
-    no one may change. times is the same as a read-only (ranks, 8) float64
-    array, built on first access.
+    from_columns takes the 8 columns; columns is a Columns, which cannot
+    change, and times is the same as a read-only (ranks, 8) float64 array,
+    built on first access.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -206,26 +244,25 @@ class ExecutionTimeline:
         array = np.array(times, dtype=np.float64)
         if array.ndim != 2 or array.shape[1] != len(EVENT_KINDS):
             raise ValueError(f"timeline times must be a (ranks, {len(EVENT_KINDS)}) array")
-        if not np.isfinite(array).all():
-            raise ValueError("timeline times must be finite")
-        array.flags.writeable = False
-        self.columns = array.T.tolist()
-        self._times = array
+        self._hold(Columns._adopt(array.T.tolist()))
 
     @classmethod
-    def from_columns(cls, columns: list[list[float]]) -> "ExecutionTimeline":
-        """The timeline of 8 columns of one time per rank, kept as given;
-        a time that is not finite raises ValueError."""
-        if not all(map(math.isfinite, chain.from_iterable(columns))):
-            raise ValueError("timeline times must be finite")
+    def from_columns(cls, columns: Iterable[Iterable[float]]) -> "ExecutionTimeline":
+        """The timeline of 8 columns of one time per rank."""
         timeline = cls.__new__(cls)
-        timeline.columns, timeline._times = columns, None
+        timeline._hold(columns if isinstance(columns, Columns) else Columns(columns))
         return timeline
+
+    def _hold(self, columns: Columns) -> None:
+        """Keep columns; a time that is not finite raises ValueError."""
+        if not all(map(math.isfinite, chain.from_iterable(columns._lists))):
+            raise ValueError("timeline times must be finite")
+        self.columns, self._times = columns, None
 
     @property
     def times(self) -> np.ndarray:
         if self._times is None:
-            self._times = np.array(self.columns, dtype=np.float64).T.copy()
+            self._times = np.array(self.columns._lists, dtype=np.float64).T.copy()
             self._times.flags.writeable = False
         return self._times
 
@@ -240,11 +277,13 @@ class ExecutionTimeline:
     @property
     def makespan(self) -> float:
         """The latest time, 0.0 for an empty timeline."""
-        return max(map(max, self.columns)) if self.columns[0] else 0.0
+        columns = self.columns._lists
+        return max(map(max, columns)) if columns[0] else 0.0
 
     def phase_intervals(self, phase: int) -> list[list[float]]:
         """Per-rank [start, end] pairs of phase 0..3, in rank order."""
-        return list(map(list, zip(self.columns[2 * phase], self.columns[2 * phase + 1])))
+        columns = self.columns._lists
+        return list(map(list, zip(columns[2 * phase], columns[2 * phase + 1])))
 
 
 def busy_time(intervals: Iterable[Sequence[float]]) -> float:
@@ -358,8 +397,13 @@ def simulate_rank_kernel(
     The DPUs of a rank run independently and the rank finishes with its
     slowest one (0.0 for a rank of none). A DPU's time depends only on its
     pair, so each distinct pair of the job is priced once, in the order of
-    its first DPU (row-major): the first invalid pair raises first.
+    its first DPU (row-major): the first invalid pair raises first. A job
+    of one pair is priced once, with no walk over its DPUs.
     """
+    counts = set().union(*tasklets)
+    if len(counts) == 1 and len(sizes := set().union(*units)) == 1:
+        seconds = simulate_dpu_kernel(*sizes, *counts, cost, profile)
+        return [seconds if rank else 0.0 for rank in units]
     priced: dict[tuple[int, int], float] = {}
     times = []
     for rank in map(zip, units, tasklets):

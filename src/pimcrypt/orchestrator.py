@@ -4,7 +4,7 @@ A job takes a workload (an AES buffer or a set of messages to hash), splits
 it across the DPUs of one or more ranks, and produces both the functional
 result (via the crypto kernels) and a priced ExecutionTimeline (via the
 machine model). A partition and a plan hold Python ints and floats:
-JobPlan.rank_phases holds the four phase durations, one list per phase
+JobPlan.rank_phases holds the four phase durations, one column per phase
 with one entry per rank, and phase k runs from event column 2k to 2k + 1
 of the timeline, in which every rank has every event; the phase times,
 the makespan and validation are read from those columns. A strategy
@@ -82,10 +82,8 @@ class SameLengths(abc.Sequence):
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SameLengths(self.length, len(range(self.count)[i]))
-        range(self.count)[i]  # an index out of range raises IndexError
+    def __getitem__(self, i: int) -> int:
+        range(self.count)[index(i)]  # an index out of range raises IndexError
         return self.length
 
     def __iter__(self) -> Iterator[int]:
@@ -204,17 +202,18 @@ class PhaseTimes(NamedTuple):
 class JobPlan:
     """Everything the model derives from a workload before/without running it.
 
-    rank_phases holds each phase's duration per rank, one list per phase
-    in PhaseTimes order, which no one may change. The schedule (timeline,
-    makespan, phase_times) is derived on construction from strategy,
-    rank_phases and broadcast_seconds, so it always matches them.
+    rank_phases holds each phase's duration per rank, one column per phase
+    in PhaseTimes order, as machine.Columns (which the plan builds from any
+    other sequence of sequences), so it cannot change. The schedule
+    (timeline, makespan, phase_times) is derived on construction from
+    strategy, rank_phases and broadcast_seconds, so it always matches them.
     """
 
     strategy: Strategy
     n_ranks: int
     dpus_per_rank: int
     tasklets: int
-    rank_phases: list[list[float]] = field(compare=False)
+    rank_phases: mc.Columns = field(compare=False)
     timeline: mc.ExecutionTimeline = field(init=False)
     makespan: float = field(init=False)
     phase_times: PhaseTimes = field(init=False)
@@ -227,9 +226,13 @@ class JobPlan:
         if not isinstance(self.strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, not {self.strategy!r} "
                              f"(Strategy.parse reads the names {', '.join(mc.STRATEGY_NAMES)})")
-        columns = _schedule(self.strategy, self.rank_phases, self.broadcast_seconds)
+        rank_phases = self.rank_phases
+        if not isinstance(rank_phases, mc.Columns):
+            rank_phases = mc.Columns(rank_phases)
+            object.__setattr__(self, "rank_phases", rank_phases)
+        columns = _schedule(self.strategy, rank_phases._lists, self.broadcast_seconds)
         try:
-            timeline = mc.ExecutionTimeline.from_columns(columns)
+            timeline = mc.ExecutionTimeline.from_columns(mc.Columns._adopt(columns))
         except ValueError:  # a non-finite time
             raise ProfileError(
                 "the model gives a non-finite time: a machine or kernel cost value is out of range"
@@ -349,7 +352,7 @@ def plan_job(
         n_ranks=n_ranks,
         dpus_per_rank=dpus_per_rank,
         tasklets=tasklets,
-        rank_phases=[_repeated(phase, repeats) for phase in phases],
+        rank_phases=mc.Columns._adopt([_repeated(phase, repeats) for phase in phases]),
         payload_bytes_to_dpu=sum(map(mul, rank_in, repeats)),
         payload_bytes_from_dpu=sum(map(mul, rank_out, repeats)),
         broadcast_bytes=broadcast_bytes,
@@ -540,7 +543,7 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     ahead of it.
     """
     # a clean row starts at or after 0 and never decreases
-    columns = timeline.columns
+    columns = timeline.columns._lists
     if min(columns[0], default=0.0) >= 0 and all(map(
             le, chain.from_iterable(columns[:-1]), chain.from_iterable(columns[1:]))):
         return []

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,25 @@ class TestSimulateRankKernel:
             max(price(u, t, AES_COST, PROFILE) for u, t in zip(*rank))
             for rank in zip(units.tolist(), tasklets.tolist())
         ]
+
+    @pytest.mark.parametrize("pairs", [1, 2, 35, 2560])
+    def test_one_tasklet_count_prices_each_units_once(self, monkeypatch, pairs):
+        """Where every DPU runs the same tasklets, as a ragged hash job's
+        one message per DPU does, each distinct units count is priced
+        once, in first-DPU order, and a job of one pair once; a rank of no
+        DPUs next to full ones takes 0.0."""
+        rng = np.random.default_rng(pairs)
+        units = (rng.permutation(np.arange(40 * 64) % pairs) + 1).reshape(40, 64).tolist()
+        tasklets = [[16] * 64 for _ in units]
+        priced = []
+        price = mc.simulate_dpu_kernel
+        monkeypatch.setattr(mc, "simulate_dpu_kernel",
+                            lambda *args: priced.append(args[:2]) or price(*args))
+        times = simulate_rank_kernel([*units, []], [*tasklets, []], AES_COST, PROFILE)
+        assert priced == [(u, 16) for u in dict.fromkeys(chain.from_iterable(units))]
+        assert len(priced) == pairs
+        assert times == [max(price(u, 16, AES_COST, PROFILE) for u in rank)
+                         for rank in units] + [0.0]
 
     @settings(max_examples=100, deadline=None)
     @given(

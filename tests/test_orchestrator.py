@@ -31,6 +31,7 @@ from pimcrypt.machine import (
 )
 from pimcrypt.orchestrator import (
     AesWorkload,
+    JobPlan,
     ShaWorkload,
     Strategy,
     TimelineViolation,
@@ -198,6 +199,17 @@ class TestPartitionSha:
         assert plans[0] == plans[1] == plans[2]
         assert repr(plans[0].rank_phases) == repr(plans[1].rank_phases) == repr(
             plans[2].rank_phases)
+
+    def test_same_lengths_is_a_sequence_of_its_length(self):
+        """SameLengths reads as count copies of its length by index, with
+        an index out of range an IndexError and a slice a TypeError."""
+        same = orchestrator.SameLengths(7, 3)
+        assert list(same) == [same[0], same[2], same[-3]] == [7, 7, 7] and len(same) == 3
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                same[i]
+        with pytest.raises(TypeError):
+            same[1:]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -795,6 +807,26 @@ class TestTimelineArray:
         times[...] = 1.0  # the timeline holds its own copy
         assert np.array_equal(timeline.times, before)
 
+    def test_columns_cannot_change(self):
+        """A timeline keeps its own copy of the columns it is built from: a
+        caller's lists changed after from_columns leave it, and its lazily
+        built times, as they were. Its columns read as tuples, take no
+        assignment and hand out no list, not even through a slice."""
+        given = [[float(k + 10 * r) for r in range(3)] for k in range(len(EVENT_KINDS))]
+        timeline = ExecutionTimeline.from_columns(given)
+        kept = tuple(map(tuple, given))
+        given[0][0] = given[7][2] = -1.0
+        assert tuple(timeline.columns) == kept and repr(timeline.columns) == repr(kept)
+        assert timeline.times.tolist() == [list(row) for row in zip(*kept)]
+        assert timeline == ExecutionTimeline(list(zip(*kept)))
+        assert timeline.columns == ExecutionTimeline.from_columns(kept).columns
+        with pytest.raises(TypeError):
+            timeline.columns[0][0] = 1.0
+        with pytest.raises(TypeError):
+            timeline.columns[0] = ()
+        with pytest.raises(TypeError):
+            timeline.columns[:1]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_rejected(self, value):
         """Every rank has every event, so no cell may be NaN or infinite."""
@@ -963,8 +995,8 @@ def test_job_prices_each_distinct_dpu_workload_once(monkeypatch):
     assert priced == [(410, 16), (409, 16)]
     cost = bundled_default_config().kernel_costs["aes128"]
     assert plan.rank_phases[2] == (
-        [price_dpu(410, 16, cost, PROFILE)] * 24
-        + [price_dpu(409, 16, cost, PROFILE)] * 16
+        (price_dpu(410, 16, cost, PROFILE),) * 24
+        + (price_dpu(409, 16, cost, PROFILE),) * 16
     )
 
 
@@ -1098,8 +1130,8 @@ class TestJobConfig:
 def test_plan_prices_each_transfer_direction_once(monkeypatch, n_ranks, workload, calls):
     """One transfer pricing call per direction over every rank's total, and
     one more for an AES job's key broadcast, however many ranks; the rank
-    phases are 4 lists of one float per rank, and phase k of rank r runs
-    from times[r, 2k] to times[r, 2k] + rank_phases[k][r]."""
+    phases are 4 read-only sequences of one float per rank, and phase k of
+    rank r runs from times[r, 2k] to times[r, 2k] + rank_phases[k][r]."""
     transfers = []
     price = mc.simulate_transfer
     monkeypatch.setattr(mc, "simulate_transfer",
@@ -1109,8 +1141,28 @@ def test_plan_prices_each_transfer_direction_once(monkeypatch, n_ranks, workload
     phases = plan.rank_phases
     assert [len(phase) for phase in phases] == [n_ranks] * 4
     assert {type(t) for phase in phases for t in phase} == {float}
+    with pytest.raises(TypeError):
+        phases[0][0] = 1.0
+    with pytest.raises(TypeError):
+        phases[0] = ()
     times = plan.timeline.times
     assert np.array_equal(times[:, 1::2], times[:, ::2] + np.array(phases).T)
+
+
+def test_plan_keeps_its_own_phases():
+    """A plan built from lists of phases copies them, so changing the
+    lists afterwards leaves its phases and its schedule as they were; a
+    plan rescheduled by replace equals the one priced for its strategy."""
+    priced = plan_job(AesWorkload(16 << 20), n_ranks=3)
+    lists = [list(phase) for phase in priced.rank_phases]
+    fields = {f.name: getattr(priced, f.name) for f in dataclasses.fields(JobPlan) if f.init}
+    built = JobPlan(**{**fields, "rank_phases": lists})
+    lists[2][0] = 1e9
+    assert built == priced and built.rank_phases == priced.rank_phases
+    assert built.makespan == priced.makespan < 1e9
+    pim2 = Strategy.ASYNC_RANK_EXECUTION
+    assert dataclasses.replace(built, strategy=pim2) == plan_job(
+        AesWorkload(16 << 20), n_ranks=3, strategy=pim2)
 
 
 # each rank's 512 KiB drains in 1e308 s: pim2 drains the ranks side by
