@@ -35,6 +35,7 @@ from .errors import ProfileError
 from .machine import ExperimentSpec, HostProfile, Strategy
 from .orchestrator import (
     AesWorkload,
+    JobPlan,
     SameLengths,
     ShaWorkload,
     plan_job,
@@ -111,8 +112,8 @@ def run_experiment(
     _point gives plan_job's workload and topology at each sweep value. Each
     is priced once, by plan_job under the first strategy; a strategy
     changes only the schedule, so each other strategy's plan is
-    replace(plan, strategy=s). No row comes from a plan whose timeline
-    fails validate_timeline. Rows are ordered by sweep value, one per
+    _rescheduled(plan, s), which equals replace(plan, strategy=s). No row
+    comes from a plan whose timeline fails validate_timeline. Rows are ordered by sweep value, one per
     strategy (in spec order) at each value, and carry the kernel speedup
     over the first row. Every point is planned before anything is measured,
     so the first point that _point or the planner rejects fails the run.
@@ -131,19 +132,19 @@ def run_experiment(
         plan = plan_job(workload, strategy=spec.strategies[0], config=config, **topology)
         for strategy in spec.strategies:
             if strategy is not plan.strategy:
-                plan = replace(plan, strategy=strategy)
+                plan = _rescheduled(plan, strategy)
             violations = validate_timeline(plan.timeline)
             if violations:
                 raise RuntimeError("planner produced an invalid timeline: "
                                    + "; ".join(map(str, violations)))
-            kernel = plan.phase_times.kernel
+            prepare, to_dpu, kernel, from_dpu = plan.phase_times
             rows.append(ExperimentRow(
                 sweep_value=value,
                 strategy=strategy,
                 kernel_s=kernel,
-                to_dpu_s=plan.phase_times.cpu_to_dpu,
-                from_dpu_s=plan.phase_times.dpu_to_cpu,
-                prepare_s=plan.phase_times.prepare,
+                to_dpu_s=to_dpu,
+                from_dpu_s=from_dpu,
+                prepare_s=prepare,
                 total_s=plan.makespan,
                 speedup=(rows[0].kernel_s if rows else kernel) / kernel if kernel else None,
                 bytes_to_dpu=plan.payload_bytes_to_dpu,
@@ -161,6 +162,15 @@ def run_experiment(
             rate = _measure_baseline(spec, meta)
             rows = [replace(row, baseline_s=rate * row.bytes_to_dpu) for row in rows]
     return ExperimentResult(spec=spec, rows=rows, metadata=meta)
+
+
+def _rescheduled(plan: JobPlan, strategy: Strategy) -> JobPlan:
+    """replace(plan, strategy=strategy): the same priced job under another
+    strategy, built by JobPlan itself, without replace's walk over the
+    fields."""
+    return JobPlan(strategy, plan.n_ranks, plan.dpus_per_rank, plan.tasklets,
+                   plan.rank_phases, plan.payload_bytes_to_dpu, plan.payload_bytes_from_dpu,
+                   plan.broadcast_bytes, plan.broadcast_seconds)
 
 
 def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:

@@ -26,8 +26,8 @@ from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
-from operator import index
+from itertools import chain, islice
+from operator import index, le
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -235,7 +235,8 @@ class ExecutionTimeline:
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
     from_columns takes the 8 columns; columns is a Columns, which cannot
     change, and times is the same as a read-only (ranks, 8) float64 array,
-    built on first access.
+    built on first access. in_order() tells whether every rank's times
+    are in EVENT_KINDS order from 0 on.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -254,10 +255,28 @@ class ExecutionTimeline:
         return timeline
 
     def _hold(self, columns: Columns) -> None:
-        """Keep columns; a time that is not finite raises ValueError."""
-        if not all(map(math.isfinite, chain.from_iterable(columns._lists))):
+        """Keep columns; a time that is not finite raises ValueError. Finite
+        times have a finite sum unless it overflows, and only then is each
+        time tested."""
+        lists = columns._lists
+        if not (math.isfinite(sum(chain.from_iterable(lists)))
+                or all(map(math.isfinite, chain.from_iterable(lists)))):
             raise ValueError("timeline times must be finite")
-        self.columns, self._times = columns, None
+        self.columns, self._times, self._ordered = columns, None, None
+
+    def in_order(self) -> bool:
+        """Whether every rank's first time is at least 0 and each next
+        time is no earlier than the one before, in EVENT_KINDS order.
+        Worked out on first call: the columns cannot change."""
+        if self._ordered is None:
+            columns = self.columns._lists
+            if len(columns[0]) == 1:  # one rank: its row is in order if sorting keeps it
+                row = list(chain.from_iterable(columns))
+                self._ordered = row[0] >= 0 and row == sorted(row)
+            else:  # adjacent columns side by side; a column given twice is in order with itself
+                self._ordered = min(columns[0], default=0.0) >= 0 and all(
+                    a is b or all(map(le, a, b)) for a, b in zip(columns, islice(columns, 1, None)))
+        return self._ordered
 
     @property
     def times(self) -> np.ndarray:
@@ -276,26 +295,33 @@ class ExecutionTimeline:
 
     @property
     def makespan(self) -> float:
-        """The latest time, 0.0 for an empty timeline."""
+        """The latest time, 0.0 for an empty timeline. A timeline in order
+        ends in its last column; a latest time of 0.0 is sought over every
+        column, as which zero comes first sets its sign."""
         columns = self.columns._lists
-        return max(map(max, columns)) if columns[0] else 0.0
+        if not columns[0]:
+            return 0.0
+        if self.in_order() and (latest := max(columns[-1])):
+            return latest
+        return max(map(max, columns))
 
-    def phase_intervals(self, phase: int) -> list[list[float]]:
-        """Per-rank [start, end] pairs of phase 0..3, in rank order."""
+    def phase_intervals(self, phase: int) -> list[tuple[float, float]]:
+        """Per-rank (start, end) pairs of phase 0..3, in rank order."""
         columns = self.columns._lists
-        return list(map(list, zip(columns[2 * phase], columns[2 * phase + 1])))
+        return list(zip(columns[2 * phase], columns[2 * phase + 1]))
 
 
 def busy_time(intervals: Iterable[Sequence[float]]) -> float:
     """Total length of the union of (start, end) intervals (overlap counted
-    once), adding each merged stretch in start order."""
-    spans = iter(sorted(intervals))
-    first = next(spans, None)
-    if first is None:
+    once), adding each merged stretch in start order to 0.0."""
+    spans = sorted(intervals)
+    if not spans:
         return 0.0
     total = 0.0
-    cur_start, cur_end = first
-    for start, end in spans:
+    cur_start, cur_end = spans[0]
+    if len(spans) == 1:  # one rank's phase
+        return total + (cur_end - cur_start)
+    for start, end in islice(spans, 1, None):
         if start > cur_end:
             total += cur_end - cur_start
             cur_start, cur_end = start, end
@@ -374,13 +400,16 @@ def simulate_dpu_kernel(
     base, rem = divmod(units, tasklets)
     mram_cycles = 0.0
     # the first rem tasklets take base + 1 units, the rest base. Each share
-    # is priced once but still added once per tasklet, never multiplied, so
-    # the float sum rounds exactly as a per-tasklet loop does
+    # that a tasklet holds is priced once (its write as its read when a
+    # unit writes what it reads) but still added once per tasklet, never
+    # multiplied, so the float sum rounds exactly as a per-tasklet loop does
+    read_bytes, write_bytes = cost.mram_read_bytes_per_unit, cost.mram_write_bytes_per_unit
     for share, count in ((base + 1, rem), (base, tasklets - rem)):
-        if share == 0:
+        if share == 0 or count == 0:
             continue
-        read = _streamed_access_cycles(share * cost.mram_read_bytes_per_unit, chunk, profile)
-        write = _streamed_access_cycles(share * cost.mram_write_bytes_per_unit, chunk, profile)
+        read = _streamed_access_cycles(share * read_bytes, chunk, profile)
+        write = (read if write_bytes == read_bytes
+                 else _streamed_access_cycles(share * write_bytes, chunk, profile))
         for _ in range(count):
             mram_cycles += read
             mram_cycles += write

@@ -37,9 +37,9 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from collections import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from operator import add, index, le, mul
+from operator import add, index, mul
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -239,9 +239,8 @@ class JobPlan:
             ) from None
         object.__setattr__(self, "timeline", timeline)
         object.__setattr__(self, "makespan", timeline.makespan)
-        object.__setattr__(self, "phase_times", PhaseTimes(
-            *(mc.busy_time(timeline.phase_intervals(k)) for k in range(4))
-        ))
+        object.__setattr__(self, "phase_times", PhaseTimes._make(
+            map(mc.busy_time, map(timeline.phase_intervals, range(4)))))
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,8 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     """Spread the per-message digest write over that job's hash blocks."""
     if total_units == 0:
         return base
-    return replace(base, mram_write_bytes_per_unit=DIGEST_BYTES * total_messages / total_units)
+    return mc.KernelCost(base.instructions_per_unit, base.mram_read_bytes_per_unit,
+                         DIGEST_BYTES * total_messages / total_units)
 
 
 def plan_job(
@@ -417,8 +417,8 @@ def _schedule(strategy: Strategy, rank_phases: list[list[float]],
     every strategy: each phase starts as the one before it ends."""
     prepare, to_dpu, kernel, from_dpu = rank_phases
     if len(prepare) == 1:
-        t = list(accumulate((prepare[0], to_dpu[0], kernel[0], from_dpu[0]), initial=t0))
-        return [t[0:1], t[1:2], t[1:2], t[2:3], t[2:3], t[3:4], t[3:4], t[4:5]]
+        a, b, c, d, e = accumulate((prepare[0], to_dpu[0], kernel[0], from_dpu[0]), initial=t0)
+        return [[a], [b], [b], [c], [c], [d], [d], [e]]
     waits_for_inbound, launch_barrier, serial_drain = _SCHEDULES[strategy]
     # the host stages one rank after the other, each after the previous
     # rank's inbound transfer if it waits for it
@@ -535,17 +535,14 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     """Check every timeline invariant; returns all violations (empty = ok).
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
-    A clean timeline passes one comparison pass over every pair of
-    adjacent event columns, side by side; otherwise one pass over the times
-    array finds the ranks that may break a rule: a negative or decreasing
-    time. Only those rows are checked kind by kind: negative times in
-    (time, kind index) order, then each kind that comes before the kind
-    ahead of it.
+    A clean timeline is one in_order() (which compares its adjacent event
+    columns side by side once per timeline); otherwise one pass over the
+    times array finds the ranks that may break a rule: a negative or
+    decreasing time. Only those rows are checked kind by kind: negative
+    times in (time, kind index) order, then each kind that comes before
+    the kind ahead of it.
     """
-    # a clean row starts at or after 0 and never decreases
-    columns = timeline.columns._lists
-    if min(columns[0], default=0.0) >= 0 and all(map(
-            le, chain.from_iterable(columns[:-1]), chain.from_iterable(columns[1:]))):
+    if timeline.in_order():
         return []
     times = timeline.times
     clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)

@@ -226,6 +226,21 @@ class TestRankScaling:
             assert (row.prepare_s, row.to_dpu_s, row.kernel_s, row.from_dpu_s, row.total_s) == (
                 *plan.phase_times, plan.makespan)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("n_ranks", [1, 2, 40])
+    def test_reschedule_is_replace_and_plan_job(self, algorithm, n_ranks):
+        """bench's reschedule of a priced plan is replace(plan, strategy=s)
+        and plan_job(..., strategy=s): the same timeline, makespan and
+        phase times, to the bit (by repr), under every strategy."""
+        spec = _spec("rank_scaling", algorithm=algorithm)
+        workload, topology = bench._point(spec, n_ranks, bundled_default_config().machine)
+        plan = plan_job(workload, strategy=Strategy.SYNC, **topology)
+        for strategy in Strategy:
+            plans = (bench._rescheduled(plan, strategy), dataclasses.replace(plan, strategy=strategy),
+                     plan_job(workload, strategy=strategy, **topology))
+            assert len({repr((p.timeline, p.makespan, p.phase_times)) for p in plans}) == 1
+            assert plans[0] == plans[1] == plans[2]
+
     def test_reproducible(self):
         spec = _spec("rank_scaling", sweep=[1, 2, 4], strategies=["pim1", "pim2"])
         a = run_experiment(spec, include_baseline=False)

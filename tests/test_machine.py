@@ -423,16 +423,21 @@ class TestBusyTime:
     @example(intervals=[(0.0, 4.0), (1.1, 2.5), (1.1, 2.5)])   # nested, duplicate
     @example(intervals=[(1.1, 1.1), (-3.0, -3.0), (4.0, 4.0)])  # zero length
     @example(intervals=[(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (-3.0, -0.0)])
+    # one interval, the one-rank phase: its length is added to 0.0, so zeros come out as 0.0
+    @example(intervals=[(0.0, -0.0)])
+    @example(intervals=[(-0.0, -0.0)])
+    @example(intervals=[(1.1, 1.1)])
     def test_equals_reference_union(self, intervals):
-        """busy_time is reference.union_length bit for bit, on tuples and on
-        the [start, end] lists ExecutionTimeline.phase_intervals returns."""
+        """busy_time is reference.union_length bit for bit, on tuples, on
+        [start, end] lists and on the (start, end) pairs
+        ExecutionTimeline.phase_intervals returns."""
         expected = _bits(reference.union_length(intervals))
         assert _bits(busy_time(intervals)) == expected
         assert _bits(busy_time([list(pair) for pair in intervals])) == expected
         times = np.zeros((len(intervals), len(EVENT_KINDS)))
         times[:, 4:6] = np.array(intervals).reshape(-1, 2)
         phase = ExecutionTimeline(times).phase_intervals(2)
-        assert phase == [list(pair) for pair in intervals]
+        assert phase == [tuple(pair) for pair in intervals]
         assert _bits(busy_time(phase)) == expected
 
 

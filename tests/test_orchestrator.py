@@ -9,7 +9,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -789,6 +789,8 @@ class TestTimelineArray:
 
     @settings(max_examples=300, deadline=None)
     @given(rows=_time_rows())
+    # in order, latest time zero: the first zero in column order is -0.0
+    @example(rows=[[-0.0] + [0.0] * (len(EVENT_KINDS) - 1)])
     def test_validator_matches_event_walk(self, rows):
         """Negative and out-of-order times give the violations a walk over
         each row gives, in the same order and text, from a timeline of the
@@ -799,6 +801,12 @@ class TestTimelineArray:
         assert validate_timeline(timeline) == _row_walk(rows)
         columns = ExecutionTimeline.from_columns(times.T.tolist())
         assert columns == timeline and validate_timeline(columns) == _row_walk(rows)
+        # in order exactly when nothing is reported; the makespan is the
+        # latest time, the first of equal ones in column order (so a zero
+        # keeps its sign), in or out of order
+        assert timeline.in_order() == columns.in_order() == (not _row_walk(rows))
+        latest = max(map(max, zip(*rows))) if rows else 0.0
+        assert repr(timeline.makespan) == repr(columns.makespan) == repr(latest)
         assert not timeline.times.flags.writeable
         with pytest.raises(ValueError):
             timeline.times[...] = 0.0
@@ -834,6 +842,23 @@ class TestTimelineArray:
         times[1, EVENT_KINDS.index("launch")] = value
         with pytest.raises(ValueError, match="finite"):
             ExecutionTimeline(times)
+
+    def test_finite_times_whose_sum_overflows_accepted(self):
+        """Finiteness is tested on the sum of the times first and on each
+        time only if that sum is not finite: eight columns of 1e308 sum to
+        inf and are still accepted."""
+        timeline = ExecutionTimeline.from_columns([[1e308]] * len(EVENT_KINDS))
+        assert timeline.makespan == 1e308 and validate_timeline(timeline) == []
+
+    @pytest.mark.parametrize("values", [[math.inf], [math.nan], [math.inf, -math.inf]])
+    def test_non_finite_columns_rejected(self, values):
+        """One inf or NaN among finite times is rejected, and so are +inf
+        and -inf together, whose sum is NaN."""
+        columns = [[1.0, 2.0] for _ in EVENT_KINDS]
+        for k, value in enumerate(values):
+            columns[3 + k][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            ExecutionTimeline.from_columns(columns)
 
     @pytest.mark.parametrize("shape", [(8,), (0,), (2, 7), (2, 9), (1, 2, 8)])
     def test_wrong_shape_rejected(self, shape):

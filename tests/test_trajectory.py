@@ -1,11 +1,14 @@
 """tools/trajectory.py times the planner's layers of two or more source
 trees in one process and checks every output it times, so a fast wrong
 planner cannot read as a win. This runs it on two copies of this tree for
-two rounds, checks the keys of the report it writes, and checks that a
-wrong planner output is reported as a failure."""
+two rounds, checks the keys of the report it writes, checks that a
+wrong planner output is reported as a failure, and checks that only
+changes under a source tree mark it dirty."""
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from pimcrypt import machine as mc
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "trajectory.py"
 _ALGORITHMS = ("aes128", "sha256")
+_RANK_STRATEGIES = mc.bundled_default_config().experiments["rank_scaling"].strategies
 
 
 def _load():
@@ -37,6 +41,8 @@ def test_report_holds_every_curve_point():
         assert run["correct"] and run["failures"] == []
         assert {curve: set(points) for curve, points in run["curves"].items()} == {
             "plan_job": {f"{a}/{n}" for a in _ALGORITHMS for n in (1, 10, 40)},
+            "schedule": {f"{a}/{n}/{s.value}" for a in _ALGORITHMS for n in (1, 10, 40)
+                         for s in _RANK_STRATEGIES},
             "simulate_rank_kernel": {"1", "2", "35", "2560"},
             "run_experiment": {f"{a}/{e}" for a in _ALGORITHMS for e in mc.EXPERIMENTS},
         }
@@ -77,3 +83,26 @@ def test_wrong_planner_output_is_a_failure(monkeypatch, fault):
     expected = fault(monkeypatch)
     failures = _load().measure({"change": "pimcrypt"}, 1)["failures"]
     assert set(failures) == {"change"} and set(failures["change"]) == expected
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_only_changes_under_the_source_tree_make_it_dirty(tmp_path):
+    """An untracked file at the root of the checkout leaves its src tree
+    clean; an edit under src marks it dirty."""
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "module.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "tree")
+    trajectory = _load()
+    commit, dirty = trajectory.tree_state(str(src))
+    assert len(commit) == 40 and dirty is False
+    (tmp_path / "notes.txt").write_text("untracked\n")
+    assert trajectory.tree_state(str(src)) == (commit, False)
+    (src / "module.py").write_text("x = 2\n")
+    assert trajectory.tree_state(str(src)) == (commit, True)

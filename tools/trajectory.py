@@ -15,6 +15,9 @@ round takes the trees in reverse order (A B B A ...). The curves:
 
 * plan_job at 1, 10 and 40 ranks for both algorithms, on bench's own
   rank_scaling workloads under that experiment's first strategy;
+* schedule: those plans at 1, 10 and 40 ranks rescheduled under each
+  strategy, replace(plan, strategy=s), and the new timeline checked by
+  validate_timeline;
 * simulate_rank_kernel on a whole machine's 40 x 64 grid holding 1, 2, 35
   and 2,560 distinct (units, tasklets) pairs, given in the form the tree
   takes: one list per rank, or (ranks, DPUs) int64 arrays for a tree from
@@ -23,12 +26,14 @@ round takes the trees in reverse order (A B B A ...). The curves:
 
 Every output is checked, so a fast wrong planner does not read as a win:
 each experiment's CSV against hostbench/fingerprints.json (read only), each
-plan_job makespan against its row of that experiment, and each rank-kernel
-result against the slowest DPU of each rank priced one by one. The file
-records, per tree, the median and quartiles of every point's samples, the
-commit and whether its tree is dirty, the SHA-256 of the measured source
-(source_digest, which names an uncommitted tree too), whether every check
-passed and the failures; and the host facts. Each tree after the first (the
+plan_job and schedule makespan against its row of that experiment (and
+each schedule against validate_timeline), and each rank-kernel result
+against the slowest DPU of each rank priced one by one. The file records,
+per tree, the median and quartiles of every point's samples, the commit
+and whether its source tree has uncommitted changes (dirty; files outside
+it do not count), the SHA-256 of the measured source (source_digest, which
+names an uncommitted tree too), whether every check passed and the
+failures; and the host facts. Each tree after the first (the
 baseline) is compared with it round by round: per point, the median and
 quartiles of the ratios tree / baseline of the two calls in one round, and
 the share of rounds in which the tree was faster.
@@ -37,6 +42,7 @@ the share of rounds in which the tree was faster.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -83,7 +89,8 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
     bench, machine, orchestrator = (importlib.import_module(f"{package}.{module}")
                                     for module in ("bench", "machine", "orchestrator"))
     config = machine.bundled_default_config()
-    points: dict[str, dict] = {"plan_job": {}, "simulate_rank_kernel": {}, "run_experiment": {}}
+    points: dict[str, dict] = {"plan_job": {}, "schedule": {}, "simulate_rank_kernel": {},
+                               "run_experiment": {}}
     failures: list[str] = []
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,11 +115,19 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
             plan = partial(orchestrator.plan_job, workload, strategy=strategy, config=config,
                            **topology)
             points["plan_job"][f"{algorithm}/{n_ranks}"] = plan
-            row = next(r for r in result.rows
-                       if r.sweep_value == n_ranks and r.strategy is strategy)
-            if plan().makespan != row.total_s:
+            rows = {r.strategy: r for r in result.rows if r.sweep_value == n_ranks}
+            priced = plan()
+            if priced.makespan != rows[strategy].total_s:
                 failures.append(f"plan_job {algorithm} at {n_ranks} ranks: makespan differs "
                                 "from its rank_scaling row")
+            for other in spec.strategies:
+                name = f"{algorithm}/{n_ranks}/{other.value}"
+                schedule = partial(_schedule, orchestrator, priced, other)
+                points["schedule"][name] = schedule
+                rescheduled, violations = schedule()
+                if violations or rescheduled.makespan != rows[other].total_s:
+                    failures.append(f"schedule {name}: invalid, or its makespan differs from "
+                                    "its rank_scaling row")
 
     cost, shape = config.kernel_costs["aes128"], (40, 64)
     rng = np.random.default_rng(0)
@@ -131,6 +146,12 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
             failures.append(f"simulate_rank_kernel with {pairs} pairs: a rank is not its "
                             "slowest DPU")
     return points, failures
+
+
+def _schedule(orchestrator, plan, strategy) -> tuple:
+    """plan rescheduled under strategy, and validate_timeline of its timeline."""
+    rescheduled = dataclasses.replace(plan, strategy=strategy)
+    return rescheduled, orchestrator.validate_timeline(rescheduled.timeline)
 
 
 def _rank_grid(machine, units, tasklets) -> tuple:
@@ -173,6 +194,15 @@ def _git(src: str, *args: str) -> str | None:
     except (OSError, subprocess.SubprocessError):
         return None
     return done.stdout
+
+
+def tree_state(src: str) -> tuple[str | None, bool | None]:
+    """The commit checked out at src, and whether anything under src (not
+    elsewhere in its checkout) differs from it; None for either that git
+    cannot tell."""
+    head, status = _git(src, "rev-parse", "HEAD"), _git(src, "status", "--porcelain", "--", ".")
+    return (head.strip() if head else None,
+            bool(status.strip()) if status is not None else None)
 
 
 def source_digest(src: str) -> str:
@@ -239,10 +269,10 @@ def run(trees: list[tuple[str, str]], repetitions: int) -> dict:
                                    wins=sum(r < 1 for r in ratios) / len(ratios))
                 curves[curve][point] = summary
         failures = sorted(measured["failures"][name])
-        head, status = _git(src, "rev-parse", "HEAD"), _git(src, "status", "--porcelain")
+        commit, dirty = tree_state(src)
         runs[name] = {
-            "commit": head.strip() if head else None,
-            "dirty": bool(status.strip()) if status is not None else None,
+            "commit": commit,
+            "dirty": dirty,
             "source_sha256": source_digest(src),
             "correct": not failures,
             "failures": failures,
