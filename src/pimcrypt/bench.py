@@ -113,9 +113,9 @@ def run_experiment(
     is priced once, by plan_job under the first strategy; a strategy
     changes only the schedule, so each other strategy's plan is
     _rescheduled(plan, s), which equals replace(plan, strategy=s). No row
-    comes from a plan whose timeline fails validate_timeline. Rows are ordered by sweep value, one per
-    strategy (in spec order) at each value, and carry the kernel speedup
-    over the first row. Every point is planned before anything is measured,
+    comes from a plan whose timeline fails validate_timeline. Rows are
+    ordered by sweep value, one per strategy (in spec order) at each value,
+    and carry the kernel speedup over the first row. Every point is planned before anything is measured,
     so the first point that _point or the planner rejects fails the run.
     The experiment whose axis is n_ranks (rank_scaling) alone spans several
     ranks, so it alone lists strategies, records them and, unless
