@@ -26,7 +26,7 @@ from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 from operator import index, le
 from typing import Iterable, Literal, Sequence
 
@@ -275,7 +275,7 @@ class ExecutionTimeline:
                 self._ordered = row[0] >= 0 and row == sorted(row)
             else:  # adjacent columns side by side; a column given twice is in order with itself
                 self._ordered = min(columns[0], default=0.0) >= 0 and all(
-                    a is b or all(map(le, a, b)) for a, b in zip(columns, islice(columns, 1, None)))
+                    a is b or all(map(le, a, b)) for a, b in zip(columns, columns[1:]))
         return self._ordered
 
     @property
@@ -314,14 +314,13 @@ class ExecutionTimeline:
 def busy_time(intervals: Iterable[Sequence[float]]) -> float:
     """Total length of the union of (start, end) intervals (overlap counted
     once), adding each merged stretch in start order to 0.0."""
-    spans = sorted(intervals)
-    if not spans:
+    spans = iter(sorted(intervals))
+    first = next(spans, None)
+    if first is None:
         return 0.0
     total = 0.0
-    cur_start, cur_end = spans[0]
-    if len(spans) == 1:  # one rank's phase
-        return total + (cur_end - cur_start)
-    for start, end in islice(spans, 1, None):
+    cur_start, cur_end = first
+    for start, end in spans:
         if start > cur_end:
             total += cur_end - cur_start
             cur_start, cur_end = start, end
