@@ -257,9 +257,10 @@ class ExecutionTimeline:
     def _hold(self, columns: Columns) -> None:
         """Keep columns; a time that is not finite raises ValueError. Finite
         times have a finite sum unless it overflows, and only then is each
-        time tested."""
+        time tested. The sum starts from 0.0, so an int that no float holds
+        raises OverflowError, as math.isfinite of it does."""
         lists = columns._lists
-        if not (math.isfinite(sum(chain.from_iterable(lists)))
+        if not (math.isfinite(sum(chain.from_iterable(lists), 0.0))
                 or all(map(math.isfinite, chain.from_iterable(lists)))):
             raise ValueError("timeline times must be finite")
         self.columns, self._times, self._ordered = columns, None, None
