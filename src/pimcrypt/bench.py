@@ -115,8 +115,9 @@ def run_experiment(
     _rescheduled(plan, s), which equals replace(plan, strategy=s). No row
     comes from a plan whose timeline fails validate_timeline. Rows are
     ordered by sweep value, one per strategy (in spec order) at each value,
-    and carry the kernel speedup over the first row. Every point is planned before anything is measured,
-    so the first point that _point or the planner rejects fails the run.
+    and carry the kernel speedup over the first row. Every point is
+    planned before anything is measured, so the first point that _point
+    or the planner rejects fails the run.
     The experiment whose axis is n_ranks (rank_scaling) alone spans several
     ranks, so it alone lists strategies, records them and, unless
     include_baseline is false, a host software baseline: the median of

@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from operator import add, index, mul
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
@@ -262,8 +262,7 @@ def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) ->
     """Spread the per-message digest write over that job's hash blocks."""
     if total_units == 0:
         return base
-    return mc.KernelCost(base.instructions_per_unit, base.mram_read_bytes_per_unit,
-                         DIGEST_BYTES * total_messages / total_units)
+    return replace(base, mram_write_bytes_per_unit=DIGEST_BYTES * total_messages / total_units)
 
 
 def plan_job(
