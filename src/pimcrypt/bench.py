@@ -35,7 +35,6 @@ from .errors import ProfileError
 from .machine import ExperimentSpec, HostProfile, Strategy
 from .orchestrator import (
     AesWorkload,
-    JobPlan,
     SameLengths,
     ShaWorkload,
     plan_job,
@@ -112,12 +111,11 @@ def run_experiment(
     _point gives plan_job's workload and topology at each sweep value. Each
     is priced once, by plan_job under the first strategy; a strategy
     changes only the schedule, so each other strategy's plan is
-    _rescheduled(plan, s), which equals replace(plan, strategy=s). No row
-    comes from a plan whose timeline fails validate_timeline. Rows are
-    ordered by sweep value, one per strategy (in spec order) at each value,
-    and carry the kernel speedup over the first row. Every point is
-    planned before anything is measured, so the first point that _point
-    or the planner rejects fails the run.
+    plan.rescheduled(s). No row comes from a plan whose timeline fails
+    validate_timeline. Rows are ordered by sweep value, one per strategy
+    (in spec order) at each value, and carry the kernel speedup over the
+    first row. Every point is planned before anything is measured, so the
+    first point that _point or the planner rejects fails the run.
     The experiment whose axis is n_ranks (rank_scaling) alone spans several
     ranks, so it alone lists strategies, records them and, unless
     include_baseline is false, a host software baseline: the median of
@@ -133,7 +131,7 @@ def run_experiment(
         plan = plan_job(workload, strategy=spec.strategies[0], config=config, **topology)
         for strategy in spec.strategies:
             if strategy is not plan.strategy:
-                plan = _rescheduled(plan, strategy)
+                plan = plan.rescheduled(strategy)
             violations = validate_timeline(plan.timeline)
             if violations:
                 raise RuntimeError("planner produced an invalid timeline: "
@@ -163,15 +161,6 @@ def run_experiment(
             rate = _measure_baseline(spec, meta)
             rows = [replace(row, baseline_s=rate * row.bytes_to_dpu) for row in rows]
     return ExperimentResult(spec=spec, rows=rows, metadata=meta)
-
-
-def _rescheduled(plan: JobPlan, strategy: Strategy) -> JobPlan:
-    """replace(plan, strategy=strategy): the same priced job under another
-    strategy, built by JobPlan itself, without replace's walk over the
-    fields."""
-    return JobPlan(strategy, plan.n_ranks, plan.dpus_per_rank, plan.tasklets,
-                   plan.rank_phases, plan.payload_bytes_to_dpu, plan.payload_bytes_from_dpu,
-                   plan.broadcast_bytes, plan.broadcast_seconds)
 
 
 def _measure_baseline(spec: ExperimentSpec, meta: dict[str, object]) -> float:

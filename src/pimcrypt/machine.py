@@ -235,8 +235,7 @@ class ExecutionTimeline:
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
     from_columns takes the 8 columns; columns is a Columns, which cannot
     change, and times is the same as a read-only (ranks, 8) float64 array,
-    built on first access. in_order() tells whether every rank's times
-    are in EVENT_KINDS order from 0 on.
+    built on first access.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -263,21 +262,12 @@ class ExecutionTimeline:
         if not (math.isfinite(sum(chain.from_iterable(lists), 0.0))
                 or all(map(math.isfinite, chain.from_iterable(lists)))):
             raise ValueError("timeline times must be finite")
-        self.columns, self._times, self._ordered = columns, None, None
-
-    def in_order(self) -> bool:
-        """Whether every rank's first time is at least 0 and each next
-        time is no earlier than the one before, in EVENT_KINDS order.
-        Worked out on first call: the columns cannot change."""
-        if self._ordered is None:
-            columns = self.columns._lists
-            if len(columns[0]) == 1:  # one rank: its row is in order if sorting keeps it
-                row = list(chain.from_iterable(columns))
-                self._ordered = row[0] >= 0 and row == sorted(row)
-            else:  # adjacent columns side by side; a column given twice is in order with itself
-                self._ordered = min(columns[0], default=0.0) >= 0 and all(
-                    a is b or all(map(le, a, b)) for a, b in zip(columns, columns[1:]))
-        return self._ordered
+        self.columns, self._times = columns, None
+        # whether every rank starts at or after 0 and never goes back, read
+        # by makespan and validate_timeline: adjacent columns side by side,
+        # a column given twice being in order with itself
+        self._in_order = min(lists[0], default=0.0) >= 0 and all(
+            a is b or all(map(le, a, b)) for a, b in zip(lists, lists[1:]))
 
     @property
     def times(self) -> np.ndarray:
@@ -302,7 +292,7 @@ class ExecutionTimeline:
         columns = self.columns._lists
         if not columns[0]:
             return 0.0
-        if self.in_order() and (latest := max(columns[-1])):
+        if self._in_order and (latest := max(columns[-1])):
             return latest
         return max(map(max, columns))
 
@@ -400,16 +390,14 @@ def simulate_dpu_kernel(
     base, rem = divmod(units, tasklets)
     mram_cycles = 0.0
     # the first rem tasklets take base + 1 units, the rest base. Each share
-    # that a tasklet holds is priced once (its write as its read when a
-    # unit writes what it reads) but still added once per tasklet, never
-    # multiplied, so the float sum rounds exactly as a per-tasklet loop does
-    read_bytes, write_bytes = cost.mram_read_bytes_per_unit, cost.mram_write_bytes_per_unit
+    # that a tasklet holds is priced once but still added once per tasklet,
+    # never multiplied, so the float sum rounds exactly as a per-tasklet
+    # loop does
     for share, count in ((base + 1, rem), (base, tasklets - rem)):
         if share == 0 or count == 0:
             continue
-        read = _streamed_access_cycles(share * read_bytes, chunk, profile)
-        write = (read if write_bytes == read_bytes
-                 else _streamed_access_cycles(share * write_bytes, chunk, profile))
+        read = _streamed_access_cycles(share * cost.mram_read_bytes_per_unit, chunk, profile)
+        write = _streamed_access_cycles(share * cost.mram_write_bytes_per_unit, chunk, profile)
         for _ in range(count):
             mram_cycles += read
             mram_cycles += write

@@ -9,8 +9,9 @@ with one entry per rank, and phase k runs from event column 2k to 2k + 1
 of the timeline, in which every rank has every event; the phase times,
 the makespan and validation are read from those columns. A strategy
 changes only the schedule: a JobPlan derives its timeline from its
-strategy and rank phases, so replace(plan, strategy=s) reschedules the
-same priced job. Three strategies are supported:
+strategy and rank phases, so plan.rescheduled(s), which equals
+replace(plan, strategy=s), reschedules the same priced job. Three
+strategies are supported:
 
 * sync — ranks are staged, transferred and drained strictly one after the
   other; all DPUs launch together once every transfer has finished.
@@ -241,6 +242,17 @@ class JobPlan:
         object.__setattr__(self, "makespan", timeline.makespan)
         object.__setattr__(self, "phase_times", PhaseTimes._make(
             map(mc.busy_time, map(timeline.phase_intervals, range(4)))))
+
+    def rescheduled(self, strategy: Strategy) -> "JobPlan":
+        """replace(self, strategy=strategy): the same priced job under
+        another strategy, built without replace's walk over the fields."""
+        return JobPlan(
+            strategy=strategy, n_ranks=self.n_ranks, dpus_per_rank=self.dpus_per_rank,
+            tasklets=self.tasklets, rank_phases=self.rank_phases,
+            payload_bytes_to_dpu=self.payload_bytes_to_dpu,
+            payload_bytes_from_dpu=self.payload_bytes_from_dpu,
+            broadcast_bytes=self.broadcast_bytes, broadcast_seconds=self.broadcast_seconds,
+        )
 
 
 @dataclass(frozen=True)
@@ -534,14 +546,14 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     """Check every timeline invariant; returns all violations (empty = ok).
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
-    A clean timeline is one in_order() (which compares its adjacent event
-    columns side by side once per timeline); otherwise one pass over the
-    times array finds the ranks that may break a rule: a negative or
-    decreasing time. Only those rows are checked kind by kind: negative
-    times in (time, kind index) order, then each kind that comes before
-    the kind ahead of it.
+    A clean timeline passes the one comparison of its adjacent event
+    columns, side by side, that it made when it was built; otherwise one
+    pass over the times array finds the ranks that may break a rule: a
+    negative or decreasing time. Only those rows are checked kind by kind:
+    negative times in (time, kind index) order, then each kind that comes
+    before the kind ahead of it.
     """
-    if timeline.in_order():
+    if timeline._in_order:
         return []
     times = timeline.times
     clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)

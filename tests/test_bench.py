@@ -229,14 +229,15 @@ class TestRankScaling:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("n_ranks", [1, 2, 40])
     def test_reschedule_is_replace_and_plan_job(self, algorithm, n_ranks):
-        """bench's reschedule of a priced plan is replace(plan, strategy=s)
-        and plan_job(..., strategy=s): the same timeline, makespan and
-        phase times, to the bit (by repr), under every strategy."""
+        """plan.rescheduled(s), bench's reschedule of a priced plan, is
+        replace(plan, strategy=s) and plan_job(..., strategy=s): the same
+        timeline, makespan and phase times, to the bit (by repr), under
+        every strategy."""
         spec = _spec("rank_scaling", algorithm=algorithm)
         workload, topology = bench._point(spec, n_ranks, bundled_default_config().machine)
         plan = plan_job(workload, strategy=Strategy.SYNC, **topology)
         for strategy in Strategy:
-            plans = (bench._rescheduled(plan, strategy), dataclasses.replace(plan, strategy=strategy),
+            plans = (plan.rescheduled(strategy), dataclasses.replace(plan, strategy=strategy),
                      plan_job(workload, strategy=strategy, **topology))
             assert len({repr((p.timeline, p.makespan, p.phase_times)) for p in plans}) == 1
             assert plans[0] == plans[1] == plans[2]

@@ -804,7 +804,7 @@ class TestTimelineArray:
         # in order exactly when nothing is reported; the makespan is the
         # latest time, the first of equal ones in column order (so a zero
         # keeps its sign), in or out of order
-        assert timeline.in_order() == columns.in_order() == (not _row_walk(rows))
+        assert timeline._in_order == columns._in_order == (not _row_walk(rows))
         latest = max(map(max, zip(*rows))) if rows else 0.0
         assert repr(timeline.makespan) == repr(columns.makespan) == repr(latest)
         assert not timeline.times.flags.writeable
