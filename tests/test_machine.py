@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import json
-import math
 import os
 import re
 import struct
@@ -246,6 +245,9 @@ class TestSimulateDpuKernel:
         per_byte=st.floats(0.01, 3),
         fixed=st.floats(1, 200),
     )
+    # units that divide evenly leave no tasklet the share of base + 1, which
+    # is not priced: 3 units of 6e307 B overflow, the 2 each tasklet holds do not
+    @example(units=4, tasklets=2, read=6e307, write=16.0, per_byte=0.01, fixed=1.0)
     def test_equals_per_tasklet_loop(self, units, tasklets, read, write, per_byte, fixed):
         """Pricing each tasklet share once keeps the per-tasklet sum bit for
         bit, with fractional MRAM traffic and non-dyadic cycle costs."""
@@ -255,33 +257,17 @@ class TestSimulateDpuKernel:
         cost = dataclasses.replace(
             AES_COST, mram_read_bytes_per_unit=read, mram_write_bytes_per_unit=write
         )
+        chunk = profile.max_mram_access_bytes
+        base, rem = divmod(units, tasklets)
+        mram = 0.0
+        for t in range(tasklets):
+            share = base + (1 if t < rem else 0)
+            if share:
+                mram += _streamed_access_cycles(share * read, chunk, profile)
+                mram += _streamed_access_cycles(share * write, chunk, profile)
+        compute = units * cost.instructions_per_unit / effective_ipc(tasklets, profile)
         assert simulate_dpu_kernel(units, tasklets, cost, profile) == \
-            _per_tasklet_loop(units, tasklets, cost, profile)
-
-    def test_share_no_tasklet_holds_not_priced(self):
-        """Units that divide evenly leave no tasklet a share of base + 1,
-        and that share is not priced: 3 units of 6e307 B overflow, 2 do
-        not, and 4 units over 2 tasklets are 2 each."""
-        cost = KernelCost(instructions_per_unit=1216.0, mram_read_bytes_per_unit=6e307,
-                          mram_write_bytes_per_unit=16.0)
-        seconds = simulate_dpu_kernel(4, 2, cost, PROFILE)
-        assert seconds == _per_tasklet_loop(4, 2, cost, PROFILE)
-        assert math.isfinite(seconds)
-
-
-def _per_tasklet_loop(units, tasklets, cost, profile):
-    """simulate_dpu_kernel's time, each tasklet's share streamed in
-    tasklet order."""
-    chunk = profile.max_mram_access_bytes
-    base, rem = divmod(units, tasklets)
-    mram = 0.0
-    for t in range(tasklets):
-        share = base + (1 if t < rem else 0)
-        if share:
-            mram += _streamed_access_cycles(share * cost.mram_read_bytes_per_unit, chunk, profile)
-            mram += _streamed_access_cycles(share * cost.mram_write_bytes_per_unit, chunk, profile)
-    compute = units * cost.instructions_per_unit / effective_ipc(tasklets, profile)
-    return (compute + mram) / profile.dpu_frequency
+            (compute + mram) / profile.dpu_frequency
 
 
 # a DPU's (units, tasklets): repeated unit counts, and now and then an invalid entry
