@@ -85,11 +85,10 @@ def _print_summary(result, extra: dict[str, object] | None = None, verbose: bool
     for key, value in pairs.items():
         print(f"{key}={value}")
     if verbose:
-        # a stable sort of the row-major times orders ties by (rank, kind)
-        times = plan.timeline.times
-        for i in times.argsort(axis=None, kind="stable").tolist():
-            rank, k = divmod(i, len(mc.EVENT_KINDS))
-            print(f"event t={times[rank, k]:.9f} rank={rank} kind={mc.EVENT_KINDS[k]}")
+        # events by time, ties by rank and then by kind
+        for t, rank, k in sorted((t, rank, k) for k, column in enumerate(plan.timeline.columns)
+                                 for rank, t in enumerate(column)):
+            print(f"event t={t:.9f} rank={rank} kind={mc.EVENT_KINDS[k]}")
 
 
 def cmd_encrypt(args: argparse.Namespace) -> int:

@@ -234,8 +234,9 @@ class ExecutionTimeline:
 
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
     from_columns takes the 8 columns; columns is a Columns, which cannot
-    change, and times is the same as a read-only (ranks, 8) float64 array,
-    built on first access.
+    change, and is all that the timeline holds and pimcrypt reads. times
+    is the same as a read-only (ranks, 8) float64 array, built on each
+    access.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -262,7 +263,7 @@ class ExecutionTimeline:
         if not (math.isfinite(sum(chain.from_iterable(lists), 0.0))
                 or all(map(math.isfinite, chain.from_iterable(lists)))):
             raise ValueError("timeline times must be finite")
-        self.columns, self._times = columns, None
+        self.columns = columns
         # whether every rank starts at or after 0 and never goes back, read
         # by makespan and validate_timeline: adjacent columns side by side,
         # a column given twice being in order with itself
@@ -271,10 +272,9 @@ class ExecutionTimeline:
 
     @property
     def times(self) -> np.ndarray:
-        if self._times is None:
-            self._times = np.array(self.columns._lists, dtype=np.float64).T.copy()
-            self._times.flags.writeable = False
-        return self._times
+        times = np.array(self.columns._lists, dtype=np.float64).T.copy()
+        times.flags.writeable = False
+        return times
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionTimeline):
@@ -282,7 +282,7 @@ class ExecutionTimeline:
         return self.columns == other.columns
 
     def __repr__(self) -> str:
-        return f"ExecutionTimeline(times={self.times.tolist()!r})"
+        return f"ExecutionTimeline(times={list(map(list, zip(*self.columns._lists)))!r})"
 
     @property
     def makespan(self) -> float:
@@ -414,13 +414,8 @@ def simulate_rank_kernel(
     The DPUs of a rank run independently and the rank finishes with its
     slowest one (0.0 for a rank of none). A DPU's time depends only on its
     pair, so each distinct pair of the job is priced once, in the order of
-    its first DPU (row-major): the first invalid pair raises first. A job
-    of one pair is priced once, with no walk over its DPUs.
+    its first DPU (row-major): the first invalid pair raises first.
     """
-    counts = set().union(*tasklets)
-    if len(counts) == 1 and len(sizes := set().union(*units)) == 1:
-        seconds = simulate_dpu_kernel(*sizes, *counts, cost, profile)
-        return [seconds if rank else 0.0 for rank in units]
     priced: dict[tuple[int, int], float] = {}
     times = []
     for rank in map(zip, units, tasklets):

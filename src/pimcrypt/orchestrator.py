@@ -43,8 +43,6 @@ from itertools import accumulate, chain, repeat
 from operator import add, index, mul
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from . import aes
 from . import machine as mc
 from .aes import EXPANDED_KEY_BYTES, aes128_encrypt_buffer, key_expansion
@@ -116,14 +114,16 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     Block counts differ by at most one across DPUs and the earlier DPUs take
     the extra blocks, so the partition is at most two runs. A block comes
     back the size it went, so in_bytes and out_bytes are one list. The
-    length must be a non-negative integer; a bool or a float is rejected,
-    not truncated.
+    length must be a non-negative integer and n_dpus a positive one, each
+    taken by _integer: a bool or a float is rejected, not truncated.
     """
+    n_dpus = _integer(n_dpus, "n_dpus must be an integer, got {!r}")
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
-    if not _is_integer(buffer_len) or buffer_len < 0:
-        raise ValueError(f"buffer length must be a non-negative integer, got {buffer_len!r}")
-    buffer_len = int(buffer_len)
+    bounds = "buffer length must be a non-negative integer, got {!r}"
+    buffer_len = _integer(buffer_len, bounds)
+    if buffer_len < 0:
+        raise ValueError(bounds.format(buffer_len))
     if buffer_len % aes.BLOCK_BYTES:
         raise AlignmentError(
             f"buffer length {buffer_len} is not a multiple of {aes.BLOCK_BYTES}")
@@ -132,9 +132,15 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     return PartitionPlan(dpus, units=blocks, items=blocks, in_bytes=nbytes, out_bytes=nbytes)
 
 
-def _is_integer(value: object) -> bool:
-    """Whether value is a Python or numpy integer; a bool or a float is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _integer(value: object, error: str) -> int:
+    """operator.index(value), an int, so any object with __index__ is taken;
+    a bool, or a value index rejects, raises ValueError(error.format(value))."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(error.format(value))
 
 
 def _spread(count: int, n_dpus: int) -> tuple[list[int], list[int]]:
@@ -148,20 +154,21 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     """Assign whole messages to DPUs round-robin by index: DPU d holds
     messages d, d + n_dpus, ...
 
-    Each length must be an integer in 0..MAX_MESSAGE_BYTES; a bool or a
-    float is rejected, not truncated. SameLengths is priced from its one
-    length, which is checked once: each DPU's sums are its message count
-    times it, in at most two runs, and no per-message list is made. Other
-    lengths are dealt straight into per-DPU sums (see _deal), one run per
-    DPU."""
+    Each length must be an integer in 0..MAX_MESSAGE_BYTES and n_dpus a
+    positive one, each taken by _integer: a bool or a float is rejected,
+    not truncated. SameLengths is priced from its one length, which is
+    checked once: each DPU's sums are its message count times it, in at
+    most two runs, and no per-message list is made. Other lengths are dealt
+    straight into per-DPU sums (see _deal), one run per DPU."""
+    n_dpus = _integer(n_dpus, "n_dpus must be an integer, got {!r}")
     if n_dpus < 1:
         raise ValueError("n_dpus must be at least 1")
     bounds = f"message lengths must be integers in 0..{MAX_MESSAGE_BYTES}"
     if isinstance(message_lengths, SameLengths):
-        length = message_lengths.length
-        if not _is_integer(length) or not 0 <= length <= MAX_MESSAGE_BYTES:
+        length = _integer(message_lengths.length, bounds)
+        if not 0 <= length <= MAX_MESSAGE_BYTES:
             raise ValueError(bounds)
-        length, (dpus, messages) = int(length), _spread(len(message_lengths), n_dpus)
+        dpus, messages = _spread(len(message_lengths), n_dpus)
         blocks = padded_block_count(length)
         return PartitionPlan(dpus, [blocks * n for n in messages], messages,
                              [length * n for n in messages], [DIGEST_BYTES * n for n in messages])
@@ -291,18 +298,17 @@ def plan_job(
 
     The job is priced on config's machine (the bundled config if None),
     with the kernel cost of the workload's own algorithm;
-    dpus_per_rank=None uses every DPU of a rank. A topology argument that
-    is a bool or not an integer is rejected, not truncated.
+    dpus_per_rank=None uses every DPU of a rank. Each topology argument
+    is taken by _integer's rule, and the plan keeps the int it gives.
     """
     if config is None:
         config = mc.bundled_default_config()
     profile = config.machine
     if dpus_per_rank is None:
         dpus_per_rank = profile.dpus_per_rank
-    for name, value in (("n_ranks", n_ranks), ("dpus_per_rank", dpus_per_rank),
-                        ("tasklets", tasklets)):
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n_ranks = _integer(n_ranks, "n_ranks must be an integer, got {!r}")
+    dpus_per_rank = _integer(dpus_per_rank, "dpus_per_rank must be an integer, got {!r}")
+    tasklets = _integer(tasklets, "tasklets must be an integer, got {!r}")
     if not 1 <= tasklets <= profile.max_tasklets:
         raise ValueError(f"tasklets must be in 1..{profile.max_tasklets}, got {tasklets}")
     if not 1 <= n_ranks <= profile.num_ranks:
@@ -547,30 +553,20 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
     A clean timeline passes the one comparison of its adjacent event
-    columns, side by side, that it made when it was built; otherwise one
-    pass over the times array finds the ranks that may break a rule: a
-    negative or decreasing time. Only those rows are checked kind by kind:
-    negative times in (time, kind index) order, then each kind that comes
-    before the kind ahead of it.
+    columns, side by side, that it made when it was built; otherwise each
+    rank's row, read from the columns, is checked kind by kind: negative
+    times in (time, kind index) order, then each kind that comes before
+    the kind ahead of it.
     """
     if timeline._in_order:
         return []
-    times = timeline.times
-    clean = (times[:, 0] >= 0) & (times[:, 1:] >= times[:, :-1]).all(axis=1)
-    violations = []
-    for rank in np.flatnonzero(~clean).tolist():
-        row = list(enumerate(times[rank].tolist()))
+    kinds, violations = mc.EVENT_KINDS, []
+    for rank, times in enumerate(zip(*timeline.columns)):
+        row = list(enumerate(times))
         for t, k in sorted((t, k) for k, t in row if t < 0):
-            violations.append(
-                TimelineViolation(rank, "negative timestamp", f"{mc.EVENT_KINDS[k]}@{t}")
-            )
+            violations.append(TimelineViolation(rank, "negative timestamp", f"{kinds[k]}@{t}"))
         for (k0, t0), (k1, t1) in zip(row, row[1:]):
             if t1 < t0:
-                violations.append(
-                    TimelineViolation(
-                        rank,
-                        f"{mc.EVENT_KINDS[k1]} before {mc.EVENT_KINDS[k0]}",
-                        f"{t1} < {t0}",
-                    )
-                )
+                violations.append(TimelineViolation(
+                    rank, f"{kinds[k1]} before {kinds[k0]}", f"{t1} < {t0}"))
     return violations

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from pimcrypt import machine as mc
 from pimcrypt import orchestrator
-from pimcrypt import bench, reference
+from pimcrypt import bench, cli, reference
 from pimcrypt.aes import BATCH_BLOCKS, aes128_encrypt_buffer, key_expansion
 from pimcrypt.errors import AlignmentError, CapacityError, ProfileError
 from pimcrypt.machine import (
@@ -77,6 +77,16 @@ def _sha_loop_partition(lengths, n_dpus):
     for idx in range(len(lengths)):
         ids[idx % n_dpus].append(idx)
     return ids
+
+
+class _Index:
+    """An integer only through __index__, as operator.index takes one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
 
 
 def _arrays(plan):
@@ -560,24 +570,42 @@ class TestCapacityChecks:
         with pytest.raises(ValueError):
             plan_job(AesWorkload(160), n_ranks=41)
 
-    @pytest.mark.parametrize("name", ["n_ranks", "dpus_per_rank", "tasklets"])
-    @pytest.mark.parametrize("value", [7.5, 3.0, True, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("name", ["n_ranks", "dpus_per_rank", "tasklets", "n_dpus"])
+    @pytest.mark.parametrize("value", [7.5, 2.5, 3.0, True, np.bool_(True), np.float64(2.0), "2"])
     def test_topology_not_an_integer_rejected(self, name, value):
-        """A topology argument that is not an integer is rejected by name:
-        tasklets=7.5 used to give a plan that said 7.5 and was priced at 7,
-        tasklets=True was planned as 1, and n_ranks=2.5 got numpy's
-        TypeError. run_job forwards them to plan_job, so it rejects them too."""
+        """A topology argument, or a partitioner's n_dpus, that is not an
+        integer is rejected by name: tasklets=7.5 used to give a plan that
+        said 7.5 and was priced at 7, tasklets=True was planned as 1,
+        n_ranks=2.5 got numpy's TypeError, partition_aes(160, 2.5) planned
+        64.0 of the 160 bytes on 2.5 DPUs and partition_sha([1, 2, 3], 2.5)
+        raised a bare TypeError. run_job forwards the topology to plan_job,
+        so it rejects it too."""
         bounds = rf"^{name} must be an integer, got "
-        with pytest.raises(ValueError, match=bounds):
-            plan_job(AesWorkload(1 << 20), **{name: value})
-        with pytest.raises(ValueError, match=bounds):
-            run_job([b"a"], **{name: value})
+        if name == "n_dpus":
+            calls = (lambda: partition_aes(160, value), lambda: partition_sha([1, 2, 3], value))
+        else:
+            calls = (lambda: plan_job(AesWorkload(1 << 20), **{name: value}),
+                     lambda: run_job([b"a"], **{name: value}))
+        for call in calls:
+            with pytest.raises(ValueError, match=bounds):
+                call()
 
     @pytest.mark.parametrize("name", ["n_ranks", "dpus_per_rank", "tasklets"])
-    def test_topology_numpy_integer_accepted(self, name):
-        """A numpy integer is an integer, as it is for partition_aes."""
-        plan, expected = (plan_job(AesWorkload(1 << 20), **{name: v}) for v in (np.int64(2), 2))
+    @pytest.mark.parametrize("integer", [np.int64, _Index], ids=["numpy", "index"])
+    def test_topology_numpy_integer_accepted(self, name, integer):
+        """A numpy integer, or any object with __index__, is an integer, as
+        it is in partition_sha's list of lengths: plan_job takes it as a
+        topology argument, partition_aes as its length and DPU count, and
+        partition_sha as a SameLengths length and its DPU count. Each keeps
+        the int that operator.index gives."""
+        plan, expected = (plan_job(AesWorkload(1 << 20), **{name: v}) for v in (integer(2), 2))
         assert (plan.makespan, getattr(plan, name)) == (expected.makespan, 2)
+        assert type(getattr(plan, name)) is int
+        for taken, plain in ((partition_aes(integer(160), integer(3)), partition_aes(160, 3)),
+                             (partition_sha(orchestrator.SameLengths(integer(100), 5), integer(3)),
+                              partition_sha(orchestrator.SameLengths(100, 5), 3))):
+            assert _arrays(taken) == _arrays(plain)
+            assert {type(n) for column in _arrays(taken) for n in column} == {int}
 
 
 class TestBroadcast:
@@ -814,6 +842,26 @@ class TestTimelineArray:
         before = times.copy()
         times[...] = 1.0  # the timeline holds its own copy
         assert np.array_equal(timeline.times, before)
+
+    def test_nothing_reads_times(self, monkeypatch, tmp_path, capsys):
+        """validate_timeline's report, a timeline's repr and encrypt -v read
+        the columns: with ExecutionTimeline.times raising, each still gives
+        what it gave from the times array."""
+        def unread(timeline):
+            raise AssertionError("ExecutionTimeline.times was read")
+
+        monkeypatch.setattr(ExecutionTimeline, "times", property(unread))
+        rows = [[0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0],
+                [-1.0, 1.0, 0.5, 2.0, 2.0, -0.0, 3.0, 4.0]]
+        timeline = ExecutionTimeline.from_columns(list(zip(*rows)))
+        assert validate_timeline(timeline) == _row_walk(rows) != []
+        assert repr(timeline) == f"ExecutionTimeline(times={rows!r})"
+        src = tmp_path / "plain.bin"
+        src.write_bytes(bytes(64))
+        argv = ["encrypt", "--key", KEY.hex(), "--in", str(src), "--out",
+                str(tmp_path / "cipher.bin"), "--ranks", "2", "-v"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\nevent t=") == 2 * len(EVENT_KINDS)
 
     def test_columns_cannot_change(self):
         """A timeline keeps its own copy of the columns it is built from: a

@@ -19,9 +19,7 @@ round takes the trees in reverse order (A B B A ...). The curves:
   strategy, replace(plan, strategy=s), and the new timeline checked by
   validate_timeline;
 * simulate_rank_kernel on a whole machine's 40 x 64 grid holding 1, 2, 35
-  and 2,560 distinct (units, tasklets) pairs, given in the form the tree
-  takes: one list per rank, or (ranks, DPUs) int64 arrays for a tree from
-  before the planner priced on Python numbers;
+  and 2,560 distinct (units, tasklets) pairs, given as one list per rank;
 * run_experiment(include_baseline=False) for each experiment and algorithm.
 
 Every output is checked, so a fast wrong planner does not read as a win:
@@ -46,7 +44,6 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -135,7 +132,7 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
         # pair i is (i + 1 units, 1 + i % 24 tasklets), dealt to DPUs in a shuffled order
         which = rng.permutation(np.arange(shape[0] * shape[1]) % pairs).reshape(shape)
         units, tasklets = which + 1, 1 + which % 24
-        price = partial(machine.simulate_rank_kernel, *_rank_grid(machine, units, tasklets),
+        price = partial(machine.simulate_rank_kernel, units.tolist(), tasklets.tolist(),
                         cost, config.machine)
         points["simulate_rank_kernel"][str(pairs)] = price
         slowest = [
@@ -152,17 +149,6 @@ def _schedule(orchestrator, plan, strategy) -> tuple:
     """plan rescheduled under strategy, and validate_timeline of its timeline."""
     rescheduled = dataclasses.replace(plan, strategy=strategy)
     return rescheduled, orchestrator.validate_timeline(rescheduled.timeline)
-
-
-def _rank_grid(machine, units, tasklets) -> tuple:
-    """simulate_rank_kernel's (units, tasklets) arguments from (ranks, DPUs
-    per rank) int64 grids, in the form the tree's function takes: the grids
-    themselves for a tree that prices them as numpy arrays, one list per
-    rank for a tree that prices on Python numbers."""
-    if inspect.signature(machine.simulate_rank_kernel).parameters["units"].annotation == (
-            "np.ndarray"):
-        return units, tasklets
-    return units.tolist(), tasklets.tolist()
 
 
 def measure(packages: dict[str, str], repetitions: int) -> dict:
