@@ -234,9 +234,8 @@ class ExecutionTimeline:
 
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
     from_columns takes the 8 columns; columns is a Columns, which cannot
-    change, and is all that the timeline holds and pimcrypt reads. times
-    is the same as a read-only (ranks, 8) float64 array, built on each
-    access.
+    change, and is the one form that pimcrypt reads; times is the same
+    as a read-only (ranks, 8) float64 array, built on each access.
     """
 
     __hash__ = None  # type: ignore[assignment]

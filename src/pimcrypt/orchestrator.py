@@ -115,7 +115,8 @@ def partition_aes(buffer_len: int, n_dpus: int) -> PartitionPlan:
     the extra blocks, so the partition is at most two runs. A block comes
     back the size it went, so in_bytes and out_bytes are one list. The
     length must be a non-negative integer and n_dpus a positive one, each
-    taken by _integer: a bool or a float is rejected, not truncated.
+    read by operator.index with a bool rejected, so a bool or a float is
+    rejected, not truncated.
     """
     n_dpus = _integer(n_dpus, "n_dpus must be an integer, got {!r}")
     if n_dpus < 1:
@@ -155,8 +156,8 @@ def partition_sha(message_lengths: Sequence[int], n_dpus: int) -> PartitionPlan:
     messages d, d + n_dpus, ...
 
     Each length must be an integer in 0..MAX_MESSAGE_BYTES and n_dpus a
-    positive one, each taken by _integer: a bool or a float is rejected,
-    not truncated. SameLengths is priced from its one length, which is
+    positive one, each read by operator.index with a bool rejected, so a
+    bool or a float is rejected, not truncated. SameLengths is priced from its one length, which is
     checked once: each DPU's sums are its message count times it, in at
     most two runs, and no per-message list is made. Other lengths are dealt
     straight into per-DPU sums (see _deal), one run per DPU."""
@@ -299,7 +300,8 @@ def plan_job(
     The job is priced on config's machine (the bundled config if None),
     with the kernel cost of the workload's own algorithm;
     dpus_per_rank=None uses every DPU of a rank. Each topology argument
-    is taken by _integer's rule, and the plan keeps the int it gives.
+    is read by operator.index with a bool rejected, and the plan keeps the
+    int it gives.
     """
     if config is None:
         config = mc.bundled_default_config()
