@@ -259,18 +259,15 @@ def characterize_kernel(
     )
 
 
-def _format_value(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def emit_csv(result: ExperimentResult, path: str) -> None:
-    """Write a result as CSV: '#'-prefixed metadata, header, one row per entry."""
-    lines = []
-    for key, value in result.metadata.items():
-        lines.append(f"# {key}={value}")
+    """Write a result as CSV: '#'-prefixed metadata, header, one row per
+    entry, each time as repr(float(t)) and a baseline_s of None empty."""
+    lines = [f"# {key}={value}" for key, value in result.metadata.items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in result.rows:
-        lines.append(",".join((str(row.sweep_value),
-                               *(_format_value(getattr(row, c)) for c in CSV_COLUMNS[1:]))))
+        baseline = row.baseline_s
+        lines.append(f"{row.sweep_value},{float(row.kernel_s)!r},{float(row.to_dpu_s)!r},"
+                     f"{float(row.from_dpu_s)!r},{float(row.prepare_s)!r},"
+                     f"{float(row.total_s)!r},{'' if baseline is None else repr(float(baseline))}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

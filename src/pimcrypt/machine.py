@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
+from numbers import Real
 from operator import index, le
 from typing import Iterable, Literal, Sequence
 
@@ -192,25 +193,36 @@ EVENT_KINDS = (
 
 class Columns(abc.Sequence):
     """Columns of one float per rank that cannot change: Columns(columns)
-    keeps its own copy of each column as a list, and column k reads as a
-    tuple made on access. Columns with equal values are equal.
+    keeps its own copy of each column as a list of float(t) for each time
+    t, which must be a numbers.Real (a str, bytes or None raises
+    TypeError), and column k reads as a tuple made on access. Columns with
+    equal values are equal.
 
     A planner's columns are never copied to tuples: that costs a copy per
     column, and CPython 3.11 keeps every freed 20-item tuple on a free
-    list that it never takes from.
+    list that it never takes from. _durations_checked is set by a JobPlan
+    once it has found every value finite and at least 0, so a plan
+    rescheduled from the same phases does not test them again.
     """
 
-    __slots__ = ("_lists",)
+    __slots__ = ("_lists", "_durations_checked")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, columns: Iterable[Iterable[float]]) -> None:
-        self._lists = [list(column) for column in columns]
+        lists = [list(column) for column in columns]
+        for t in chain.from_iterable(lists):
+            if not isinstance(t, Real):
+                raise TypeError(f"a time must be a real number, got {t!r}")
+        self._lists = [list(map(float, column)) for column in lists]
+        self._durations_checked = False
 
     @classmethod
     def _adopt(cls, lists: list[list[float]]) -> "Columns":
-        """Columns of lists that no one else holds, kept without a copy."""
+        """Columns of lists of floats that no one else holds, kept without
+        a copy."""
         held = cls.__new__(cls)
         held._lists = lists
+        held._durations_checked = False
         return held
 
     def __len__(self) -> int:
@@ -233,9 +245,11 @@ class ExecutionTimeline:
     equal.
 
     ExecutionTimeline(times) reads a (ranks, 8) array of times, and
-    from_columns takes the 8 columns; columns is a Columns, which cannot
-    change, and is the one form that pimcrypt reads; times is the same
-    as a read-only (ranks, 8) float64 array, built on each access.
+    from_columns takes the 8 columns; both check the times event by event
+    (see _hold). columns is a Columns, which cannot change, and is the one
+    form that pimcrypt reads; times is the same as a read-only (ranks, 8)
+    float64 array, built on each access. A JobPlan builds its timeline by
+    _of_schedule, as its schedule is in order by construction.
     """
 
     __hash__ = None  # type: ignore[assignment]
@@ -253,11 +267,29 @@ class ExecutionTimeline:
         timeline._hold(columns if isinstance(columns, Columns) else Columns(columns))
         return timeline
 
+    @classmethod
+    def _of_schedule(cls, columns: Columns) -> "ExecutionTimeline":
+        """The timeline of a JobPlan's schedule, in order by construction:
+        its first column is the plan's broadcast time or a sum from it, and
+        each other column repeats or takes the maximum of an earlier one or
+        adds a duration to one, all of them finite and at least 0, which
+        the plan has checked; x + y >= x for y >= 0 in IEEE arithmetic, so
+        every rank's times are in order. A NaN cannot arise from them, and
+        a time that overflows to inf leaves an inf in its rank's last
+        event, so only the largest time of the last column is tested: one
+        that is not finite raises ValueError."""
+        if not math.isfinite(max(columns._lists[-1], default=0.0)):
+            raise ValueError("timeline times must be finite")
+        timeline = cls.__new__(cls)
+        timeline.columns = columns
+        timeline._in_order = True
+        return timeline
+
     def _hold(self, columns: Columns) -> None:
-        """Keep columns; a time that is not finite raises ValueError. Finite
-        times have a finite sum unless it overflows, and only then is each
-        time tested. The sum starts from 0.0, so an int that no float holds
-        raises OverflowError, as math.isfinite of it does."""
+        """Keep columns from outside a plan, checked event by event; a time
+        that is not finite raises ValueError. Finite times have a finite
+        sum from 0.0 unless it overflows, and only then is each time
+        tested, so a NaN cannot hide."""
         lists = columns._lists
         if not (math.isfinite(sum(chain.from_iterable(lists), 0.0))
                 or all(map(math.isfinite, chain.from_iterable(lists)))):

@@ -35,6 +35,7 @@ transfer ahead of the payload staging.
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import abc
@@ -207,6 +208,10 @@ class PhaseTimes(NamedTuple):
     dpu_to_cpu: float
 
 
+# why a plan's time is not finite, the one cause a JobPlan can give for it
+_NON_FINITE = "the model gives a non-finite time: a machine or kernel cost value is out of range"
+
+
 @dataclass(frozen=True)
 class JobPlan:
     """Everything the model derives from a workload before/without running it.
@@ -216,6 +221,15 @@ class JobPlan:
     other sequence of sequences), so it cannot change. The schedule
     (timeline, makespan, phase_times) is derived on construction from
     strategy, rank_phases and broadcast_seconds, so it always matches them.
+
+    Every duration and broadcast_seconds must be finite and at least 0
+    (-0.0 is): a NaN or an infinity raises the non-finite ProfileError,
+    and a negative value a ValueError that names it. The phases are
+    checked once (see _check_durations), and a plan rescheduled from the
+    same rank_phases does not check them again. Such inputs make the
+    schedule in order by construction, so the timeline is not checked
+    event by event: only its latest time is tested, as a sum may still
+    overflow to inf (see ExecutionTimeline._of_schedule).
     """
 
     strategy: Strategy
@@ -239,13 +253,19 @@ class JobPlan:
         if not isinstance(rank_phases, mc.Columns):
             rank_phases = mc.Columns(rank_phases)
             object.__setattr__(self, "rank_phases", rank_phases)
-        columns = _schedule(self.strategy, rank_phases._lists, self.broadcast_seconds)
+        if not rank_phases._durations_checked:
+            _check_durations(rank_phases._lists)
+            rank_phases._durations_checked = True
+        t0 = self.broadcast_seconds
+        if not (t0 >= 0 and math.isfinite(t0)):
+            if not math.isfinite(t0):
+                raise ProfileError(_NON_FINITE)
+            raise ValueError(f"broadcast_seconds must be non-negative, got {t0!r}")
+        columns = _schedule(self.strategy, rank_phases._lists, t0)
         try:
-            timeline = mc.ExecutionTimeline.from_columns(mc.Columns._adopt(columns))
-        except ValueError:  # a non-finite time
-            raise ProfileError(
-                "the model gives a non-finite time: a machine or kernel cost value is out of range"
-            ) from None
+            timeline = mc.ExecutionTimeline._of_schedule(mc.Columns._adopt(columns))
+        except ValueError:  # a time that overflows to inf
+            raise ProfileError(_NON_FINITE) from None
         object.__setattr__(self, "timeline", timeline)
         object.__setattr__(self, "makespan", timeline.makespan)
         object.__setattr__(self, "phase_times", PhaseTimes._make(
@@ -276,6 +296,22 @@ class JobResult:
 
     output: bytearray | list[bytes] | Iterator[memoryview]
     plan: JobPlan
+
+
+def _check_durations(rank_phases: list[list[float]]) -> None:
+    """Raise unless every duration of rank_phases is finite and at least 0
+    (-0.0 is): a NaN or an infinity is the non-finite ProfileError, and a
+    negative value a ValueError naming its phase and rank. Finite
+    durations have a finite sum from 0.0 unless it overflows, and only
+    then is each tested, so a NaN cannot hide."""
+    if not (math.isfinite(sum(chain.from_iterable(rank_phases), 0.0))
+            or all(map(math.isfinite, chain.from_iterable(rank_phases)))):
+        raise ProfileError(_NON_FINITE)
+    if min(chain.from_iterable(rank_phases), default=0.0) < 0:
+        phase, rank, t = next((phase, rank, t) for phase, column in zip(PhaseTimes._fields,
+                                                                        rank_phases)
+                              for rank, t in enumerate(column) if t < 0)
+        raise ValueError(f"rank {rank}'s {phase} duration must be non-negative, got {t!r}")
 
 
 def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) -> mc.KernelCost:
@@ -554,11 +590,14 @@ def validate_timeline(timeline: mc.ExecutionTimeline) -> list[TimelineViolation]
     """Check every timeline invariant; returns all violations (empty = ok).
 
     Each rank's times must be non-negative and follow EVENT_KINDS order.
-    A clean timeline passes the one comparison of its adjacent event
-    columns, side by side, that it made when it was built; otherwise each
-    rank's row, read from the columns, is checked kind by kind: negative
-    times in (time, kind index) order, then each kind that comes before
-    the kind ahead of it.
+    A plan's timeline is in order by construction, as its durations are
+    finite and at least 0 (see JobPlan), so it is clean with no test.
+    Whether a timeline from outside (ExecutionTimeline(times) or
+    from_columns) is clean it worked out event by event when it was built,
+    by one comparison of its adjacent columns, side by side; if it is not,
+    each rank's row, read from the columns, is checked kind by kind:
+    negative times in (time, kind index) order, then each kind that comes
+    before the kind ahead of it.
     """
     if timeline._in_order:
         return []

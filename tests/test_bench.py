@@ -342,6 +342,28 @@ class TestCsv:
             assert float(got["total_s"]) == row.total_s
             assert (float(got["baseline_s"]) if got["baseline_s"] else None) == row.baseline_s
 
+    def test_values_written_as_python_floats(self, tmp_path):
+        """An int, a numpy float and a -0.0 are written as repr of their
+        float, and a baseline of None as an empty cell: the bytes the
+        per-value writer wrote before rows took one f-string."""
+        rows = [
+            ExperimentRow(sweep_value=3, strategy=Strategy.SYNC, kernel_s=1,
+                          to_dpu_s=np.float64(1.0), from_dpu_s=np.float64(0.1), prepare_s=-0.0,
+                          total_s=1e-300),
+            ExperimentRow(sweep_value=np.int64(40), strategy=Strategy.SYNC, kernel_s=0.5,
+                          to_dpu_s=0.25, from_dpu_s=2, prepare_s=np.float32(0.5),
+                          total_s=3.75, baseline_s=np.float64(2.5)),
+        ]
+        path = tmp_path / "out.csv"
+        emit_csv(ExperimentResult(spec=_spec("weak_scaling"), rows=rows,
+                                  metadata={"experiment": "weak_scaling", "seed": 7}), str(path))
+        assert path.read_bytes() == (
+            b"# experiment=weak_scaling\n# seed=7\n"
+            b"sweep,kernel_s,to_dpu_s,from_dpu_s,prepare_s,total_s,baseline_s\n"
+            b"3,1.0,1.0,0.1,-0.0,1e-300,\n"
+            b"40,0.5,0.25,2.0,0.5,3.75,2.5\n"
+        )
+
     def test_header_exact(self, tmp_path):
         path = tmp_path / "out.csv"
         emit_csv(ExperimentResult(spec=_spec("weak_scaling"), rows=[]), str(path))

@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from pimcrypt.machine import (
 from pimcrypt.orchestrator import (
     AesWorkload,
     JobPlan,
+    PhaseTimes,
     ShaWorkload,
     Strategy,
     TimelineViolation,
@@ -883,6 +885,27 @@ class TestTimelineArray:
         with pytest.raises(TypeError):
             timeline.columns[:1]
 
+    def test_columns_hold_python_floats(self):
+        """Columns(columns) keeps float(t) of every real time, so a timeline
+        of int or numpy times reads as the one of the (ranks, 8) array."""
+        ints = ExecutionTimeline.from_columns([[1]] * len(EVENT_KINDS))
+        assert repr(ints.makespan) == "1.0"
+        assert repr(ints) == repr(ExecutionTimeline([[1] * len(EVENT_KINDS)]))
+        numpy = ExecutionTimeline.from_columns(np.ones((len(EVENT_KINDS), 1)))
+        assert {type(t) for column in numpy.columns for t in column} == {float}
+        assert type(numpy.makespan) is float and numpy == ints
+
+    @pytest.mark.parametrize("value", ["1.5", b"1.5", None])
+    def test_columns_reject_what_is_not_a_real(self, value):
+        """A time that is not a numbers.Real raises TypeError naming it,
+        though float() would read a string, and so does a plan's phase."""
+        columns = [[1.0, 2.0] for _ in EVENT_KINDS]
+        columns[3][1] = value
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            ExecutionTimeline.from_columns(columns)
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            _plan_of(columns[:4], 0.0, Strategy.SYNC)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_times_rejected(self, value):
         """Every rank has every event, so no cell may be NaN or infinite."""
@@ -914,6 +937,106 @@ class TestTimelineArray:
         validator relies on."""
         with pytest.raises(ValueError, match="ranks, 8"):
             ExecutionTimeline(np.zeros(shape))
+
+
+# durations a plan may hold: zeros of both signs, ragged values, and
+# values near 1e308, whose sums may overflow
+_DURATIONS = (st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 8.9e307, 1e308])
+              | st.floats(0, 10) | st.floats(0, 1e308))
+
+
+@st.composite
+def _phase_columns(draw):
+    """The four phase columns of 1-6 ranks."""
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(_DURATIONS, min_size=n, max_size=n)) for _ in range(4)]
+
+
+def _plan_of(phases, t0, strategy):
+    """The JobPlan of rank phases given as four columns, from t0."""
+    return JobPlan(strategy=strategy, n_ranks=len(phases[0]), dpus_per_rank=1, tasklets=1,
+                   rank_phases=phases, payload_bytes_to_dpu=0, payload_bytes_from_dpu=0,
+                   broadcast_bytes=0, broadcast_seconds=t0)
+
+
+class TestScheduleInOrder:
+    """A plan checks its durations and trusts the order they give its
+    timeline; each test here checks that trust against the event-by-event
+    checks of a timeline from outside."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(phases=_phase_columns(), t0=_DURATIONS, strategy=st.sampled_from(list(Strategy)))
+    @example(phases=[[1e308, 1e308]] * 4, t0=0.0, strategy=Strategy.SYNC)
+    @example(phases=[[-0.0]] * 4, t0=-0.0, strategy=Strategy.SYNC)
+    def test_plan_timeline_passes_the_event_checks(self, phases, t0, strategy):
+        """The plan's timeline equals the one from_columns checks event by
+        event from its columns, with the same order flag (True), the same
+        makespan bit for bit and no violation; where the reference
+        scheduler gives a time that is not finite, the plan raises the
+        non-finite ProfileError."""
+        rows = reference.schedule(strategy.value, [list(row) for row in zip(*phases)], t0)
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            with pytest.raises(ProfileError, match="non-finite"):
+                _plan_of(phases, t0, strategy)
+            return
+        plan = _plan_of(phases, t0, strategy)
+        checked = ExecutionTimeline.from_columns(plan.timeline.columns)
+        assert plan.timeline == checked and plan.timeline.times.tolist() == rows
+        assert plan.timeline._in_order is checked._in_order is True
+        assert repr(plan.makespan) == repr(checked.makespan)
+        assert validate_timeline(checked) == [] == validate_timeline(plan.timeline)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("phase,rank,value", [
+        (0, 0, -1.0), (2, 3, -5e-324), (3, 5, -1e308), (1, 2, -1.0),
+    ])
+    def test_negative_duration_rejected(self, strategy, phase, rank, value):
+        """A negative phase is a ValueError that names it, not a timeline
+        out of order."""
+        phases = [[1.0] * 6 for _ in range(4)]
+        phases[phase][rank] = value
+        name = PhaseTimes._fields[phase]
+        with pytest.raises(ValueError, match=re.escape(
+                f"rank {rank}'s {name} duration must be non-negative, got {value!r}")):
+            _plan_of(phases, 0.0, strategy)
+
+    @pytest.mark.parametrize("t0", [-1.0, -5e-324])
+    def test_negative_broadcast_rejected(self, t0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"broadcast_seconds must be non-negative, got {t0!r}")):
+            _plan_of([[1.0] * 3 for _ in range(4)], t0, Strategy.SYNC)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("phase,rank,value", [
+        (0, 0, math.nan), (0, 2, math.nan), (1, 5, math.nan), (3, 4, math.nan),
+        (2, 3, math.inf), (0, 1, -math.inf),
+    ])
+    def test_non_finite_duration_rejected(self, strategy, phase, rank, value):
+        """A NaN, wherever it is, or an infinity is the non-finite
+        ProfileError: no max or min over the phases passes it by."""
+        phases = [[1.0] * 6 for _ in range(4)]
+        phases[phase][rank] = value
+        with pytest.raises(ProfileError, match="non-finite"):
+            _plan_of(phases, 0.0, strategy)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_broadcast_rejected(self, t0):
+        with pytest.raises(ProfileError, match="non-finite"):
+            _plan_of([[1.0] * 3 for _ in range(4)], t0, Strategy.SYNC)
+
+    def test_phases_are_checked_once(self, monkeypatch):
+        """A plan rescheduled from the same rank_phases does not check them
+        again; a plan built from a copy of them does."""
+        checks = []
+        check = orchestrator._check_durations
+        monkeypatch.setattr(orchestrator, "_check_durations",
+                            lambda phases: checks.append(phases) or check(phases))
+        plan = plan_job(AesWorkload(16 << 20), n_ranks=40)
+        for strategy in Strategy:
+            plan = plan.rescheduled(strategy)
+        assert len(checks) == 1
+        _plan_of([list(phase) for phase in plan.rank_phases], 0.0, Strategy.SYNC)
+        assert len(checks) == 2
 
 
 def _phase_rows(plan):

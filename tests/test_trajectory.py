@@ -45,6 +45,7 @@ def test_report_holds_every_curve_point():
                          for s in _RANK_STRATEGIES},
             "simulate_rank_kernel": {"1", "2", "35", "2560"},
             "run_experiment": {f"{a}/{e}" for a in _ALGORITHMS for e in mc.EXPERIMENTS},
+            "sweep": {"paper-sweep"},
         }
         for points in run["curves"].values():
             for point in points.values():
@@ -61,8 +62,8 @@ def test_report_holds_every_curve_point():
 def _price_off_by_a_ulp(monkeypatch):
     price = mc.simulate_dpu_kernel
     monkeypatch.setattr(mc, "simulate_dpu_kernel", lambda *args: price(*args) * (1 + 2**-52))
-    return {f"run_experiment {a}/{e}: CSV differs from its fingerprint"
-            for a in _ALGORITHMS for e in mc.EXPERIMENTS}
+    return {f"{point} {a}/{e}: CSV differs from its fingerprint"
+            for point in ("run_experiment", "sweep") for a in _ALGORITHMS for e in mc.EXPERIMENTS}
 
 
 def _rank_priced_by_its_first_dpu(monkeypatch):
@@ -77,7 +78,8 @@ def _rank_priced_by_its_first_dpu(monkeypatch):
 
 @pytest.mark.parametrize("fault", [_price_off_by_a_ulp, _rank_priced_by_its_first_dpu])
 def test_wrong_planner_output_is_a_failure(monkeypatch, fault):
-    """A DPU priced one ulp off changes every CSV; a rank priced by its
+    """A DPU priced one ulp off changes every CSV, from run_experiment and
+    from the sweep's bench calls alike; a rank priced by its
     first DPU, not its slowest, leaves every bench CSV as it was (each
     bench plan has one pair) and shows only in the rank-kernel check."""
     expected = fault(monkeypatch)

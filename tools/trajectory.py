@@ -20,10 +20,14 @@ round takes the trees in reverse order (A B B A ...). The curves:
   validate_timeline;
 * simulate_rank_kernel on a whole machine's 40 x 64 grid holding 1, 2, 35
   and 2,560 distinct (units, tasklets) pairs, given as one list per rank;
-* run_experiment(include_baseline=False) for each experiment and algorithm.
+* run_experiment(include_baseline=False) for each experiment and algorithm;
+* sweep: one whole hostbench paper-sweep operation, the 8 calls
+  cli.main(["bench", "--experiment", E, ..., "--no-baseline"]) for each
+  experiment and algorithm, writing into a temporary directory.
 
 Every output is checked, so a fast wrong planner does not read as a win:
-each experiment's CSV against hostbench/fingerprints.json (read only), each
+each experiment's CSV, from run_experiment and from the sweep, against
+hostbench/fingerprints.json (read only), each
 plan_job and schedule makespan against its row of that experiment (and
 each schedule against validate_timeline), and each rank-kernel result
 against the slowest DPU of each rank priced one by one. The file records,
@@ -40,10 +44,12 @@ the share of rounds in which the tree was faster.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -54,6 +60,7 @@ import sys
 import tempfile
 import time
 from functools import partial
+from importlib import resources
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINTS = os.path.join(ROOT, "hostbench", "fingerprints.json")
@@ -78,16 +85,54 @@ def _alternated(calls: dict[str, object], repetitions: int) -> dict[str, list[fl
     return samples
 
 
-def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sweep_calls(machine, package: str, work: str) -> tuple[list[list[str]], dict[str, str]]:
+    """The cli.main argument lists of one paper-sweep operation, as
+    hostbench/gen.py makes them (the sha256 ones under a copy of the
+    bundled config whose every experiment is set to sha256), writing under
+    work, and the path of each CSV by algorithm/experiment."""
+    calls, csvs = [], {}
+    for algorithm in machine.ALGORITHMS:
+        config = []
+        if algorithm != "aes128":
+            doc = json.loads(resources.files(package).joinpath("profiles/default.json")
+                             .read_text())
+            for section in doc["experiments"].values():
+                section["algorithm"] = algorithm
+            path = os.path.join(work, f"{algorithm}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            config = ["--config", path]
+        out_dir = os.path.join(work, algorithm)
+        for experiment in machine.EXPERIMENTS:
+            calls.append(["bench", "--experiment", experiment, *config, "--out-dir", out_dir,
+                          "--no-baseline"])
+            csvs[f"{algorithm}/{experiment}"] = os.path.join(out_dir, f"{experiment}.csv")
+    return calls, csvs
+
+
+def _sweep(cli, calls: list[list[str]]) -> list[int]:
+    """The exit code of each call of a paper-sweep operation, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [cli.main(argv) for argv in calls]
+
+
+def _points(package: str, recorded: dict[str, str], work: str) -> tuple[dict, list[str]]:
     """The curve points of one imported pimcrypt package, each a call to
-    time, and every check of their outputs that failed."""
+    time, and every check of their outputs that failed; the sweep point
+    writes under work, which must outlast the timing."""
     import numpy as np
 
-    bench, machine, orchestrator = (importlib.import_module(f"{package}.{module}")
-                                    for module in ("bench", "machine", "orchestrator"))
+    bench, cli, machine, orchestrator = (
+        importlib.import_module(f"{package}.{module}")
+        for module in ("bench", "cli", "machine", "orchestrator"))
     config = machine.bundled_default_config()
     points: dict[str, dict] = {"plan_job": {}, "schedule": {}, "simulate_rank_kernel": {},
-                               "run_experiment": {}}
+                               "run_experiment": {}, "sweep": {}}
     failures: list[str] = []
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,9 +145,8 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
                 results[name] = run()
                 path = os.path.join(tmp, f"{algorithm}-{experiment}.csv")
                 bench.emit_csv(results[name], path)
-                with open(path, "rb") as fh:
-                    if hashlib.sha256(fh.read()).hexdigest() != recorded[name]:
-                        failures.append(f"run_experiment {name}: CSV differs from its fingerprint")
+                if _file_sha256(path) != recorded[name]:
+                    failures.append(f"run_experiment {name}: CSV differs from its fingerprint")
 
     for algorithm in machine.ALGORITHMS:
         result = results[f"{algorithm}/rank_scaling"]
@@ -142,6 +186,15 @@ def _points(package: str, recorded: dict[str, str]) -> tuple[dict, list[str]]:
         if price() != slowest:
             failures.append(f"simulate_rank_kernel with {pairs} pairs: a rank is not its "
                             "slowest DPU")
+
+    calls, csvs = _sweep_calls(machine, package, work)
+    sweep = partial(_sweep, cli, calls)
+    points["sweep"]["paper-sweep"] = sweep
+    if sweep() != [0] * len(calls):
+        failures.append("sweep: a bench call exited nonzero")
+    for name, path in csvs.items():
+        if not os.path.exists(path) or _file_sha256(path) != recorded[name]:
+            failures.append(f"sweep {name}: CSV differs from its fingerprint")
     return points, failures
 
 
@@ -160,16 +213,18 @@ def measure(packages: dict[str, str], repetitions: int) -> dict:
     with open(FINGERPRINTS, encoding="utf-8") as fh:
         recorded = json.load(fh)["workloads"]["paper-sweep"]["csv_sha256"]
     points, failures = {}, {}
-    for name, package in packages.items():
-        points[name], failures[name] = _points(package, recorded)
-    first = points[next(iter(packages))]
-    samples: dict[str, dict] = {name: {curve: {} for curve in first} for name in packages}
-    for curve, curve_points in first.items():
-        for point in curve_points:
-            timed = _alternated({name: points[name][curve][point] for name in packages},
-                                repetitions)
-            for name, values in timed.items():
-                samples[name][curve][point] = values
+    with tempfile.TemporaryDirectory() as work:
+        for name, package in packages.items():
+            os.mkdir(os.path.join(work, name))
+            points[name], failures[name] = _points(package, recorded, os.path.join(work, name))
+        first = points[next(iter(packages))]
+        samples: dict[str, dict] = {name: {curve: {} for curve in first} for name in packages}
+        for curve, curve_points in first.items():
+            for point in curve_points:
+                timed = _alternated({name: points[name][curve][point] for name in packages},
+                                    repetitions)
+                for name, values in timed.items():
+                    samples[name][curve][point] = values
     return {"samples": samples, "failures": failures, "numpy": np.__version__}
 
 
