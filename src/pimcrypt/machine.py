@@ -238,6 +238,14 @@ class Columns(abc.Sequence):
         return repr(tuple(self))
 
 
+def _all_finite(columns: list[list[float]]) -> bool:
+    """Whether every value of columns is finite. Finite values have a
+    finite sum from 0.0 unless it overflows, and only then is each value
+    tested, so a NaN cannot hide as it can from a max."""
+    return (math.isfinite(sum(chain.from_iterable(columns), 0.0))
+            or all(map(math.isfinite, chain.from_iterable(columns))))
+
+
 class ExecutionTimeline:
     """Event times of one job: columns[k][r] is when rank r's EVENT_KINDS[k]
     event happens, and phase k runs from column 2k to column 2k + 1. Every
@@ -287,12 +295,9 @@ class ExecutionTimeline:
 
     def _hold(self, columns: Columns) -> None:
         """Keep columns from outside a plan, checked event by event; a time
-        that is not finite raises ValueError. Finite times have a finite
-        sum from 0.0 unless it overflows, and only then is each time
-        tested, so a NaN cannot hide."""
+        that is not finite raises ValueError."""
         lists = columns._lists
-        if not (math.isfinite(sum(chain.from_iterable(lists), 0.0))
-                or all(map(math.isfinite, chain.from_iterable(lists)))):
+        if not _all_finite(lists):
             raise ValueError("timeline times must be finite")
         self.columns = columns
         # whether every rank starts at or after 0 and never goes back, read

@@ -208,7 +208,7 @@ class PhaseTimes(NamedTuple):
     dpu_to_cpu: float
 
 
-# why a plan's time is not finite, the one cause a JobPlan can give for it
+# the error of a plan whose durations or times are not all finite
 _NON_FINITE = "the model gives a non-finite time: a machine or kernel cost value is out of range"
 
 
@@ -300,18 +300,17 @@ class JobResult:
 
 def _check_durations(rank_phases: list[list[float]]) -> None:
     """Raise unless every duration of rank_phases is finite and at least 0
-    (-0.0 is): a NaN or an infinity is the non-finite ProfileError, and a
-    negative value a ValueError naming its phase and rank. Finite
-    durations have a finite sum from 0.0 unless it overflows, and only
-    then is each tested, so a NaN cannot hide."""
-    if not (math.isfinite(sum(chain.from_iterable(rank_phases), 0.0))
-            or all(map(math.isfinite, chain.from_iterable(rank_phases)))):
+    (-0.0 is): a NaN or an infinity is the non-finite ProfileError
+    (tested by machine._all_finite), and a negative value a ValueError
+    naming its phase and rank."""
+    if not mc._all_finite(rank_phases):
         raise ProfileError(_NON_FINITE)
     if min(chain.from_iterable(rank_phases), default=0.0) < 0:
-        phase, rank, t = next((phase, rank, t) for phase, column in zip(PhaseTimes._fields,
-                                                                        rank_phases)
-                              for rank, t in enumerate(column) if t < 0)
-        raise ValueError(f"rank {rank}'s {phase} duration must be non-negative, got {t!r}")
+        for phase, column in zip(PhaseTimes._fields, rank_phases):
+            for rank, t in enumerate(column):
+                if t < 0:
+                    raise ValueError(
+                        f"rank {rank}'s {phase} duration must be non-negative, got {t!r}")
 
 
 def _sha_cost_for(base: mc.KernelCost, total_messages: int, total_units: int) -> mc.KernelCost:
